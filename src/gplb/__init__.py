@@ -44,6 +44,7 @@ from .sequence_core import (
     TruthCoefficients,
     contraction_probability,
     exact_risk,
+    exact_risks,
     exponential_spectrum,
     flat_spectrum,
     mc_risk,
@@ -92,6 +93,7 @@ __all__ = [
     "sample_observation",
     "posterior_update",
     "exact_risk",
+    "exact_risks",
     "mc_risk",
     "contraction_probability",
     "polynomial_spectrum",

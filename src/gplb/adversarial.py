@@ -28,7 +28,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .integrate import adaptive_box_integral, pyramid_box_integral
+# pyramid_box_integral is no longer called here; it stays bound in this
+# module because the benchmark's tracer rebinds it here (bench/layers.py).
+from .integrate import (  # noqa: F401
+    adaptive_box_integral,
+    pyramid_box_integral,
+    pyramid_grid_integrals,
+)
 from .sequence_core import Spectrum
 
 __all__ = [
@@ -40,6 +46,7 @@ __all__ = [
     "evaluate_pyramid",
     "pyramid_norm_sq",
     "compute_coefficients",
+    "coefficient_work_bytes",
     "tk_values",
     "tk_matched_spectrum",
     "risk_lower_bound",
@@ -146,7 +153,7 @@ class CoefficientMatrix:
                 f"entry rows {arr.shape[0]} do not match family size {self.family.m}"
             )
         norm_sq = pyramid_norm_sq(self.family.d, self.family.k)
-        row_mass = (arr**2).sum(axis=1)
+        row_mass = np.einsum("ij,ij->i", arr, arr)
         if np.any(row_mass > norm_sq * (1.0 + 1e-8) + 1e-15):
             raise ContractError(
                 "coefficient rows exceed the member norm; inner products are inconsistent"
@@ -168,34 +175,60 @@ def _support_box(family: PyramidFamily, j: int) -> tuple[np.ndarray, np.ndarray]
     return center - family.bandwidth, center + family.bandwidth
 
 
+def _member_cells(family: PyramidFamily, N: int):
+    """Yield each member's exact integrals over the N^d finest dyadic cells.
+
+    Member j sits at 0-based grid position (l_1, ..., l_d) and is supported
+    on prod_i [l_i/k, (l_i+1)/k]; only the cells meeting that block are
+    integrated, all at once, and every other cell is 0.
+    """
+    first = np.arange(family.k) * N // family.k
+    stop = -((-np.arange(1, family.k + 1) * N) // family.k)
+    edges = [np.arange(a, b + 1) / N for a, b in zip(first, stop)]
+    for j, position in enumerate(np.ndindex(*(family.k,) * family.d)):
+        cells = np.zeros((N,) * family.d)
+        block = tuple(slice(first[l], stop[l]) for l in position)
+        cells[block] = pyramid_grid_integrals(
+            family.centers[j], family.bandwidth, [edges[l] for l in position]
+        )
+        yield cells
+
+
+_TRANSFORM_COPIES = 4
+
+
+def coefficient_work_bytes(m: int, K: int, cells: int) -> int:
+    """Peak working bytes of :func:`compute_coefficients` on a Haar basis.
+
+    Two m x K float64 matrices (the entries and the copy that
+    :class:`CoefficientMatrix` keeps), plus the transform temporaries of
+    one member at a time: its cell integrals, the analysis output, the
+    pairwise sums and differences and the permuted copy, each at most
+    ``cells`` = N^d floats.
+    """
+    return 8 * (2 * m * K + _TRANSFORM_COPIES * cells)
+
+
 def compute_coefficients(family: PyramidFamily, basis, K: int) -> CoefficientMatrix:
     """Inner products of every family member against the first K basis functions.
 
-    Bases that expose ``constant_panels`` (piecewise-constant members on
-    boxes, e.g. tensor Haar) are integrated in closed form.  Any other
-    basis only needs ``evaluate``; those entries fall back to adaptive
-    panel quadrature at absolute tolerance 1e-10, which raises a
-    QuadratureError with diagnostics if it cannot converge.
+    Bases that expose ``analyze`` (tensor Haar) are handled exactly: each
+    member's integrals over the finest dyadic cells come from the vertex
+    formula, and the fast Haar transform of ``analyze`` turns them into
+    coefficients.  Any other basis only needs ``evaluate``; those entries
+    fall back to adaptive panel quadrature at absolute tolerance 1e-10,
+    which raises a QuadratureError with diagnostics if it cannot converge.
     """
     if family.d != basis.d:
         raise ContractError(f"family dimension {family.d} does not match basis dimension {basis.d}")
     if not 1 <= K <= basis.size:
         raise ContractError(f"need 1 <= K <= {basis.size}, got K = {K}")
-    indices = basis.indices[:K]
     entries = np.zeros((family.m, K))
-    if hasattr(basis, "constant_panels"):
-        panels = [tuple(basis.constant_panels(index)) for index in indices]
-        for j in range(family.m):
-            lo_j, hi_j = _support_box(family, j)
-            center = family.centers[j]
-            for col, index_panels in enumerate(panels):
-                acc = 0.0
-                for lo, hi, value in index_panels:
-                    if np.any(lo >= hi_j) or np.any(hi <= lo_j):
-                        continue
-                    acc += value * pyramid_box_integral(center, family.bandwidth, lo, hi)
-                entries[j, col] = acc
+    if hasattr(basis, "analyze"):
+        for j, cells in enumerate(_member_cells(family, basis.cells_per_axis)):
+            entries[j] = basis.analyze(cells)[:K]
     else:
+        indices = basis.indices[:K]
         for j in range(family.m):
             lo_j, hi_j = _support_box(family, j)
             center = family.centers[j]

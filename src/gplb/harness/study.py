@@ -19,6 +19,7 @@ from scipy import stats as _stats
 from ..adversarial import (
     build_pyramid_family,
     choose_grid,
+    coefficient_work_bytes,
     compute_coefficients,
     grid_target,
     mean_risk_floor,
@@ -31,6 +32,7 @@ from ..sequence_core import (
     TruthCoefficients,
     contraction_probability,
     exact_risk,
+    exact_risks,
     exponential_spectrum,
     flat_spectrum,
     mc_risk,
@@ -38,6 +40,7 @@ from ..sequence_core import (
 )
 from ..sparse_linear import brute_force_minimax, linear_minimax_risk
 from ..wavelet import (
+    HaarTensorBasis,
     SawtoothSurrogate,
     haar_tensor_basis,
     single_function_risk_bound,
@@ -48,6 +51,7 @@ from .report import RiskReport, RiskRow
 from .transfer import transfer_threshold
 
 __all__ = [
+    "MAX_COEFFICIENT_BYTES",
     "task_rng",
     "fit_loglog_slope",
     "minimal_basis_level",
@@ -156,25 +160,46 @@ def _spectrum_for(config: ExperimentConfig, coeffs):
     return spectrum, spectrum_id
 
 
-def _family_setup(config: ExperimentConfig, n: float):
+# Largest coefficient-engine working set (coefficient_work_bytes) that a
+# family study may plan; larger grid points are refused before any work.
+MAX_COEFFICIENT_BYTES = 2**30
+
+
+def _grid_tasks(config: ExperimentConfig) -> list[tuple[int, float, tuple[int, int, int]]]:
+    """(grid index, n, (k, level, K)) for every grid point, checked before any work.
+
+    Raises ConfigError naming the sizes when a point's coefficient matrix
+    and transform temporaries would exceed MAX_COEFFICIENT_BYTES.
+    """
+    tasks = []
+    for index, n in enumerate(config.n_grid):
+        k, m = grid_count(config.d, n, config.grid_rule)
+        level = _resolve_level(config, k)
+        basis = HaarTensorBasis(config.d, level)
+        K = basis.size if config.K is None else config.K
+        if K > basis.size:
+            raise ConfigError(
+                f"K = {K} exceeds the {basis.size} functions of the level-{level} basis"
+            )
+        needed = coefficient_work_bytes(m, K, basis.size)
+        if needed > MAX_COEFFICIENT_BYTES:
+            raise ConfigError(
+                f"d = {config.d}, n = {n:g}: k = {k}, m = {m}, level = {level}, K = {K} "
+                f"needs about {needed} bytes for coefficients, over the limit of "
+                f"{MAX_COEFFICIENT_BYTES} bytes; lower the basis level or K"
+            )
+        tasks.append((index, n, (k, level, K)))
+    return tasks
+
+
+def _family_setup(config: ExperimentConfig, n: float, point: tuple[int, int, int]):
     """Build (family, coeffs, spectrum, spectrum_id, risks per member) at n."""
-    k, m = grid_count(config.d, n, config.grid_rule)
+    k, level, K = point
     family = build_pyramid_family(config.d, k)
-    level = _resolve_level(config, k)
     basis = haar_tensor_basis(config.d, level)
-    K = basis.size if config.K is None else config.K
-    if K > basis.size:
-        raise ConfigError(
-            f"K = {K} exceeds the {basis.size} functions of the level-{level} basis"
-        )
     coeffs = compute_coefficients(family, basis, K)
     spectrum, spectrum_id = _spectrum_for(config, coeffs)
-    risks = np.array(
-        [
-            exact_risk(spectrum, TruthCoefficients(coeffs.entries[j], coeffs.basis_id), n)
-            for j in range(m)
-        ]
-    )
+    risks = exact_risks(spectrum, coeffs.entries, n, basis_id=coeffs.basis_id)
     return family, coeffs, spectrum, spectrum_id, risks
 
 
@@ -200,8 +225,8 @@ def run_rate_study(
     every row (the band is reported in the JSON fits).
     """
     def worker(task):
-        index, n = task
-        family, coeffs, spectrum, spectrum_id, risks = _family_setup(config, n)
+        index, n, point = task
+        family, coeffs, spectrum, spectrum_id, risks = _family_setup(config, n, point)
         j_star = int(np.argmax(risks))
         truth = TruthCoefficients(coeffs.entries[j_star], coeffs.basis_id)
         rng = task_rng(config.seed, index)
@@ -232,7 +257,7 @@ def run_rate_study(
             rows.append(RiskRow(**shared, contraction_prob=prob, radius=radius))
         return rows
 
-    groups = _run_tasks(config, list(enumerate(config.n_grid)), worker)
+    groups = _run_tasks(config, _grid_tasks(config), worker)
     rows = [row for group in groups for row in group]
     fits = None
     if fit:
@@ -259,8 +284,8 @@ def run_contraction_study(config: ExperimentConfig) -> RiskReport:
     see which rows the mass floor 1/4 - delta applies to.
     """
     def worker(task):
-        index, n = task
-        family, coeffs, spectrum, spectrum_id, risks = _family_setup(config, n)
+        index, n, point = task
+        family, coeffs, spectrum, spectrum_id, risks = _family_setup(config, n, point)
         j_star = int(np.argmax(risks))
         truth = TruthCoefficients(coeffs.entries[j_star], coeffs.basis_id)
         mu_sq = float(risks[j_star])
@@ -291,7 +316,7 @@ def run_contraction_study(config: ExperimentConfig) -> RiskReport:
             rows.append(RiskRow(**shared, contraction_prob=estimate, radius=radius))
         return rows, n * mu_sq
 
-    results = _run_tasks(config, list(enumerate(config.n_grid)), worker)
+    results = _run_tasks(config, _grid_tasks(config), worker)
     rows = [row for pair, _ in results for row in pair]
     fits = {
         "n_gamma_sq": [float(v) for _, v in results],

@@ -48,6 +48,7 @@ from .errors import DomainError, QuadratureError
 __all__ = [
     "affine_plus_power_integral",
     "pyramid_box_integral",
+    "pyramid_grid_integrals",
     "PiecewisePolynomial",
     "ridge_box_integral",
     "gl_box",
@@ -141,6 +142,67 @@ def pyramid_box_integral(
         beta = -signs
         total += affine_plus_power_integral(alpha, beta, box_lo, box_hi, power)
     return total
+
+
+def pyramid_grid_integrals(
+    center: Sequence[float],
+    halfwidth: float,
+    edges: Sequence[Sequence[float]],
+) -> np.ndarray:
+    """Integrate (halfwidth - |x - center|_1)_+ over every box of a tensor grid.
+
+    ``edges`` holds one strictly increasing breakpoint array per axis; box
+    (c_1, ..., c_d) is prod_i [edges[i][c_i], edges[i][c_i + 1]] and the
+    result has one entry per box.  This is the power-1 vertex formula of
+    :func:`pyramid_box_integral` evaluated for all boxes at once.  Every
+    axis is cut at the center, so on each piece the integrand is
+    (halfwidth - sum_i u_i)_+ with u_i the distance to the center along
+    axis i, and the piece integral is
+
+        (1/(d+1)!) sum_{e in {near, far}^d} (-1)^{#far}
+                   (halfwidth - sum_i u_i^{e_i})_+^{d+1}.
+
+    Neighbouring pieces share vertices, so the bracket is evaluated once
+    per grid point and differenced along each axis; the pieces of a box
+    cut by the center are then added back together.  Boxes outside the
+    support integrate to 0 through the positive part.
+    """
+    center = np.asarray(center, dtype=float)
+    d = center.size
+    if halfwidth <= 0.0:
+        raise DomainError("halfwidth must be positive")
+    if len(edges) != d:
+        raise DomainError(f"need one edge array per axis ({d}), got {len(edges)}")
+    gaps, signs, starts = [], [], []
+    for a, axis_edges in zip(center, edges):
+        points = np.asarray(axis_edges, dtype=float)
+        if points.ndim != 1 or points.size < 2 or np.any(np.diff(points) <= 0.0):
+            raise DomainError("edges must be strictly increasing arrays of at least two points")
+        boxes = np.arange(points.size - 1)
+        cut = int(np.searchsorted(points, a))
+        if 0 < cut < points.size and points[cut] != a:
+            # box cut - 1 straddles the center: split it into two pieces
+            points = np.insert(points, cut, a)
+            boxes = boxes + (boxes >= cut)
+        gaps.append(np.abs(points - a))
+        # near minus far along the axis: the near vertex of a piece left of
+        # the center is its right end, so there it is the forward difference
+        signs.append(np.where(points[:-1] < a, 1.0, -1.0))
+        starts.append(boxes)
+    values = gaps[0]
+    for gap in gaps[1:]:
+        values = np.add.outer(values, gap)
+    values = halfwidth - values
+    np.maximum(values, 0.0, out=values)
+    values **= d + 1
+    for axis, sign in enumerate(signs):
+        shape = [1] * d
+        shape[axis] = sign.size
+        values = np.diff(values, axis=axis) * sign.reshape(shape)
+    values /= math.factorial(d + 1)
+    for axis, axis_starts in enumerate(starts):
+        values = np.add.reduceat(values, axis_starts, axis=axis)
+    return values
 
 
 # ---------------------------------------------------------------------------

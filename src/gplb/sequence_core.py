@@ -37,6 +37,7 @@ __all__ = [
     "sample_observation",
     "posterior_update",
     "exact_risk",
+    "exact_risks",
     "mc_risk",
     "contraction_probability",
     "polynomial_spectrum",
@@ -194,6 +195,23 @@ def exact_risk(spectrum: Spectrum, theta: TruthCoefficients, n: float) -> float:
     bias_sq = float(np.sum((one_minus * theta.theta) ** 2))
     variance = float(np.sum(weights**2)) / n
     return bias_sq + variance
+
+
+def exact_risks(spectrum: Spectrum, thetas, n: float, *, basis_id: str) -> np.ndarray:
+    """:func:`exact_risk` at every row of ``thetas`` (m x K), in one product.
+
+    Row j gets sum_k (1 - a_k)^2 theta_jk^2 + sum_k a_k^2 / n, evaluated as
+    thetas**2 @ (1 - a)**2 plus the shared variance term.
+    """
+    if not (n > 0 and math.isfinite(n)):
+        raise DomainError("sample size n must be positive and finite")
+    _check_same_basis(spectrum.basis_id, basis_id, "exact_risks")
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2:
+        raise ContractError("exact_risks needs a 2-d array of truths, one per row")
+    _check_same_length(spectrum.size, thetas.shape[1], "exact_risks")
+    weights, one_minus, _ = _shrinkage(spectrum.eigenvalues, n)
+    return thetas**2 @ one_minus**2 + float(np.sum(weights**2)) / n
 
 
 class StreamingMoments:

@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -112,6 +113,35 @@ def _axis_values(level: int, translate: int, u: np.ndarray) -> np.ndarray:
     return np.where(cell == translate, values, 0.0)
 
 
+def _univariate_indices(J: int) -> list[tuple[int, int]]:
+    """(level, translate) of each univariate Haar function through level J.
+
+    The order (-1, 0), (0, 0), (1, 0), (1, 1), (2, 0), ... is the basis
+    order on one axis and the output layout of :func:`_haar_analysis`.
+    """
+    return [(SCALING_LEVEL, 0)] + [(j, t) for j in range(J + 1) for t in range(2**j)]
+
+
+def _haar_analysis(values: np.ndarray, axis: int) -> np.ndarray:
+    """One-dimensional Haar analysis of finest-cell integrals along ``axis``.
+
+    Mallat's pyramid algorithm: adjacent pairs of level-(j+1) cell sums add
+    to the level-j sums, and their differences scaled by 2^{j/2} are the
+    level-j detail coefficients, stored at positions 2^j .. 2^{j+1} - 1.
+    The total integral, the scaling coefficient, lands at position 0.
+    """
+    values = np.moveaxis(values, axis, -1)
+    out = np.empty_like(values)
+    sums = values
+    while sums.shape[-1] > 1:
+        half = sums.shape[-1] // 2
+        even, odd = sums[..., 0::2], sums[..., 1::2]
+        out[..., half : 2 * half] = 2.0 ** ((half.bit_length() - 1) / 2.0) * (even - odd)
+        sums = even + odd
+    out[..., 0] = sums[..., 0]
+    return np.moveaxis(out, -1, axis)
+
+
 @dataclass(frozen=True)
 class HaarTensorBasis:
     """All tensor Haar functions on [0,1]^d through univariate level J.
@@ -120,29 +150,74 @@ class HaarTensorBasis:
     level in the tuple), then lexicographically, so truncating the sequence
     always keeps a complete multiresolution prefix.  The univariate count
     through level J is 2^{J+1}; the tensor count is 2^{d (J+1)}.
+
+    Every member is constant on the N^d finest dyadic cells, N = 2^{J+1},
+    so :meth:`analyze` turns a function's exact cell integrals into its
+    exact coefficients.  The ``indices`` tuple is built on first access.
     """
 
     d: int
     level: int
-    indices: tuple[WaveletIndex, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise DomainError("dimension d must be at least 1")
         if self.level < 0:
             raise DomainError("max level J must be at least 0")
-        univariate = [(SCALING_LEVEL, 0)] + [
-            (j, t) for j in range(self.level + 1) for t in range(2**j)
-        ]
-        tensor = [
-            WaveletIndex(axes) for axes in itertools.product(univariate, repeat=self.d)
-        ]
-        tensor.sort(key=lambda g: (g.resolution, g.axes))
-        object.__setattr__(self, "indices", tuple(tensor))
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return 2 ** (self.d * (self.level + 1))
+
+    @property
+    def cells_per_axis(self) -> int:
+        """N = 2^{J+1}: the finest dyadic cells along each axis."""
+        return 2 ** (self.level + 1)
+
+    @cached_property
+    def order(self) -> np.ndarray:
+        """Flat positions, in the (N,)*d tensor layout, of the members in basis order.
+
+        Position (u_1, ..., u_d) holds the product of the univariate
+        functions at positions u_i; row-major order of the positions is the
+        lexicographic order of the index tuples, so a stable sort on
+        resolution gives the coarse-to-fine basis order.
+        """
+        levels = np.array([level for level, _ in _univariate_indices(self.level)], dtype=np.int8)
+        resolution = levels
+        for _ in range(self.d - 1):
+            resolution = np.maximum.outer(resolution, levels)
+        order = np.argsort(resolution.ravel(), kind="stable")
+        order.setflags(write=False)
+        return order
+
+    @cached_property
+    def indices(self) -> tuple[WaveletIndex, ...]:
+        univariate = _univariate_indices(self.level)
+        positions = np.unravel_index(self.order, (self.cells_per_axis,) * self.d)
+        return tuple(
+            WaveletIndex(tuple(univariate[u] for u in cell))
+            for cell in zip(*(axis.tolist() for axis in positions))
+        )
+
+    def analyze(self, cells) -> np.ndarray:
+        """Exact coefficients, in basis order, from integrals over the finest cells.
+
+        ``cells`` has shape (..., N, ..., N): its last d axes hold a
+        function's integral over each finest dyadic cell (N = 2^{J+1} per
+        axis), and any leading axes index functions.  The 1-D Haar analysis
+        runs along each of the d axes (the fast wavelet transform), then the
+        result is permuted into basis order; the output has shape
+        (..., size).
+        """
+        cells = np.asarray(cells, dtype=float)
+        shape = (self.cells_per_axis,) * self.d
+        if cells.shape[cells.ndim - self.d :] != shape:
+            raise ContractError(f"cell integrals must end in shape {shape}, got {cells.shape}")
+        lead = cells.shape[: cells.ndim - self.d]
+        for axis in range(len(lead), cells.ndim):
+            cells = _haar_analysis(cells, axis)
+        return cells.reshape(lead + (self.size,))[..., self.order]
 
     @property
     def basis_id(self) -> str:
@@ -380,19 +455,19 @@ class SawtoothSurrogate:
     def haar_coefficients(self, basis: HaarTensorBasis) -> np.ndarray:
         """Exact inner products <g, psi_gamma> for every basis index.
 
-        g is a ridge function, so each panel integral is an exact
-        one-dimensional piecewise-polynomial integral.
+        g is a ridge function, so its integral over each finest dyadic cell
+        is an exact one-dimensional piecewise-polynomial integral; the
+        basis turns the cell integrals into coefficients.
         """
         if basis.d != self.d:
             raise ContractError(f"basis dimension {basis.d} does not match surrogate dimension {self.d}")
         profile = self._profile()
-        out = np.empty(basis.size)
-        for pos, index in enumerate(basis.indices):
-            acc = 0.0
-            for lo, hi, value in basis.constant_panels(index):
-                acc += value * ridge_box_integral(profile, lo, hi)
-            out[pos] = acc
-        return out
+        N = basis.cells_per_axis
+        cells = np.empty((N,) * self.d)
+        for cell in np.ndindex(cells.shape):
+            lo = np.array(cell, dtype=float)
+            cells[cell] = ridge_box_integral(profile, lo / N, (lo + 1.0) / N)
+        return basis.analyze(cells)
 
     def norm_sq(self) -> float:
         """Exact squared L^2 norm of g over the unit cube."""

@@ -30,7 +30,7 @@ from gplb.adversarial import (
     tk_values,
 )
 from gplb.errors import ContractError, DomainError
-from gplb.integrate import adaptive_box_integral, gl_box
+from gplb.integrate import adaptive_box_integral, gl_box, pyramid_box_integral
 from gplb.sequence_core import TruthCoefficients, exact_risk, Spectrum
 from gplb.wavelet import haar_tensor_basis
 
@@ -267,6 +267,46 @@ def test_row_energy_approaches_the_norm_with_depth():
     ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
     assert np.all(ratios > 3.8) and np.all(ratios < 4.2)
     assert gaps[-1] / norm < 1e-6
+
+
+def per_panel_coefficients(family, basis, K, members):
+    """Oracle: every panel of every basis function, integrated one box at a time."""
+    panels = [tuple(basis.constant_panels(index)) for index in basis.indices[:K]]
+    rows = np.zeros((len(members), K))
+    for row, j in enumerate(members):
+        center = family.centers[j]
+        lo_j, hi_j = center - family.bandwidth, center + family.bandwidth
+        for col, index_panels in enumerate(panels):
+            for lo, hi, value in index_panels:
+                if np.any(lo >= hi_j) or np.any(hi <= lo_j):
+                    continue
+                rows[row, col] += value * pyramid_box_integral(
+                    center, family.bandwidth, lo, hi
+                )
+    return rows
+
+
+@pytest.mark.parametrize(
+    "d,k,J,K,members",
+    [
+        (1, 4, 5, None, None),  # power-of-two k: centers on cell edges
+        (1, 3, 4, 20, None),  # odd k, K cut inside the resolution-4 group
+        (1, 5, 0, None, None),  # basis coarser than the grid
+        (2, 4, 3, None, None),
+        (2, 3, 3, 150, None),  # cut inside the resolution-3 group (64..255)
+        (3, 2, 2, None, None),
+        (3, 3, 3, 300, (0, 13, 26)),  # cut inside the resolution-2 group (64..511)
+    ],
+)
+def test_coefficients_match_the_per_panel_oracle(d, k, J, K, members):
+    family = build_pyramid_family(d, k)
+    basis = haar_tensor_basis(d, J)
+    K = basis.size if K is None else K
+    members = range(family.m) if members is None else members
+    coeffs = compute_coefficients(family, basis, K)
+    oracle = per_panel_coefficients(family, basis, K, members)
+    deviation = np.max(np.abs(coeffs.entries[list(members)] - oracle))
+    assert deviation <= 1e-13 * math.sqrt(pyramid_norm_sq(d, k))
 
 
 def test_quadrature_fallback_for_a_basis_without_panels():

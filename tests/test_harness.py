@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import textwrap
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -664,6 +665,21 @@ def test_runners_reject_infeasible_truncation_and_level():
         run_wavelet_study(
             ExperimentConfig(mode="wavelet", level=4, K=33, n_grid=(100.0,), replications=10)
         )
+
+
+def test_oversized_grid_points_fail_before_any_work():
+    config = ExperimentConfig(mode="risk", d=3, level=8, n_grid=(1e3, 1e4), replications=10)
+    began = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"K = 134217728") as caught:
+        run_risk_study(config)
+    assert time.perf_counter() - began < 1.0
+    message = str(caught.value)
+    for part in ("d = 3", "n = 1000", "k = 2", "m = 8", "level = 8", "bytes"):
+        assert part in message
+    # the size check covers the whole grid, not only the first point
+    later = replace(RISK_CONFIG, n_grid=(200.0, 1e12), level=17)
+    with pytest.raises(ConfigError, match="n = 1e\\+12"):
+        run_risk_study(later)
 
 
 def test_verify_battery_passes_and_reports_ten_checks():

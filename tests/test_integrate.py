@@ -19,6 +19,7 @@ from gplb.integrate import (
     affine_plus_power_integral,
     gl_box,
     pyramid_box_integral,
+    pyramid_grid_integrals,
     ridge_box_integral,
 )
 
@@ -111,6 +112,33 @@ def test_pyramid_box_integral_additive_across_splits(center, hw, split):
         [center], hw, [split], [1.0], power=2
     )
     assert whole == pytest.approx(parts, rel=1e-12, abs=1e-16)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pyramid_grid_integrals_match_the_box_formula_box_by_box(d):
+    rng = np.random.default_rng(d)
+    for _ in range(10):
+        center = rng.random(d)
+        hw = rng.uniform(0.05, 0.5)
+        edges = [np.sort(rng.random(rng.integers(2, 8))) for _ in range(d)]
+        edges[0] = np.union1d(edges[0], center[:1])  # a box edge through the center
+        grid = pyramid_grid_integrals(center, hw, edges)
+        assert grid.shape == tuple(e.size - 1 for e in edges)
+        for box in np.ndindex(grid.shape):
+            lo = [e[c] for e, c in zip(edges, box)]
+            hi = [e[c + 1] for e, c in zip(edges, box)]
+            assert grid[box] == pytest.approx(
+                pyramid_box_integral(center, hw, lo, hi), rel=1e-12, abs=1e-17
+            )
+
+
+def test_pyramid_grid_integrals_reject_bad_edges():
+    with pytest.raises(DomainError):
+        pyramid_grid_integrals([0.5, 0.5], 0.25, [[0.0, 1.0]])
+    with pytest.raises(DomainError):
+        pyramid_grid_integrals([0.5], 0.25, [[0.0, 0.5, 0.5, 1.0]])
+    with pytest.raises(DomainError):
+        pyramid_grid_integrals([0.5], 0.0, [[0.0, 1.0]])
 
 
 def test_pyramid_box_integral_rejects_nonpositive_halfwidth():

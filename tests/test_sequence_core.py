@@ -22,6 +22,7 @@ from gplb.sequence_core import (
     TruthCoefficients,
     contraction_probability,
     exact_risk,
+    exact_risks,
     exponential_spectrum,
     flat_spectrum,
     mc_risk,
@@ -134,6 +135,31 @@ def test_exact_risk_multi_coordinate_hand_value():
     expected = (0.09 / 101**2 + 100.0 / 101**2) + (0.01 + 0.0025)
     value = exact_risk(spectrum_of(1.0, 0.01), truth_of(0.3, 0.2), 100.0)
     assert value == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_exact_risks_equal_the_looped_exact_risk(seed):
+    rng = np.random.default_rng(seed)
+    K, m = int(rng.integers(1, 300)), int(rng.integers(1, 20))
+    lams = 10.0 ** rng.uniform(-8.0, 4.0, K)
+    lams[rng.random(K) < 0.3] = 0.0
+    spectrum = Spectrum(lams, BASIS)
+    thetas = rng.standard_normal((m, K)) * 10.0 ** rng.uniform(-6.0, 0.0, (m, 1))
+    n = 10.0 ** rng.uniform(0.0, 7.0)
+    looped = np.array([exact_risk(spectrum, truth_of(*row), n) for row in thetas])
+    assert np.allclose(exact_risks(spectrum, thetas, n, basis_id=BASIS), looped, rtol=1e-14, atol=0.0)
+
+
+def test_exact_risks_validates_inputs():
+    spectrum = spectrum_of(1.0, 0.5)
+    with pytest.raises(ContractError):
+        exact_risks(spectrum, np.zeros((2, 2)), 10.0, basis_id="other")
+    with pytest.raises(ContractError):
+        exact_risks(spectrum, np.zeros((2, 3)), 10.0, basis_id=BASIS)
+    with pytest.raises(ContractError):
+        exact_risks(spectrum, np.zeros(2), 10.0, basis_id=BASIS)
+    with pytest.raises(DomainError):
+        exact_risks(spectrum, np.zeros((1, 2)), 0.0, basis_id=BASIS)
 
 
 def test_matched_eigenvalue_attains_the_coordinatewise_minimum():

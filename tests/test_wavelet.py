@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from gplb.errors import ContractError, DomainError
+from gplb.integrate import ridge_box_integral
 from gplb.sequence_core import Spectrum, TruthCoefficients, exact_risk
 from gplb.wavelet import (
     SCALING_LEVEL,
@@ -119,6 +120,42 @@ def test_indices_are_ordered_coarse_to_fine():
     resolutions = [g.resolution for g in basis.indices]
     assert resolutions == sorted(resolutions)
     assert basis.indices[0].resolution == SCALING_LEVEL
+
+
+def sorted_tensor_indices(d, J):
+    """Oracle: every index tuple built one by one, sorted by (resolution, axes)."""
+    univariate = [(SCALING_LEVEL, 0)] + [(j, t) for j in range(J + 1) for t in range(2**j)]
+    tensor = [WaveletIndex(axes) for axes in itertools.product(univariate, repeat=d)]
+    return univariate, sorted(tensor, key=lambda g: (g.resolution, g.axes))
+
+
+@pytest.mark.parametrize("d,J", [(d, J) for d in (1, 2, 3) for J in (0, 1, 2, 3)])
+def test_integer_order_equals_the_sorted_index_order(d, J):
+    univariate, expected = sorted_tensor_indices(d, J)
+    position = {axis: u for u, axis in enumerate(univariate)}
+    flat = [
+        np.ravel_multi_index([position[axis] for axis in g.axes], (len(univariate),) * d)
+        for g in expected
+    ]
+    basis = haar_tensor_basis(d, J)
+    assert basis.order.tolist() == flat
+    assert basis.size == len(expected)
+
+
+def test_lazy_indices_equal_the_eager_tuple():
+    basis = haar_tensor_basis(2, 3)
+    assert "indices" not in vars(basis)
+    _, expected = sorted_tensor_indices(2, 3)
+    assert basis.indices == tuple(expected)
+    assert basis.indices is basis.indices
+    assert all(type(level) is int for g in basis.indices[:5] for level, _ in g.axes)
+
+
+def test_analyze_rejects_cells_of_the_wrong_shape():
+    basis = haar_tensor_basis(2, 1)
+    with pytest.raises(ContractError):
+        basis.analyze(np.zeros((4, 2)))
+    assert basis.analyze(np.zeros((3, 4, 4))).shape == (3, basis.size)
 
 
 @pytest.mark.parametrize("d,J", [(1, 5), (2, 1), (3, 1)])
@@ -442,6 +479,21 @@ def test_sawtooth_coefficients_match_quad_per_index():
 
         oracle, _ = integrate.quad(product, 0.0, 1.0, limit=400)
         assert coeffs[pos] == pytest.approx(oracle, abs=1e-9)
+
+
+@pytest.mark.parametrize("d,level,J", [(1, 2, 4), (2, 1, 3), (3, 0, 1)])
+def test_sawtooth_coefficients_match_the_per_panel_ridge_sum(d, level, J):
+    surrogate = SawtoothSurrogate(d, level)
+    basis = haar_tensor_basis(d, J)
+    profile = surrogate._profile()
+    oracle = np.array(
+        [
+            sum(value * ridge_box_integral(profile, lo, hi) for lo, hi, value in basis.constant_panels(g))
+            for g in basis.indices
+        ]
+    )
+    deviation = np.max(np.abs(surrogate.haar_coefficients(basis) - oracle))
+    assert deviation <= 1e-13 * math.sqrt(surrogate.norm_sq())
 
 
 def test_sawtooth_coefficient_energy_approaches_norm():
