@@ -35,7 +35,7 @@ from .integrate import (  # noqa: F401
     pyramid_box_integral,
     pyramid_grid_integrals,
 )
-from .sequence_core import Spectrum
+from .sequence_core import Spectrum, exact_risks
 
 __all__ = [
     "MAX_FAMILY_SIZE",
@@ -50,6 +50,8 @@ __all__ = [
     "tk_values",
     "tk_matched_spectrum",
     "risk_lower_bound",
+    "member_risks",
+    "worst_member",
     "grid_target",
     "choose_grid",
     "lower_bound_constants",
@@ -170,11 +172,6 @@ class CoefficientMatrix:
         return int(self.entries.shape[1])
 
 
-def _support_box(family: PyramidFamily, j: int) -> tuple[np.ndarray, np.ndarray]:
-    center = family.centers[j]
-    return center - family.bandwidth, center + family.bandwidth
-
-
 def _member_cells(family: PyramidFamily, N: int):
     """Yield each member's exact integrals over the N^d finest dyadic cells.
 
@@ -230,7 +227,6 @@ def compute_coefficients(family: PyramidFamily, basis, K: int) -> CoefficientMat
     else:
         indices = basis.indices[:K]
         for j in range(family.m):
-            lo_j, hi_j = _support_box(family, j)
             center = family.centers[j]
             bandwidth = family.bandwidth
 
@@ -245,7 +241,7 @@ def compute_coefficients(family: PyramidFamily, basis, K: int) -> CoefficientMat
 
             for col, index in enumerate(indices):
                 entries[j, col] = adaptive_box_integral(
-                    integrand_for(index), lo_j, hi_j, tol=1e-10
+                    integrand_for(index), center - bandwidth, center + bandwidth, tol=1e-10
                 )
     return CoefficientMatrix(entries, basis.basis_id, family)
 
@@ -282,6 +278,31 @@ def risk_lower_bound(coeffs: CoefficientMatrix, n: float) -> float:
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
     return float(np.minimum(tk_values(coeffs), 1.0 / n).sum())
+
+
+def member_risks(spectrum: Spectrum, entries, n: float, norm_sq: float):
+    """(risks, tails): the exact risk of the posterior mean at each row's full truth.
+
+    Each row holds the first K coefficients of a truth of squared norm
+    ``norm_sq``.  The posterior mean lives in the K-coordinate span, so
+    the tail max(norm_sq - ||row||^2, 0) adds to the in-span risk as bias.
+    """
+    # ||row||^2 as BLAS dots of at most 8192 terms: exactly row @ row for
+    # short rows, while OpenBLAS threads longer dots, which cost 6-8 ms a
+    # call on a 2-vCPU VM and makes the last bits depend on the thread count
+    mass = [sum(p @ p for p in np.split(row, range(8192, row.size, 8192))) for row in entries]
+    tails = np.maximum(norm_sq - np.array(mass), 0.0)
+    return exact_risks(spectrum, entries, n, basis_id=spectrum.basis_id) + tails, tails
+
+
+def worst_member(risks) -> int:
+    """Lowest index whose risk is within a relative 1e-12 of the largest.
+
+    The grid's symmetry gives many members equal risks up to rounding, so
+    a plain argmax would let rounding noise choose among them.
+    """
+    risks = np.asarray(risks, dtype=float)
+    return int(np.flatnonzero(risks >= risks.max() * (1.0 - 1e-12))[0])
 
 
 def grid_target(d: int, n: float) -> float:

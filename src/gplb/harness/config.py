@@ -47,6 +47,7 @@ import os
 from dataclasses import dataclass, field, fields
 
 from ..errors import ConfigError
+from .report import format_cell
 
 __all__ = ["ExperimentConfig", "load_config", "resolved_items", "MODES"]
 
@@ -272,18 +273,6 @@ def load_config(
     return ExperimentConfig(**values)
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
-    return str(value)
-
-
 def resolved_items(config: ExperimentConfig) -> list[tuple[str, str]]:
     """The experiment configuration as ordered (key, value) strings.
 
@@ -292,7 +281,7 @@ def resolved_items(config: ExperimentConfig) -> list[tuple[str, str]]:
     written or how the work was scheduled.
     """
     return [
-        (f.name, _format_value(getattr(config, f.name)))
+        (f.name, format_cell(getattr(config, f.name)))
         for f in fields(ExperimentConfig)
         if f.name not in ("out", "format", "threads")
     ]

@@ -91,16 +91,17 @@ class RiskReport:
     fits: dict | None = None
 
 
-def _format_cell(value) -> str:
+def format_cell(value) -> str:
+    """A report cell or config value: floats with 17 significant digits, tuples comma-joined."""
     if value is None:
         return ""
-    if isinstance(value, str):
-        return value
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    return format(float(value), ".17g")
+    if isinstance(value, float):
+        return format(value, ".17g")
+    if isinstance(value, tuple):
+        return ",".join(format_cell(v) for v in value)
+    return str(value)
 
 
 def render_csv(report: RiskReport) -> str:
@@ -110,7 +111,7 @@ def render_csv(report: RiskReport) -> str:
     lines.append(",".join(COLUMNS))
     for row in report.rows:
         data = asdict(row)
-        lines.append(",".join(_format_cell(data[col]) for col in COLUMNS))
+        lines.append(",".join(format_cell(data[col]) for col in COLUMNS))
     return "\n".join(lines) + "\n"
 
 

@@ -1,17 +1,26 @@
 """Experiment runners: rate studies, contraction probes, batteries.
 
-Every runner maps an ExperimentConfig to a RiskReport.  Randomized work is
-split into tasks (one per grid point, or per Monte Carlo block) and each
-task seeds its own generator from (master seed, task index), so results
-are identical whatever the thread count, and reruns of the same config
+Every runner maps an ExperimentConfig to a RiskReport.  The risk, rates,
+contraction and wavelet studies share one grid-point pipeline: a point's
+candidate truths (the pyramid family at n, or the one sawtooth truth for
+every n) and prior go to ``_grid_point``, which reports the worst
+candidate's exact risk with its basis-truncation tail and runs the
+study's stages, Monte Carlo risk ("mc") and/or the two contraction
+probes ("probes").  Each stage of grid point i seeds its own generator
+from (master seed, key): key (i,) for the Monte Carlo risk and (i, 1 + r)
+for probe r, in every mode.  So results are identical whatever the
+thread count and whichever stages run, and reruns of the same config
 are byte-identical.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 from scipy import stats as _stats
@@ -23,16 +32,18 @@ from ..adversarial import (
     compute_coefficients,
     grid_target,
     mean_risk_floor,
+    member_risks,
+    pyramid_norm_sq,
     risk_lower_bound,
     tk_matched_spectrum,
+    worst_member,
 )
 from ..errors import ConfigError
 from ..sequence_core import (
     Spectrum,
     TruthCoefficients,
     contraction_probability,
-    exact_risk,
-    exact_risks,
+    exact_risk,  # noqa: F401  rebound here by the benchmark's tracer (bench/layers.py)
     exponential_spectrum,
     flat_spectrum,
     mc_risk,
@@ -64,9 +75,9 @@ __all__ = [
 ]
 
 
-def task_rng(seed: int, task_index: int) -> np.random.Generator:
-    """Generator for one task, independent of all other task indices."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(task_index,)))
+def task_rng(seed: int, *key: int) -> np.random.Generator:
+    """Generator for one task, independent of every other key."""
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
 def fit_loglog_slope(ns, values) -> dict | None:
@@ -161,53 +172,134 @@ def _spectrum_for(config: ExperimentConfig, coeffs):
 
 
 # Largest coefficient-engine working set (coefficient_work_bytes) that a
-# family study may plan; larger grid points are refused before any work.
+# study may plan; larger grid points are refused before any work.
 MAX_COEFFICIENT_BYTES = 2**30
 
 
-def _grid_tasks(config: ExperimentConfig) -> list[tuple[int, float, tuple[int, int, int]]]:
-    """(grid index, n, (k, level, K)) for every grid point, checked before any work.
+def _checked_K(config: ExperimentConfig, level: int, m: int, where: str) -> int:
+    """Retained K at this basis level, refused when its coefficients would be too large.
 
-    Raises ConfigError naming the sizes when a point's coefficient matrix
-    and transform temporaries would exceed MAX_COEFFICIENT_BYTES.
+    Raises ConfigError naming the sizes when the coefficient matrix and
+    transform temporaries would exceed MAX_COEFFICIENT_BYTES.
     """
+    size = HaarTensorBasis(config.d, level).size
+    K = size if config.K is None else config.K
+    if K > size:
+        raise ConfigError(f"K = {K} exceeds the {size} functions of the level-{level} basis")
+    needed = coefficient_work_bytes(m, K, size)
+    if needed > MAX_COEFFICIENT_BYTES:
+        raise ConfigError(
+            f"{where}m = {m}, level = {level}, K = {K} needs about {needed} bytes for "
+            f"coefficients, over the limit of {MAX_COEFFICIENT_BYTES} bytes; "
+            f"lower the basis level or K"
+        )
+    return K
+
+
+def _grid_tasks(config: ExperimentConfig) -> list:
+    """(grid index, n, point builder) for every family grid point, sized before any work."""
     tasks = []
     for index, n in enumerate(config.n_grid):
         k, m = grid_count(config.d, n, config.grid_rule)
         level = _resolve_level(config, k)
-        basis = HaarTensorBasis(config.d, level)
-        K = basis.size if config.K is None else config.K
-        if K > basis.size:
-            raise ConfigError(
-                f"K = {K} exceeds the {basis.size} functions of the level-{level} basis"
-            )
-        needed = coefficient_work_bytes(m, K, basis.size)
-        if needed > MAX_COEFFICIENT_BYTES:
-            raise ConfigError(
-                f"d = {config.d}, n = {n:g}: k = {k}, m = {m}, level = {level}, K = {K} "
-                f"needs about {needed} bytes for coefficients, over the limit of "
-                f"{MAX_COEFFICIENT_BYTES} bytes; lower the basis level or K"
-            )
-        tasks.append((index, n, (k, level, K)))
+        K = _checked_K(config, level, m, f"d = {config.d}, n = {n:g}: k = {k}, ")
+        tasks.append((index, n, partial(_family_point, config, k, level, K)))
     return tasks
 
 
-def _family_setup(config: ExperimentConfig, n: float, point: tuple[int, int, int]):
-    """Build (family, coeffs, spectrum, spectrum_id, risks per member) at n."""
-    k, level, K = point
+class _Point(NamedTuple):
+    """What a grid point needs besides n: candidate truths and their prior."""
+
+    rows: np.ndarray  # each candidate truth's first K coefficients
+    norm_sq: float  # every candidate's full squared norm
+    spectrum: Spectrum
+    spectrum_id: str
+    k: int | None
+    lemma4_bound: Callable[[float], float]
+
+
+def _family_point(config: ExperimentConfig, k: int, level: int, K: int) -> _Point:
+    """The k^d pyramid family as candidate truths."""
     family = build_pyramid_family(config.d, k)
-    basis = haar_tensor_basis(config.d, level)
-    coeffs = compute_coefficients(family, basis, K)
+    coeffs = compute_coefficients(family, haar_tensor_basis(config.d, level), K)
     spectrum, spectrum_id = _spectrum_for(config, coeffs)
-    risks = exact_risks(spectrum, coeffs.entries, n, basis_id=coeffs.basis_id)
-    return family, coeffs, spectrum, spectrum_id, risks
+    return _Point(
+        coeffs.entries,
+        pyramid_norm_sq(config.d, k),
+        spectrum,
+        spectrum_id,
+        k,
+        lambda n: risk_lower_bound(coeffs, n),
+    )
 
 
-def _run_tasks(config: ExperimentConfig, tasks, worker):
+def _grid_point(config: ExperimentConfig, stages, task) -> list[RiskRow]:
+    """The rows of one (grid index, n, point builder) task.
+
+    The worst candidate's exact risk, basis-truncation tail included, is
+    always reported.  Stage "mc" adds its Monte Carlo risk (stream
+    ``(index,)``); stage "probes" gives two rows with the posterior mass
+    outside mu/4 and gamma/5 (stream ``(index, 1 + r)`` for probe r).
+    """
+    index, n, build = task
+    point = build()
+    risks, tails = member_risks(point.spectrum, point.rows, n, point.norm_sq)
+    j = worst_member(risks)
+    truth = TruthCoefficients(point.rows[j], point.spectrum.basis_id)
+    mu_sq, tail = float(risks[j]), float(tails[j])
+    row = RiskRow(
+        d=config.d,
+        n=n,
+        k=point.k,
+        m=len(point.rows),
+        spectrum_id=point.spectrum_id,
+        K=point.spectrum.size,
+        exact_risk=mu_sq,
+        lemma4_bound=point.lemma4_bound(n),
+        thm2_floor=mean_risk_floor(config.d, n),
+        seed=config.seed,
+    )
+    if "mc" in stages:
+        rng = task_rng(config.seed, index)
+        estimate, stderr = mc_risk(point.spectrum, truth, n, config.replications, rng)
+        row = replace(row, mc_risk=estimate + tail, mc_stderr=stderr)
+    if "probes" not in stages:
+        return [row]
+    rows = []
+    for r, divisor in enumerate((4.0, 5.0)):
+        radius = math.sqrt(mu_sq) / divisor
+        # the truncated mass is at distance tail from every posterior draw
+        prob = 1.0
+        if radius * radius > tail:
+            rng = task_rng(config.seed, index, 1 + r)
+            in_span = math.sqrt(radius * radius - tail)
+            prob, _ = contraction_probability(
+                point.spectrum, truth, n, in_span, config.outer, config.inner, rng
+            )
+        rows.append(replace(row, contraction_prob=prob, radius=radius))
+    return rows
+
+
+def _run_tasks(config: ExperimentConfig, tasks, stages) -> list[list[RiskRow]]:
+    """Each task's rows, in grid order, on ``config.threads`` threads."""
+    worker = partial(_grid_point, config, stages)
     if config.threads > 1 and len(tasks) > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             return list(pool.map(worker, tasks))
     return [worker(task) for task in tasks]
+
+
+def _report(config: ExperimentConfig, groups, *, fit: bool, fits: dict | None = None) -> RiskReport:
+    """One report from per-point row groups; ``fit`` adds the log-log slope of exact_risk."""
+    rows = [row for group in groups for row in group]
+    if fit:
+        slope = fit_loglog_slope(
+            [group[0].n for group in groups], [group[0].exact_risk for group in groups]
+        )
+        if slope is not None:
+            rows = [replace(row, slope=slope["slope"]) for row in rows]
+        fits = slope if fits is None else dict(slope or {}, **fits)
+    return RiskReport(rows=rows, config_items=resolved_items(config), fits=fits)
 
 
 def run_rate_study(
@@ -215,8 +307,9 @@ def run_rate_study(
 ) -> RiskReport:
     """Worst-case risk of the configured prior over the adversarial family.
 
-    For each n: build the grid family, compute exact risks of all members,
-    Monte Carlo the risk at the worst member, and record the coordinatewise
+    For each n: build the grid family, compute every member's exact risk
+    (truncation tail included), Monte Carlo the risk at the worst member
+    (the lowest index within 1e-12 of the largest), and record the coordinatewise
     floor and the closed-form envelope.  With ``probabilities`` each grid
     point contributes two rows sharing those values, carrying the posterior
     mass outside radius mu/4 and gamma/5 (mu^2 = gamma^2 = the worst
@@ -224,49 +317,9 @@ def run_rate_study(
     exact risk is fitted across the grid and written to the slope column of
     every row (the band is reported in the JSON fits).
     """
-    def worker(task):
-        index, n, point = task
-        family, coeffs, spectrum, spectrum_id, risks = _family_setup(config, n, point)
-        j_star = int(np.argmax(risks))
-        truth = TruthCoefficients(coeffs.entries[j_star], coeffs.basis_id)
-        rng = task_rng(config.seed, index)
-        estimate, stderr = mc_risk(spectrum, truth, n, config.replications, rng)
-        mu_sq = float(risks[j_star])
-        shared = dict(
-            d=config.d,
-            n=n,
-            k=family.k,
-            m=family.m,
-            spectrum_id=spectrum_id,
-            K=coeffs.K,
-            exact_risk=mu_sq,
-            mc_risk=estimate,
-            mc_stderr=stderr,
-            lemma4_bound=risk_lower_bound(coeffs, n),
-            thm2_floor=mean_risk_floor(config.d, n),
-            seed=config.seed,
-        )
-        if not probabilities:
-            return [RiskRow(**shared)]
-        rows = []
-        for divisor in (4.0, 5.0):
-            radius = math.sqrt(mu_sq) / divisor
-            prob, _ = contraction_probability(
-                spectrum, truth, n, radius, config.outer, config.inner, rng
-            )
-            rows.append(RiskRow(**shared, contraction_prob=prob, radius=radius))
-        return rows
-
-    groups = _run_tasks(config, _grid_tasks(config), worker)
-    rows = [row for group in groups for row in group]
-    fits = None
-    if fit:
-        fits = fit_loglog_slope(
-            [group[0].n for group in groups], [group[0].exact_risk for group in groups]
-        )
-        if fits is not None:
-            rows = [replace(row, slope=fits["slope"]) for row in rows]
-    return RiskReport(rows=rows, config_items=resolved_items(config), fits=fits)
+    stages = ("mc", "probes") if probabilities else ("mc",)
+    groups = _run_tasks(config, _grid_tasks(config), stages)
+    return _report(config, groups, fit=fit)
 
 
 def run_risk_study(config: ExperimentConfig) -> RiskReport:
@@ -277,53 +330,20 @@ def run_risk_study(config: ExperimentConfig) -> RiskReport:
 def run_contraction_study(config: ExperimentConfig) -> RiskReport:
     """Posterior mass outside the transfer radii at the worst family member.
 
-    Two rows per grid point: radius mu/4 (mu^2 the worst member's exact
-    risk, the single-truth floor radius) and radius gamma/5 (gamma^2 the
-    worst-case risk, the uniform no-contraction radius).  The JSON fits
-    block records n gamma^2 against the delta-threshold so consumers can
-    see which rows the mass floor 1/4 - delta applies to.
+    The rate study's two probe rows per grid point, without Monte Carlo
+    risk or slope: radius mu/4 (the single-truth floor radius) and gamma/5
+    (the uniform no-contraction radius), mu^2 = gamma^2 the worst member's
+    exact risk.  The JSON fits block records n gamma^2 against the
+    delta-threshold so consumers can see which rows the mass floor
+    1/4 - delta applies to.
     """
-    def worker(task):
-        index, n, point = task
-        family, coeffs, spectrum, spectrum_id, risks = _family_setup(config, n, point)
-        j_star = int(np.argmax(risks))
-        truth = TruthCoefficients(coeffs.entries[j_star], coeffs.basis_id)
-        mu_sq = float(risks[j_star])
-        shared = dict(
-            d=config.d,
-            n=n,
-            k=family.k,
-            m=family.m,
-            spectrum_id=spectrum_id,
-            K=coeffs.K,
-            exact_risk=mu_sq,
-            lemma4_bound=risk_lower_bound(coeffs, n),
-            thm2_floor=mean_risk_floor(config.d, n),
-            seed=config.seed,
-        )
-        rows = []
-        for sub, divisor in ((0, 4.0), (1, 5.0)):
-            radius = math.sqrt(mu_sq) / divisor
-            estimate, _ = contraction_probability(
-                spectrum,
-                truth,
-                n,
-                radius,
-                config.outer,
-                config.inner,
-                task_rng(config.seed, 2 * index + sub),
-            )
-            rows.append(RiskRow(**shared, contraction_prob=estimate, radius=radius))
-        return rows, n * mu_sq
-
-    results = _run_tasks(config, _grid_tasks(config), worker)
-    rows = [row for pair, _ in results for row in pair]
+    groups = _run_tasks(config, _grid_tasks(config), ("probes",))
     fits = {
-        "n_gamma_sq": [float(v) for _, v in results],
+        "n_gamma_sq": [group[0].n * group[0].exact_risk for group in groups],
         "threshold": transfer_threshold(config.delta),
         "mass_target": 0.25 - config.delta,
     }
-    return RiskReport(rows=rows, config_items=resolved_items(config), fits=fits)
+    return _report(config, groups, fit=False, fits=fits)
 
 
 def run_minimax_battery(config: ExperimentConfig) -> RiskReport:
@@ -363,46 +383,27 @@ def run_wavelet_study(config: ExperimentConfig) -> RiskReport:
     carries the single-function floor sum of coefficient^2 AND 1/n over
     the retained coordinates (a valid partial sum of the full floor),
     and thm2_floor the universal envelope, which applies to worst-case
-    truths rather than this particular one.
+    truths rather than this particular one.  The one-truth point is
+    built once and serves every n.
     """
     level = config.level if config.level is not None else max(1, 6 // config.d)
+    K = _checked_K(config, level, 1, f"d = {config.d}: ")
     basis = haar_tensor_basis(config.d, level)
-    K = basis.size if config.K is None else config.K
-    if K > basis.size:
-        raise ConfigError(f"K = {K} exceeds the {basis.size} functions of the level-{level} basis")
     sawtooth_level = max(0, level - 2)
     surrogate = SawtoothSurrogate(config.d, sawtooth_level)
-    all_coefficients = surrogate.haar_coefficients(basis)
-    theta = all_coefficients[:K]
-    tail_bias = max(surrogate.norm_sq() - float(theta @ theta), 0.0)
-    truth = TruthCoefficients(theta, basis.basis_id)
+    truth = TruthCoefficients(surrogate.haar_coefficients(basis)[:K], basis.basis_id)
     prior = wavelet_prior_preset(basis, tau=config.tau, alpha=config.alpha)
-    spectrum_full = prior.to_spectrum()
-    spectrum = Spectrum(spectrum_full.eigenvalues[:K], spectrum_full.basis_id, tail_trace=None)
-    spectrum_id = f"wavelet:tau={config.tau:g}:alpha={config.alpha:g}"
-
-    def worker(task):
-        index, n = task
-        estimate, stderr = mc_risk(
-            spectrum, truth, n, config.replications, task_rng(config.seed, index)
-        )
-        return RiskRow(
-            d=config.d,
-            n=n,
-            m=1,
-            spectrum_id=spectrum_id,
-            K=K,
-            exact_risk=exact_risk(spectrum, truth, n) + tail_bias,
-            mc_risk=estimate + tail_bias,
-            mc_stderr=stderr,
-            lemma4_bound=single_function_risk_bound(truth, n),
-            thm2_floor=mean_risk_floor(config.d, n),
-            seed=config.seed,
-        )
-
-    rows = _run_tasks(config, list(enumerate(config.n_grid)), worker)
-    fit = fit_loglog_slope([row.n for row in rows], [row.exact_risk for row in rows])
-    if fit is not None:
-        rows = [replace(row, slope=fit["slope"]) for row in rows]
-    fits = dict(fit or {}, sawtooth_level=sawtooth_level, sawtooth_norm_sq=surrogate.norm_sq())
-    return RiskReport(rows=rows, config_items=resolved_items(config), fits=fits)
+    spectrum = Spectrum(prior.to_spectrum().eigenvalues[:K], basis.basis_id, tail_trace=None)
+    norm_sq = surrogate.norm_sq()
+    point = _Point(
+        truth.theta[None, :],
+        norm_sq,
+        spectrum,
+        f"wavelet:tau={config.tau:g}:alpha={config.alpha:g}",
+        None,
+        lambda n: single_function_risk_bound(truth, n),
+    )
+    tasks = [(index, n, lambda: point) for index, n in enumerate(config.n_grid)]
+    groups = _run_tasks(config, tasks, ("mc",))
+    fits = {"sawtooth_level": sawtooth_level, "sawtooth_norm_sq": norm_sq}
+    return _report(config, groups, fit=True, fits=fits)

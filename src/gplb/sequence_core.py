@@ -185,23 +185,16 @@ def exact_risk(spectrum: Spectrum, theta: TruthCoefficients, n: float) -> float:
     """Exact squared risk of the posterior mean at the given truth.
 
     Computes sum_k (a_k - 1)^2 theta_k^2 + a_k^2 / n over the truncated
-    coordinates.
+    coordinates: :func:`exact_risks` at the single row theta.
     """
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
-    _check_same_basis(spectrum.basis_id, theta.basis_id, "exact_risk")
-    _check_same_length(spectrum.size, theta.size, "exact_risk")
-    weights, one_minus, _ = _shrinkage(spectrum.eigenvalues, n)
-    bias_sq = float(np.sum((one_minus * theta.theta) ** 2))
-    variance = float(np.sum(weights**2)) / n
-    return bias_sq + variance
+    return float(exact_risks(spectrum, theta.theta[None, :], n, basis_id=theta.basis_id)[0])
 
 
 def exact_risks(spectrum: Spectrum, thetas, n: float, *, basis_id: str) -> np.ndarray:
-    """:func:`exact_risk` at every row of ``thetas`` (m x K), in one product.
+    """:func:`exact_risk` at every row of ``thetas`` (m x K), in one pass.
 
-    Row j gets sum_k (1 - a_k)^2 theta_jk^2 + sum_k a_k^2 / n, evaluated as
-    thetas**2 @ (1 - a)**2 plus the shared variance term.
+    Row j gets sum_k ((1 - a_k) theta_jk)^2 + sum_k a_k^2 / n.  Each row is
+    summed on its own, so its risk does not depend on the other rows.
     """
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
@@ -211,7 +204,7 @@ def exact_risks(spectrum: Spectrum, thetas, n: float, *, basis_id: str) -> np.nd
         raise ContractError("exact_risks needs a 2-d array of truths, one per row")
     _check_same_length(spectrum.size, thetas.shape[1], "exact_risks")
     weights, one_minus, _ = _shrinkage(spectrum.eigenvalues, n)
-    return thetas**2 @ one_minus**2 + float(np.sum(weights**2)) / n
+    return np.sum((one_minus * thetas) ** 2, axis=1) + float(np.sum(weights**2)) / n
 
 
 class StreamingMoments:
@@ -255,6 +248,16 @@ class StreamingMoments:
         return math.sqrt(self.variance / self.count)
 
 
+def _error_law(spectrum: Spectrum, theta: TruthCoefficients, n: float, what: str):
+    """(base, scale, posterior variances) with fbar - theta = base + scale * w, w ~ N(0, I)."""
+    if not (n > 0 and math.isfinite(n)):
+        raise DomainError("sample size n must be positive and finite")
+    _check_same_basis(spectrum.basis_id, theta.basis_id, what)
+    _check_same_length(spectrum.size, theta.size, what)
+    weights, one_minus, variances = _shrinkage(spectrum.eigenvalues, n)
+    return -one_minus * theta.theta, weights / math.sqrt(n), variances
+
+
 _MC_CHUNK_BUDGET = 4_000_000  # scalars per Monte Carlo chunk
 
 
@@ -273,15 +276,7 @@ def mc_risk(
     """
     if replications < 2:
         raise DomainError("mc_risk needs at least 2 replications")
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
-    _check_same_basis(spectrum.basis_id, theta.basis_id, "mc_risk")
-    _check_same_length(spectrum.size, theta.size, "mc_risk")
-
-    weights, one_minus, _ = _shrinkage(spectrum.eigenvalues, n)
-    # fbar_k - theta_k = (a_k - 1) theta_k + a_k w_k / sqrt(n)
-    base = -one_minus * theta.theta
-    scale = weights / math.sqrt(n)
+    base, scale, _ = _error_law(spectrum, theta, n, "mc_risk")
     moments = StreamingMoments()
     chunk = max(1, min(replications, _MC_CHUNK_BUDGET // max(1, spectrum.size)))
     done = 0
@@ -314,15 +309,8 @@ def contraction_probability(
         raise DomainError("radius must be positive and finite")
     if outer < 1 or inner < 1:
         raise DomainError("outer and inner sample counts must be at least 1")
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
-    _check_same_basis(spectrum.basis_id, theta.basis_id, "contraction_probability")
-    _check_same_length(spectrum.size, theta.size, "contraction_probability")
-
-    weights, one_minus, variances = _shrinkage(spectrum.eigenvalues, n)
+    base, scale, variances = _error_law(spectrum, theta, n, "contraction_probability")
     sd = np.sqrt(variances)
-    base = -one_minus * theta.theta
-    scale = weights / math.sqrt(n)
     r_sq = radius * radius
     K = spectrum.size
 

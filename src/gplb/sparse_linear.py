@@ -25,9 +25,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversarial import CoefficientMatrix, PyramidFamily, pyramid_norm_sq
+from .adversarial import CoefficientMatrix, PyramidFamily, member_risks, pyramid_norm_sq
 from .errors import ContractError, DomainError
-from .sequence_core import Spectrum, TruthCoefficients, exact_risk
+from .sequence_core import Spectrum
 
 __all__ = [
     "OneSparseModel",
@@ -252,11 +252,6 @@ def gp_mean_dominates_linear(
     family = coeffs.family
     c_n_sq = pyramid_norm_sq(family.d, family.k)
     sigma = 1.0 / math.sqrt(c_n_sq * n)
-    gp_risk_max = -math.inf
-    for j in range(coeffs.m):
-        row = coeffs.entries[j]
-        truth = TruthCoefficients(row, coeffs.basis_id)
-        tail_bias = max(c_n_sq - float(row @ row), 0.0)
-        gp_risk_max = max(gp_risk_max, exact_risk(spectrum, truth, n) + tail_bias)
+    gp_risk_max = float(member_risks(spectrum, coeffs.entries, n, c_n_sq)[0].max())
     floor = c_n_sq * linear_minimax_risk(family.m, sigma).risk
     return DominationCheck(gp_risk_max, floor, gp_risk_max >= floor)

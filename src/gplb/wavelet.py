@@ -456,18 +456,20 @@ class SawtoothSurrogate:
         """Exact inner products <g, psi_gamma> for every basis index.
 
         g is a ridge function, so its integral over each finest dyadic cell
-        is an exact one-dimensional piecewise-polynomial integral; the
-        basis turns the cell integrals into coefficients.
+        is an exact one-dimensional piecewise-polynomial integral, and it
+        depends only on the sum s of the cell's indices: one integral per
+        s in 0 .. d(N-1), over a cell with that index sum, fills the N^d
+        cells.  The basis turns the cell integrals into coefficients.
         """
         if basis.d != self.d:
             raise ContractError(f"basis dimension {basis.d} does not match surrogate dimension {self.d}")
         profile = self._profile()
         N = basis.cells_per_axis
-        cells = np.empty((N,) * self.d)
-        for cell in np.ndindex(cells.shape):
-            lo = np.array(cell, dtype=float)
-            cells[cell] = ridge_box_integral(profile, lo / N, (lo + 1.0) / N)
-        return basis.analyze(cells)
+        table = np.empty(self.d * (N - 1) + 1)
+        for s in range(table.size):
+            lo = np.clip(s - (N - 1) * np.arange(self.d), 0, N - 1).astype(float)
+            table[s] = ridge_box_integral(profile, lo / N, (lo + 1.0) / N)
+        return basis.analyze(table[sum(np.indices((N,) * self.d, sparse=True))])
 
     def norm_sq(self) -> float:
         """Exact squared L^2 norm of g over the unit cube."""

@@ -23,11 +23,13 @@ from gplb.adversarial import (
     grid_target,
     lower_bound_constants,
     mean_risk_floor,
+    member_risks,
     n_threshold,
     pyramid_norm_sq,
     risk_lower_bound,
     tk_matched_spectrum,
     tk_values,
+    worst_member,
 )
 from gplb.errors import ContractError, DomainError
 from gplb.integrate import adaptive_box_integral, gl_box, pyramid_box_integral
@@ -577,3 +579,40 @@ def test_mean_risk_floor_is_the_squared_constant_times_the_rate():
     )
     with pytest.raises(DomainError):
         mean_risk_floor(1, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Full-truth risks and the worst-member pick
+# ---------------------------------------------------------------------------
+
+def test_worst_member_takes_the_lowest_index_among_near_ties():
+    top = 1.0 + 5e-13
+    assert worst_member([1.0, 1.0 - 4e-13, top, 0.5]) == 0  # argmax would say 2
+    assert worst_member([0.5, top, 1.0]) == 1
+    assert worst_member([1.0, 1.0 + 2e-12]) == 1  # outside the 1e-12 tolerance
+    assert worst_member([0.3, 0.7, 0.7]) == 1
+    assert worst_member([2.0]) == 0
+
+
+def test_member_risks_add_each_rows_truncation_tail():
+    rng = np.random.default_rng(17)
+    K, m = 40, 6
+    rows = rng.standard_normal((m, K)) * 0.1
+    norm_sq = float(np.max(np.einsum("ij,ij->i", rows, rows))) * 1.5
+    rows[2] *= math.sqrt(norm_sq / float(rows[2] @ rows[2]))  # no tail
+    spectrum = Spectrum(10.0 ** rng.uniform(-4.0, 0.0, K), "b")
+    risks, tails = member_risks(spectrum, rows, 300.0, norm_sq)
+    for j, row in enumerate(rows):
+        tail = max(norm_sq - float(row @ row), 0.0)
+        assert tails[j] == tail
+        assert risks[j] == exact_risk(spectrum, TruthCoefficients(row, "b"), 300.0) + tail
+    assert tails[2] <= 1e-15 * norm_sq and np.all(tails[[0, 1, 3, 4, 5]] > 0.0)
+
+
+def test_member_risks_sum_long_rows_in_pieces():
+    rng = np.random.default_rng(3)
+    rows = rng.standard_normal((2, 20000))
+    norm_sq = 1e5
+    _, tails = member_risks(Spectrum(np.ones(20000), "b"), rows, 10.0, norm_sq)
+    expected = norm_sq - np.sum(rows**2, axis=1)
+    assert np.allclose(tails, expected, rtol=1e-14, atol=0.0)

@@ -8,6 +8,7 @@ stays fast.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import textwrap
@@ -19,7 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gplb.adversarial import mean_risk_floor
+import gplb.harness.study as study
+from gplb.adversarial import (
+    build_pyramid_family,
+    compute_coefficients,
+    mean_risk_floor,
+    pyramid_norm_sq,
+    tk_matched_spectrum,
+)
 from gplb.errors import ConfigError, ContractError, SchemaVersionError
 from gplb.harness import (
     COLUMNS,
@@ -49,7 +57,7 @@ from gplb.harness import (
     transfer_threshold,
 )
 from gplb.harness.cli import main
-from gplb.sequence_core import Spectrum, TruthCoefficients, exact_risk
+from gplb.sequence_core import Spectrum, TruthCoefficients, exact_risk, exact_risks
 from gplb.wavelet import (
     SawtoothSurrogate,
     haar_tensor_basis,
@@ -459,6 +467,13 @@ def test_task_rng_streams_are_deterministic_and_disjoint():
     assert np.array_equal(task_rng(7, 0).standard_normal(6), again)
     assert not np.array_equal(task_rng(7, 1).standard_normal(6), again)
     assert not np.array_equal(task_rng(8, 0).standard_normal(6), again)
+    # multi-part keys: one stream per (grid index, stage)
+    keys = [(0,), (0, 1), (0, 2), (1,), (1, 1), (1, 2)]
+    draws = [task_rng(7, *key).standard_normal(6) for key in keys]
+    assert np.array_equal(draws[0], again)
+    assert np.array_equal(task_rng(7, 0, 1).standard_normal(6), draws[1])
+    for first, second in itertools.combinations(draws, 2):
+        assert not np.array_equal(first, second)
 
 
 def test_fit_loglog_slope_recovers_exact_power_law():
@@ -568,10 +583,103 @@ def test_run_rate_study_pairs_rows_and_fits_one_slope():
         assert all(getattr(row, column) is not None for column in COLUMNS)
 
 
-def test_run_rate_study_is_invariant_to_thread_count():
-    single = render_csv(run_rate_study(RATE_CONFIG))
-    threaded = render_csv(run_rate_study(replace(RATE_CONFIG, threads=3)))
+STUDY_RUNNERS = {
+    "rates": run_rate_study,
+    "risk": run_risk_study,
+    "contraction": run_contraction_study,
+    "wavelet": run_wavelet_study,
+}
+
+
+@pytest.mark.parametrize("mode", list(STUDY_RUNNERS))
+def test_run_rate_study_is_invariant_to_thread_count(mode):
+    runner, config = STUDY_RUNNERS[mode], replace(RATE_CONFIG, mode=mode)
+    single = render_csv(runner(config))
+    threaded = render_csv(runner(replace(config, threads=3)))
     assert single == threaded
+
+
+def first_uniform(spectrum, theta, n, radius, outer, inner, rng):
+    """Stand-in probe that exposes the generator it was given."""
+    return float(rng.random()), 0.0
+
+
+def test_rates_and_contraction_probe_the_same_streams(monkeypatch):
+    # Real probes saturate at 1.0 here, so only a fake shows the streams.
+    monkeypatch.setattr(study, "contraction_probability", first_uniform)
+    rates = [row.contraction_prob for row in run_rate_study(RATE_CONFIG).rows]
+    contraction = run_contraction_study(replace(RATE_CONFIG, mode="contraction"))
+    assert rates == [row.contraction_prob for row in contraction.rows]
+    expected = [task_rng(RATE_CONFIG.seed, i, 1 + r).random() for i in range(3) for r in range(2)]
+    assert rates == expected
+
+
+def test_probes_measure_the_full_space_distance(monkeypatch):
+    radii = []
+
+    def record(spectrum, theta, n, radius, outer, inner, rng):
+        radii.append(radius)
+        return 0.5, 0.0
+
+    monkeypatch.setattr(study, "contraction_probability", record)
+    config = ExperimentConfig(mode="contraction", n_grid=(500.0,), K=16, outer=2, inner=2)
+    near, far = run_contraction_study(config).rows
+    k, _ = grid_count(1, 500.0, "ceil")
+    coeffs = compute_coefficients(build_pyramid_family(1, k), haar_tensor_basis(1, 6), 16)
+    spectrum = tk_matched_spectrum(coeffs)
+    tails = [pyramid_norm_sq(1, k) - float(r @ r) for r in coeffs.entries]
+    risks = [
+        exact_risk(spectrum, TruthCoefficients(r, coeffs.basis_id), 500.0) + tail
+        for r, tail in zip(coeffs.entries, tails)
+    ]
+    tail = tails[int(np.argmax(risks))]
+    assert near.exact_risk == pytest.approx(max(risks), rel=1e-13) and tail > 0.0
+    for got, row in zip(radii, (near, far)):
+        assert got == pytest.approx(math.sqrt(row.radius**2 - tail), rel=1e-12)
+        assert row.contraction_prob == 0.5
+
+
+def test_probes_inside_the_truncation_tail_report_full_mass_unsampled(monkeypatch):
+    def never(*args):
+        raise AssertionError("the probe sampled although its radius is inside the tail")
+
+    monkeypatch.setattr(study, "contraction_probability", never)
+    config = ExperimentConfig(mode="contraction", n_grid=(500.0,), K=1, outer=2, inner=2)
+    assert [row.contraction_prob for row in run_contraction_study(config).rows] == [1.0, 1.0]
+
+
+def test_worst_member_pick_ignores_rounding_ties(monkeypatch):
+    # d = 1, n = 1e3, ceil rule: members 0-3 tie up to rounding; member 0 is picked.
+    picked = []
+
+    def capture(spectrum, truth, n, replications, rng):
+        picked.append(truth.theta)
+        return 0.0, 0.0
+
+    monkeypatch.setattr(study, "mc_risk", capture)
+    run_risk_study(ExperimentConfig(mode="risk", n_grid=(1e3,), replications=10))
+    k, _ = grid_count(1, 1e3, "ceil")
+    basis = haar_tensor_basis(1, minimal_basis_level(k) + 3)
+    coeffs = compute_coefficients(build_pyramid_family(1, k), basis, basis.size)
+    risks = exact_risks(tk_matched_spectrum(coeffs), coeffs.entries, 1e3, basis_id=coeffs.basis_id)
+    assert k == 4 and np.ptp(risks) <= 1e-12 * risks.max()
+    assert np.array_equal(picked[0], coeffs.entries[0])
+
+
+def test_risk_rows_below_the_full_basis_carry_the_truncation_tail():
+    n = 2000.0
+    report = run_risk_study(replace(RISK_CONFIG, K=10, n_grid=(n,)))
+    k, _ = grid_count(1, n, "ceil")
+    basis = haar_tensor_basis(1, minimal_basis_level(k) + 3)
+    coeffs = compute_coefficients(build_pyramid_family(1, k), basis, 10)
+    spectrum = tk_matched_spectrum(coeffs)
+    in_span = [exact_risk(spectrum, TruthCoefficients(r, coeffs.basis_id), n) for r in coeffs.entries]
+    tails = [pyramid_norm_sq(1, k) - float(r @ r) for r in coeffs.entries]
+    row = report.rows[0]
+    assert row.K == 10 and basis.size > 10
+    assert row.exact_risk == pytest.approx(max(a + b for a, b in zip(in_span, tails)), rel=1e-13)
+    assert row.exact_risk > 1.01 * max(in_span)
+    assert abs(row.mc_risk - row.exact_risk) <= 5.0 * row.mc_stderr
 
 
 def test_run_contraction_study_reports_transfer_context():
@@ -680,6 +788,11 @@ def test_oversized_grid_points_fail_before_any_work():
     later = replace(RISK_CONFIG, n_grid=(200.0, 1e12), level=17)
     with pytest.raises(ConfigError, match="n = 1e\\+12"):
         run_risk_study(later)
+    # the wavelet study sizes its one basis (m = 1) the same way
+    began = time.perf_counter()
+    with pytest.raises(ConfigError, match=r"d = 3: m = 1, level = 8, K = 134217728 .* bytes"):
+        run_wavelet_study(replace(config, mode="wavelet"))
+    assert time.perf_counter() - began < 1.0
 
 
 def test_verify_battery_passes_and_reports_ten_checks():

@@ -496,6 +496,20 @@ def test_sawtooth_coefficients_match_the_per_panel_ridge_sum(d, level, J):
     assert deviation <= 1e-13 * math.sqrt(surrogate.norm_sq())
 
 
+@pytest.mark.parametrize("d,J", [(1, 6), (2, 3), (3, 2)])
+def test_sawtooth_cell_table_equals_the_per_cell_loop(d, J):
+    # Oracle: one ridge_box_integral per finest cell, no index-sum table.
+    surrogate = SawtoothSurrogate(d, max(0, J - 2))
+    basis = haar_tensor_basis(d, J)
+    profile = surrogate._profile()
+    N = basis.cells_per_axis
+    cells = np.empty((N,) * d)
+    for cell in np.ndindex(cells.shape):
+        lo = np.array(cell, dtype=float)
+        cells[cell] = ridge_box_integral(profile, lo / N, (lo + 1.0) / N)
+    assert np.array_equal(surrogate.haar_coefficients(basis), basis.analyze(cells))
+
+
 def test_sawtooth_coefficient_energy_approaches_norm():
     # Bessel from below, nearly Parseval once the basis resolves the teeth.
     surrogate = SawtoothSurrogate(1, 1)
