@@ -6,36 +6,29 @@ risks against Monte Carlo, floors against randomized adversaries, and
 the reproducibility contract of the report pipeline.  The verdict lines
 are echoed in the pytest terminal summary (see conftest.py).
 
-Randomized criteria use fixed seeds.  The floor criteria (4 and 9) do
-not rely on seed luck: criterion 4 runs on calibrated family/basis
-configurations whose measured violation rate is zero with wide margins,
-and criterion 9's five test functions carry an analytic certificate
-(their level-profile risk infimum already clears the floor) so
-dominance holds for every prior drawn from that family.
+Criteria 1-4 and 7, and the exponent part of 9, run the property checks
+of ``gplb.harness.properties`` at their full size; ``gplb verify`` runs
+the same checks at the quick size.  Randomized criteria use fixed seeds.
+The floor criteria (4 and 9) do not rely on seed luck: criterion 4 runs
+on calibrated family/basis configurations whose measured violation rate
+is zero with wide margins, and criterion 9's five test functions carry
+an analytic certificate (their level-profile risk infimum already clears
+the floor) so dominance holds for every prior drawn from that family.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from itertools import product
 
 import numpy as np
 import pytest
 
 import conftest
-from gplb.adversarial import (
-    build_pyramid_family,
-    compute_coefficients,
-    evaluate_pyramid,
-    lower_bound_constants,
-    pyramid_norm_sq,
-    risk_lower_bound,
-)
-from gplb.harness import ExperimentConfig, run_rate_study
+from gplb.adversarial import build_pyramid_family, compute_coefficients
+from gplb.harness import ExperimentConfig, properties, run_rate_study
 from gplb.harness.cli import main
-from gplb.harness.transfer import concentration_bound, transfer_threshold
-from gplb.integrate import adaptive_box_integral, gl_box
+from gplb.harness.transfer import transfer_threshold
 from gplb.sequence_core import (
     Spectrum,
     TruthCoefficients,
@@ -45,14 +38,6 @@ from gplb.sequence_core import (
     flat_spectrum,
     mc_risk,
     polynomial_spectrum,
-    posterior_update,
-    sample_observation,
-)
-from gplb.sparse_linear import (
-    LinearEstimator,
-    brute_force_minimax,
-    diagonal_reduction,
-    linear_minimax_risk,
 )
 from gplb.wavelet import (
     haar_tensor_basis,
@@ -76,140 +61,33 @@ def record(index: int, name: str, ok: bool, detail: str) -> None:
     assert ok, line
 
 
+def run_checks(index: int, name: str, seed: int, *checks) -> None:
+    """Record registry checks at the full size, drawing in turn from one seeded generator."""
+    rng = np.random.default_rng(seed)
+    results = [check(rng, True) for check in checks]
+    record(index, name, all(ok for ok, _ in results), "; ".join(detail for _, detail in results))
+
+
 def test_criterion_01_pyramid_norms_match_adaptive_quadrature():
     start = time.perf_counter()
-    worst = 0.0
-    for d, k in product((1, 2, 3), (1, 2, 4)):
-        family = build_pyramid_family(d, k)
-        closed = pyramid_norm_sq(d, k)
-
-        def integrand(pts, family=family):
-            return np.asarray(evaluate_pyramid(family, 0, pts)) ** 2
-
-        lo = family.centers[0] - family.bandwidth
-        hi = family.centers[0] + family.bandwidth
-        # one-tenth of the acceptance tolerance: accurate enough to verify
-        # 1e-6 agreement while keeping the d = 3 refinement shallow
-        numeric = adaptive_box_integral(integrand, lo, hi, tol=closed * 1e-7)
-        worst = max(worst, abs(numeric - closed) / closed)
+    ok, detail = properties.pyramid_norms(np.random.default_rng(101), True)
     elapsed = time.perf_counter() - start
-    ok = worst < 1e-6 and elapsed < 10.0
-    record(
-        1,
-        "pyramid norms",
-        ok,
-        f"max relative error {worst:.2e} (< 1e-06) over the 9 (d, k) pairs "
-        f"in {elapsed:.1f}s (< 10s)",
-    )
+    record(1, "pyramid norms", ok and elapsed < 10.0, f"{detail} in {elapsed:.1f}s (< 10s)")
 
 
 def test_criterion_02_orthogonality_and_class_membership():
-    rng = np.random.default_rng(202)
-    worst_inner = 0.0
-    worst_lip = 0.0
-    worst_sup = 0.0
-    for d, k in ((1, 2), (1, 4), (2, 2), (2, 3), (3, 2)):
-        family = build_pyramid_family(d, k)
-        for a in range(family.m):
-            for b in range(a + 1, family.m):
-                lo = np.minimum(family.centers[a], family.centers[b]) - family.bandwidth
-                hi = np.maximum(family.centers[a], family.centers[b]) + family.bandwidth
-
-                def cross(pts, fam=family, i=a, j=b):
-                    left = np.asarray(evaluate_pyramid(fam, i, pts))
-                    return left * np.asarray(evaluate_pyramid(fam, j, pts))
-
-                worst_inner = max(worst_inner, abs(gl_box(cross, lo, hi, order=6)))
-        xs = rng.random((4000, d))
-        ys = np.clip(xs + rng.uniform(-0.2, 0.2, xs.shape), 0.0, 1.0)
-        moved = np.abs(xs - ys).sum(axis=1) > 0
-        for j in range(family.m):
-            fx = np.asarray(evaluate_pyramid(family, j, xs))
-            fy = np.asarray(evaluate_pyramid(family, j, ys))
-            ratios = np.abs(fx - fy)[moved] / np.abs(xs - ys).sum(axis=1)[moved]
-            worst_lip = max(worst_lip, float(ratios.max()))
-            worst_sup = max(worst_sup, float(np.abs(fx).max()))
-    ok = worst_inner < 1e-12 and worst_lip <= 1.0 + 1e-8 and worst_sup <= 1.0 + 1e-8
-    record(
-        2,
-        "orthogonality and membership",
-        ok,
-        f"max pairwise quadrature inner product {worst_inner:.1e} (< 1e-12); "
-        f"Lipschitz constant {worst_lip:.9f} and sup-norm {worst_sup:.6f} "
-        f"within unit bounds at slack 1e-08",
+    run_checks(
+        2, "orthogonality and membership", 202,
+        properties.disjoint_supports, properties.family_membership,
     )
 
 
 def test_criterion_03_linear_minimax_oracle_and_diagonal_domination():
-    pairs = [(m, sigma) for m in (1, 2, 4, 8) for sigma in (0.1, 0.5, 1.0, 2.0, 3.0)]
-    worst_gap = 0.0
-    for m, sigma in pairs:
-        closed = m * sigma**2 / (1.0 + m * sigma**2)
-        assert linear_minimax_risk(m, sigma).risk == pytest.approx(closed, rel=1e-12)
-        worst_gap = max(worst_gap, abs(brute_force_minimax(m, sigma, 100000) - closed))
-    rng = np.random.default_rng(303)
-    violations = 0
-    for _ in range(500):
-        m = int(rng.integers(2, 9))
-        sigma = float(rng.choice([0.1, 0.5, 1.0, 3.0]))
-        _, dominated = diagonal_reduction(LinearEstimator(rng.standard_normal((m, m))), sigma)
-        violations += not dominated
-    ok = worst_gap < 1e-8 and violations == 0
-    record(
-        3,
-        "linear minimax",
-        ok,
-        f"grid search within {worst_gap:.1e} of the closed form (< 1e-08) on "
-        f"{len(pairs)} (m, sigma) pairs; {violations} diagonal-domination "
-        f"violations in 500 random matrices",
-    )
-
-
-def group_position_table(basis):
-    """Per-index resolution groups: (group labels, unique levels, positions)."""
-    groups = np.array([max(index.resolution, 0) for index in basis.indices])
-    levels = np.unique(groups)
-    return levels, np.searchsorted(levels, groups)
+    run_checks(3, "linear minimax", 303, properties.minimax_identity, properties.diagonal_domination)
 
 
 def test_criterion_04_worst_member_risk_dominates_coordinatewise_floor():
-    configs = ((1, 4, 1000.0, 8), (2, 3, 10000.0, 4))
-    rng = np.random.default_rng(404)
-    violations = 0
-    checked = 0
-    sizes = []
-    closest = math.inf
-    for d, k, n, level in configs:
-        family = build_pyramid_family(d, k)
-        basis = haar_tensor_basis(d, level)
-        coeffs = compute_coefficients(family, basis, basis.size)
-        sizes.append(basis.size)
-        bound = risk_lower_bound(coeffs, n)
-        truths = [
-            TruthCoefficients(coeffs.entries[j], coeffs.basis_id) for j in range(family.m)
-        ]
-        levels, positions = group_position_table(basis)
-        for i in range(500):
-            if i % 2 == 0:
-                tau = 10.0 ** rng.uniform(-2.0, 2.0)
-                decay = rng.uniform(0.0, 3.0)
-                per_level = tau * 2.0 ** (-decay * levels.astype(float))
-            else:
-                per_level = 10.0 ** rng.uniform(-6.0, 2.0, levels.size)
-            spectrum = Spectrum(per_level[positions], coeffs.basis_id)
-            worst = max(exact_risk(spectrum, truth, n) for truth in truths)
-            violations += worst < bound - 1e-12
-            closest = min(closest, worst / bound)
-            checked += 1
-    ok = violations == 0 and checked == 1000
-    record(
-        4,
-        "coordinatewise risk floor",
-        ok,
-        f"{violations} violations in {checked} random spectra on tensor Haar "
-        f"bases of size {sizes[0]} and {sizes[1]} (tolerance 1e-12); smallest "
-        f"worst-member-risk / floor ratio {closest:.3f}",
-    )
+    run_checks(4, "coordinatewise risk floor", 404, properties.risk_floors)
 
 
 def test_criterion_05_worst_case_rate_slope_and_envelope():
@@ -277,41 +155,7 @@ def test_criterion_06_monte_carlo_risk_agrees_with_exact_risk():
 
 
 def test_criterion_07_small_error_frequency_respects_concentration_cap():
-    n = 500.0
-    K = 8
-    tau = 0.02
-    basis_id = "concentration-check"
-    spectrum = flat_spectrum(K, basis_id=basis_id, tau=tau)
-    a = n * tau / (1.0 + n * tau)
-    rng = np.random.default_rng(707)
-    draws = 4000
-    worst_excess = -math.inf
-    realized = []
-    for target in np.linspace(10.0, 200.0, 20):
-        # flat spectra make n * risk = n K (1-a)^2 c^2 + K a^2 solvable for c
-        c = math.sqrt((target - K * a * a) / (n * K * (1.0 - a) ** 2))
-        theta = TruthCoefficients(np.full(K, c), basis_id)
-        mu_sq = exact_risk(spectrum, theta, n)
-        realized.append(n * mu_sq)
-        hits = 0
-        for _ in range(draws):
-            posterior = posterior_update(spectrum, sample_observation(theta, n, rng))
-            err = posterior.means - theta.theta
-            hits += float(err @ err) <= mu_sq / 4.0
-        freq = hits / draws
-        stderr = math.sqrt(freq * (1.0 - freq) / draws)
-        worst_excess = max(worst_excess, freq - concentration_bound(n, mu_sq) - 3.0 * stderr)
-    spread_ok = min(realized) >= 10.0 - 1e-6 and max(realized) <= 200.0 + 1e-6
-    ok = worst_excess <= 0.0 and spread_ok
-    record(
-        7,
-        "error concentration",
-        ok,
-        f"empirical frequency of quarter-mean squared error never exceeds "
-        f"the 4 exp(-n mu^2/32) cap plus 3 binomial stderr (worst excess "
-        f"{worst_excess:.2e}) across 20 configs with n mu^2 in "
-        f"[{min(realized):.0f}, {max(realized):.0f}]",
-    )
+    run_checks(7, "error concentration", 707, properties.risk_concentration)
 
 
 def test_criterion_08_posterior_mass_floor_beyond_transfer_threshold():
@@ -398,7 +242,7 @@ def test_criterion_09_single_function_floor_and_exponent_ordering():
     n = 1000.0
     basis = haar_tensor_basis(1, 4)
     functions = dispersed_test_functions(basis, n)
-    levels, positions = group_position_table(basis)
+    levels, positions = properties.level_groups(basis)
     rng = np.random.default_rng(909)
     violations = 0
     certified = 0
@@ -418,12 +262,7 @@ def test_criterion_09_single_function_floor_and_exponent_ordering():
                 per_level = 10.0 ** rng.uniform(-4.0, 3.0, levels.size)
                 spectrum = Spectrum(per_level[positions], basis.basis_id)
             violations += exact_risk(spectrum, truth, n) < bound
-    exponents_ok = all(
-        1.0 / (2.0 + d) < (2.0 + d) / (4.0 + 4.0 * d)
-        and lower_bound_constants(d).rate_exponent
-        == pytest.approx((2.0 + d) / (4.0 + 4.0 * d), rel=1e-15)
-        for d in range(1, 11)
-    )
+    exponents_ok, exponents = properties.constant_identities(rng, True)
     ok = violations == 0 and certified == len(functions) and exponents_ok
     record(
         9,
@@ -431,8 +270,7 @@ def test_criterion_09_single_function_floor_and_exponent_ordering():
         ok,
         f"{violations} violations over 5 certified test functions x 50 "
         f"random wavelet spectra ({certified}/5 level-profile certificates "
-        f"hold); exponent ordering 1/(2+d) < (2+d)/(4+4d) verified for "
-        f"d = 1..10: {exponents_ok}",
+        f"hold); {exponents}",
     )
 
 

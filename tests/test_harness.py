@@ -20,7 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gplb.harness.properties as properties
 import gplb.harness.study as study
+import gplb.sparse_linear as sparse_linear
 from gplb.adversarial import (
     build_pyramid_family,
     compute_coefficients,
@@ -59,6 +61,7 @@ from gplb.harness import (
 from gplb.harness.cli import main
 from gplb.sequence_core import Spectrum, TruthCoefficients, exact_risk, exact_risks
 from gplb.wavelet import (
+    HaarTensorBasis,
     SawtoothSurrogate,
     haar_tensor_basis,
     single_function_risk_bound,
@@ -795,11 +798,59 @@ def test_oversized_grid_points_fail_before_any_work():
     assert time.perf_counter() - began < 1.0
 
 
-def test_verify_battery_passes_and_reports_ten_checks():
-    passed, lines = run_verify(ExperimentConfig(mode="verify"))
+# ---------------------------------------------------------------------------
+# property checks
+
+
+@pytest.mark.parametrize("seed", [1, 186, 286])
+def test_verify_battery_passes_with_one_line_per_check(seed):
+    passed, lines = run_verify(ExperimentConfig(mode="verify", seed=seed))
     assert passed
-    assert len(lines) == 10
-    assert all(line.startswith("PASS ") for line in lines)
+    assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name, _ in properties.CHECKS]
+
+
+# check name -> (owner, attribute, wrapper that breaks the original)
+BREAKS = {
+    "pyramid-norms": (properties, "pyramid_norm_sq", lambda f: lambda d, k: 1.01 * f(d, k)),
+    "disjoint-supports": (
+        properties, "evaluate_pyramid", lambda f: lambda family, j, x: f(family, 0, x)),
+    "family-membership": (
+        properties, "evaluate_pyramid", lambda f: lambda family, j, x: 1.01 * f(family, j, x)),
+    "minimax-identity": (
+        properties, "linear_minimax_risk",
+        lambda f: lambda m, sigma: f(m, sigma)._replace(risk=f(m, sigma).risk + 1e-6)),
+    # the best column in place of the worst
+    "diagonal-domination": (
+        sparse_linear, "_worst_case_risk",
+        lambda f: lambda estimator, sigma: min(
+            sparse_linear.linear_estimator_risk(estimator, j, sigma) for j in range(estimator.m))),
+    # risks at a thousandfold sample size
+    "risk-floors": (
+        properties, "exact_risks",
+        lambda f: lambda spectrum, thetas, n, basis_id: f(spectrum, thetas, 1e3 * n, basis_id=basis_id)),
+    "one-sparse-law": (sparse_linear, "pyramid_norm_sq", lambda f: lambda d, k: 1.01 * f(d, k)),
+    # a posterior that ignores the prior's scale barely shrinks
+    "risk-concentration": (
+        properties, "posterior_update",
+        lambda f: lambda spectrum, observation: f(
+            Spectrum(1e6 * spectrum.eigenvalues, spectrum.basis_id), observation)),
+    "basis-orthonormality": (
+        HaarTensorBasis, "pair_inner", lambda f: lambda basis, a, b: (1.0 + 1e-9) * f(basis, a, b)),
+    "constant-identities": (
+        properties, "lower_bound_constants",
+        lambda f: lambda d: f(d)._replace(rate_exponent=1.0 / (2.0 + d))),
+}
+
+
+@pytest.mark.parametrize(
+    "index", range(len(properties.CHECKS)), ids=[name for name, _ in properties.CHECKS])
+def test_every_check_fails_when_the_code_it_guards_breaks(monkeypatch, index):
+    name, check = properties.CHECKS[index]
+    owner, attribute, breaks = BREAKS[name]
+    assert check(task_rng(1, index), False)[0]
+    monkeypatch.setattr(owner, attribute, breaks(getattr(owner, attribute)))
+    ok, detail = check(task_rng(1, index), False)
+    assert not ok, detail
 
 
 # ---------------------------------------------------------------------------
