@@ -42,6 +42,7 @@ from .sequence_core import (
     Spectrum,
     StreamingMoments,
     TruthCoefficients,
+    contraction_mass,
     contraction_probability,
     exact_risk,
     exact_risks,
@@ -95,6 +96,7 @@ __all__ = [
     "exact_risk",
     "exact_risks",
     "mc_risk",
+    "contraction_mass",
     "contraction_probability",
     "polynomial_spectrum",
     "exponential_spectrum",

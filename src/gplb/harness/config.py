@@ -21,8 +21,6 @@ A run is configured by an INI file with typed sections::
 
     [mc]
     replications = 1000
-    outer = 200
-    inner = 500
 
     [minimax]
     m_values = 1, 2, 4, 8
@@ -80,8 +78,6 @@ class ExperimentConfig:
     K: int | None = None
     level: int | None = None
     replications: int = 1000
-    outer: int = 200
-    inner: int = 500
     m_values: tuple[int, ...] = (1, 2, 4, 8)
     sigma_values: tuple[float, ...] = (0.1, 0.5, 1.0, 3.0)
     grid_size: int = 100001
@@ -121,9 +117,6 @@ class ExperimentConfig:
             raise ConfigError("K must be at least 1 when given")
         if self.level is not None and self.level < 0:
             raise ConfigError("level must be at least 0 when given")
-        for name in ("replications", "outer", "inner"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be at least 1")
         if self.replications < 2:
             raise ConfigError("replications must be at least 2")
         m_values = tuple(int(v) for v in self.m_values)
@@ -189,8 +182,6 @@ _SECTION_FIELDS = {
     },
     "mc": {
         "replications": int,
-        "outer": int,
-        "inner": int,
     },
     "minimax": {
         "m_values": lambda text: _parse_list(text, int),

@@ -6,11 +6,10 @@ candidate truths (the pyramid family at n, or the one sawtooth truth for
 every n) and prior go to ``_grid_point``, which reports the worst
 candidate's exact risk with its basis-truncation tail and runs the
 study's stages, Monte Carlo risk ("mc") and/or the two contraction
-probes ("probes").  Each stage of grid point i seeds its own generator
-from (master seed, key): key (i,) for the Monte Carlo risk and (i, 1 + r)
-for probe r, in every mode.  So results are identical whatever the
-thread count and whichever stages run, and reruns of the same config
-are byte-identical.
+probes ("probes").  The Monte Carlo risk of grid point i seeds its own
+generator from (master seed, i); the probes are exact and use no
+randomness.  So results are identical whatever the thread count and
+whichever stages run, and reruns of the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -42,7 +41,8 @@ from ..errors import ConfigError
 from ..sequence_core import (
     Spectrum,
     TruthCoefficients,
-    contraction_probability,
+    contraction_mass,
+    contraction_probability,  # noqa: F401  rebound here by the benchmark's tracer (bench/layers.py)
     exact_risk,  # noqa: F401  rebound here by the benchmark's tracer (bench/layers.py)
     exponential_spectrum,
     flat_spectrum,
@@ -238,8 +238,8 @@ def _grid_point(config: ExperimentConfig, stages, task) -> list[RiskRow]:
 
     The worst candidate's exact risk, basis-truncation tail included, is
     always reported.  Stage "mc" adds its Monte Carlo risk (stream
-    ``(index,)``); stage "probes" gives two rows with the posterior mass
-    outside mu/4 and gamma/5 (stream ``(index, 1 + r)`` for probe r).
+    ``(index,)``); stage "probes" gives two rows with the exact expected
+    posterior mass outside mu/4 and gamma/5.
     """
     index, n, build = task
     point = build()
@@ -266,16 +266,12 @@ def _grid_point(config: ExperimentConfig, stages, task) -> list[RiskRow]:
     if "probes" not in stages:
         return [row]
     rows = []
-    for r, divisor in enumerate((4.0, 5.0)):
+    for divisor in (4.0, 5.0):
         radius = math.sqrt(mu_sq) / divisor
         # the truncated mass is at distance tail from every posterior draw
         prob = 1.0
         if radius * radius > tail:
-            rng = task_rng(config.seed, index, 1 + r)
-            in_span = math.sqrt(radius * radius - tail)
-            prob, _ = contraction_probability(
-                point.spectrum, truth, n, in_span, config.outer, config.inner, rng
-            )
+            prob = contraction_mass(point.spectrum, truth, n, math.sqrt(radius * radius - tail))
         rows.append(replace(row, contraction_prob=prob, radius=radius))
     return rows
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, QuadratureError
 
 __all__ = [
     "Spectrum",
@@ -40,6 +40,8 @@ __all__ = [
     "exact_risks",
     "mc_risk",
     "contraction_probability",
+    "contraction_mass",
+    "MASS_TOLERANCE",
     "polynomial_spectrum",
     "exponential_spectrum",
     "flat_spectrum",
@@ -332,6 +334,162 @@ def contraction_probability(
     estimate = float(fractions.mean())
     stderr = float(fractions.std(ddof=1) / math.sqrt(outer)) if outer >= 2 else 0.0
     return estimate, stderr
+
+
+MASS_TOLERANCE = 1e-10  # absolute error of contraction_mass
+_SATURATED = 1e-12  # a tail certified below this is reported as exactly 0
+_TAIL_BUDGET = 1e-11  # share of MASS_TOLERANCE left to the truncated Imhof range
+_SEGMENT_PHASE = 32.0 * math.pi  # Imhof segments over 16 periods use Fourier weights
+
+
+def contraction_mass(
+    spectrum: Spectrum, theta: TruthCoefficients, n: float, radius: float
+) -> float:
+    """Exact E_theta Pi(||f - theta|| >= radius | Y), within MASS_TOLERANCE.
+
+    The quantity :func:`contraction_probability` estimates by nested Monte
+    Carlo.  Over the observation and the posterior draw together,
+    f - theta = (posterior mean - theta) + posterior noise is Gaussian with
+    independent coordinates, xi_k ~ N(b_k, v_k), b_k = -(1 - a_k) theta_k
+    and v_k = a_k^2 / n + a_k / n.  So the expected posterior mass is the
+    single tail P(||xi||^2 >= radius^2) of a Gaussian quadratic form, found
+    by a Chernoff certificate when it is saturated and by Imhof's (1961)
+    inversion otherwise; no randomness is used.  Raises QuadratureError when
+    the inversion cannot certify MASS_TOLERANCE.
+    """
+    if not (radius > 0 and math.isfinite(radius)):
+        raise DomainError("radius must be positive and finite")
+    base, scale, variances = _error_law(spectrum, theta, n, "contraction_mass")
+    return _quadratic_form_tail(base**2, scale**2 + variances, radius * radius)
+
+
+def _quadratic_form_tail(b_sq: np.ndarray, v: np.ndarray, x: float) -> float:
+    """P(sum_k (b_k + sqrt(v_k) g_k)^2 >= x) for iid standard Gaussian g_k.
+
+    Coordinates with v_k = 0 add b_k^2 exactly.  When the Chernoff bound on
+    the smaller tail is at most 1e-12 the answer is 0 or 1 exactly;
+    otherwise it comes from Imhof's inversion, within MASS_TOLERANCE.
+    """
+    live = v > 0.0
+    x -= float(np.sum(b_sq[~live]))
+    if x <= 0.0:
+        return 1.0
+    if not np.any(live):
+        return 0.0
+    b_sq, v = b_sq[live], v[live]
+    mean = float(np.sum(b_sq + v))
+    # the variance sum_k 2 v_k^2 + 4 b_k^2 v_k, summed relative to the mean so it cannot underflow
+    b_sq, v, x = b_sq / mean, v / mean, x / mean
+    sd = math.sqrt(float(np.sum(2.0 * v * v + 4.0 * b_sq * v)))
+    # in units of the standard deviation of the form the scales are O(1)
+    b_sq, v, x, mean = b_sq / sd, v / sd, x / sd, 1.0 / sd
+    if _chernoff_log_bound(b_sq, v, x, mean) <= math.log(_SATURATED):
+        return 1.0 if x < mean else 0.0
+    return _imhof_tail(b_sq, v, x)
+
+
+def _chernoff_log_bound(b_sq: np.ndarray, v: np.ndarray, x: float, mean: float) -> float:
+    """log of the Chernoff bound on the smaller tail of Q = sum (b_k + sqrt(v_k) g_k)^2 at x.
+
+    log P(Q >= x) <= log E exp(tQ) - t x for 0 < t < 1/(2 max v), and
+    log P(Q <= x) is bounded by the same expression at t < 0, where
+    log E exp(tQ) = sum_k t b_k^2 / (1 - 2 t v_k) - log(1 - 2 t v_k) / 2.
+    Every admissible t gives a valid bound, so an inexact minimiser only
+    loosens the certificate.
+    """
+    from scipy.optimize import minimize_scalar  # loaded with scipy.stats already
+
+    def log_bound(t):
+        s = 2.0 * t * v
+        return float(np.sum(t * b_sq / (1.0 - s) - 0.5 * np.log1p(-s))) - t * x
+
+    def slope(t):
+        s = 1.0 - 2.0 * t * v
+        return float(np.sum((v + b_sq / s) / s)) - x
+
+    # the convex log_bound falls away from t = 0 towards the smaller tail's side;
+    # double |t| until its slope turns (or t reaches the pole 1 / (2 max v))
+    side = 1.0 if x > mean else -1.0
+    t, pole = 1.0, 0.5 / float(v.max())
+    while (side < 0.0 or t < pole) and side * slope(side * t) < 0.0:
+        t *= 2.0
+    bounds = (0.0, min(t, pole)) if side > 0.0 else (-t, 0.0)
+    return float(minimize_scalar(log_bound, bounds=bounds, method="bounded").fun)
+
+
+def _minus_cos(phase: float) -> float:
+    return -math.cos(phase)
+
+
+def _imhof_tail(b_sq: np.ndarray, v: np.ndarray, x: float) -> float:
+    """Imhof's P(Q > x) = 1/2 + (1/pi) int_0^inf sin(phase(u)) / (u rho(u)) du.
+
+    With noncentralities written as b_k^2 / v_k the terms need no division:
+    phase(u) = sum_k [atan(v_k u) + b_k^2 u / (1 + v_k^2 u^2)] / 2 - x u / 2 and
+    log rho(u) = sum_k log(1 + v_k^2 u^2) / 4 + b_k^2 v_k u^2 / (2 (1 + v_k^2 u^2)).
+    The range is integrated over [0, 1] and then in doubling segments until
+    the rest is certified below 1e-11: |integrand| <= 1 / (u rho(u)), and
+    for u >= U, rho(u) >= rho(U) sqrt(v_k u) / (1 + v_k^2 U^2)^(1/4) with v_k
+    the largest, which integrates in closed form.  A segment spanning more
+    than 16 periods of its local phase frequency goes to QUADPACK's
+    Fourier-weighted rule (QAWO) at that frequency, so a heavy polynomial
+    tail (few coordinates) costs a few calls per doubling.
+    """
+    from scipy.integrate import quad  # loaded with scipy.stats already
+
+    k = int(np.argmax(v))
+    omega = 0.5 * x
+
+    def parts(u):
+        """phase(u) and the terms of log rho(u)."""
+        vu_sq = (v * u) ** 2
+        phase = 0.5 * float(np.sum(np.arctan(v * u) + b_sq * u / (1.0 + vu_sq))) - omega * u
+        rho_terms = 0.25 * np.log1p(vu_sq) + 0.5 * b_sq * v * u * u / (1.0 + vu_sq)
+        return phase, rho_terms
+
+    def frequency(u):
+        """phase'(u)."""
+        vu_sq = (v * u) ** 2
+        return 0.5 * float(np.sum((v + b_sq * (1.0 - vu_sq) / (1.0 + vu_sq)) / (1.0 + vu_sq))) - omega
+
+    def integrand(u, nu=0.0, part=math.sin):
+        """sin(phase(u)) / (u rho(u)), or with nu u added to the phase and sin replaced by part."""
+        phase, rho_terms = parts(u)
+        return part(phase + nu * u) * math.exp(-float(np.sum(rho_terms))) / u
+
+    def tail_bound(u):
+        _, rho_terms = parts(u)
+        log_rho = float(np.sum(rho_terms)) - 0.25 * math.log1p((v[k] * u) ** 2)
+        return 2.0 / math.pi * math.exp(-log_rho) / math.sqrt(v[k] * u)
+
+    def integral(lo, hi, *args, **options):
+        value, err, _, *failure = quad(
+            integrand, lo, hi, args, epsabs=1e-12, epsrel=0.0, limit=200, full_output=1, **options
+        )
+        if failure:
+            raise QuadratureError(f"Imhof inversion on [{lo:g}, {hi:g}]: {failure[0]}")
+        return value, err
+
+    total, error = integral(0.0, 1.0)
+    lo, hi = 1.0, 2.0
+    while tail_bound(lo) > _TAIL_BUDGET and lo < 2.0**128:
+        nu = -frequency(0.5 * (lo + hi))
+        if abs(nu) * (hi - lo) <= _SEGMENT_PHASE:
+            value, err = integral(lo, hi)
+        else:
+            # sin(phase) = sin(phase + nu u) cos(nu u) - cos(phase + nu u) sin(nu u), the
+            # first factors slowly varying: Fourier-weighted quadrature (QAWO)
+            cos_part, cos_err = integral(lo, hi, nu, math.sin, weight="cos", wvar=nu)
+            sin_part, sin_err = integral(lo, hi, nu, _minus_cos, weight="sin", wvar=nu)
+            value, err = cos_part + sin_part, cos_err + sin_err
+        total, error = total + value, error + err
+        lo, hi = hi, 2.0 * hi
+    error = error / math.pi + tail_bound(lo)
+    if not error <= MASS_TOLERANCE:
+        raise QuadratureError(
+            f"Imhof inversion reached an error estimate of {error:.1e}, over {MASS_TOLERANCE:g}"
+        )
+    return min(max(0.5 + total / math.pi, 0.0), 1.0)
 
 
 # ---------------------------------------------------------------------------

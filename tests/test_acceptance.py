@@ -30,9 +30,10 @@ from gplb.harness import ExperimentConfig, properties, run_rate_study
 from gplb.harness.cli import main
 from gplb.harness.transfer import transfer_threshold
 from gplb.sequence_core import (
+    MASS_TOLERANCE,
     Spectrum,
     TruthCoefficients,
-    contraction_probability,
+    contraction_mass,
     exact_risk,
     exponential_spectrum,
     flat_spectrum,
@@ -160,7 +161,6 @@ def test_criterion_07_small_error_frequency_respects_concentration_cap():
 
 def test_criterion_08_posterior_mass_floor_beyond_transfer_threshold():
     threshold = transfer_threshold(0.1)
-    rng = np.random.default_rng(808)
     cases = ((1, 1e-6, 2000.0), (1, 1e-4, 2000.0), (2, 1e-5, 20000.0), (1, 1e-3, 30000.0))
     summaries = []
     ok = True
@@ -177,17 +177,15 @@ def test_criterion_08_posterior_mass_floor_beyond_transfer_threshold():
         gamma_sq = risks[j_star]
         ok &= n * gamma_sq >= threshold
         radius = math.sqrt(gamma_sq) / 5.0
-        mass, stderr = contraction_probability(
-            spectrum, truths[j_star], n, radius, 200, 400, rng
-        )
-        ok &= mass >= 0.15 - 3.0 * stderr
+        mass = contraction_mass(spectrum, truths[j_star], n, radius)
+        ok &= mass >= 0.15 - MASS_TOLERANCE
         summaries.append(f"n*gamma^2={n * gamma_sq:.0f} mass={mass:.3f}")
     record(
         8,
         "contraction mass floor",
         bool(ok),
         "worst-member posterior mass outside gamma/5 stayed above "
-        "0.15 - 3 stderr whenever n*gamma^2 cleared "
+        "0.15 - 1e-10 whenever n*gamma^2 cleared "
         f"{threshold:.2f}: " + "; ".join(summaries),
     )
 
@@ -278,7 +276,7 @@ def test_criterion_10_identical_configs_rerun_byte_identically(tmp_path):
     config_path = tmp_path / "repro.ini"
     config_path.write_text(
         "[experiment]\nn_grid = 300, 3000\nseed = 17\n\n"
-        "[mc]\nreplications = 50\nouter = 4\ninner = 8\n",
+        "[mc]\nreplications = 50\n",
         encoding="utf-8",
     )
     first, second = tmp_path / "first.csv", tmp_path / "second.csv"

@@ -182,8 +182,6 @@ def test_ini_file_parsing_covers_every_section(tmp_path):
 
         [mc]
         replications = 77
-        outer = 33
-        inner = 44
 
         [minimax]
         m_values = 1, 3
@@ -204,7 +202,7 @@ def test_ini_file_parsing_covers_every_section(tmp_path):
     assert config.spectrum == "polynomial"
     assert config.tau == 0.5 and config.alpha == 1.5 and config.beta == 2.0
     assert config.K == 32 and config.level == 5
-    assert (config.replications, config.outer, config.inner) == (77, 33, 44)
+    assert config.replications == 77
     assert config.m_values == (1, 3)
     assert config.sigma_values == (0.5, 2.0)
     assert config.grid_size == 501
@@ -239,6 +237,11 @@ def test_unknown_sections_keys_and_files_raise(tmp_path):
         load_config(unknown_key, env={})
     with pytest.raises(ConfigError, match="unknown configuration keys"):
         load_config(None, {"bogus": 3}, env={})
+    # the probes are exact, so there are no Monte Carlo sample counts to set
+    for key in ("outer", "inner"):
+        retired = write_ini(tmp_path, f"[mc]\n{key} = 200\n", name="mc.ini")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config(retired, env={})
 
 
 def test_precedence_defaults_file_env_overrides(tmp_path):
@@ -291,8 +294,8 @@ def test_environment_values_are_cast_and_checked():
         {"K": 0},
         {"level": -1},
         {"replications": 1},
-        {"outer": 0},
-        {"inner": 0},
+        {"replications": 0},
+        {"n_grid": (math.nan,)},
         {"m_values": ()},
         {"m_values": (0,)},
         {"sigma_values": ()},
@@ -324,8 +327,6 @@ def test_resolved_items_excludes_execution_knobs_and_orders_fields():
         "K",
         "level",
         "replications",
-        "outer",
-        "inner",
         "m_values",
         "sigma_values",
         "grid_size",
@@ -534,7 +535,7 @@ def test_grid_count_rules_and_frozen_examples():
 
 
 RISK_CONFIG = ExperimentConfig(
-    mode="risk", n_grid=(200.0, 2000.0), seed=3, replications=60, outer=2, inner=2
+    mode="risk", n_grid=(200.0, 2000.0), seed=3, replications=60
 )
 
 
@@ -561,7 +562,7 @@ def test_run_risk_study_reruns_byte_identically():
 
 
 RATE_CONFIG = ExperimentConfig(
-    mode="rates", n_grid=(200.0, 2000.0, 20000.0), seed=9, replications=50, outer=4, inner=8
+    mode="rates", n_grid=(200.0, 2000.0, 20000.0), seed=9, replications=50
 )
 
 
@@ -602,30 +603,31 @@ def test_run_rate_study_is_invariant_to_thread_count(mode):
     assert single == threaded
 
 
-def first_uniform(spectrum, theta, n, radius, outer, inner, rng):
-    """Stand-in probe that exposes the generator it was given."""
-    return float(rng.random()), 0.0
+def radius_probe(spectrum, theta, n, radius):
+    """Stand-in probe that reports the in-span radius it was given."""
+    return radius
 
 
-def test_rates_and_contraction_probe_the_same_streams(monkeypatch):
-    # Real probes saturate at 1.0 here, so only a fake shows the streams.
-    monkeypatch.setattr(study, "contraction_probability", first_uniform)
+def test_rates_and_contraction_report_the_same_seed_free_probes(monkeypatch):
+    # Real probes saturate at 1.0 here, so only a fake tells the rows apart.
+    monkeypatch.setattr(study, "contraction_mass", radius_probe)
     rates = [row.contraction_prob for row in run_rate_study(RATE_CONFIG).rows]
     contraction = run_contraction_study(replace(RATE_CONFIG, mode="contraction"))
     assert rates == [row.contraction_prob for row in contraction.rows]
-    expected = [task_rng(RATE_CONFIG.seed, i, 1 + r).random() for i in range(3) for r in range(2)]
-    assert rates == expected
+    assert len(set(rates)) == 6
+    reseeded = run_contraction_study(replace(RATE_CONFIG, mode="contraction", seed=10))
+    assert rates == [row.contraction_prob for row in reseeded.rows]
 
 
 def test_probes_measure_the_full_space_distance(monkeypatch):
     radii = []
 
-    def record(spectrum, theta, n, radius, outer, inner, rng):
+    def record(spectrum, theta, n, radius):
         radii.append(radius)
-        return 0.5, 0.0
+        return 0.5
 
-    monkeypatch.setattr(study, "contraction_probability", record)
-    config = ExperimentConfig(mode="contraction", n_grid=(500.0,), K=16, outer=2, inner=2)
+    monkeypatch.setattr(study, "contraction_mass", record)
+    config = ExperimentConfig(mode="contraction", n_grid=(500.0,), K=16)
     near, far = run_contraction_study(config).rows
     k, _ = grid_count(1, 500.0, "ceil")
     coeffs = compute_coefficients(build_pyramid_family(1, k), haar_tensor_basis(1, 6), 16)
@@ -644,10 +646,10 @@ def test_probes_measure_the_full_space_distance(monkeypatch):
 
 def test_probes_inside_the_truncation_tail_report_full_mass_unsampled(monkeypatch):
     def never(*args):
-        raise AssertionError("the probe sampled although its radius is inside the tail")
+        raise AssertionError("the probe was evaluated although its radius is inside the tail")
 
-    monkeypatch.setattr(study, "contraction_probability", never)
-    config = ExperimentConfig(mode="contraction", n_grid=(500.0,), K=1, outer=2, inner=2)
+    monkeypatch.setattr(study, "contraction_mass", never)
+    config = ExperimentConfig(mode="contraction", n_grid=(500.0,), K=1)
     assert [row.contraction_prob for row in run_contraction_study(config).rows] == [1.0, 1.0]
 
 
@@ -686,7 +688,7 @@ def test_risk_rows_below_the_full_basis_carry_the_truncation_tail():
 
 
 def test_run_contraction_study_reports_transfer_context():
-    config = ExperimentConfig(mode="contraction", n_grid=(500.0,), seed=2, outer=40, inner=30)
+    config = ExperimentConfig(mode="contraction", n_grid=(500.0,), seed=2)
     report = run_contraction_study(config)
     assert len(report.rows) == 2
     near, far = report.rows
@@ -871,8 +873,6 @@ seed = 3
 
 [mc]
 replications = 40
-outer = 2
-inner = 2
 """
 
 

@@ -13,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
 
+from gplb.adversarial import build_pyramid_family, compute_coefficients, tk_matched_spectrum
 from gplb.errors import ContractError, DomainError
 from gplb.sequence_core import (
+    MASS_TOLERANCE,
     GPPosterior,
     SequenceObservation,
     Spectrum,
     StreamingMoments,
     TruthCoefficients,
+    contraction_mass,
     contraction_probability,
     exact_risk,
     exact_risks,
@@ -30,6 +33,7 @@ from gplb.sequence_core import (
     posterior_update,
     sample_observation,
 )
+from gplb.wavelet import haar_tensor_basis
 
 BASIS = "testbasis"
 
@@ -324,6 +328,126 @@ def test_contraction_probability_validates_inputs():
         contraction_probability(spectrum_of(1.0), truth_of(0.0), 10.0, 0.1, 0, 10, rng)
     with pytest.raises(DomainError):
         contraction_probability(spectrum_of(1.0), truth_of(0.0), -1.0, 0.1, 10, 10, rng)
+
+
+# ---------------------------------------------------------------------------
+# Exact contraction mass
+# ---------------------------------------------------------------------------
+
+def error_law(spectrum, theta, n):
+    """(b, v) of xi = f - theta ~ N(b, diag(v)), from the conjugate update."""
+    post = posterior_update(spectrum, SequenceObservation(theta.theta, n, theta.basis_id))
+    a = post.weights
+    return -(1.0 - a) * theta.theta, a * a / n + post.variances
+
+
+@pytest.mark.parametrize("K", [1, 3, 40])
+@pytest.mark.parametrize("quantile", [1e-7, 0.3, 0.5, 0.9, 1.0 - 1e-7])
+def test_contraction_mass_matches_noncentral_chi_square_on_flat_spectra(K, quantile):
+    # Equal v_k make ||xi||^2 / v noncentral chi-square with K degrees of
+    # freedom and noncentrality ||b||^2 / v, so scipy gives the exact tail.
+    n = 500.0
+    spectrum = flat_spectrum(K, basis_id=BASIS, tau=0.004)
+    theta = truth_of(*np.linspace(0.05, 0.12, K))
+    b, v = error_law(spectrum, theta, n)
+    law = stats.ncx2(K, float(np.sum(b * b)) / v[0])
+    radius = math.sqrt(v[0] * law.isf(quantile))
+    mass = contraction_mass(spectrum, theta, n, radius)
+    assert abs(mass - law.sf(radius * radius / v[0])) <= MASS_TOLERANCE
+
+
+@pytest.mark.parametrize("seed, factor", [(61, 0.9), (62, 1.0), (63, 1.1)])
+def test_contraction_mass_agrees_with_nested_monte_carlo_on_matched_spectra(seed, factor):
+    coeffs = compute_coefficients(build_pyramid_family(1, 4), haar_tensor_basis(1, 4), 32)
+    spectrum = tk_matched_spectrum(coeffs)
+    theta = TruthCoefficients(coeffs.entries[0], coeffs.basis_id)
+    n = 1000.0
+    b, v = error_law(spectrum, theta, n)
+    assert np.count_nonzero(v) < v.size  # zero eigenvalues among the coordinates
+    radius = math.sqrt(factor * float(np.sum(b * b + v)))
+    mass = contraction_mass(spectrum, theta, n, radius)
+    estimate, stderr = contraction_probability(
+        spectrum, theta, n, radius, 400, 200, np.random.default_rng(seed)
+    )
+    assert 0.2 < mass < 0.8
+    assert abs(estimate - mass) <= 3.0 * stderr
+
+
+def test_contraction_mass_adds_zero_eigenvalue_coordinates_exactly():
+    # Coordinates without prior mass keep their whole truth as bias and
+    # carry no noise: ||xi||^2 = theta_4^2 + theta_5^2 + v chi'^2_3.
+    n, tau = 200.0, 0.01
+    spectrum = spectrum_of(tau, tau, tau, 0.0, 0.0)
+    theta = truth_of(0.1, -0.05, 0.2, 0.3, 0.25)
+    b, v = error_law(spectrum, theta, n)
+    fixed = 0.3**2 + 0.25**2
+    law = stats.ncx2(3, float(np.sum(b[:3] ** 2)) / v[0])
+    for quantile in (0.01, 0.5, 0.99):
+        r_sq = fixed + v[0] * law.isf(quantile)
+        mass = contraction_mass(spectrum, theta, n, math.sqrt(r_sq))
+        assert abs(mass - quantile) <= MASS_TOLERANCE
+    # any radius inside the fixed part is exceeded by every draw
+    assert contraction_mass(spectrum, theta, n, math.sqrt(0.99 * fixed)) == 1.0
+
+
+def test_contraction_mass_without_any_prior_mass_is_an_indicator():
+    spectrum, theta = spectrum_of(0.0, 0.0, 0.0), truth_of(0.3, -0.4, 0.0)
+    assert contraction_mass(spectrum, theta, 50.0, 0.5) == 1.0  # ||theta|| = 0.5
+    assert contraction_mass(spectrum, theta, 50.0, 0.5 * (1.0 - 1e-12)) == 1.0
+    assert contraction_mass(spectrum, theta, 50.0, 0.5 * (1.0 + 1e-12)) == 0.0
+
+
+def test_contraction_mass_extreme_radii_are_exact():
+    spectrum, theta, n = spectrum_of(1.0, 1.0), truth_of(0.2, -0.2), 100.0
+    assert contraction_mass(spectrum, theta, n, 1e6) == 0.0
+    assert contraction_mass(spectrum, theta, n, 1e-12) == 1.0
+    big = flat_spectrum(1024, basis_id=BASIS, tau=1e-3)
+    theta = truth_of(*np.full(1024, 0.01))
+    b, v = error_law(big, theta, 1e6)
+    mean = float(np.sum(b * b + v))
+    assert contraction_mass(big, theta, 1e6, math.sqrt(0.5 * mean)) == 1.0
+    assert contraction_mass(big, theta, 1e6, math.sqrt(2.0 * mean)) == 0.0
+
+
+@given(
+    lams=st.lists(st.sampled_from([0.0, 1e-4, 1e-2, 1.0]), min_size=1, max_size=6),
+    scale=st.floats(0.0, 2.0),
+    n=st.floats(10.0, 1e5),
+    r1=st.floats(1e-3, 3.0),
+    r2=st.floats(1e-3, 3.0),
+)
+@settings(max_examples=60, deadline=None)
+def test_contraction_mass_is_a_probability_nonincreasing_in_the_radius(lams, scale, n, r1, r2):
+    spectrum = spectrum_of(*lams)
+    theta = truth_of(*(scale * np.cos(np.arange(len(lams)))))
+    b, v = error_law(spectrum, theta, n)
+    spread = math.sqrt(float(np.sum(b * b + v))) or 1.0
+    near, far = sorted((r1, r2))
+    inner = contraction_mass(spectrum, theta, n, near * spread)
+    outer = contraction_mass(spectrum, theta, n, far * spread)
+    assert 0.0 <= outer <= 1.0 and 0.0 <= inner <= 1.0
+    assert outer <= inner + 2.0 * MASS_TOLERANCE
+
+
+def test_contraction_mass_respects_mass_floor_at_quarter_radius():
+    # The configuration of the nested Monte Carlo floor test above, exact.
+    n = 1000.0
+    spectrum = spectrum_of(*([0.001] * 4))
+    theta = truth_of(*([0.5] * 4))
+    mu_sq = exact_risk(spectrum, theta, n)
+    floor = 0.25 * max(1.0 - 4.0 * math.exp(-n * mu_sq / 32.0), 0.0) ** 2
+    assert contraction_mass(spectrum, theta, n, math.sqrt(mu_sq) / 4.0) >= floor - MASS_TOLERANCE
+
+
+def test_contraction_mass_validates_inputs():
+    with pytest.raises(DomainError):
+        contraction_mass(spectrum_of(1.0), truth_of(0.0), 10.0, 0.0)
+    with pytest.raises(DomainError):
+        contraction_mass(spectrum_of(1.0), truth_of(0.0), 10.0, math.inf)
+    with pytest.raises(DomainError):
+        contraction_mass(spectrum_of(1.0), truth_of(0.0), -1.0, 0.1)
+    with pytest.raises(ContractError):
+        contraction_mass(spectrum_of(1.0, 1.0), truth_of(0.0), 10.0, 0.1)
 
 
 # ---------------------------------------------------------------------------
