@@ -22,7 +22,7 @@ from functools import partial
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats as _stats
+import numpy.random  # noqa: F401  numpy loads it on first use; here it stays in start-up
 
 from ..adversarial import (
     build_pyramid_family,
@@ -64,6 +64,7 @@ from .transfer import transfer_threshold
 __all__ = [
     "MAX_COEFFICIENT_BYTES",
     "task_rng",
+    "t_quantile_975",
     "fit_loglog_slope",
     "minimal_basis_level",
     "grid_count",
@@ -78,6 +79,37 @@ __all__ = [
 def task_rng(seed: int, *key: int) -> np.random.Generator:
     """Generator for one task, independent of every other key."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
+def t_quantile_975(df: int) -> float:
+    """The 97.5% quantile of Student's t with an integer number df of degrees of freedom.
+
+    With t = sqrt(df) tan(theta), P(|T| < t) has a closed form in theta
+    (Abramowitz & Stegun 26.7.3-4); bisection on theta in (0, pi/2) solves
+    P(|T| < t) = 0.95 to the last bit of theta.
+    """
+    def central(theta):
+        c = math.cos(theta)
+        c_sq = c * c
+        if df % 2:
+            term = total = c if df > 1 else 0.0
+            for j in range(1, (df - 1) // 2):
+                term *= c_sq * (2 * j) / (2 * j + 1)
+                total += term
+            return 2.0 / math.pi * (theta + math.sin(theta) * total)
+        term = total = 1.0
+        for j in range(1, df // 2):
+            term *= c_sq * (2 * j - 1) / (2 * j)
+            total += term
+        return math.sin(theta) * total
+
+    lo, hi = 0.0, 0.5 * math.pi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if central(mid) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(df) * math.tan(hi)
 
 
 def fit_loglog_slope(ns, values) -> dict | None:
@@ -99,7 +131,7 @@ def fit_loglog_slope(ns, values) -> dict | None:
     sxx = float(np.sum((x - x.mean()) ** 2))
     if df > 0 and sxx > 0:
         stderr = math.sqrt(float(residuals @ residuals) / df / sxx)
-        half_width = float(_stats.t.ppf(0.975, df)) * stderr
+        half_width = t_quantile_975(df) * stderr
     else:
         stderr = 0.0
         half_width = 0.0

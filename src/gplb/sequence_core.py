@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import zeta as _hurwitz_zeta
 
 from .errors import ContractError, DomainError, QuadratureError
 
@@ -394,27 +393,55 @@ def _chernoff_log_bound(b_sq: np.ndarray, v: np.ndarray, x: float, mean: float) 
     log P(Q >= x) <= log E exp(tQ) - t x for 0 < t < 1/(2 max v), and
     log P(Q <= x) is bounded by the same expression at t < 0, where
     log E exp(tQ) = sum_k t b_k^2 / (1 - 2 t v_k) - log(1 - 2 t v_k) / 2.
-    Every admissible t gives a valid bound, so an inexact minimiser only
-    loosens the certificate.
+    The expression is convex in t; a safeguarded Newton iteration minimises
+    it.  Every admissible t gives a valid bound, so an inexact minimiser
+    only loosens the certificate.  The derivatives are sums in
+    w_k = 1 / (1 - 2 t v_k), which lies in (0, 1] for t < 0 and below about
+    1e16 short of the pole, so they do not overflow even when the
+    eigenvalues span the whole floating-point range.
     """
-    from scipy.optimize import minimize_scalar  # loaded with scipy.stats already
-
-    def log_bound(t):
-        s = 2.0 * t * v
-        return float(np.sum(t * b_sq / (1.0 - s) - 0.5 * np.log1p(-s))) - t * x
-
-    def slope(t):
-        s = 1.0 - 2.0 * t * v
-        return float(np.sum((v + b_sq / s) / s)) - x
-
-    # the convex log_bound falls away from t = 0 towards the smaller tail's side;
-    # double |t| until its slope turns (or t reaches the pole 1 / (2 max v))
+    # the bound falls away from t = 0 towards the smaller tail's side; work in u = |t|
     side = 1.0 if x > mean else -1.0
-    t, pole = 1.0, 0.5 / float(v.max())
-    while (side < 0.0 or t < pole) and side * slope(side * t) < 0.0:
-        t *= 2.0
-    bounds = (0.0, min(t, pole)) if side > 0.0 else (-t, 0.0)
-    return float(minimize_scalar(log_bound, bounds=bounds, method="bounded").fun)
+
+    def derivatives(u):
+        """d/du and d^2/du^2 of the bound at t = side u, or None at or past the pole."""
+        s = 1.0 - 2.0 * side * u * v
+        if s.min() <= 0.0:
+            return None
+        w = 1.0 / s
+        bw = b_sq * w
+        a = v + bw
+        # slope sum_k (v_k + b_k w_k) w_k - x, curvature sum_k 2 v_k w_k^2 (v_k + 2 b_k w_k)
+        return side * (float(a @ w) - x), 2.0 * float((v * w * w) @ (a + bw))
+
+    # double u until the slope turns (or u reaches the pole 1 / (2 max v))
+    pole = 0.5 / float(v.max()) if side > 0.0 else math.inf
+    lo, u = 0.0, 1.0
+    while u < pole and (moments := derivatives(u)) is not None and moments[0] < 0.0:
+        lo, u = u, 2.0 * u
+    hi = min(u, pole)
+    # safeguarded Newton from the bracket's lower end: a step that would leave
+    # the bracket [lo, hi] around the minimum is replaced by bisection
+    u, (slope, curvature) = lo, derivatives(lo)
+    for _ in range(200):
+        if slope < 0.0:
+            lo = u
+        elif slope > 0.0:
+            hi = u
+        else:
+            break
+        step = u - slope / curvature if abs(slope) < curvature * (hi - lo) else lo
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if not lo < step < hi or abs(step - u) <= 1e-15 * u:
+            break
+        if (moments := derivatives(step)) is None:
+            hi = step
+        else:
+            u, (slope, curvature) = step, moments
+    t = side * u
+    s = 1.0 - 2.0 * t * v
+    return float(np.sum(b_sq * (t / s) - 0.5 * np.log(s))) - t * x
 
 
 def _minus_cos(phase: float) -> float:
@@ -435,7 +462,7 @@ def _imhof_tail(b_sq: np.ndarray, v: np.ndarray, x: float) -> float:
     Fourier-weighted rule (QAWO) at that frequency, so a heavy polynomial
     tail (few coordinates) costs a few calls per doubling.
     """
-    from scipy.integrate import quad  # loaded with scipy.stats already
+    from scipy.integrate import quad
 
     k = int(np.argmax(v))
     omega = 0.5 * x
@@ -508,12 +535,14 @@ def polynomial_spectrum(K: int, *, basis_id: str, tau: float = 1.0, alpha: float
 
     The neglected tail trace is recorded via the Hurwitz zeta function.
     """
+    from scipy.special import zeta as hurwitz_zeta
+
     _check_preset_args(K, tau)
     if alpha <= 0 or d < 1:
         raise DomainError("polynomial spectrum needs alpha > 0 and d >= 1")
     p = 1.0 + 2.0 * alpha / d
     k = np.arange(1, K + 1, dtype=float)
-    tail = tau * float(_hurwitz_zeta(p, K + 1))
+    tail = tau * float(hurwitz_zeta(p, K + 1))
     return Spectrum(tau * k**-p, basis_id, tail_trace=tail)
 
 

@@ -11,15 +11,19 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import subprocess
+import sys
 import textwrap
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gplb
 import gplb.harness.properties as properties
 import gplb.harness.study as study
 import gplb.sparse_linear as sparse_linear
@@ -498,6 +502,14 @@ def test_fit_loglog_slope_band_covers_noisy_truth():
     assert fit["low"] <= -0.6 <= fit["high"]
 
 
+def test_t_quantile_matches_scipy_for_every_fit_size():
+    from scipy import stats
+
+    for df in range(1, 401):
+        expected = stats.t.ppf(0.975, df)
+        assert abs(study.t_quantile_975(df) - expected) <= 1e-13 * expected
+
+
 def test_fit_loglog_slope_degenerate_inputs():
     assert fit_loglog_slope([100.0], [1.0]) is None
     assert fit_loglog_slope([10.0, 100.0], [1.0, 0.0]) is None
@@ -922,6 +934,40 @@ def test_cli_exit_code_two_on_config_errors(tmp_path, capsys):
     )
     assert main(["risk", "--config", infeasible]) == 2
     assert "cannot resolve" in capsys.readouterr().err
+
+
+SCIPY_FREE_CALLS = """
+import sys
+
+sys.modules["scipy"] = None  # every import of scipy now fails
+sys.path.insert(0, sys.argv[1])
+import gplb
+import gplb.harness.cli
+from gplb.harness import load_config, render_csv, run_verify
+from gplb.harness.cli import _RUNNERS
+
+for mode in ("risk", "rates", "contraction", "wavelet", "verify", "minimax"):
+    config = load_config(None, {"mode": mode}, env={})
+    before = set(sys.modules)
+    if mode == "verify":
+        assert run_verify(config)[0]
+    else:
+        render_csv(_RUNNERS[mode](config))
+    assert set(sys.modules) == before, (mode, sorted(set(sys.modules) - before))
+print("ok")
+"""
+
+
+def test_default_cli_calls_run_without_scipy_and_import_nothing_mid_study():
+    # SciPy is loaded only by Imhof's inversion and polynomial_spectrum,
+    # which no default call reaches; every module a study uses is loaded
+    # with the CLI, so start-up holds all of the import time.
+    src = str(Path(gplb.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", SCIPY_FREE_CALLS, src], capture_output=True, text=True, timeout=300
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["ok"]
 
 
 def test_cli_environment_overrides_and_flag_precedence(tmp_path, capsys, monkeypatch):

@@ -6,12 +6,14 @@ risk = sum (1-a)^2 theta^2 + a^2 / n.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special, stats
+from scipy.optimize import minimize_scalar
 
 from gplb.adversarial import build_pyramid_family, compute_coefficients, tk_matched_spectrum
 from gplb.errors import ContractError, DomainError
@@ -22,6 +24,7 @@ from gplb.sequence_core import (
     Spectrum,
     StreamingMoments,
     TruthCoefficients,
+    _chernoff_log_bound,
     contraction_mass,
     contraction_probability,
     exact_risk,
@@ -437,6 +440,70 @@ def test_contraction_mass_respects_mass_floor_at_quarter_radius():
     mu_sq = exact_risk(spectrum, theta, n)
     floor = 0.25 * max(1.0 - 4.0 * math.exp(-n * mu_sq / 32.0), 0.0) ** 2
     assert contraction_mass(spectrum, theta, n, math.sqrt(mu_sq) / 4.0) >= floor - MASS_TOLERANCE
+
+
+def test_contraction_mass_on_spectra_spanning_the_float_range_raises_no_warning():
+    # Eigenvalues from 1e-300 to 1e300 at n = 100 put the form's mean up to
+    # 1e100 of its standard deviation and its variances across 300 decades.
+    n, K = 100.0, 61
+    spectrum = Spectrum(10.0 ** np.linspace(-300.0, 300.0, K), BASIS)
+    # radius^2 = factor * exact risk; at theta scale 1e3 the factor 1 is left
+    # out: Imhof's inversion cannot reach its tolerance on that form
+    factors = (1e-6, 0.25, 0.9, 1.0, 1.1, 4.0, 1e6)
+    cases = {1e-3: factors, 1.0: factors, 1e3: tuple(f for f in factors if f != 1.0)}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale, scale_factors in cases.items():
+            theta = truth_of(*(scale * np.cos(np.arange(K))))
+            risk = exact_risk(spectrum, theta, n)
+            masses = [contraction_mass(spectrum, theta, n, math.sqrt(f * risk)) for f in scale_factors]
+            assert masses[0] == 1.0 and masses[-1] == 0.0
+            assert all(0.0 <= a <= 1.0 for a in masses)
+            assert all(far <= near + 2.0 * MASS_TOLERANCE for near, far in zip(masses, masses[1:]))
+
+
+def bounded_brent_log_bound(b_sq, v, x, mean):
+    """The Chernoff bound minimised by bounded Brent over the doubling bracket (oracle)."""
+
+    def log_bound(t):
+        s = 2.0 * t * v
+        return float(np.sum(t * b_sq / (1.0 - s) - 0.5 * np.log1p(-s))) - t * x
+
+    def slope(t):
+        s = 1.0 - 2.0 * t * v
+        return float(np.sum((v + b_sq / s) / s)) - x
+
+    side = 1.0 if x > mean else -1.0
+    t, pole = 1.0, 0.5 / float(v.max())
+    while (side < 0.0 or t < pole) and side * slope(side * t) < 0.0:
+        t *= 2.0
+    bounds = (0.0, min(t, pole)) if side > 0.0 else (-t, 0.0)
+    return float(minimize_scalar(log_bound, bounds=bounds, method="bounded").fun)
+
+
+def test_chernoff_bound_is_never_looser_than_bounded_brent():
+    # Random forms at x = mean + z sd, |z| <= 12, in the units of
+    # _quadratic_form_tail (scaled by the mean, then by the standard deviation).
+    rng = np.random.default_rng(67)
+    saturated = math.log(1e-12)
+    forms = near = 0
+    while forms < 2000:
+        K = int(rng.integers(1, 40))
+        v = np.exp(rng.normal(0.0, 2.0, K))
+        b_sq = np.exp(rng.normal(0.0, 3.0, K)) * (rng.random(K) < 0.7)
+        mean = float(np.sum(b_sq + v))
+        x = mean + math.sqrt(float(np.sum(2.0 * v * v + 4.0 * b_sq * v))) * rng.uniform(-12.0, 12.0)
+        if x <= 0.0:
+            continue
+        forms += 1
+        b_sq, v, x = b_sq / mean, v / mean, x / mean
+        sd = math.sqrt(float(np.sum(2.0 * v * v + 4.0 * b_sq * v)))
+        args = (b_sq / sd, v / sd, x / sd, 1.0 / sd)
+        newton, brent = _chernoff_log_bound(*args), bounded_brent_log_bound(*args)
+        assert newton <= brent + 1e-9
+        assert (newton <= saturated) == (brent <= saturated)
+        near += abs(brent - saturated) < 5.0
+    assert near >= 40  # the saturation decision is exercised near its threshold
 
 
 def test_contraction_mass_validates_inputs():
