@@ -28,8 +28,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractError, DomainError
-# pyramid_box_integral is no longer called here; it stays bound in this
-# module because the benchmark's tracer rebinds it here (bench/layers.py).
+# adaptive_box_integral and pyramid_box_integral are no longer called here;
+# they stay bound in this module because the benchmark's tracer rebinds
+# them here (bench/layers.py).
 from .integrate import (  # noqa: F401
     adaptive_box_integral,
     pyramid_box_integral,
@@ -209,40 +210,17 @@ def coefficient_work_bytes(m: int, K: int, cells: int) -> int:
 def compute_coefficients(family: PyramidFamily, basis, K: int) -> CoefficientMatrix:
     """Inner products of every family member against the first K basis functions.
 
-    Bases that expose ``analyze`` (tensor Haar) are handled exactly: each
-    member's integrals over the finest dyadic cells come from the vertex
-    formula, and the fast Haar transform of ``analyze`` turns them into
-    coefficients.  Any other basis only needs ``evaluate``; those entries
-    fall back to adaptive panel quadrature at absolute tolerance 1e-10,
-    which raises a QuadratureError with diagnostics if it cannot converge.
+    The coefficients are exact: each member's integrals over the finest
+    dyadic cells come from the vertex formula, and the fast Haar transform
+    of ``basis.analyze`` turns them into coefficients.
     """
     if family.d != basis.d:
         raise ContractError(f"family dimension {family.d} does not match basis dimension {basis.d}")
     if not 1 <= K <= basis.size:
         raise ContractError(f"need 1 <= K <= {basis.size}, got K = {K}")
     entries = np.zeros((family.m, K))
-    if hasattr(basis, "analyze"):
-        for j, cells in enumerate(_member_cells(family, basis.cells_per_axis)):
-            entries[j] = basis.analyze(cells)[:K]
-    else:
-        indices = basis.indices[:K]
-        for j in range(family.m):
-            center = family.centers[j]
-            bandwidth = family.bandwidth
-
-            def integrand_for(index):
-                def integrand(pts):
-                    pyramid = np.maximum(
-                        bandwidth - np.abs(pts - center).sum(axis=1), 0.0
-                    )
-                    return pyramid * basis.evaluate(index, pts)
-
-                return integrand
-
-            for col, index in enumerate(indices):
-                entries[j, col] = adaptive_box_integral(
-                    integrand_for(index), center - bandwidth, center + bandwidth, tol=1e-10
-                )
+    for j, cells in enumerate(_member_cells(family, basis.cells_per_axis)):
+        entries[j] = basis.analyze(cells)[:K]
     return CoefficientMatrix(entries, basis.basis_id, family)
 
 
@@ -260,7 +238,7 @@ def tk_matched_spectrum(coeffs: CoefficientMatrix, *, scale: float = 1.0) -> Spe
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise DomainError("scale must be positive and finite")
-    return Spectrum(scale * tk_values(coeffs), coeffs.basis_id, tail_trace=None)
+    return Spectrum(scale * tk_values(coeffs), coeffs.basis_id)
 
 
 def risk_lower_bound(coeffs: CoefficientMatrix, n: float) -> float:

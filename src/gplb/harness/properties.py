@@ -48,7 +48,7 @@ from .config import ExperimentConfig
 from .study import task_rng
 from .transfer import concentration_bound
 
-__all__ = ["CHECKS", "run_verify", "level_groups"]
+__all__ = ["CHECKS", "run_verify"]
 
 # the pyramid families (d, k) that the geometry checks sweep at the full size
 FULL_FAMILIES = ((1, 2), (1, 4), (2, 2), (2, 3), (3, 2))
@@ -167,13 +167,6 @@ def diagonal_domination(rng: np.random.Generator, full: bool) -> tuple[bool, str
     return violations == 0, f"{violations} violations in {draws} random matrices"
 
 
-def level_groups(basis) -> tuple[np.ndarray, np.ndarray]:
-    """(levels, positions): the resolution groups, and each index's group position."""
-    groups = np.array([max(index.resolution, 0) for index in basis.indices])
-    levels = np.unique(groups)
-    return levels, np.searchsorted(levels, groups)
-
-
 def risk_floors(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
     """The worst member's risk clears both floors under random level-profile priors.
 
@@ -191,14 +184,14 @@ def risk_floors(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
         coeffs = compute_coefficients(build_pyramid_family(d, k), basis, basis.size)
         bound = risk_lower_bound(coeffs, n)
         floor = mean_risk_floor(d, n)
-        levels, positions = level_groups(basis)
+        levels = np.arange(basis.level + 1)
         for i in range(draws):
             if i % 2 == 0:
                 tau = 10.0 ** rng.uniform(-2.0, 2.0)
                 per_level = tau * 2.0 ** (-rng.uniform(0.0, 3.0) * levels)
             else:
                 per_level = 10.0 ** rng.uniform(-6.0, 2.0, levels.size)
-            spectrum = Spectrum(per_level[positions], coeffs.basis_id)
+            spectrum = Spectrum(per_level[basis.groups], coeffs.basis_id)
             worst = float(exact_risks(spectrum, coeffs.entries, n, basis_id=coeffs.basis_id).max())
             violations += (worst < bound - 1e-12) + (worst < floor - 1e-12)
             closest = min(closest, worst / bound)

@@ -421,7 +421,7 @@ def run_wavelet_study(config: ExperimentConfig) -> RiskReport:
     surrogate = SawtoothSurrogate(config.d, sawtooth_level)
     truth = TruthCoefficients(surrogate.haar_coefficients(basis)[:K], basis.basis_id)
     prior = wavelet_prior_preset(basis, tau=config.tau, alpha=config.alpha)
-    spectrum = Spectrum(prior.to_spectrum().eigenvalues[:K], basis.basis_id, tail_trace=None)
+    spectrum = Spectrum(prior.to_spectrum().eigenvalues[:K], basis.basis_id)
     norm_sq = surrogate.norm_sq()
     point = _Point(
         truth.theta[None, :],

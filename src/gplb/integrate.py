@@ -42,8 +42,7 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import numpy.ma  # noqa: F401  numpy loads these on first use (np.unique, np.polynomial);
-import numpy.polynomial  # noqa: F401  importing them here keeps that out of study time
+import numpy.polynomial  # noqa: F401  numpy loads it on first use; here it stays in start-up
 
 from .errors import DomainError, QuadratureError
 

@@ -61,26 +61,21 @@ def _frozen_array(values, name: str, *, allow_negative: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Prior eigenvalues lambda_k truncated at K entries, tied to a basis.
+    """Prior eigenvalues lambda_k on the first K coordinates of a basis.
 
     Zero eigenvalues are permitted and describe coordinates the prior does
     not model (shrinkage weight 0, posterior variance 0), which covers
-    finite-rank priors.  ``tail_trace`` optionally records the neglected
-    prior trace sum_{k > K} lambda_k when a closed form is available;
-    ``None`` declares the truncation exact by fiat.
+    finite-rank priors.  The prior puts no mass beyond coordinate K: a
+    truth's coefficients there are risk as bias, which callers add (see
+    ``adversarial.member_risks``).
     """
 
     eigenvalues: np.ndarray
     basis_id: str
-    tail_trace: float | None = None
 
     def __post_init__(self):
         arr = _frozen_array(self.eigenvalues, "eigenvalues", allow_negative=False)
         object.__setattr__(self, "eigenvalues", arr)
-        if self.tail_trace is not None and not (
-            math.isfinite(self.tail_trace) and self.tail_trace >= 0.0
-        ):
-            raise DomainError("tail_trace must be a finite nonnegative number when given")
 
     @property
     def size(self) -> int:
@@ -377,14 +372,16 @@ def _quadratic_form_tail(b_sq: np.ndarray, v: np.ndarray, x: float) -> float:
         return 0.0
     b_sq, v = b_sq[live], v[live]
     mean = float(np.sum(b_sq + v))
+    # sum_k b_k^2 - x, correctly rounded: Imhof's phase needs it where the two nearly cancel
+    excess = math.fsum(np.append(b_sq, -x))
     # the variance sum_k 2 v_k^2 + 4 b_k^2 v_k, summed relative to the mean so it cannot underflow
-    b_sq, v, x = b_sq / mean, v / mean, x / mean
+    b_sq, v, x, excess = b_sq / mean, v / mean, x / mean, excess / mean
     sd = math.sqrt(float(np.sum(2.0 * v * v + 4.0 * b_sq * v)))
     # in units of the standard deviation of the form the scales are O(1)
-    b_sq, v, x, mean = b_sq / sd, v / sd, x / sd, 1.0 / sd
+    b_sq, v, x, excess, mean = b_sq / sd, v / sd, x / sd, excess / sd, 1.0 / sd
     if _chernoff_log_bound(b_sq, v, x, mean) <= math.log(_SATURATED):
         return 1.0 if x < mean else 0.0
-    return _imhof_tail(b_sq, v, x)
+    return _imhof_tail(b_sq, v, excess)
 
 
 def _chernoff_log_bound(b_sq: np.ndarray, v: np.ndarray, x: float, mean: float) -> float:
@@ -448,12 +445,18 @@ def _minus_cos(phase: float) -> float:
     return -math.cos(phase)
 
 
-def _imhof_tail(b_sq: np.ndarray, v: np.ndarray, x: float) -> float:
+def _imhof_tail(b_sq: np.ndarray, v: np.ndarray, excess: float) -> float:
     """Imhof's P(Q > x) = 1/2 + (1/pi) int_0^inf sin(phase(u)) / (u rho(u)) du.
 
     With noncentralities written as b_k^2 / v_k the terms need no division:
     phase(u) = sum_k [atan(v_k u) + b_k^2 u / (1 + v_k^2 u^2)] / 2 - x u / 2 and
     log rho(u) = sum_k log(1 + v_k^2 u^2) / 4 + b_k^2 v_k u^2 / (2 (1 + v_k^2 u^2)).
+    ``excess`` is sum_k b_k^2 - x.  On each range of u, a coordinate with
+    v_k u <= 1 throughout has its phase term written as
+    b_k^2 u - b_k^2 v_k^2 u^3 / (1 + v_k^2 u^2), and its b_k^2 u is taken
+    out of the cancellation against x u into c u, c = excess - sum of the
+    other b_k^2: a form whose mean is far above its standard deviation
+    then keeps its phase to rounding.
     The range is integrated over [0, 1] and then in doubling segments until
     the rest is certified below 1e-11: |integrand| <= 1 / (u rho(u)), and
     for u >= U, rho(u) >= rho(U) sqrt(v_k u) / (1 + v_k^2 U^2)^(1/4) with v_k
@@ -465,29 +468,30 @@ def _imhof_tail(b_sq: np.ndarray, v: np.ndarray, x: float) -> float:
     from scipy.integrate import quad
 
     k = int(np.argmax(v))
-    omega = 0.5 * x
 
-    def parts(u):
-        """phase(u) and the terms of log rho(u)."""
+    def phase(u, far, c):
+        """phase(u), with the coordinates outside ``far`` rewritten around c."""
         vu_sq = (v * u) ** 2
-        phase = 0.5 * float(np.sum(np.arctan(v * u) + b_sq * u / (1.0 + vu_sq))) - omega * u
-        rho_terms = 0.25 * np.log1p(vu_sq) + 0.5 * b_sq * v * u * u / (1.0 + vu_sq)
-        return phase, rho_terms
+        share = np.where(far, 1.0, -vu_sq) / (1.0 + vu_sq)
+        return 0.5 * (float(np.sum(np.arctan(v * u) + b_sq * u * share)) + c * u)
 
-    def frequency(u):
+    def log_rho(u):
+        vu_sq = (v * u) ** 2
+        return float(np.sum(0.25 * np.log1p(vu_sq) + 0.5 * b_sq * v * u * u / (1.0 + vu_sq)))
+
+    def frequency(u, far, c):
         """phase'(u)."""
         vu_sq = (v * u) ** 2
-        return 0.5 * float(np.sum((v + b_sq * (1.0 - vu_sq) / (1.0 + vu_sq)) / (1.0 + vu_sq))) - omega
+        share = np.where(far, 1.0 - vu_sq, -vu_sq * (3.0 + vu_sq)) / (1.0 + vu_sq)
+        return 0.5 * (float(np.sum((v + b_sq * share) / (1.0 + vu_sq))) + c)
 
-    def integrand(u, nu=0.0, part=math.sin):
+    def integrand(u, far, c, nu=0.0, part=math.sin):
         """sin(phase(u)) / (u rho(u)), or with nu u added to the phase and sin replaced by part."""
-        phase, rho_terms = parts(u)
-        return part(phase + nu * u) * math.exp(-float(np.sum(rho_terms))) / u
+        return part(phase(u, far, c) + nu * u) * math.exp(-log_rho(u)) / u
 
     def tail_bound(u):
-        _, rho_terms = parts(u)
-        log_rho = float(np.sum(rho_terms)) - 0.25 * math.log1p((v[k] * u) ** 2)
-        return 2.0 / math.pi * math.exp(-log_rho) / math.sqrt(v[k] * u)
+        bound = log_rho(u) - 0.25 * math.log1p((v[k] * u) ** 2)
+        return 2.0 / math.pi * math.exp(-bound) / math.sqrt(v[k] * u)
 
     def integral(lo, hi, *args, **options):
         value, err, _, *failure = quad(
@@ -497,17 +501,23 @@ def _imhof_tail(b_sq: np.ndarray, v: np.ndarray, x: float) -> float:
             raise QuadratureError(f"Imhof inversion on [{lo:g}, {hi:g}]: {failure[0]}")
         return value, err
 
-    total, error = integral(0.0, 1.0)
+    def split(hi):
+        """(far, c) on a segment ending at hi."""
+        far = v * hi > 1.0
+        return far, excess - math.fsum(b_sq[far])
+
+    total, error = integral(0.0, 1.0, *split(1.0))
     lo, hi = 1.0, 2.0
     while tail_bound(lo) > _TAIL_BUDGET and lo < 2.0**128:
-        nu = -frequency(0.5 * (lo + hi))
+        far, c = split(hi)
+        nu = -frequency(0.5 * (lo + hi), far, c)
         if abs(nu) * (hi - lo) <= _SEGMENT_PHASE:
-            value, err = integral(lo, hi)
+            value, err = integral(lo, hi, far, c)
         else:
             # sin(phase) = sin(phase + nu u) cos(nu u) - cos(phase + nu u) sin(nu u), the
             # first factors slowly varying: Fourier-weighted quadrature (QAWO)
-            cos_part, cos_err = integral(lo, hi, nu, math.sin, weight="cos", wvar=nu)
-            sin_part, sin_err = integral(lo, hi, nu, _minus_cos, weight="sin", wvar=nu)
+            cos_part, cos_err = integral(lo, hi, far, c, nu, math.sin, weight="cos", wvar=nu)
+            sin_part, sin_err = integral(lo, hi, far, c, nu, _minus_cos, weight="sin", wvar=nu)
             value, err = cos_part + sin_part, cos_err + sin_err
         total, error = total + value, error + err
         lo, hi = hi, 2.0 * hi
@@ -531,33 +541,25 @@ def _check_preset_args(K: int, tau: float) -> None:
 
 
 def polynomial_spectrum(K: int, *, basis_id: str, tau: float = 1.0, alpha: float = 1.0, d: int = 1) -> Spectrum:
-    """lambda_k = tau * k^{-(1 + 2 alpha / d)}, the classical smoothness scale.
-
-    The neglected tail trace is recorded via the Hurwitz zeta function.
-    """
-    from scipy.special import zeta as hurwitz_zeta
-
+    """lambda_k = tau * k^{-(1 + 2 alpha / d)}, the classical smoothness scale."""
     _check_preset_args(K, tau)
     if alpha <= 0 or d < 1:
         raise DomainError("polynomial spectrum needs alpha > 0 and d >= 1")
     p = 1.0 + 2.0 * alpha / d
     k = np.arange(1, K + 1, dtype=float)
-    tail = tau * float(hurwitz_zeta(p, K + 1))
-    return Spectrum(tau * k**-p, basis_id, tail_trace=tail)
+    return Spectrum(tau * k**-p, basis_id)
 
 
 def exponential_spectrum(K: int, *, basis_id: str, tau: float = 1.0, beta: float = 1.0) -> Spectrum:
-    """lambda_k = tau * exp(-beta k) with a geometric tail trace."""
+    """lambda_k = tau * exp(-beta k)."""
     _check_preset_args(K, tau)
     if beta <= 0:
         raise DomainError("exponential spectrum needs beta > 0")
     k = np.arange(1, K + 1, dtype=float)
-    decay = math.exp(-beta)
-    tail = tau * math.exp(-beta * (K + 1)) / (1.0 - decay)
-    return Spectrum(tau * np.exp(-beta * k), basis_id, tail_trace=tail)
+    return Spectrum(tau * np.exp(-beta * k), basis_id)
 
 
 def flat_spectrum(K: int, *, basis_id: str, tau: float = 1.0) -> Spectrum:
-    """lambda_k = tau for every retained coordinate (no tail closed form)."""
+    """lambda_k = tau for every retained coordinate."""
     _check_preset_args(K, tau)
-    return Spectrum(np.full(K, tau), basis_id, tail_trace=None)
+    return Spectrum(np.full(K, tau), basis_id)

@@ -153,7 +153,10 @@ class HaarTensorBasis:
 
     Every member is constant on the N^d finest dyadic cells, N = 2^{J+1},
     so :meth:`analyze` turns a function's exact cell integrals into its
-    exact coefficients.  The ``indices`` tuple is built on first access.
+    exact coefficients.  Computations read the members from the integer
+    arrays ``order`` and ``groups``; the ``indices`` tuple of
+    :class:`WaveletIndex` objects, for evaluation and exact pairwise
+    inner products, is built only on first access.
     """
 
     d: int
@@ -175,6 +178,15 @@ class HaarTensorBasis:
         return 2 ** (self.level + 1)
 
     @cached_property
+    def _resolution(self) -> np.ndarray:
+        """Resolution of the member at each flat position of the (N,)*d tensor layout."""
+        levels = np.array([level for level, _ in _univariate_indices(self.level)], dtype=np.int8)
+        resolution = levels
+        for _ in range(self.d - 1):
+            resolution = np.maximum.outer(resolution, levels)
+        return resolution.ravel()
+
+    @cached_property
     def order(self) -> np.ndarray:
         """Flat positions, in the (N,)*d tensor layout, of the members in basis order.
 
@@ -183,13 +195,20 @@ class HaarTensorBasis:
         lexicographic order of the index tuples, so a stable sort on
         resolution gives the coarse-to-fine basis order.
         """
-        levels = np.array([level for level, _ in _univariate_indices(self.level)], dtype=np.int8)
-        resolution = levels
-        for _ in range(self.d - 1):
-            resolution = np.maximum.outer(resolution, levels)
-        order = np.argsort(resolution.ravel(), kind="stable")
+        order = np.argsort(self._resolution, kind="stable")
         order.setflags(write=False)
         return order
+
+    @cached_property
+    def groups(self) -> np.ndarray:
+        """Resolution group max(resolution, 0) of each member, in basis order.
+
+        Nondecreasing with values 0 .. J: the all-scaling member shares
+        group 0 with the level-0 members.
+        """
+        groups = np.maximum(self._resolution[self.order], 0).astype(np.intp)
+        groups.setflags(write=False)
+        return groups
 
     @cached_property
     def indices(self) -> tuple[WaveletIndex, ...]:
@@ -284,29 +303,31 @@ def haar_tensor_basis(d: int, J: int) -> HaarTensorBasis:
 class WaveletPrior:
     """Gaussian wavelet series prior: independent N(0, lambda_gamma) weights.
 
-    ``lambdas`` maps retained indices to strictly positive variances; basis
-    members outside the map receive prior mass at zero exactly.
+    ``variances`` holds lambda_gamma for every basis member in basis order;
+    a member with variance 0 is not retained and gets prior mass at zero
+    exactly.
     """
 
     basis: HaarTensorBasis
-    lambdas: dict
+    variances: np.ndarray
 
     def __post_init__(self):
-        if not self.lambdas:
+        variances = np.array(self.variances, dtype=float)
+        if variances.shape != (self.basis.size,):
+            raise ContractError(
+                f"expected {self.basis.size} prior variances for {self.basis.basis_id}, "
+                f"got shape {variances.shape}"
+            )
+        if not np.all(np.isfinite(variances)) or np.any(variances < 0.0):
+            raise DomainError("prior variances must be finite and nonnegative")
+        if not np.any(variances > 0.0):
             raise DomainError("a wavelet prior needs at least one retained index")
-        members = set(self.basis.indices)
-        for index, lam in self.lambdas.items():
-            if index not in members:
-                raise ContractError(f"prior index {index} is not a member of {self.basis.basis_id}")
-            if not (lam > 0 and math.isfinite(lam)):
-                raise DomainError("prior variances must be positive and finite")
+        variances.setflags(write=False)
+        object.__setattr__(self, "variances", variances)
 
     def to_spectrum(self) -> Spectrum:
         """Eigenvalue vector in basis order, zero off the retained set."""
-        eigenvalues = np.array(
-            [self.lambdas.get(index, 0.0) for index in self.basis.indices]
-        )
-        return Spectrum(eigenvalues, self.basis.basis_id, tail_trace=None)
+        return Spectrum(self.variances, self.basis.basis_id)
 
 
 def wavelet_prior_preset(
@@ -314,18 +335,13 @@ def wavelet_prior_preset(
 ) -> WaveletPrior:
     """Smoothness-alpha prior: lambda_gamma = tau 2^{-l (2 alpha + d)}.
 
-    l is the index resolution, with the all-scaling index placed at l = 0.
+    l is the index's resolution group, with the all-scaling index placed at l = 0.
     """
     if not (tau > 0 and math.isfinite(tau)):
         raise DomainError("scale tau must be positive and finite")
     if alpha <= 0:
         raise DomainError("smoothness alpha must be positive")
-    exponent = 2.0 * alpha + basis.d
-    lambdas = {
-        index: tau * 2.0 ** (-max(index.resolution, 0) * exponent)
-        for index in basis.indices
-    }
-    return WaveletPrior(basis, lambdas)
+    return WaveletPrior(basis, tau * 2.0 ** (-basis.groups * (2.0 * alpha + basis.d)))
 
 
 def sample_wavelet_prior(prior: WaveletPrior, rng: np.random.Generator) -> TruthCoefficients:
@@ -335,10 +351,7 @@ def sample_wavelet_prior(prior: WaveletPrior, rng: np.random.Generator) -> Truth
     set), ready for risk evaluation in the matching sequence model.
     """
     xi = rng.standard_normal(prior.basis.size)
-    scales = np.array(
-        [math.sqrt(prior.lambdas[g]) if g in prior.lambdas else 0.0 for g in prior.basis.indices]
-    )
-    return TruthCoefficients(scales * xi, prior.basis.basis_id)
+    return TruthCoefficients(np.sqrt(prior.variances) * xi, prior.basis.basis_id)
 
 
 def single_function_risk_bound(coefficients, n: float) -> float:
@@ -391,10 +404,9 @@ def level_profile_risk_infimum(coefficients, basis: HaarTensorBasis, n: float) -
         theta = np.asarray(coefficients, dtype=float)
     if theta.shape != (basis.size,):
         raise ContractError(f"expected {basis.size} coefficients, got {theta.shape}")
-    groups = np.array([max(index.resolution, 0) for index in basis.indices])
     total = 0.0
-    for level in np.unique(groups):
-        members = groups == level
+    for level in range(basis.level + 1):
+        members = basis.groups == level
         energy = float(np.sum(theta[members] ** 2))
         size = float(np.count_nonzero(members))
         if energy > 0.0:

@@ -311,25 +311,6 @@ def test_coefficients_match_the_per_panel_oracle(d, k, J, K, members):
     assert deviation <= 1e-13 * math.sqrt(pyramid_norm_sq(d, k))
 
 
-def test_quadrature_fallback_for_a_basis_without_panels():
-    class TwoPolyBasis:
-        d = 1
-        basis_id = "poly1d_2"
-        size = 2
-        indices = (0, 1)
-
-        def evaluate(self, index, pts):
-            x = np.asarray(pts)[:, 0]
-            if index == 0:
-                return np.ones_like(x)
-            return math.sqrt(3.0) * (2.0 * x - 1.0)
-
-    family = build_pyramid_family(1, 1)
-    coeffs = compute_coefficients(family, TwoPolyBasis(), 2)
-    assert coeffs.entries[0, 0] == pytest.approx(0.25, abs=1e-9)
-    assert coeffs.entries[0, 1] == pytest.approx(0.0, abs=1e-9)
-
-
 def test_coefficient_contract_errors():
     family = build_pyramid_family(1, 2)
     basis = haar_tensor_basis(1, 2)

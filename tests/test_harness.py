@@ -755,7 +755,7 @@ def test_run_wavelet_study_reproduces_its_own_decomposition():
     assert tail > 0.0  # the piecewise-linear ridge is not in the Haar span
     truth = TruthCoefficients(theta, basis.basis_id)
     full = wavelet_prior_preset(basis, tau=2.0, alpha=1.5).to_spectrum()
-    spectrum = Spectrum(full.eigenvalues[: basis.size], full.basis_id, tail_trace=None)
+    spectrum = Spectrum(full.eigenvalues[: basis.size], full.basis_id)
 
     assert report.fits["sawtooth_level"] == 2
     assert report.fits["sawtooth_norm_sq"] == pytest.approx(surrogate.norm_sq(), rel=1e-15)
@@ -959,15 +959,33 @@ print("ok")
 
 
 def test_default_cli_calls_run_without_scipy_and_import_nothing_mid_study():
-    # SciPy is loaded only by Imhof's inversion and polynomial_spectrum,
-    # which no default call reaches; every module a study uses is loaded
-    # with the CLI, so start-up holds all of the import time.
+    # SciPy is loaded only by Imhof's inversion, which no default call
+    # reaches; every module a study uses is loaded with the CLI, so
+    # start-up holds all of the import time.
     src = str(Path(gplb.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_CALLS, src], capture_output=True, text=True, timeout=300
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["ok"]
+
+
+def test_studies_describe_the_basis_without_index_objects(monkeypatch):
+    # The risk, rates, contraction and wavelet studies use the basis's
+    # integer order and groups only; building a WaveletIndex fails here.
+    def refuse(self):
+        raise AssertionError("a study built a WaveletIndex")
+
+    monkeypatch.setattr("gplb.wavelet.WaveletIndex.__post_init__", refuse)
+    with pytest.raises(AssertionError):
+        haar_tensor_basis(1, 0).indices
+    for runner, mode in (
+        (run_risk_study, "risk"),
+        (run_rate_study, "rates"),
+        (run_contraction_study, "contraction"),
+        (run_wavelet_study, "wavelet"),
+    ):
+        assert runner(load_config(None, {"mode": mode}, env={})).rows
 
 
 def test_cli_environment_overrides_and_flag_precedence(tmp_path, capsys, monkeypatch):

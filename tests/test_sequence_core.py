@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import special, stats
+from scipy import stats
 from scipy.optimize import minimize_scalar
 
 from gplb.adversarial import build_pyramid_family, compute_coefficients, tk_matched_spectrum
@@ -447,19 +447,43 @@ def test_contraction_mass_on_spectra_spanning_the_float_range_raises_no_warning(
     # 1e100 of its standard deviation and its variances across 300 decades.
     n, K = 100.0, 61
     spectrum = Spectrum(10.0 ** np.linspace(-300.0, 300.0, K), BASIS)
-    # radius^2 = factor * exact risk; at theta scale 1e3 the factor 1 is left
-    # out: Imhof's inversion cannot reach its tolerance on that form
+    # radius^2 = factor * exact risk
     factors = (1e-6, 0.25, 0.9, 1.0, 1.1, 4.0, 1e6)
-    cases = {1e-3: factors, 1.0: factors, 1e3: tuple(f for f in factors if f != 1.0)}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for scale, scale_factors in cases.items():
+        for scale in (1e-3, 1.0, 1e3):
             theta = truth_of(*(scale * np.cos(np.arange(K))))
             risk = exact_risk(spectrum, theta, n)
-            masses = [contraction_mass(spectrum, theta, n, math.sqrt(f * risk)) for f in scale_factors]
+            masses = [contraction_mass(spectrum, theta, n, math.sqrt(f * risk)) for f in factors]
             assert masses[0] == 1.0 and masses[-1] == 0.0
             assert all(0.0 <= a <= 1.0 for a in masses)
             assert all(far <= near + 2.0 * MASS_TOLERANCE for near, far in zip(masses, masses[1:]))
+
+
+def test_contraction_mass_where_the_mean_is_far_above_the_standard_deviation():
+    # At theta scale 1e3 the bias energy sum b_k^2 is about 3e7 standard
+    # deviations of the form and radius^2 = exact risk sits within one of
+    # the mean, so x and sum b_k^2 cancel in Imhof's phase.  Oracle: Monte
+    # Carlo of the form itself, with the cancellation done exactly, as
+    # sum_k (2 b_k s_k g_k + s_k^2 g_k^2) >= x - sum_k b_k^2.
+    n, K = 100.0, 61
+    spectrum = Spectrum(10.0 ** np.linspace(-300.0, 300.0, K), BASIS)
+    theta = truth_of(*(1e3 * np.cos(np.arange(K))))
+    risk = exact_risk(spectrum, theta, n)
+    mass = contraction_mass(spectrum, theta, n, math.sqrt(risk))
+    b, v = error_law(spectrum, theta, n)
+    s = np.sqrt(v)
+    gap = math.fsum(np.append(-b * b, risk))
+    rng = np.random.default_rng(2024)
+    hits = draws = 0
+    for _ in range(20):
+        g = rng.standard_normal((50_000, K))
+        hits += int(np.count_nonzero(((2.0 * b + s * g) * s * g).sum(axis=1) >= gap))
+        draws += g.shape[0]
+    freq = hits / draws
+    stderr = math.sqrt(freq * (1.0 - freq) / draws)
+    assert 0.1 < freq < 0.9
+    assert abs(mass - freq) <= 3.0 * stderr
 
 
 def bounded_brent_log_bound(b_sq, v, x, mean):
@@ -550,24 +574,20 @@ def test_streaming_moments_invariant_to_chunking(values, pieces):
 # Spectrum presets
 # ---------------------------------------------------------------------------
 
-def test_polynomial_spectrum_values_and_zeta_tail():
+def test_polynomial_spectrum_values():
     spec = polynomial_spectrum(4, basis_id=BASIS, tau=2.0, alpha=1.0, d=1)
     p = 3.0
     assert np.allclose(spec.eigenvalues, 2.0 * np.arange(1, 5, dtype=float) ** -p)
-    assert spec.tail_trace == pytest.approx(2.0 * special.zeta(p, 5), rel=1e-12)
 
 
 def test_exponential_spectrum_geometric_tail():
     spec = exponential_spectrum(3, basis_id=BASIS, tau=1.5, beta=0.7)
     assert np.allclose(spec.eigenvalues, 1.5 * np.exp(-0.7 * np.arange(1, 4)))
-    expected_tail = 1.5 * sum(math.exp(-0.7 * k) for k in range(4, 200))
-    assert spec.tail_trace == pytest.approx(expected_tail, rel=1e-10)
 
 
 def test_flat_spectrum_has_no_tail_closed_form():
     spec = flat_spectrum(5, basis_id=BASIS, tau=0.3)
     assert np.allclose(spec.eigenvalues, 0.3)
-    assert spec.tail_trace is None
 
 
 def test_preset_validation():

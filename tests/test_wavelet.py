@@ -142,6 +142,14 @@ def test_integer_order_equals_the_sorted_index_order(d, J):
     assert basis.size == len(expected)
 
 
+@pytest.mark.parametrize("d,J", [(d, J) for d in (1, 2, 3) for J in (0, 1, 2, 3)])
+def test_integer_groups_equal_the_index_resolutions(d, J):
+    basis = haar_tensor_basis(d, J)
+    assert basis.groups.dtype == np.intp
+    assert basis.groups.tolist() == [max(g.resolution, 0) for g in basis.indices]
+    assert not basis.groups.flags.writeable
+
+
 def test_lazy_indices_equal_the_eager_tuple():
     basis = haar_tensor_basis(2, 3)
     assert "indices" not in vars(basis)
@@ -237,17 +245,17 @@ def test_preset_prior_variances_decay_dyadically():
     basis = haar_tensor_basis(1, 3)
     prior = wavelet_prior_preset(basis, tau=2.0, alpha=1.0)
     exponent = 2.0 * 1.0 + 1  # 2 alpha + d
-    for index in basis.indices:
+    assert prior.variances.shape == (basis.size,)
+    for variance, index in zip(prior.variances, basis.indices):
         expected = 2.0 * 2.0 ** (-max(index.resolution, 0) * exponent)
-        assert prior.lambdas[index] == pytest.approx(expected, rel=1e-15)
+        assert variance == pytest.approx(expected, rel=1e-15)
     # scaling and level-0 indices share the same variance
-    assert prior.lambdas[basis.indices[0]] == prior.lambdas[basis.indices[1]]
+    assert prior.variances[0] == prior.variances[1]
 
 
 def test_prior_spectrum_places_zeros_off_the_retained_set():
     basis = haar_tensor_basis(1, 1)
-    retained = {basis.indices[0]: 0.5, basis.indices[2]: 0.25}
-    spectrum = WaveletPrior(basis, retained).to_spectrum()
+    spectrum = WaveletPrior(basis, [0.5, 0.0, 0.25, 0.0]).to_spectrum()
     assert spectrum.basis_id == basis.basis_id
     assert np.allclose(spectrum.eigenvalues, [0.5, 0.0, 0.25, 0.0])
 
@@ -255,11 +263,15 @@ def test_prior_spectrum_places_zeros_off_the_retained_set():
 def test_prior_validates_membership_and_positivity():
     basis = haar_tensor_basis(1, 0)
     with pytest.raises(DomainError):
-        WaveletPrior(basis, {})
+        WaveletPrior(basis, [0.0, 0.0])
     with pytest.raises(ContractError):
-        WaveletPrior(basis, {WaveletIndex(((3, 0),)): 1.0})
+        WaveletPrior(basis, [1.0, 1.0, 1.0])
+    with pytest.raises(ContractError):
+        WaveletPrior(basis, [[1.0, 1.0]])
     with pytest.raises(DomainError):
-        WaveletPrior(basis, {basis.indices[0]: 0.0})
+        WaveletPrior(basis, [1.0, -0.5])
+    with pytest.raises(DomainError):
+        WaveletPrior(basis, [1.0, math.inf])
 
 
 def test_sample_wavelet_prior_is_deterministic_and_scales_correctly():
@@ -276,8 +288,12 @@ def test_sample_wavelet_prior_is_deterministic_and_scales_correctly():
             for rng in [np.random.default_rng(s) for s in range(10_000)]
         ]
     )
-    lambdas = np.array([prior.lambdas[g] for g in basis.indices])
-    assert np.all(np.abs(draws.var(axis=0) / lambdas - 1.0) < 0.05)
+    assert np.all(np.abs(draws.var(axis=0) / prior.variances - 1.0) < 0.05)
+
+    partial = WaveletPrior(haar_tensor_basis(1, 1), [0.5, 0.0, 0.25, 0.0])
+    theta = sample_wavelet_prior(partial, np.random.default_rng(4)).theta
+    assert theta[1] == theta[3] == 0.0
+    assert theta[0] != 0.0 and theta[2] != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -305,10 +321,7 @@ def test_half_risk_floor_holds_for_every_prior_and_truth():
     for _ in range(200):
         tau = 10.0 ** rng.uniform(-3, 3)
         decay = rng.uniform(0.0, 3.0)
-        lambdas = {
-            g: tau * 2.0 ** (-max(g.resolution, 0) * decay) for g in basis.indices
-        }
-        spectrum = WaveletPrior(basis, lambdas).to_spectrum()
+        spectrum = WaveletPrior(basis, tau * 2.0 ** (-basis.groups * decay)).to_spectrum()
         truth = TruthCoefficients(
             rng.standard_normal(basis.size) * rng.uniform(0.001, 0.5), basis.basis_id
         )
