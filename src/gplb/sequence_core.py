@@ -13,8 +13,13 @@ frequentist squared risk
 
     E_theta || fbar_n - theta ||^2 = sum_k (a_k - 1)^2 theta_k^2 + a_k^2 / n,
 
-which this module evaluates in closed form and by Monte Carlo.  All
-randomness flows through numpy Generators supplied by the caller, so every
+which this module evaluates in closed form and by Monte Carlo.  The Monte
+Carlo risk draws each group G of coordinates sharing a scale s = a_k / sqrt(n)
+at once, as the scaled noncentral chi-square s^2 chi'^2_|G|(sum_G b_k^2 / s^2)
+with b_k = -(1 - a_k) theta_k: one normal per distinct eigenvalue and
+replication, plus a gamma for a group of more than one.  All randomness
+flows through numpy Generators supplied by the caller (the Monte Carlo
+risk spawns one child for its normals and one for its gammas), so every
 randomized operation is a pure function of (inputs, seed).
 """
 
@@ -266,21 +271,47 @@ def mc_risk(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the posterior-mean squared risk.
 
-    Returns (estimate, standard error).  Each replication draws a fresh
-    observation and evaluates ||posterior mean - theta||^2; the exact
-    counterpart is :func:`exact_risk`.
+    Returns (estimate, standard error).  Each replication draws
+    ||posterior mean - theta||^2 for a fresh observation; the exact
+    counterpart is :func:`exact_risk`.  The error is fbar - theta = b + s w
+    with w ~ N(0, I) (see ``_error_law``), and coordinates are drawn per
+    group G of equal scale s > 0, not one by one:
+    sum_{k in G} (b_k + s w_k)^2 has the law of
+    (s Z + ||b_G||)^2 + 2 s^2 Gamma((|G| - 1) / 2), a scaled noncentral
+    chi-square, with the Gamma term drawn only when |G| > 1.  Coordinates
+    with s = 0 add sum b_k^2 exactly.  So a replication draws one normal
+    per distinct scale; a spectrum with distinct eigenvalues draws K.
+    The normals and the gammas come from two generators spawned from
+    ``rng``, each filled in replication order, so the estimate does not
+    depend on how the replications are chunked.
     """
     if replications < 2:
         raise DomainError("mc_risk needs at least 2 replications")
     base, scale, _ = _error_law(spectrum, theta, n, "mc_risk")
+    order = np.argsort(scale, kind="stable")
+    scale = scale[order]
+    starts = np.flatnonzero(np.diff(scale, prepend=-1.0))
+    sizes = np.diff(starts, append=scale.size)
+    scale = scale[starts]
+    norm_sq = np.add.reduceat(base[order] ** 2, starts)
+    exact =float(np.sum(norm_sq[scale == 0.0]))
+    live = scale > 0.0
+    scale, norm, sizes = scale[live], np.sqrt(norm_sq[live]), sizes[live]
+    shared = sizes > 1
+    shapes, gamma_weights = 0.5 * (sizes[shared] - 1), 2.0 * scale[shared] ** 2
+    normal_rng, gamma_rng = rng.spawn(2)
     moments = StreamingMoments()
-    chunk = max(1, min(replications, _MC_CHUNK_BUDGET // max(1, spectrum.size)))
+    chunk = max(1, min(replications, _MC_CHUNK_BUDGET // max(1, scale.size)))
     done = 0
     while done < replications:
         b = min(chunk, replications - done)
-        w = rng.standard_normal((b, spectrum.size))
-        errors = base[None, :] + scale[None, :] * w
-        moments.add(np.einsum("ij,ij->i", errors, errors))
+        errors = scale * normal_rng.standard_normal((b, scale.size)) + norm
+        spread = gamma_rng.standard_gamma(shapes, size=(b, shapes.size))
+        moments.add(
+            exact
+            + np.einsum("ij,ij->i", errors, errors)
+            + np.einsum("ij,j->i", spread, gamma_weights)
+        )
         done += b
     return moments.mean, moments.stderr
 
@@ -395,28 +426,45 @@ def _chernoff_log_bound(b_sq: np.ndarray, v: np.ndarray, x: float, mean: float) 
     only loosens the certificate.  The derivatives are sums in
     w_k = 1 / (1 - 2 t v_k), which lies in (0, 1] for t < 0 and below about
     1e16 short of the pole, so they do not overflow even when the
-    eigenvalues span the whole floating-point range.
+    eigenvalues span the whole floating-point range.  On the upper tail the
+    bracket grows and is bisected in log(1 - 2 t max v), so it closes in on
+    a minimum near the pole in a few steps; the iteration stops once a
+    Newton step no longer moves t.
     """
     # the bound falls away from t = 0 towards the smaller tail's side; work in u = |t|
     side = 1.0 if x > mean else -1.0
 
     def derivatives(u):
         """d/du and d^2/du^2 of the bound at t = side u, or None at or past the pole."""
-        s = 1.0 - 2.0 * side * u * v
-        if s.min() <= 0.0:
-            return None
-        w = 1.0 / s
-        bw = b_sq * w
-        a = v + bw
-        # slope sum_k (v_k + b_k w_k) w_k - x, curvature sum_k 2 v_k w_k^2 (v_k + 2 b_k w_k)
-        return side * (float(a @ w) - x), 2.0 * float((v * w * w) @ (a + bw))
+        moments = _chernoff_slopes(b_sq, v, x, side * u)
+        return None if moments is None else (side * moments[0], moments[1])
 
-    # double u until the slope turns (or u reaches the pole 1 / (2 max v))
-    pole = 0.5 / float(v.max()) if side > 0.0 else math.inf
-    lo, u = 0.0, 1.0
-    while u < pole and (moments := derivatives(u)) is not None and moments[0] < 0.0:
-        lo, u = u, 2.0 * u
-    hi = min(u, pole)
+    if side > 0.0:
+        # the pole sits at u = 1 / (2 max v); in s = 1 - 2 u max v, grow squares s
+        # and the midpoint is the geometric mean, floored where u can still resolve it
+        v_max = float(v.max())
+
+        def grow(u):
+            return (1.0 - (1.0 - 2.0 * u * v_max) ** 2) / (2.0 * v_max)
+
+        def middle(lo, hi):
+            s_lo, s_hi = (max(1.0 - 2.0 * u * v_max, 2.0**-53) for u in (lo, hi))
+            return (1.0 - math.sqrt(s_lo * s_hi)) / (2.0 * v_max)
+
+        u = 0.25 / v_max
+    else:
+        def grow(u):
+            return 2.0 * u
+
+        def middle(lo, hi):
+            return 0.5 * (lo + hi)
+
+        u = 1.0
+    # grow u until the slope turns (or u reaches the pole)
+    lo = 0.0
+    while (moments := derivatives(u)) is not None and moments[0] < 0.0:
+        lo, u = u, grow(u)
+    hi = u
     # safeguarded Newton from the bracket's lower end: a step that would leave
     # the bracket [lo, hi] around the minimum is replaced by bisection
     u, (slope, curvature) = lo, derivatives(lo)
@@ -427,10 +475,15 @@ def _chernoff_log_bound(b_sq: np.ndarray, v: np.ndarray, x: float, mean: float) 
             hi = u
         else:
             break
-        step = u - slope / curvature if abs(slope) < curvature * (hi - lo) else lo
+        if abs(slope) < curvature * (hi - lo):
+            step = u - slope / curvature
+            if abs(step - u) <= 1e-15 * u:
+                break
+        else:
+            step = lo
         if not lo < step < hi:
-            step = 0.5 * (lo + hi)
-        if not lo < step < hi or abs(step - u) <= 1e-15 * u:
+            step = middle(lo, hi)
+        if not lo < step < hi:
             break
         if (moments := derivatives(step)) is None:
             hi = step
@@ -439,6 +492,18 @@ def _chernoff_log_bound(b_sq: np.ndarray, v: np.ndarray, x: float, mean: float) 
     t = side * u
     s = 1.0 - 2.0 * t * v
     return float(np.sum(b_sq * (t / s) - 0.5 * np.log(s))) - t * x
+
+
+def _chernoff_slopes(b_sq: np.ndarray, v: np.ndarray, x: float, t: float):
+    """d/dt and d^2/dt^2 of the log Chernoff bound at t, or None at or past the pole."""
+    s = 1.0 - 2.0 * t * v
+    if s.min() <= 0.0:
+        return None
+    w = 1.0 / s
+    bw = b_sq * w
+    a = v + bw
+    # slope sum_k (v_k + b_k w_k) w_k - x, curvature sum_k 2 v_k w_k^2 (v_k + 2 b_k w_k)
+    return float(a @ w) - x, 2.0 * float((v * w * w) @ (a + bw))
 
 
 def _minus_cos(phase: float) -> float:

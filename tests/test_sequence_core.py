@@ -289,6 +289,87 @@ def test_mc_risk_estimate_independent_of_chunking(monkeypatch):
     assert whole[1] == pytest.approx(chunked[1], rel=1e-9)
 
 
+def test_mc_risk_with_mixed_groups_is_independent_of_chunking(monkeypatch):
+    # singletons, groups of 2, 5 and 9 and zero eigenvalues: with 7 rows per
+    # chunk both the normal and the gamma stream cross chunk boundaries
+    import gplb.sequence_core as core
+
+    spectrum = mixed_group_spectrum()
+    theta = TruthCoefficients(np.cos(np.arange(spectrum.size)), BASIS)
+    groups = np.unique(spectrum.eigenvalues[spectrum.eigenvalues > 0.0]).size
+    whole = mc_risk(spectrum, theta, 40.0, 500, np.random.default_rng(8))
+    monkeypatch.setattr(core, "_MC_CHUNK_BUDGET", groups * 7)
+    chunked = mc_risk(spectrum, theta, 40.0, 500, np.random.default_rng(8))
+    assert whole[0] == pytest.approx(chunked[0], rel=1e-12)
+    assert whole[1] == pytest.approx(chunked[1], rel=1e-9)
+
+
+def mixed_group_spectrum():
+    """Eigenvalues with singletons, groups of 2, 5 and 9, and four zeros, shuffled."""
+    lams = np.concatenate(
+        [[0.9, 0.05, 0.002], [0.3] * 2, [0.04] * 5, [0.01] * 9, [0.0] * 4]
+    )
+    return Spectrum(np.random.default_rng(0).permutation(lams), BASIS)
+
+
+def per_coordinate_mc_risk(spectrum, theta, n, replications, rng):
+    """Oracle: fbar - theta = -(1 - a) theta + (a / sqrt(n)) w, one normal per coordinate."""
+    lam = spectrum.eigenvalues
+    a = n * lam / (n * lam + 1.0)
+    errors = -(1.0 - a) * theta.theta + a / math.sqrt(n) * rng.standard_normal(
+        (replications, spectrum.size)
+    )
+    risks = np.einsum("ij,ij->i", errors, errors)
+    return float(risks.mean()), float(risks.std(ddof=1) / math.sqrt(replications))
+
+
+def _oracle_case(name):
+    rng = np.random.default_rng(sum(map(ord, name)))
+    if name == "singletons":
+        spectrum = polynomial_spectrum(60, basis_id=BASIS, alpha=1.5)
+        theta = rng.normal(0.0, 0.3, 60)
+    elif name == "one large group":
+        spectrum = flat_spectrum(60, basis_id=BASIS, tau=0.02)
+        theta = rng.normal(0.0, 0.3, 60)
+    elif name == "30% zero eigenvalues":
+        lams = 10.0 ** rng.uniform(-4.0, 0.0, 60)
+        lams[rng.permutation(60)[:18]] = 0.0
+        spectrum, theta = Spectrum(lams, BASIS), rng.normal(0.0, 0.3, 60)
+    elif name == "group with zero truth":
+        lams = np.concatenate([np.full(20, 0.05), 10.0 ** rng.uniform(-4.0, 0.0, 10)])
+        theta = np.concatenate([np.zeros(20), rng.normal(0.0, 0.3, 10)])
+        spectrum = Spectrum(lams, BASIS)
+    else:  # mixed
+        spectrum = mixed_group_spectrum()
+        theta = rng.normal(0.0, 0.3, spectrum.size)
+        theta[spectrum.eigenvalues == 0.04] = 0.0  # the group of 5 has lambda_G = 0
+    return spectrum, TruthCoefficients(theta, BASIS)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["singletons", "one large group", "30% zero eigenvalues", "group with zero truth", "mixed"],
+)
+def test_grouped_mc_risk_matches_the_per_coordinate_oracle(name):
+    spectrum, theta = _oracle_case(name)
+    n, replications = 200.0, 40_000
+    grouped, grouped_se = mc_risk(spectrum, theta, n, replications, np.random.default_rng(1))
+    oracle, oracle_se = per_coordinate_mc_risk(
+        spectrum, theta, n, replications, np.random.default_rng(2)
+    )
+    assert abs(grouped - oracle) <= 4.0 * math.hypot(grouped_se, oracle_se)
+    assert abs(grouped - exact_risk(spectrum, theta, n)) <= 4.0 * grouped_se
+    # Var ||fbar - theta||^2 = sum_k 2 s_k^4 + 4 b_k^2 s_k^2.  Every term is a
+    # scaled noncentral chi-square with one degree of freedom, whose excess
+    # kurtosis is at most 12, so the sample variance has a relative standard
+    # error of at most sqrt(14 / replications) = 1.9%; 10% is over 5 of those.
+    lam = spectrum.eigenvalues
+    a = n * lam / (n * lam + 1.0)
+    b, s = (1.0 - a) * theta.theta, a / math.sqrt(n)
+    variance = float(np.sum(2.0 * s**4 + 4.0 * b**2 * s**2))
+    assert grouped_se**2 * replications == pytest.approx(variance, rel=0.10)
+
+
 def test_mc_risk_rejects_fewer_than_two_replications():
     with pytest.raises(DomainError):
         mc_risk(spectrum_of(1.0), truth_of(0.0), 10.0, 1, np.random.default_rng(0))
@@ -505,13 +586,12 @@ def bounded_brent_log_bound(b_sq, v, x, mean):
     return float(minimize_scalar(log_bound, bounds=bounds, method="bounded").fun)
 
 
-def test_chernoff_bound_is_never_looser_than_bounded_brent():
-    # Random forms at x = mean + z sd, |z| <= 12, in the units of
-    # _quadratic_form_tail (scaled by the mean, then by the standard deviation).
-    rng = np.random.default_rng(67)
-    saturated = math.log(1e-12)
-    forms = near = 0
-    while forms < 2000:
+def random_chernoff_forms(count, seed):
+    """Random forms at x = mean + z sd, |z| <= 12, as (b_sq, v, x, mean) in the
+    units of _quadratic_form_tail (scaled by the mean, then by the standard deviation)."""
+    rng = np.random.default_rng(seed)
+    forms = 0
+    while forms < count:
         K = int(rng.integers(1, 40))
         v = np.exp(rng.normal(0.0, 2.0, K))
         b_sq = np.exp(rng.normal(0.0, 3.0, K)) * (rng.random(K) < 0.7)
@@ -522,12 +602,42 @@ def test_chernoff_bound_is_never_looser_than_bounded_brent():
         forms += 1
         b_sq, v, x = b_sq / mean, v / mean, x / mean
         sd = math.sqrt(float(np.sum(2.0 * v * v + 4.0 * b_sq * v)))
-        args = (b_sq / sd, v / sd, x / sd, 1.0 / sd)
+        yield b_sq / sd, v / sd, x / sd, 1.0 / sd
+
+
+def test_chernoff_bound_is_never_looser_than_bounded_brent():
+    saturated = math.log(1e-12)
+    near = 0
+    for args in random_chernoff_forms(2000, seed=67):
         newton, brent = _chernoff_log_bound(*args), bounded_brent_log_bound(*args)
         assert newton <= brent + 1e-9
         assert (newton <= saturated) == (brent <= saturated)
         near += abs(brent - saturated) < 5.0
     assert near >= 40  # the saturation decision is exercised near its threshold
+
+
+def test_chernoff_minimiser_needs_at_most_25_derivative_evaluations(monkeypatch):
+    # Upper-tail forms whose minimum sits just short of the pole 1 / (2 max v)
+    # are among these; a minimiser that keeps bisecting after Newton has
+    # converged took up to 61 evaluations on them.
+    import gplb.sequence_core as core
+
+    calls = []
+    slopes = core._chernoff_slopes
+
+    def counted(*args):
+        calls.append(args[-1])
+        return slopes(*args)
+
+    monkeypatch.setattr(core, "_chernoff_slopes", counted)
+    worst = upper = 0
+    for args in random_chernoff_forms(2000, seed=67):
+        calls.clear()
+        _chernoff_log_bound(*args)
+        worst = max(worst, len(calls))
+        upper += args[2] > args[3]
+    assert upper >= 500
+    assert worst <= 25
 
 
 def test_contraction_mass_validates_inputs():
