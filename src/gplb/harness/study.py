@@ -203,8 +203,9 @@ def _spectrum_for(config: ExperimentConfig, coeffs):
     return spectrum, spectrum_id
 
 
-# Largest coefficient-engine working set (coefficient_work_bytes) that a
-# study may plan; larger grid points are refused before any work.
+# Largest coefficient-engine working set (coefficient_work_bytes), and
+# largest minimax search grid, that a study may plan; larger ones are
+# refused before any work.
 MAX_COEFFICIENT_BYTES = 2**30
 
 
@@ -379,23 +380,33 @@ def run_minimax_battery(config: ExperimentConfig) -> RiskReport:
 
     exact_risk holds the closed form m sigma^2/(1+m sigma^2) and mc_risk
     the scalar grid-search value; their largest gap lands in the fits.
+    One ``brute_force_minimax`` call scans the grid for every pair at
+    once.  A grid whose array would exceed MAX_COEFFICIENT_BYTES is
+    refused before anything is allocated.
     """
+    grid_bytes = 8 * config.grid_size
+    if grid_bytes > MAX_COEFFICIENT_BYTES:
+        raise ConfigError(
+            f"grid_size = {config.grid_size} needs {grid_bytes} bytes for the grid, over "
+            f"the limit of {MAX_COEFFICIENT_BYTES} bytes; lower grid_size"
+        )
+    pairs = [(m, sigma) for m in config.m_values for sigma in config.sigma_values]
+    ms, sigmas = zip(*pairs)
+    searched = brute_force_minimax(ms, sigmas, config.grid_size)
     rows = []
     worst_gap = 0.0
-    for m in config.m_values:
-        for sigma in config.sigma_values:
-            closed = linear_minimax_risk(m, sigma).risk
-            searched = brute_force_minimax(m, sigma, config.grid_size)
-            worst_gap = max(worst_gap, abs(closed - searched))
-            rows.append(
-                RiskRow(
-                    m=m,
-                    spectrum_id=f"one_sparse:sigma={sigma:g}",
-                    exact_risk=closed,
-                    mc_risk=searched,
-                    seed=config.seed,
-                )
+    for (m, sigma), grid_min in zip(pairs, searched.tolist()):
+        closed = linear_minimax_risk(m, sigma).risk
+        worst_gap = max(worst_gap, abs(closed - grid_min))
+        rows.append(
+            RiskRow(
+                m=m,
+                spectrum_id=f"one_sparse:sigma={sigma:g}",
+                exact_risk=closed,
+                mc_risk=grid_min,
+                seed=config.seed,
             )
+        )
     fits = {"grid_size": config.grid_size, "max_abs_gap": worst_gap}
     return RiskReport(rows=rows, config_items=resolved_items(config), fits=fits)
 

@@ -71,6 +71,7 @@ from gplb.wavelet import (
     single_function_risk_bound,
     wavelet_prior_preset,
 )
+from test_sparse_linear import per_pair_grid_minimum
 
 
 @pytest.fixture(autouse=True)
@@ -735,6 +736,31 @@ def test_run_minimax_battery_matches_closed_form():
     assert report.fits["max_abs_gap"] == pytest.approx(worst, abs=1e-18)
 
 
+def test_minimax_battery_matches_the_per_pair_oracle_row_for_row():
+    config = ExperimentConfig(mode="minimax", m_values=tuple(range(1, 65)), grid_size=100003)
+    report = run_minimax_battery(config)
+    pairs = [(m, sigma) for m in config.m_values for sigma in config.sigma_values]
+    assert len(report.rows) == len(pairs) == 256
+    for row, (m, sigma) in zip(report.rows, pairs):
+        assert row.m == m and row.spectrum_id == f"one_sparse:sigma={sigma:g}"
+        assert row.mc_risk == per_pair_grid_minimum(m, sigma, config.grid_size)
+
+
+def test_minimax_grid_over_the_byte_limit_fails_before_allocating(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Allocated
+
+    monkeypatch.setattr(np, "linspace", refuse)
+    largest = study.MAX_COEFFICIENT_BYTES // 8
+    with pytest.raises(Allocated):  # the largest allowed grid passes the check
+        run_minimax_battery(ExperimentConfig(mode="minimax", grid_size=largest))
+    with pytest.raises(ConfigError, match=f"grid_size = {largest + 1} "):
+        run_minimax_battery(ExperimentConfig(mode="minimax", grid_size=largest + 1))
+
+
 def test_run_wavelet_study_reproduces_its_own_decomposition():
     config = ExperimentConfig(
         mode="wavelet",
@@ -934,6 +960,24 @@ def test_cli_exit_code_two_on_config_errors(tmp_path, capsys):
     )
     assert main(["risk", "--config", infeasible]) == 2
     assert "cannot resolve" in capsys.readouterr().err
+
+
+def test_cli_minimax_reports_risk_one_when_m_sigma_sq_overflows(tmp_path):
+    path = write_ini(
+        tmp_path, "[minimax]\nm_values = 1, 64\nsigma_values = 1e200, 0.5\ngrid_size = 101\n"
+    )
+    out = tmp_path / "overflow.json"
+    assert main(["minimax", "--config", path, "--out", str(out), "--format", "json"]) == 0
+    rows = json.loads(out.read_text(encoding="utf-8"))["rows"]
+    overflowing = [(row["m"], row["exact_risk"], row["mc_risk"]) for row in rows[::2]]
+    assert overflowing == [(1, 1.0, 1.0), (64, 1.0, 1.0)]
+    assert all(row["exact_risk"] <= row["mc_risk"] < 1.0 for row in rows[1::2])
+
+
+def test_cli_refuses_a_minimax_grid_over_the_byte_limit(tmp_path, capsys):
+    path = write_ini(tmp_path, "[minimax]\ngrid_size = 1000000000\n")
+    assert main(["minimax", "--config", path]) == 2
+    assert "grid_size = 1000000000 needs 8000000000 bytes" in capsys.readouterr().err
 
 
 SCIPY_FREE_CALLS = """

@@ -21,6 +21,7 @@ from gplb.adversarial import (
 from gplb.errors import ContractError, DomainError
 from gplb.sequence_core import Spectrum
 from gplb.sparse_linear import (
+    SCAN_BLOCK,
     LinearEstimator,
     OneSparseModel,
     brute_force_minimax,
@@ -241,6 +242,71 @@ def test_brute_force_scalar_grid_oracle():
         brute_force_minimax(2, 1.0, 1)
     with pytest.raises(DomainError):
         brute_force_minimax(0, 1.0, 10)
+
+
+def per_pair_grid_minimum(m, sigma, grid_size):
+    """Oracle: one pair's risk over the whole grid at once, then its minimum."""
+    a = np.linspace(0.0, 1.0, grid_size)
+    risks = (a - 1.0) ** 2 + m * sigma**2 * a**2
+    return float(risks.min())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    grid_size=st.sampled_from([2, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 7]),
+    pairs=st.lists(
+        st.tuples(st.integers(min_value=1, max_value=64), st.floats(min_value=1e-3, max_value=1e3)),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_batched_scan_equals_the_per_pair_oracle(grid_size, pairs):
+    ms, sigmas = zip(*pairs)
+    minima = brute_force_minimax(ms, sigmas, grid_size)
+    assert minima.shape == (len(pairs),)
+    assert minima.tolist() == [per_pair_grid_minimum(m, s, grid_size) for m, s in pairs]
+    m, sigma = pairs[0]
+    scalar = brute_force_minimax(m, sigma, grid_size)
+    assert type(scalar) is float and scalar == minima[0]
+
+
+def test_batched_scan_reaches_the_grid_points_at_every_block_edge():
+    # a* = 1/(1 + m sigma^2) placed on grid point k makes k the grid
+    # minimizer, so a scan that skipped k would miss the oracle's minimum.
+    grid_size = 3 * SCAN_BLOCK + 7
+    block = SCAN_BLOCK
+    edges = [1, block - 1, block, block + 1, 2 * block, 3 * block, grid_size - 2]
+    ms = [3] * len(edges)
+    sigmas = [math.sqrt(((grid_size - 1) / k - 1.0) / 3) for k in edges]
+    grid = np.linspace(0.0, 1.0, grid_size)
+    for k, sigma in zip(edges, sigmas):
+        assert np.argmin((grid - 1.0) ** 2 + 3 * sigma**2 * grid**2) == k
+    minima = brute_force_minimax(ms, sigmas, grid_size)
+    assert minima.tolist() == [per_pair_grid_minimum(3, s, grid_size) for s in sigmas]
+
+
+def test_batched_scan_validates_every_pair():
+    with pytest.raises(DomainError):
+        brute_force_minimax([1, 2], [1.0], 10)
+    with pytest.raises(DomainError):
+        brute_force_minimax([[1]], [[1.0]], 10)
+    with pytest.raises(DomainError):
+        brute_force_minimax([1, 0], [1.0, 1.0], 10)
+    with pytest.raises(DomainError):
+        brute_force_minimax([1, 2], [1.0, math.inf], 10)
+    with pytest.raises(DomainError):
+        brute_force_minimax([1, 2], [1.0, 0.0], 10)
+
+
+@pytest.mark.parametrize("m,sigma", [(4, 1e200), (64, 1e154), (1, 1.7e308)])
+def test_overflowing_noise_load_gives_the_limit_risk_one(m, sigma):
+    # sigma^2 overflows a float at 1e200 and 1.7e308; at 1e154 it is finite
+    # but m sigma^2 is not.  Either way no a > 0 has finite risk and a = 0
+    # has risk exactly 1.
+    assert linear_minimax_risk(m, sigma) == (1.0, 0.0)
+    assert brute_force_minimax(m, sigma, 11) == 1.0
+    minima = brute_force_minimax([m, 2, m], [sigma, 0.5, sigma], 11)
+    assert minima.tolist() == [1.0, per_pair_grid_minimum(2, 0.5, 11), 1.0]
 
 
 def test_two_point_grid_picks_the_better_endpoint():
