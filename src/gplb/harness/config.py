@@ -20,7 +20,7 @@ A run is configured by an INI file with typed sections::
     ; level = 6             ; wavelet basis level (default: derived from the grid)
 
     [mc]
-    replications = 1000
+    replications = 1000     ; 2 to 2**53
 
     [minimax]
     m_values = 1, 2, 4, 8
@@ -119,6 +119,12 @@ class ExperimentConfig:
             raise ConfigError("level must be at least 0 when given")
         if self.replications < 2:
             raise ConfigError("replications must be at least 2")
+        if self.replications > 2**53:
+            # mc_risk forms the count in float64, which holds every integer up to 2**53
+            raise ConfigError(
+                f"replications = {self.replications} exceeds 2**53 = {2**53}, "
+                "beyond which the Monte Carlo gamma shape is no longer exact"
+            )
         m_values = tuple(int(v) for v in self.m_values)
         if not m_values or any(m < 1 for m in m_values):
             raise ConfigError("m_values must be a nonempty list of positive integers")

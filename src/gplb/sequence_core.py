@@ -14,13 +14,13 @@ frequentist squared risk
     E_theta || fbar_n - theta ||^2 = sum_k (a_k - 1)^2 theta_k^2 + a_k^2 / n,
 
 which this module evaluates in closed form and by Monte Carlo.  The Monte
-Carlo risk draws each group G of coordinates sharing a scale s = a_k / sqrt(n)
-at once, as the scaled noncentral chi-square s^2 chi'^2_|G|(sum_G b_k^2 / s^2)
-with b_k = -(1 - a_k) theta_k: one normal per distinct eigenvalue and
-replication, plus a gamma for a group of more than one.  All randomness
-flows through numpy Generators supplied by the caller (the Monte Carlo
-risk spawns one child for its normals and one for its gammas), so every
-randomized operation is a pure function of (inputs, seed).
+Carlo risk draws the mean over R replications directly: for each group G of
+coordinates sharing a scale s = a_k / sqrt(n), the sum over the replications
+is the scaled noncentral chi-square s^2 chi'^2_{R|G|}(R sum_G b_k^2 / s^2)
+with b_k = -(1 - a_k) theta_k, drawn as one normal and one gamma whatever R
+is.  All randomness flows through numpy Generators supplied by the caller
+(the Monte Carlo risk spawns one child for its normals and one for its
+gammas), so every randomized operation is a pure function of (inputs, seed).
 """
 
 from __future__ import annotations
@@ -271,19 +271,21 @@ def mc_risk(
 ) -> tuple[float, float]:
     """Monte Carlo estimate of the posterior-mean squared risk.
 
-    Returns (estimate, standard error).  Each replication draws
-    ||posterior mean - theta||^2 for a fresh observation; the exact
-    counterpart is :func:`exact_risk`.  The error is fbar - theta = b + s w
-    with w ~ N(0, I) (see ``_error_law``), and coordinates are drawn per
-    group G of equal scale s > 0, not one by one:
-    sum_{k in G} (b_k + s w_k)^2 has the law of
-    (s Z + ||b_G||)^2 + 2 s^2 Gamma((|G| - 1) / 2), a scaled noncentral
-    chi-square, with the Gamma term drawn only when |G| > 1.  Coordinates
-    with s = 0 add sum b_k^2 exactly.  So a replication draws one normal
-    per distinct scale; a spectrum with distinct eigenvalues draws K.
+    Returns (estimate, standard error).  The estimate is the mean of
+    ||posterior mean - theta||^2 over R = ``replications`` fresh
+    observations; the exact counterpart is :func:`exact_risk`.  The error is
+    fbar - theta = b + s w with w ~ N(0, I) (see ``_error_law``), and the R
+    replications of a group G of coordinates with equal scale s > 0 are
+    drawn at once: sum_r sum_{k in G} (b_k + s w_rk)^2 is
+    s^2 chi'^2_{R|G|}(R ||b_G||^2 / s^2), which has the law of
+    (s Z + sqrt(R) ||b_G||)^2 + 2 s^2 Gamma((R |G| - 1) / 2).  Coordinates
+    with s = 0 add sum b_k^2 exactly.  So the estimate has the law of the
+    replication mean, at the cost of one normal and one gamma per distinct
+    scale whatever R is, and the standard error is its exact standard
+    deviation, sqrt(sum_G (2 s^4 |G| + 4 s^2 ||b_G||^2) / R).  R enters as a
+    float64, so a huge integer R cannot overflow; it is exact up to 2^53.
     The normals and the gammas come from two generators spawned from
-    ``rng``, each filled in replication order, so the estimate does not
-    depend on how the replications are chunked.
+    ``rng``, so the caller's generator does not advance.
     """
     if replications < 2:
         raise DomainError("mc_risk needs at least 2 replications")
@@ -294,26 +296,16 @@ def mc_risk(
     sizes = np.diff(starts, append=scale.size)
     scale = scale[starts]
     norm_sq = np.add.reduceat(base[order] ** 2, starts)
-    exact =float(np.sum(norm_sq[scale == 0.0]))
+    exact = float(np.sum(norm_sq[scale == 0.0]))
     live = scale > 0.0
-    scale, norm, sizes = scale[live], np.sqrt(norm_sq[live]), sizes[live]
-    shared = sizes > 1
-    shapes, gamma_weights = 0.5 * (sizes[shared] - 1), 2.0 * scale[shared] ** 2
+    scale, norm_sq, sizes = scale[live], norm_sq[live], sizes[live]
+    var, reps = scale**2, float(replications)
     normal_rng, gamma_rng = rng.spawn(2)
-    moments = StreamingMoments()
-    chunk = max(1, min(replications, _MC_CHUNK_BUDGET // max(1, scale.size)))
-    done = 0
-    while done < replications:
-        b = min(chunk, replications - done)
-        errors = scale * normal_rng.standard_normal((b, scale.size)) + norm
-        spread = gamma_rng.standard_gamma(shapes, size=(b, shapes.size))
-        moments.add(
-            exact
-            + np.einsum("ij,ij->i", errors, errors)
-            + np.einsum("ij,j->i", spread, gamma_weights)
-        )
-        done += b
-    return moments.mean, moments.stderr
+    center = scale * normal_rng.standard_normal(scale.size) + math.sqrt(reps) * np.sqrt(norm_sq)
+    spread = gamma_rng.standard_gamma(0.5 * (reps * sizes - 1.0))
+    estimate = exact + float(np.sum(center**2 + 2.0 * var * spread)) / reps
+    stderr = math.sqrt(float(np.sum(2.0 * var**2 * sizes + 4.0 * var * norm_sq)) / reps)
+    return estimate, stderr
 
 
 def contraction_probability(

@@ -314,6 +314,12 @@ def test_config_validation_rejects(kwargs):
         ExperimentConfig(**kwargs)
 
 
+def test_config_refuses_replications_beyond_two_to_the_53():
+    assert ExperimentConfig(replications=2**53).replications == 2**53
+    with pytest.raises(ConfigError, match=f"replications = {2**53 + 1} exceeds"):
+        ExperimentConfig(replications=2**53 + 1)
+
+
 def test_resolved_items_excludes_execution_knobs_and_orders_fields():
     config = ExperimentConfig(seed=5, K=16, out="x.csv", format="json", threads=8)
     items = resolved_items(config)

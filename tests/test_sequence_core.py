@@ -277,33 +277,6 @@ def test_mc_risk_stderr_shrinks_like_root_replications():
     assert 0.6 < float(np.mean(ratios)) < 0.85
 
 
-def test_mc_risk_estimate_independent_of_chunking(monkeypatch):
-    import gplb.sequence_core as core
-
-    spectrum = flat_spectrum(64, basis_id=BASIS, tau=0.3)
-    theta = TruthCoefficients(np.linspace(-1, 1, 64), BASIS)
-    whole = mc_risk(spectrum, theta, 77.0, 500, np.random.default_rng(3))
-    monkeypatch.setattr(core, "_MC_CHUNK_BUDGET", 64 * 7)
-    chunked = mc_risk(spectrum, theta, 77.0, 500, np.random.default_rng(3))
-    assert whole[0] == pytest.approx(chunked[0], rel=1e-12)
-    assert whole[1] == pytest.approx(chunked[1], rel=1e-9)
-
-
-def test_mc_risk_with_mixed_groups_is_independent_of_chunking(monkeypatch):
-    # singletons, groups of 2, 5 and 9 and zero eigenvalues: with 7 rows per
-    # chunk both the normal and the gamma stream cross chunk boundaries
-    import gplb.sequence_core as core
-
-    spectrum = mixed_group_spectrum()
-    theta = TruthCoefficients(np.cos(np.arange(spectrum.size)), BASIS)
-    groups = np.unique(spectrum.eigenvalues[spectrum.eigenvalues > 0.0]).size
-    whole = mc_risk(spectrum, theta, 40.0, 500, np.random.default_rng(8))
-    monkeypatch.setattr(core, "_MC_CHUNK_BUDGET", groups * 7)
-    chunked = mc_risk(spectrum, theta, 40.0, 500, np.random.default_rng(8))
-    assert whole[0] == pytest.approx(chunked[0], rel=1e-12)
-    assert whole[1] == pytest.approx(chunked[1], rel=1e-9)
-
-
 def mixed_group_spectrum():
     """Eigenvalues with singletons, groups of 2, 5 and 9, and four zeros, shuffled."""
     lams = np.concatenate(
@@ -346,10 +319,10 @@ def _oracle_case(name):
     return spectrum, TruthCoefficients(theta, BASIS)
 
 
-@pytest.mark.parametrize(
-    "name",
-    ["singletons", "one large group", "30% zero eigenvalues", "group with zero truth", "mixed"],
-)
+ORACLE_CASES = ["singletons", "one large group", "30% zero eigenvalues", "group with zero truth", "mixed"]
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
 def test_grouped_mc_risk_matches_the_per_coordinate_oracle(name):
     spectrum, theta = _oracle_case(name)
     n, replications = 200.0, 40_000
@@ -359,15 +332,52 @@ def test_grouped_mc_risk_matches_the_per_coordinate_oracle(name):
     )
     assert abs(grouped - oracle) <= 4.0 * math.hypot(grouped_se, oracle_se)
     assert abs(grouped - exact_risk(spectrum, theta, n)) <= 4.0 * grouped_se
-    # Var ||fbar - theta||^2 = sum_k 2 s_k^4 + 4 b_k^2 s_k^2.  Every term is a
-    # scaled noncentral chi-square with one degree of freedom, whose excess
-    # kurtosis is at most 12, so the sample variance has a relative standard
-    # error of at most sqrt(14 / replications) = 1.9%; 10% is over 5 of those.
+
+
+@pytest.mark.parametrize("name", ORACLE_CASES)
+def test_mc_stderr_is_the_exact_standard_deviation_of_the_estimate(name):
+    spectrum, theta = _oracle_case(name)
+    n, replications = 200.0, 40_000
+    _, stderr = mc_risk(spectrum, theta, n, replications, np.random.default_rng(1))
     lam = spectrum.eigenvalues
     a = n * lam / (n * lam + 1.0)
     b, s = (1.0 - a) * theta.theta, a / math.sqrt(n)
     variance = float(np.sum(2.0 * s**4 + 4.0 * b**2 * s**2))
-    assert grouped_se**2 * replications == pytest.approx(variance, rel=0.10)
+    assert stderr == pytest.approx(math.sqrt(variance / replications), rel=1e-12)
+    # An independent sampled check of the formula.  Every coordinate's
+    # squared error is a scaled noncentral chi-square with one degree of
+    # freedom, whose excess kurtosis is at most 12, so the oracle's sample
+    # variance has a relative standard error of at most sqrt(14 / replications)
+    # = 1.9%, and its sampled stderr about half that; 10% is over 10 of those.
+    _, sampled = per_coordinate_mc_risk(spectrum, theta, n, replications, np.random.default_rng(2))
+    assert stderr == pytest.approx(sampled, rel=0.10)
+
+
+def test_mc_risk_has_the_law_of_the_per_coordinate_mean():
+    # At R = 5 the replication mean is still visibly skewed, so the two-sample
+    # KS test sees the chi-square shape, not only the first two moments.
+    spectrum = mixed_group_spectrum()
+    theta = np.cos(np.arange(spectrum.size))
+    theta[spectrum.eigenvalues == 0.04] = 0.0  # the group of 5 has zero bias
+    theta = TruthCoefficients(theta, BASIS)
+    n, replications, draws = 40.0, 5, 20_000
+    rng, oracle_rng = np.random.default_rng(8), np.random.default_rng(9)
+    grouped = np.array([mc_risk(spectrum, theta, n, replications, rng)[0] for _ in range(draws)])
+    oracle = np.array(
+        [per_coordinate_mc_risk(spectrum, theta, n, replications, oracle_rng)[0] for _ in range(draws)]
+    )
+    assert stats.ks_2samp(grouped, oracle).pvalue >= 1e-3
+    spread = math.sqrt((grouped.var(ddof=1) + oracle.var(ddof=1)) / draws)
+    assert abs(grouped.mean() - oracle.mean()) <= 4.0 * spread
+    assert grouped.var(ddof=1) == pytest.approx(oracle.var(ddof=1), rel=0.10)
+
+
+def test_mc_risk_at_a_trillion_replications_stays_within_five_stderr():
+    spectrum, theta = _oracle_case("mixed")
+    n = 200.0
+    estimate, stderr = mc_risk(spectrum, theta, n, 10**12, np.random.default_rng(4))
+    assert 0.0 < stderr < 1e-6
+    assert abs(estimate - exact_risk(spectrum, theta, n)) <= 5.0 * stderr
 
 
 def test_mc_risk_rejects_fewer_than_two_replications():
