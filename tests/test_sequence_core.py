@@ -277,6 +277,46 @@ def test_mc_risk_stderr_shrinks_like_root_replications():
     assert 0.6 < float(np.mean(ratios)) < 0.85
 
 
+def _permuted(spectrum, theta, seed):
+    perm = np.random.default_rng(seed).permutation(spectrum.size)
+    return Spectrum(spectrum.eigenvalues[perm], BASIS), TruthCoefficients(theta.theta[perm], BASIS)
+
+
+def test_mc_risk_estimate_independent_of_chunking(monkeypatch):
+    # mc_risk draws the replication mean per group, so neither the chunk
+    # budget of the nested sampler nor the layout of the coordinates may
+    # change the estimate for a fixed seed
+    import gplb.sequence_core as core
+
+    spectrum = flat_spectrum(64, basis_id=BASIS, tau=0.3)
+    theta = TruthCoefficients(np.linspace(-1, 1, 64), BASIS)
+    whole = mc_risk(spectrum, theta, 77.0, 500, np.random.default_rng(3))
+    shuffled = mc_risk(*_permuted(spectrum, theta, 5), 77.0, 500, np.random.default_rng(3))
+    monkeypatch.setattr(core, "_MC_CHUNK_BUDGET", 64 * 7)
+    chunked = mc_risk(spectrum, theta, 77.0, 500, np.random.default_rng(3))
+    for other in (chunked, shuffled):
+        assert whole[0] == pytest.approx(other[0], rel=1e-12)
+        assert whole[1] == pytest.approx(other[1], rel=1e-9)
+
+
+def test_mc_risk_with_mixed_groups_is_independent_of_chunking(monkeypatch):
+    # singletons, groups of 2, 5 and 9 and zero eigenvalues: a small chunk
+    # budget and a reshuffle of the coordinates leave every group, and so
+    # the normal and gamma drawn for it, unchanged
+    import gplb.sequence_core as core
+
+    spectrum = mixed_group_spectrum()
+    theta = TruthCoefficients(np.cos(np.arange(spectrum.size)), BASIS)
+    groups = np.unique(spectrum.eigenvalues[spectrum.eigenvalues > 0.0]).size
+    whole = mc_risk(spectrum, theta, 40.0, 500, np.random.default_rng(8))
+    shuffled = mc_risk(*_permuted(spectrum, theta, 6), 40.0, 500, np.random.default_rng(8))
+    monkeypatch.setattr(core, "_MC_CHUNK_BUDGET", groups * 7)
+    chunked = mc_risk(spectrum, theta, 40.0, 500, np.random.default_rng(8))
+    for other in (chunked, shuffled):
+        assert whole[0] == pytest.approx(other[0], rel=1e-12)
+        assert whole[1] == pytest.approx(other[1], rel=1e-9)
+
+
 def mixed_group_spectrum():
     """Eigenvalues with singletons, groups of 2, 5 and 9, and four zeros, shuffled."""
     lams = np.concatenate(
