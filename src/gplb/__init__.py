@@ -40,7 +40,6 @@ from .sequence_core import (
     GPPosterior,
     SequenceObservation,
     Spectrum,
-    StreamingMoments,
     TruthCoefficients,
     contraction_mass,
     contraction_probability,
@@ -90,7 +89,6 @@ __all__ = [
     "TruthCoefficients",
     "SequenceObservation",
     "GPPosterior",
-    "StreamingMoments",
     "sample_observation",
     "posterior_update",
     "exact_risk",

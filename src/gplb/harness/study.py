@@ -380,9 +380,9 @@ def run_minimax_battery(config: ExperimentConfig) -> RiskReport:
 
     exact_risk holds the closed form m sigma^2/(1+m sigma^2) and mc_risk
     the scalar grid-search value; their largest gap lands in the fits.
-    One ``brute_force_minimax`` call scans the grid for every pair at
-    once.  A grid whose array would exceed MAX_COEFFICIENT_BYTES is
-    refused before anything is allocated.
+    One ``brute_force_minimax`` call searches the grid for every pair.  A
+    grid whose array would exceed MAX_COEFFICIENT_BYTES (2^27 points) is
+    refused: the cap bounds the sizes the search's exactness proof covers.
     """
     grid_bytes = 8 * config.grid_size
     if grid_bytes > MAX_COEFFICIENT_BYTES:

@@ -37,7 +37,6 @@ __all__ = [
     "SequenceObservation",
     "GPPosterior",
     "TruthCoefficients",
-    "StreamingMoments",
     "sample_observation",
     "posterior_update",
     "exact_risk",
@@ -206,47 +205,6 @@ def exact_risks(spectrum: Spectrum, thetas, n: float, *, basis_id: str) -> np.nd
     _check_same_length(spectrum.size, thetas.shape[1], "exact_risks")
     weights, one_minus, _ = _shrinkage(spectrum.eigenvalues, n)
     return np.sum((one_minus * thetas) ** 2, axis=1) + float(np.sum(weights**2)) / n
-
-
-class StreamingMoments:
-    """Streaming mean and variance with batch updates (Chan-style merge).
-
-    Supports chunked Monte Carlo accumulation: results do not depend on
-    how the replications are partitioned into batches.
-    """
-
-    def __init__(self):
-        self.count = 0
-        self.mean = 0.0
-        self._m2 = 0.0
-
-    def add(self, values: np.ndarray) -> None:
-        values = np.asarray(values, dtype=float)
-        b = values.size
-        if b == 0:
-            return
-        b_mean = float(values.mean())
-        b_m2 = float(((values - b_mean) ** 2).sum())
-        if self.count == 0:
-            self.count, self.mean, self._m2 = b, b_mean, b_m2
-            return
-        delta = b_mean - self.mean
-        total = self.count + b
-        self._m2 += b_m2 + delta**2 * self.count * b / total
-        self.mean += delta * b / total
-        self.count = total
-
-    @property
-    def variance(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return self._m2 / (self.count - 1)
-
-    @property
-    def stderr(self) -> float:
-        if self.count < 2:
-            return 0.0
-        return math.sqrt(self.variance / self.count)
 
 
 def _error_law(spectrum: Spectrum, theta: TruthCoefficients, n: float, what: str):

@@ -15,6 +15,11 @@ risk m sigma^2 / (1 + m sigma^2) at a* = 1 / (1 + m sigma^2).  Chaining
 the reduction with the scalar solution turns any Gaussian-process
 posterior mean into a lower-bounded competitor: its worst-case risk over
 the family is at least c_n^2 times the linear minimax risk.
+
+The closed form is checked by an independent grid search: the minimum of
+the scalar risk over linspace(0, 1, N), the same bits as a full scan,
+found in O(log N) risk evaluations by bisecting the convex risk and then
+scanning a window around the bisected point.
 """
 
 from __future__ import annotations
@@ -184,25 +189,66 @@ def linear_minimax_risk(m: int, sigma: float) -> MinimaxSolution:
     return MinimaxSolution(t / (1.0 + t), 1.0 / (1.0 + t))
 
 
-# Grid points per block of the brute-force scan.  The risks of one block
-# for a few dozen (m, sigma) pairs (28 x 2^13 x 8 bytes = 1.8 MB) stay in
-# a core's L2 cache instead of streaming grid-sized temporaries through
-# memory once per pair.
-SCAN_BLOCK = 2**13
+# Half-width in grid steps of the window brute_force_minimax scans around
+# its bisected index (10 suffice), and the largest grid its argument covers.
+SEARCH_WINDOW = 64
+MAX_GRID_SIZE = 2**27
+
+
+def _grid_points(index, grid_size: int):
+    """Points ``index`` of linspace(0, 1, grid_size), computed as NumPy computes them."""
+    return np.where(index == grid_size - 1, 1.0, index * (1.0 / (grid_size - 1)))
+
+
+def _grid_risks(load, index, grid_size: int):
+    """Risk t a^2 + (a - 1)^2 at grid points ``index``, by the full scan's expression."""
+    a = _grid_points(index, grid_size)
+    risks = load * a**2
+    risks += (a - 1.0) ** 2
+    return risks
+
+
+def _first_rise(load, grid_size: int):
+    """Per load t, the first grid index whose right neighbour's computed risk is not lower."""
+    lo = np.zeros(load.shape, dtype=np.int64)
+    hi = np.full(load.shape, grid_size - 1, dtype=np.int64)
+    while np.any(lo < hi):
+        mid = (lo + hi) // 2
+        left, right = _grid_risks(load, np.stack([mid, mid + 1]), grid_size)
+        rising = (lo == hi) | (right >= left)  # a finished pair stays put
+        hi = np.where(rising, mid, hi)
+        lo = np.where(rising, lo, mid + 1)
+    return lo
 
 
 def brute_force_minimax(m, sigma, grid_size: int):
     """Scalar-grid oracle: min over a in linspace(0, 1, grid_size) of the risk, per pair.
 
-    The one-sparse risk of a I is theta-independent, (a-1)^2 + m sigma^2 a^2,
-    so a dense scalar grid brackets the closed-form minimax value from above
-    within one grid step around a*.  ``m`` and ``sigma`` are scalars, which
-    give one float, or equal-length sequences of (m, sigma) pairs, which
-    give an array with one grid minimum per pair.  All pairs share one grid
-    and one pass over it in blocks of SCAN_BLOCK points; each risk is the
-    same floating-point expression as in a scan of that pair alone, so the
-    minima are bit-identical to it.  When m sigma^2 overflows, every grid
-    point but a = 0 has infinite risk and the minimum is exactly 1.
+    The one-sparse risk of a I is theta-independent, r(a) = (a-1)^2 + t a^2
+    with t = m sigma^2, so a dense scalar grid brackets the closed-form
+    minimax value from above within one grid step around a*.  Scalar
+    ``m`` and ``sigma`` give one float, equal-length sequences one minimum
+    per pair.  When t overflows, every grid point but a = 0 has infinite
+    risk and the minimum is exactly 1.
+
+    The minima equal a full scan's bit for bit, without building the grid:
+    point i is ``float(i) * (1.0 / (grid_size - 1))`` and the last is 1.0,
+    as ``np.linspace`` computes them, and each risk is the scan's
+    ``t * a**2 + (a - 1.0)**2``.  r is convex, so one bisection for all
+    pairs finds the first index i whose right neighbour's risk is not lower
+    (``>=``); the minimum is taken over i +- SEARCH_WINDOW.  a* = 1 / (1 + t)
+    is never used: the grid minimum stays an independent check of it.
+
+    Exactness, with h the step, u = 2^-53 and distances in steps from a*:
+    r(0) = 1 bounds the grid minimum, and each computed risk is within 4u r
+    of the true risk t / (1 + t) + (1 + t)(a - a*)^2.  A point d >= 5 steps
+    from the grid point nearest a* exceeds it by (1 + t) h^2 d (d - 1) >=
+    20 h^2 > 8u, as h >= 1 / (2^27 - 1) for grid_size <= MAX_GRID_SIZE, so
+    it cannot hold the float minimum.  Neighbours x >= 9 steps from a*
+    differ by at least (1 + t) h^2 (2x - 1), more than the noise
+    8u (t / (1 + t) + (1 + t) h^2 (x + 1)^2) of their comparison, so float
+    noise can misplace the bisection only inside that flat band: it lands
+    within 10 steps of a*, well inside the window.
     """
     ms, sigmas = np.atleast_1d(m), np.atleast_1d(sigma)
     if ms.ndim != 1 or ms.shape != sigmas.shape:
@@ -213,20 +259,15 @@ def brute_force_minimax(m, sigma, grid_size: int):
         raise DomainError("noise level sigma must be positive and finite")
     if grid_size < 2:
         raise DomainError("grid must contain at least the endpoints 0 and 1")
+    if grid_size > MAX_GRID_SIZE:
+        raise DomainError(f"the exact grid search covers at most {MAX_GRID_SIZE} points")
     t = np.array([_noise_load(mi, si) for mi, si in zip(ms.tolist(), sigmas.tolist())])
     finite = np.isfinite(t)
-    load = t[finite, None]
-    best = np.full(load.shape[0], np.inf)
-    risks = np.empty((load.shape[0], min(grid_size, SCAN_BLOCK)))
-    a = np.linspace(0.0, 1.0, grid_size)
-    for start in range(0, grid_size, SCAN_BLOCK):
-        block = a[start:start + SCAN_BLOCK]
-        block_risks = risks[:, :block.size]
-        np.multiply(load, block**2, out=block_risks)
-        block_risks += (block - 1.0) ** 2
-        np.minimum(best, block_risks.min(axis=1), out=best)
+    load = t[finite]
+    window = _first_rise(load, grid_size)[:, None] + np.arange(-SEARCH_WINDOW, SEARCH_WINDOW + 1)
+    window = np.clip(window, 0, grid_size - 1)
     minima = np.ones(t.shape)
-    minima[finite] = best
+    minima[finite] = _grid_risks(load[:, None], window, grid_size).min(axis=1)
     return float(minima[0]) if np.ndim(m) == 0 and np.ndim(sigma) == 0 else minima
 
 

@@ -753,15 +753,15 @@ def test_minimax_battery_matches_the_per_pair_oracle_row_for_row():
 
 
 def test_minimax_grid_over_the_byte_limit_fails_before_allocating(monkeypatch):
-    class Allocated(Exception):
+    class Searched(Exception):
         pass
 
     def refuse(*args, **kwargs):
-        raise Allocated
+        raise Searched
 
-    monkeypatch.setattr(np, "linspace", refuse)
+    monkeypatch.setattr(study, "brute_force_minimax", refuse)
     largest = study.MAX_COEFFICIENT_BYTES // 8
-    with pytest.raises(Allocated):  # the largest allowed grid passes the check
+    with pytest.raises(Searched):  # the largest allowed grid passes the check
         run_minimax_battery(ExperimentConfig(mode="minimax", grid_size=largest))
     with pytest.raises(ConfigError, match=f"grid_size = {largest + 1} "):
         run_minimax_battery(ExperimentConfig(mode="minimax", grid_size=largest + 1))

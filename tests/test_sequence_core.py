@@ -22,7 +22,6 @@ from gplb.sequence_core import (
     GPPosterior,
     SequenceObservation,
     Spectrum,
-    StreamingMoments,
     TruthCoefficients,
     _chernoff_log_bound,
     contraction_mass,
@@ -699,35 +698,6 @@ def test_contraction_mass_validates_inputs():
         contraction_mass(spectrum_of(1.0), truth_of(0.0), -1.0, 0.1)
     with pytest.raises(ContractError):
         contraction_mass(spectrum_of(1.0, 1.0), truth_of(0.0), 10.0, 0.1)
-
-
-# ---------------------------------------------------------------------------
-# Streaming moments
-# ---------------------------------------------------------------------------
-
-def test_streaming_moments_match_numpy_exactly_enough():
-    rng = np.random.default_rng(2)
-    values = rng.standard_normal(10_000) * 3.0 + 1.0
-    moments = StreamingMoments()
-    for chunk in np.array_split(values, 13):
-        moments.add(chunk)
-    assert moments.mean == pytest.approx(values.mean(), rel=1e-13)
-    assert moments.variance == pytest.approx(values.var(ddof=1), rel=1e-12)
-    assert moments.stderr == pytest.approx(values.std(ddof=1) / 100.0, rel=1e-12)
-
-
-@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=60), st.integers(1, 7))
-@settings(max_examples=200, deadline=None)
-def test_streaming_moments_invariant_to_chunking(values, pieces):
-    arr = np.asarray(values)
-    split = StreamingMoments()
-    for chunk in np.array_split(arr, pieces):
-        if chunk.size:
-            split.add(chunk)
-    whole = StreamingMoments()
-    whole.add(arr)
-    assert split.mean == pytest.approx(whole.mean, rel=1e-9, abs=1e-9)
-    assert split.variance == pytest.approx(whole.variance, rel=1e-7, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+import gplb.sparse_linear as sparse_linear
 from gplb.adversarial import (
     build_pyramid_family,
     compute_coefficients,
@@ -21,7 +22,8 @@ from gplb.adversarial import (
 from gplb.errors import ContractError, DomainError
 from gplb.sequence_core import Spectrum
 from gplb.sparse_linear import (
-    SCAN_BLOCK,
+    MAX_GRID_SIZE,
+    SEARCH_WINDOW,
     LinearEstimator,
     OneSparseModel,
     brute_force_minimax,
@@ -32,6 +34,7 @@ from gplb.sparse_linear import (
     linear_minimax_risk,
     reduce_to_sequence,
 )
+from gplb.sparse_linear import _first_rise, _grid_points, _grid_risks
 from gplb.wavelet import haar_tensor_basis
 
 
@@ -251,16 +254,23 @@ def per_pair_grid_minimum(m, sigma, grid_size):
     return float(risks.min())
 
 
+def pairs_with_load(loads, ms):
+    """(m, sigma) pairs with m sigma^2 = t for each load t."""
+    return [(m, math.sqrt(t / m)) for t, m in zip(loads, ms)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(
-    grid_size=st.sampled_from([2, SCAN_BLOCK - 1, SCAN_BLOCK, SCAN_BLOCK + 1, 3 * SCAN_BLOCK + 7]),
+    grid_size=st.integers(min_value=2, max_value=3_000_000),
     pairs=st.lists(
-        st.tuples(st.integers(min_value=1, max_value=64), st.floats(min_value=1e-3, max_value=1e3)),
+        st.tuples(st.floats(min_value=-12.0, max_value=12.0), st.integers(min_value=1, max_value=64)),
         min_size=1,
         max_size=12,
     ),
 )
 def test_batched_scan_equals_the_per_pair_oracle(grid_size, pairs):
+    exponents, ms = zip(*pairs)
+    pairs = pairs_with_load([10.0**e for e in exponents], ms)
     ms, sigmas = zip(*pairs)
     minima = brute_force_minimax(ms, sigmas, grid_size)
     assert minima.shape == (len(pairs),)
@@ -270,19 +280,120 @@ def test_batched_scan_equals_the_per_pair_oracle(grid_size, pairs):
     assert type(scalar) is float and scalar == minima[0]
 
 
-def test_batched_scan_reaches_the_grid_points_at_every_block_edge():
-    # a* = 1/(1 + m sigma^2) placed on grid point k makes k the grid
-    # minimizer, so a scan that skipped k would miss the oracle's minimum.
-    grid_size = 3 * SCAN_BLOCK + 7
-    block = SCAN_BLOCK
-    edges = [1, block - 1, block, block + 1, 2 * block, 3 * block, grid_size - 2]
-    ms = [3] * len(edges)
-    sigmas = [math.sqrt(((grid_size - 1) / k - 1.0) / 3) for k in edges]
+@settings(max_examples=40, deadline=None)
+@given(
+    grid_size=st.integers(min_value=2, max_value=3_000_000),
+    fractions=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=8),
+)
+def test_grid_points_equal_numpy_linspace(grid_size, fractions):
     grid = np.linspace(0.0, 1.0, grid_size)
-    for k, sigma in zip(edges, sigmas):
-        assert np.argmin((grid - 1.0) ** 2 + 3 * sigma**2 * grid**2) == k
-    minima = brute_force_minimax(ms, sigmas, grid_size)
-    assert minima.tolist() == [per_pair_grid_minimum(3, s, grid_size) for s in sigmas]
+    index = np.array([0, grid_size - 1] + [round(f * (grid_size - 1)) for f in fractions])
+    assert _grid_points(index, grid_size).tolist() == grid[index].tolist()
+
+
+def test_grid_search_minimum_at_the_first_index():
+    # t > 2 / h - 1 makes r(h) = t h^2 + (1 - h)^2 exceed r(0) = 1.
+    for grid_size, load in [(2, 5.0), (3, 1e3), (1001, 1e12), (2_000_001, 1e300)]:
+        assert _first_rise(np.array([load]), grid_size).tolist() == [0]
+        (pair,) = pairs_with_load([load], [1])
+        assert brute_force_minimax(*pair, grid_size) == per_pair_grid_minimum(*pair, grid_size) == 1.0
+
+
+def test_grid_search_minimum_at_the_last_index():
+    # at t = 1e-300 every grid point but a = 1 pays (1 - a)^2 >= h^2 > t
+    for grid_size in (2, 3, 1001, 2_000_001):
+        assert _first_rise(np.array([1e-300]), grid_size).tolist() == [grid_size - 1]
+        value = brute_force_minimax(1, 1e-150, grid_size)
+        assert value == per_pair_grid_minimum(1, 1e-150, grid_size) == (1e-150) ** 2
+
+
+def test_grid_search_on_two_and_three_point_grids():
+    loads = [1e-12, 0.3, 0.5, 1.0, 2.0, 3.0, 1e12]
+    pairs = pairs_with_load(loads, [1] * len(loads))
+    ms, sigmas = zip(*pairs)
+    for grid_size in (2, 3):
+        minima = brute_force_minimax(ms, sigmas, grid_size)
+        assert minima.tolist() == [per_pair_grid_minimum(m, s, grid_size) for m, s in pairs]
+
+
+@pytest.mark.parametrize("grid_size", [2, 4, 10, 2_000_002, 2**27])
+def test_bisection_stops_left_of_a_tie_midway_between_grid_points(grid_size):
+    # t = 1 puts a* = 1/2 midway between the two middle points of an even
+    # grid, and at these sizes their computed risks tie exactly: the search
+    # stops at the first index whose right neighbour is not lower.
+    middle = grid_size // 2 - 1
+    left, right = _grid_risks(1.0, np.array([middle, middle + 1]), grid_size)
+    assert left == right
+    assert _first_rise(np.array([1.0]), grid_size).tolist() == [middle]
+    if grid_size <= 3_000_000:
+        assert brute_force_minimax(1, 1.0, grid_size) == per_pair_grid_minimum(1, 1.0, grid_size)
+
+
+def test_grid_search_mixes_overflowing_and_finite_pairs():
+    finite = [(1, 0.01), (7, 2.0), (3, 1e-5)]
+    overflowing = [(4, 1e200), (64, 1e154), (1, 1.7e308)]
+    pairs = [pair for both in zip(overflowing, finite) for pair in both]
+    ms, sigmas = zip(*pairs)
+    minima = brute_force_minimax(ms, sigmas, 1_000_003)
+    assert minima[0::2].tolist() == [1.0, 1.0, 1.0]
+    assert minima[1::2].tolist() == [per_pair_grid_minimum(m, s, 1_000_003) for m, s in finite]
+
+
+@pytest.mark.parametrize("offset", [-10, -3, 3, 10])
+def test_window_absorbs_a_bisection_misplaced_within_the_flat_band(monkeypatch, offset):
+    # The docstring's argument lets float noise move the bisected index up
+    # to 10 steps from a*; the window must still contain the grid minimum.
+    bisect = sparse_linear._first_rise
+
+    def misplaced(load, grid_size):
+        return np.clip(bisect(load, grid_size) + offset, 0, grid_size - 1)
+
+    monkeypatch.setattr(sparse_linear, "_first_rise", misplaced)
+    loads = [1e-12, 1e-3, 0.5, 1.0, 7.0, 1e4, 1e6, 1e9]
+    pairs = pairs_with_load(loads, [1, 2, 3, 4, 5, 6, 7, 8])
+    ms, sigmas = zip(*pairs)
+    minima = brute_force_minimax(ms, sigmas, 2_000_001)
+    assert minima.tolist() == [per_pair_grid_minimum(m, s, 2_000_001) for m, s in pairs]
+
+
+def test_bisection_lands_within_ten_steps_of_a_star():
+    rng = np.random.default_rng(11)
+    for grid_size in (1001, 2_000_001, 10**8, MAX_GRID_SIZE):
+        loads = 10.0 ** rng.uniform(-14, 12, size=5000)
+        index = _first_rise(loads, grid_size)
+        a_star_steps = (grid_size - 1) / (1.0 + loads)
+        assert np.all(np.abs(index - a_star_steps) <= 10)
+    assert SEARCH_WINDOW >= 10
+
+
+def blocked_grid_minima(loads, grid_size, block=2**20):
+    """Oracle for huge grids: the whole grid's risks block by block, never all at once."""
+    step = 1.0 / (grid_size - 1)
+    best = np.full(len(loads), np.inf)
+    for start in range(0, grid_size, block):
+        a = np.arange(start, min(start + block, grid_size), dtype=float) * step
+        if start + block >= grid_size:
+            a[-1] = 1.0
+        a_sq, miss_sq = a**2, (a - 1.0) ** 2
+        for k, load in enumerate(loads):
+            risks = load * a_sq
+            risks += miss_sq
+            best[k] = min(best[k], risks.min())
+    return best
+
+
+def test_grid_search_at_the_size_cap_equals_a_blocked_scan():
+    # t = 1e-14 has the smallest curvature, where the window bound is tightest.
+    pairs = [(1, 1e-7), (4, 0.5), (64, 125.0)]
+    ms, sigmas = zip(*pairs)
+    loads = [m * s**2 for m, s in pairs]
+    minima = brute_force_minimax(ms, sigmas, MAX_GRID_SIZE)
+    assert minima.tolist() == blocked_grid_minima(loads, MAX_GRID_SIZE).tolist()
+
+
+def test_grid_search_refuses_grids_beyond_the_proven_size():
+    with pytest.raises(DomainError, match=str(MAX_GRID_SIZE)):
+        brute_force_minimax(1, 1.0, MAX_GRID_SIZE + 1)
 
 
 def test_batched_scan_validates_every_pair():
