@@ -49,7 +49,7 @@ from ..sequence_core import (
     mc_risk,
     polynomial_spectrum,
 )
-from ..sparse_linear import brute_force_minimax, linear_minimax_risk
+from ..sparse_linear import MAX_GRID_SIZE, brute_force_minimax, linear_minimax_risk
 from ..wavelet import (
     HaarTensorBasis,
     SawtoothSurrogate,
@@ -381,14 +381,13 @@ def run_minimax_battery(config: ExperimentConfig) -> RiskReport:
     exact_risk holds the closed form m sigma^2/(1+m sigma^2) and mc_risk
     the scalar grid-search value; their largest gap lands in the fits.
     One ``brute_force_minimax`` call searches the grid for every pair.  A
-    grid whose array would exceed MAX_COEFFICIENT_BYTES (2^27 points) is
-    refused: the cap bounds the sizes the search's exactness proof covers.
+    grid over MAX_GRID_SIZE (2^27) points, the sizes the search's
+    exactness proof covers, is refused before any search.
     """
-    grid_bytes = 8 * config.grid_size
-    if grid_bytes > MAX_COEFFICIENT_BYTES:
+    if config.grid_size > MAX_GRID_SIZE:
         raise ConfigError(
-            f"grid_size = {config.grid_size} needs {grid_bytes} bytes for the grid, over "
-            f"the limit of {MAX_COEFFICIENT_BYTES} bytes; lower grid_size"
+            f"grid_size = {config.grid_size} is over the {MAX_GRID_SIZE} = 2^27 points that "
+            "the exactness proof of the grid search covers; lower grid_size"
         )
     pairs = [(m, sigma) for m in config.m_values for sigma in config.sigma_values]
     ms, sigmas = zip(*pairs)
@@ -417,8 +416,12 @@ def run_wavelet_study(config: ExperimentConfig) -> RiskReport:
     The truth is a sawtooth ridge two octaves coarser than the basis, so
     the basis retains genuine detail coefficients (wavelets at the
     sawtooth's own level integrate it to zero by symmetry, coarser ones
-    by periodicity).  Its retained coefficients are exact, and mass
-    beyond them is added to the risk as irreducible bias.  lemma4_bound
+    by periodicity).  Its retained coefficients are exact: the cell
+    integrals come from one closed-form pass over one period of cells
+    (``SawtoothSurrogate.haar_coefficients``), and its squared norm is
+    period^2/12, so beyond the one period the truth costs only the Haar
+    transform of the N^d cells.  Mass beyond the retained coefficients
+    is added to the risk as irreducible bias.  lemma4_bound
     carries the single-function floor sum of coefficient^2 AND 1/n over
     the retained coordinates (a valid partial sum of the full floor),
     and thm2_floor the universal envelope, which applies to worst-case

@@ -28,7 +28,9 @@ Three engines live here.
    range of S over B.  The bracketed sum is the (d-1)-volume of the
    slice {x in B : S(x) = s} (the classical convolution-of-uniforms
    density, scaled by the box volume), so the outer integral is exact
-   whenever the pieces of h are polynomial.
+   whenever the pieces of h are polynomial.  No study calls it: the
+   sawtooth truth of :mod:`gplb.wavelet` integrates in closed form, and
+   the tests keep this formula as that closed form's independent oracle.
 
 3. Composite / adaptive tensor Gauss-Legendre quadrature for integrands
    without exploitable structure.

@@ -34,7 +34,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .integrate import PiecewisePolynomial, ridge_box_integral
+from .integrate import PiecewisePolynomial
+from .integrate import ridge_box_integral  # noqa: F401  rebound here by the benchmark's tracer (bench/layers.py)
 from .sequence_core import Spectrum, TruthCoefficients
 
 __all__ = [
@@ -448,7 +449,11 @@ class SawtoothSurrogate:
         return 0.5**self.level
 
     def _profile(self) -> PiecewisePolynomial:
-        """The univariate sawtooth s -> dist(s, period Z) on [0, d]."""
+        """The univariate sawtooth s -> dist(s, period Z) on [0, d], piece by piece.
+
+        Input of the ridge formula of :func:`ridge_box_integral`, which the
+        tests keep as an independent oracle for the closed forms below.
+        """
         half = self.period / 2.0
         teeth = int(math.ceil(self.d / half))
         xs = [i * half for i in range(teeth + 1)]
@@ -467,23 +472,46 @@ class SawtoothSurrogate:
     def haar_coefficients(self, basis: HaarTensorBasis) -> np.ndarray:
         """Exact inner products <g, psi_gamma> for every basis index.
 
-        g is a ridge function, so its integral over each finest dyadic cell
-        is an exact one-dimensional piecewise-polynomial integral, and it
-        depends only on the sum s of the cell's indices: one integral per
-        s in 0 .. d(N-1), over a cell with that index sum, fills the N^d
-        cells.  The basis turns the cell integrals into coefficients.
+        The basis turns g's integrals over the N^d finest cells (side
+        h = 1/N) into coefficients.  A cell's integral depends only on the
+        sum t of its indices, and only through t mod p, p = P/h, because
+        the profile has period P.  On [0, infinity) the profile is
+        sum_j w_j (s - x_j)_+ with kinks x_j = j P/2, w_0 = 1 and
+        w_j = 2 (-1)^j after that, so the vertex formula with beta = 1
+        gives the cell integral
+
+            h^(d+1)/(d+1)! sum_j w_j sum_{r=0..d} C(d, r) (-1)^(d-r) (t + r - j p/2)_+^(d+1)
+
+        for each residue t in 0 .. p-1, from the kinks up to (p + d) h.
+        The double sum is an integer, exact in int64 (its terms stay below
+        (p + d)^(d+1), far under 2^63 for any N^d cells that fit in memory),
+        and the division by (d+1)! is the only rounding, so each entry is
+        the correctly rounded exact value.  When P <= h the x_1 side of every cell spans
+        whole periods, and every cell integrates to h^d P/4.
         """
         if basis.d != self.d:
             raise ContractError(f"basis dimension {basis.d} does not match surrogate dimension {self.d}")
-        profile = self._profile()
-        N = basis.cells_per_axis
-        table = np.empty(self.d * (N - 1) + 1)
-        for s in range(table.size):
-            lo = np.clip(s - (N - 1) * np.arange(self.d), 0, N - 1).astype(float)
-            table[s] = ridge_box_integral(profile, lo / N, (lo + 1.0) / N)
-        return basis.analyze(table[sum(np.indices((N,) * self.d, sparse=True))])
+        d, N = self.d, basis.cells_per_axis
+        h = 1.0 / N
+        p = max(N >> self.level, 1)
+        if p == 1:
+            residues = np.array([h**d * self.period / 4.0])
+        else:
+            t = np.arange(p, dtype=np.int64)
+            total = np.zeros(p, dtype=np.int64)
+            for j in range(2 * (p + d) // p + 1):
+                weight = 1 if j == 0 else 2 * (-1) ** j
+                for r in range(d + 1):
+                    vertex = np.maximum(t + (r - j * p // 2), 0) ** (d + 1)
+                    total += weight * math.comb(d, r) * (-1) ** (d - r) * vertex
+            residues = total * h ** (d + 1) / math.factorial(d + 1)
+        table = np.resize(residues, d * (N - 1) + 1)
+        return basis.analyze(table[sum(np.indices((N,) * d, sparse=True))])
 
     def norm_sq(self) -> float:
-        """Exact squared L^2 norm of g over the unit cube."""
-        squared = self._profile().squared()
-        return ridge_box_integral(squared, np.zeros(self.d), np.ones(self.d))
+        """Exact squared L^2 norm of g over the unit cube: P^2/12.
+
+        The integral over x_1 in [0, 1] covers 2^level whole periods, on
+        which the squared triangle wave of height P/2 has mean (P/2)^2/3.
+        """
+        return self.period**2 / 12.0

@@ -760,10 +760,11 @@ def test_minimax_grid_over_the_byte_limit_fails_before_allocating(monkeypatch):
         raise Searched
 
     monkeypatch.setattr(study, "brute_force_minimax", refuse)
-    largest = study.MAX_COEFFICIENT_BYTES // 8
+    largest = study.MAX_GRID_SIZE
+    assert largest == study.MAX_COEFFICIENT_BYTES // 8 == 2**27  # the boundary of the coefficient byte cap
     with pytest.raises(Searched):  # the largest allowed grid passes the check
         run_minimax_battery(ExperimentConfig(mode="minimax", grid_size=largest))
-    with pytest.raises(ConfigError, match=f"grid_size = {largest + 1} "):
+    with pytest.raises(ConfigError, match=rf"grid_size = {largest + 1} is over the {largest} = 2\^27 points"):
         run_minimax_battery(ExperimentConfig(mode="minimax", grid_size=largest + 1))
 
 
@@ -983,7 +984,7 @@ def test_cli_minimax_reports_risk_one_when_m_sigma_sq_overflows(tmp_path):
 def test_cli_refuses_a_minimax_grid_over_the_byte_limit(tmp_path, capsys):
     path = write_ini(tmp_path, "[minimax]\ngrid_size = 1000000000\n")
     assert main(["minimax", "--config", path]) == 2
-    assert "grid_size = 1000000000 needs 8000000000 bytes" in capsys.readouterr().err
+    assert "grid_size = 1000000000 is over the 134217728 = 2^27 points" in capsys.readouterr().err
 
 
 SCIPY_FREE_CALLS = """

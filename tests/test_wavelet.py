@@ -7,6 +7,7 @@ midpoints integrates products of such functions exactly.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -509,18 +510,68 @@ def test_sawtooth_coefficients_match_the_per_panel_ridge_sum(d, level, J):
     assert deviation <= 1e-13 * math.sqrt(surrogate.norm_sq())
 
 
-@pytest.mark.parametrize("d,J", [(1, 6), (2, 3), (3, 2)])
-def test_sawtooth_cell_table_equals_the_per_cell_loop(d, J):
-    # Oracle: one ridge_box_integral per finest cell, no index-sum table.
-    surrogate = SawtoothSurrogate(d, max(0, J - 2))
-    basis = haar_tensor_basis(d, J)
-    profile = surrogate._profile()
-    N = basis.cells_per_axis
+def exact_sawtooth_cell(d, level, N, corner):
+    """Integral of dist(x_1 + ... + x_d, 2^-level Z) over one cell of side 1/N, as a Fraction.
+
+    On the cell's range [a, a + d/N] of the coordinate sum, the profile is
+    its affine piece at a plus w (s - x)_+ for every kink x = m 2^-(level+1)
+    inside the range, with w = 2 (-1)^m.  The affine piece integrates to the
+    cell volume times its value at the centroid sum a + d/(2N); each kink
+    term goes through the vertex formula with beta = 1.
+    """
+    h = Fraction(1, N)
+    half = Fraction(1, 2 ** (level + 1))
+    a = sum(corner) * h
+    tooth = math.floor(a / half)
+    at_a = a - tooth * half if tooth % 2 == 0 else (tooth + 1) * half - a
+    total = h**d * (at_a + (-1) ** tooth * d * h / 2)
+    m = tooth + 1
+    while m * half < a + d * h:
+        vertices = sum(
+            math.comb(d, r) * (-1) ** (d - r) * max(a + r * h - m * half, 0) ** (d + 1) for r in range(d + 1)
+        )
+        total += 2 * (-1) ** m * vertices / math.factorial(d + 1)
+        m += 1
+    return total
+
+
+def exact_sawtooth_cells(d, level, J):
+    """Every finest cell integral of the sawtooth, each the float nearest the exact value."""
+    N = 2 ** (J + 1)
     cells = np.empty((N,) * d)
     for cell in np.ndindex(cells.shape):
-        lo = np.array(cell, dtype=float)
-        cells[cell] = ridge_box_integral(profile, lo / N, (lo + 1.0) / N)
+        cells[cell] = float(exact_sawtooth_cell(d, level, N, cell))
+    return cells
+
+
+@pytest.mark.parametrize("d,J", [(1, 6), (2, 3), (3, 2)])
+def test_sawtooth_cell_table_equals_the_per_cell_loop(d, J):
+    # Oracle: one exact rational integral per finest cell, no index-sum table.
+    surrogate = SawtoothSurrogate(d, max(0, J - 2))
+    basis = haar_tensor_basis(d, J)
+    cells = exact_sawtooth_cells(d, surrogate.level, J)
     assert np.array_equal(surrogate.haar_coefficients(basis), basis.analyze(cells))
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1, 3])
+@pytest.mark.parametrize("d,J", [(1, 4), (2, 3), (3, 2)])
+def test_sawtooth_cell_table_is_the_correctly_rounded_exact_value(d, J, offset):
+    # Levels J - 1 and J give periods of 4 and 2 cells; J + 1 one period
+    # per cell side and J + 3 four, where every cell holds whole periods.
+    surrogate = SawtoothSurrogate(d, J + offset)
+    basis = haar_tensor_basis(d, J)
+    cells = exact_sawtooth_cells(d, surrogate.level, J)
+    assert np.array_equal(surrogate.haar_coefficients(basis), basis.analyze(cells))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_sawtooth_norm_is_the_period_squared_over_twelve(d):
+    for level in range(9):
+        surrogate = SawtoothSurrogate(d, level)
+        assert surrogate.norm_sq() == surrogate.period**2 / 12
+        assert surrogate.norm_sq() == float(Fraction(1, 12 * 4**level))
+        ridge = ridge_box_integral(surrogate._profile().squared(), np.zeros(d), np.ones(d))
+        assert surrogate.norm_sq() == pytest.approx(ridge, rel=1e-10)
 
 
 def test_sawtooth_coefficient_energy_approaches_norm():
