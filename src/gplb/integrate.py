@@ -338,6 +338,27 @@ def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return (nodes + 1.0) / 2.0, weights / 2.0
 
 
+def _gl_nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre points (boxes, order^d, d) and weights (boxes, order^d).
+
+    ``lo`` and ``hi`` stack one box per row.  The points run over the
+    tensor grid in C order (axis 0 slowest), and each weight is the product
+    of the axis weights taken from axis 0 up.
+    """
+    d = lo.shape[1]
+    nodes, weights = _gl_rule(order)
+    width = (hi - lo)[:, :, None]
+    axes_pts = lo[:, :, None] + width * nodes
+    axes_wts = width * weights
+    grid = np.indices((order,) * d).reshape(d, -1)
+    pts = np.stack([axes_pts[:, i, grid[i]] for i in range(d)], axis=-1)
+    wts = axes_wts[:, 0, grid[0]]
+    for i in range(1, d):
+        wts = wts * axes_wts[:, i, grid[i]]
+    # a strided row would take BLAS's strided dot, which sums in another order
+    return pts, np.ascontiguousarray(wts)
+
+
 def gl_box(fn: Callable[[np.ndarray], np.ndarray], lo, hi, order: int = 8) -> float:
     """Tensor Gauss-Legendre quadrature of fn over the box [lo, hi].
 
@@ -345,18 +366,10 @@ def gl_box(fn: Callable[[np.ndarray], np.ndarray], lo, hi, order: int = 8) -> fl
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    d = lo.size
     if np.any(hi <= lo):
         return 0.0
-    nodes, weights = _gl_rule(order)
-    axes_pts = [lo[i] + (hi[i] - lo[i]) * nodes for i in range(d)]
-    axes_wts = [(hi[i] - lo[i]) * weights for i in range(d)]
-    grids = np.meshgrid(*axes_pts, indexing="ij")
-    pts = np.stack([g.ravel() for g in grids], axis=-1)
-    wts = axes_wts[0]
-    for w in axes_wts[1:]:
-        wts = np.multiply.outer(wts, w)
-    return float(np.asarray(fn(pts), dtype=float) @ wts.ravel())
+    pts, wts = _gl_nodes(lo[None, :], hi[None, :], order)
+    return float(np.asarray(fn(pts[0]), dtype=float) @ wts[0])
 
 
 def adaptive_box_integral(
@@ -377,20 +390,31 @@ def adaptive_box_integral(
     of boxes ever needs refinement; smooth regions terminate immediately
     because tensor Gauss-Legendre of this order is exact for them.
     Non-convergent boxes raise QuadratureError with diagnostics.
+
+    Each box makes one ``fn`` call, on the stacked Gauss-Legendre points of
+    all 2^d children, and takes one dot per child with the points and
+    weights :func:`gl_box` builds; a child's estimate is passed down as its
+    coarse value, so no box is integrated twice.  ``fn`` must evaluate
+    every point on its own (row by row); then each estimate, and so the
+    result, is bit-equal to :func:`gl_box` applied box by box.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
+    d = lo.size
+    upper = np.array(list(itertools.product((False, True), repeat=d)))  # child c's upper halves
 
-    def recurse(box_lo, box_hi, box_tol, depth):
-        coarse = gl_box(fn, box_lo, box_hi, order)
+    def recurse(box_lo, box_hi, coarse, box_tol, depth):
         mid = (box_lo + box_hi) / 2.0
-        d = box_lo.size
-        children = []
-        for mask in itertools.product((0, 1), repeat=d):
-            c_lo = np.where(mask, mid, box_lo)
-            c_hi = np.where(mask, box_hi, mid)
-            children.append((c_lo, c_hi))
-        refined = sum(gl_box(fn, c_lo, c_hi, order) for c_lo, c_hi in children)
+        c_lo = np.where(upper, mid, box_lo)
+        c_hi = np.where(upper, box_hi, mid)
+        estimates = np.zeros(len(upper))
+        live = np.all(c_hi > c_lo, axis=1)  # gl_box gives a degenerate box 0.0
+        if live.any():
+            pts, wts = _gl_nodes(c_lo[live], c_hi[live], order)
+            values = np.asarray(fn(pts.reshape(-1, d)), dtype=float).reshape(wts.shape)
+            estimates[live] = [float(v @ w) for v, w in zip(values, wts)]
+        estimates = estimates.tolist()
+        refined = sum(estimates)
         # Accept on the tolerance share, with a floor at rounding level.
         accept = max(box_tol, 4e-16 * (abs(coarse) + abs(refined)))
         if abs(refined - coarse) <= accept:
@@ -409,8 +433,8 @@ def adaptive_box_integral(
                 },
             )
         return sum(
-            recurse(c_lo, c_hi, box_tol / 2.0, depth + 1)
-            for c_lo, c_hi in children
+            recurse(child_lo, child_hi, estimate, box_tol / 2.0, depth + 1)
+            for child_lo, child_hi, estimate in zip(c_lo, c_hi, estimates)
         )
 
-    return recurse(lo, hi, tol, 0)
+    return recurse(lo, hi, gl_box(fn, lo, hi, order), tol, 0)

@@ -51,10 +51,11 @@ __all__ = [
 ]
 
 
-def _frozen_array(values, name: str, *, allow_negative: bool) -> np.ndarray:
+def _frozen_array(values, name: str, *, allow_negative: bool, stacked: bool = False) -> np.ndarray:
     arr = np.array(values, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
-        raise DomainError(f"{name} must be a one-dimensional array with at least one entry")
+    if arr.ndim not in ((1, 2) if stacked else (1,)) or arr.size < 1:
+        rows = " or a stack of such rows" if stacked else ""
+        raise DomainError(f"{name} must be a one-dimensional array{rows} with at least one entry")
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{name} must be finite")
     if not allow_negative and np.any(arr < 0.0):
@@ -104,14 +105,18 @@ class TruthCoefficients:
 
 @dataclass(frozen=True)
 class SequenceObservation:
-    """Observed sequence-model coefficients Y_k at noise level 1/sqrt(n)."""
+    """Observed sequence-model coefficients Y_k at noise level 1/sqrt(n).
+
+    ``coefficients`` is one observation (K,) or a stack of independent
+    observations (draws, K), one per row.
+    """
 
     coefficients: np.ndarray
     n: float
     basis_id: str
 
     def __post_init__(self):
-        arr = _frozen_array(self.coefficients, "coefficients", allow_negative=True)
+        arr = _frozen_array(self.coefficients, "coefficients", allow_negative=True, stacked=True)
         object.__setattr__(self, "coefficients", arr)
         if not (self.n > 0 and math.isfinite(self.n)):
             raise DomainError("sample size n must be positive and finite")
@@ -159,18 +164,34 @@ def _shrinkage(lam: np.ndarray, n: float) -> tuple[np.ndarray, np.ndarray, np.nd
     return weights, one_minus, variances
 
 
-def sample_observation(theta: TruthCoefficients, n: float, rng: np.random.Generator) -> SequenceObservation:
-    """Draw Y_k = theta_k + w_k / sqrt(n) with iid standard Gaussian w_k."""
+def sample_observation(
+    theta: TruthCoefficients, n: float, rng: np.random.Generator, *, draws: int | None = None
+) -> SequenceObservation:
+    """Draw Y_k = theta_k + w_k / sqrt(n) with iid standard Gaussian w_k.
+
+    With ``draws`` unset the observation is one row (K,).  With ``draws``
+    set it is a (draws, K) stack of independent observations from one
+    ``rng.standard_normal((draws, K))`` call, which reads the same stream
+    as ``draws`` calls of size K: row i equals the i-th of those draws,
+    bit for bit.
+    """
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
-    noise = rng.standard_normal(theta.size) / math.sqrt(n)
+    if draws is not None and draws < 1:
+        raise DomainError("draws must be at least 1")
+    shape = theta.size if draws is None else (draws, theta.size)
+    noise = rng.standard_normal(shape) / math.sqrt(n)
     return SequenceObservation(theta.theta + noise, float(n), theta.basis_id)
 
 
 def posterior_update(spectrum: Spectrum, observation: SequenceObservation) -> GPPosterior:
-    """Exact conjugate update of the prior spectrum against one observation."""
+    """Exact conjugate update of the prior spectrum against an observation.
+
+    A stacked observation (draws, K) gives stacked means, one row per draw;
+    the weights and variances do not depend on the data and stay (K,).
+    """
     _check_same_basis(spectrum.basis_id, observation.basis_id, "posterior_update")
-    _check_same_length(spectrum.size, observation.coefficients.size, "posterior_update")
+    _check_same_length(spectrum.size, observation.coefficients.shape[-1], "posterior_update")
     weights, _, variances = _shrinkage(spectrum.eigenvalues, observation.n)
     return GPPosterior(
         means=weights * observation.coefficients,

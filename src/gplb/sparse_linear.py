@@ -124,23 +124,40 @@ def reduce_to_sequence(
     return y, model
 
 
-def linear_estimator_risk(estimator: LinearEstimator, theta_index: int, sigma: float) -> float:
-    """Exact risk |(A - I) e_j|^2 + sigma^2 tr(A A^T) of theta_hat = A y."""
+def _check_sigma(sigma: float) -> None:
     if not (sigma > 0 and math.isfinite(sigma)):
         raise DomainError("noise level sigma must be positive and finite")
+
+
+def linear_estimator_risk(estimator: LinearEstimator, theta_index: int, sigma: float) -> float:
+    """Exact risk |(A - I) e_j|^2 + sigma^2 tr(A A^T) of theta_hat = A y.
+
+    When sigma^2 overflows, the limit is returned: inf, or the bias alone
+    when A = 0.
+    """
+    _check_sigma(sigma)
     A = estimator.matrix
     if not 0 <= theta_index < estimator.m:
         raise DomainError(f"theta index {theta_index} out of range for m = {estimator.m}")
     column = A[:, theta_index].copy()
     column[theta_index] -= 1.0
     bias_sq = float(column @ column)
-    return bias_sq + sigma**2 * float(np.sum(A * A))
+    return bias_sq + _noise_load(float(np.sum(A * A)), sigma)
 
 
 def _worst_case_risk(estimator: LinearEstimator, sigma: float) -> float:
-    return max(
-        linear_estimator_risk(estimator, j, sigma) for j in range(estimator.m)
-    )
+    """max_j of :func:`linear_estimator_risk`, in one pass over the columns of A - I.
+
+    Each column's squared norm is the dot product a 1-d ``column @ column``
+    takes, and adding the common noise term is monotone, so the maximum is
+    bit-equal to the per-column one.
+    """
+    _check_sigma(sigma)
+    A = estimator.matrix
+    columns = A.T.copy()  # row j is the column A e_j, contiguous
+    columns.flat[:: estimator.m + 1] -= 1.0
+    bias_sq = (columns[:, None, :] @ columns[:, :, None]).max()
+    return float(bias_sq) + _noise_load(float(np.sum(A * A)), sigma)
 
 
 def diagonal_reduction(estimator: LinearEstimator, sigma: float) -> tuple[float, bool]:
@@ -164,12 +181,16 @@ class MinimaxSolution(NamedTuple):
     a_star: float
 
 
-def _noise_load(m: int, sigma: float) -> float:
-    """t = m sigma^2, the curvature of the scalar risk less one; inf once sigma^2 overflows."""
+def _noise_load(weight: float, sigma: float) -> float:
+    """weight * sigma^2, or its limit once sigma^2 overflows: inf, or 0 when weight is 0.
+
+    With weight m it is t = m sigma^2, the curvature of the scalar risk less
+    one; with weight ||A||_F^2 it is the variance term of A y.
+    """
     try:
-        return m * sigma**2
+        return weight * sigma**2
     except OverflowError:
-        return math.inf
+        return math.inf if weight else 0.0
 
 
 def linear_minimax_risk(m: int, sigma: float) -> MinimaxSolution:
@@ -181,8 +202,7 @@ def linear_minimax_risk(m: int, sigma: float) -> MinimaxSolution:
     """
     if m < 1:
         raise DomainError("one-sparse model needs m >= 1")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise DomainError("noise level sigma must be positive and finite")
+    _check_sigma(sigma)
     t = _noise_load(m, sigma)
     if math.isinf(t):
         return MinimaxSolution(1.0, 0.0)
@@ -281,8 +301,7 @@ def brute_force_minimax_matrix(m: int, sigma: float, grid_size: int) -> float:
     """
     if not 1 <= m <= 2:
         raise DomainError("exhaustive matrix search is supported only for m <= 2")
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise DomainError("noise level sigma must be positive and finite")
+    _check_sigma(sigma)
     if grid_size < 2:
         raise DomainError("grid must contain at least two points per entry")
     levels = np.linspace(-1.0, 1.0, grid_size)

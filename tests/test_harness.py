@@ -63,7 +63,14 @@ from gplb.harness import (
     transfer_threshold,
 )
 from gplb.harness.cli import main
-from gplb.sequence_core import Spectrum, TruthCoefficients, exact_risk, exact_risks
+from gplb.sequence_core import (
+    Spectrum,
+    TruthCoefficients,
+    exact_risk,
+    exact_risks,
+    posterior_update,
+    sample_observation,
+)
 from gplb.wavelet import (
     HaarTensorBasis,
     SawtoothSurrogate,
@@ -854,6 +861,57 @@ def test_verify_battery_passes_with_one_line_per_check(seed):
     passed, lines = run_verify(ExperimentConfig(mode="verify", seed=seed))
     assert passed
     assert [line.split(":")[0] for line in lines] == [f"PASS {name}" for name, _ in properties.CHECKS]
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("seed", [1, 186])
+def test_verify_lines_equal_the_golden_output(seed):
+    # the golden files are `gplb verify --seed <seed>` stdout before verify was batched
+    passed, lines = run_verify(ExperimentConfig(mode="verify", seed=seed))
+    assert passed
+    expected = (GOLDEN / f"verify-seed-{seed}.txt").read_bytes()
+    assert "".join(line + "\n" for line in lines).encode() == expected
+
+
+def per_draw_small_error_hits(spectrum, theta, n, mu_sq, draws, rng):
+    """The loop over single draws that ``properties._small_error_hits`` batches."""
+    hits = 0
+    for _ in range(draws):
+        err = posterior_update(spectrum, sample_observation(theta, n, rng)).means - theta.theta
+        hits += float(err @ err) <= mu_sq / 4.0
+    return hits
+
+
+def recorded_risk_concentration(monkeypatch, count_hits, rng, full):
+    """Run the risk-concentration check with ``count_hits``; returns (hit counts, result)."""
+    counts = []
+
+    def recording(*args):
+        counts.append(count_hits(*args))
+        return counts[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(properties, "_small_error_hits", recording)
+        result = properties.risk_concentration(rng, full)
+    return counts, result
+
+
+@pytest.mark.parametrize("full, seeds", [(False, range(300)), (True, (707, 1))], ids=["quick", "full"])
+def test_risk_concentration_hits_equal_the_per_draw_loop(monkeypatch, full, seeds):
+    # quick runs draw as `gplb verify` does, full runs as acceptance criterion 7
+    index = [name for name, _ in properties.CHECKS].index("risk-concentration")
+    batched = properties._small_error_hits
+    for seed in seeds:
+        outcomes = [
+            recorded_risk_concentration(
+                monkeypatch, count_hits,
+                np.random.default_rng(seed) if full else task_rng(seed, index), full)
+            for count_hits in (batched, per_draw_small_error_hits)
+        ]
+        assert outcomes[0] == outcomes[1], seed
+        assert len(outcomes[0][0]) == (20 if full else 2)
 
 
 # check name -> (owner, attribute, wrapper that breaks the original)

@@ -4,6 +4,7 @@ The closed-form vertex and ridge formulas are the production path; the
 scipy routines only appear here, as independent referees.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from gplb.adversarial import build_pyramid_family, evaluate_pyramid, pyramid_norm_sq
 from gplb.errors import DomainError, QuadratureError
 from gplb.integrate import (
     PiecewisePolynomial,
@@ -252,3 +254,151 @@ def test_adaptive_quadrature_failure_carries_diagnostics():
     assert diag["depth"] == 3
     assert diag["difference"] > diag["tolerance"]
     assert len(diag["box_lo"]) == 1
+
+
+# ---------------------------------------------------------------------------
+# The box-by-box adaptive quadrature that adaptive_box_integral batches,
+# kept as its bit-for-bit oracle
+# ---------------------------------------------------------------------------
+
+def meshgrid_gl_box(fn, lo, hi, order=8):
+    """Tensor Gauss-Legendre over one box, built with np.meshgrid and outer products."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    d = lo.size
+    if np.any(hi <= lo):
+        return 0.0
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes, weights = (nodes + 1.0) / 2.0, weights / 2.0
+    axes_pts = [lo[i] + (hi[i] - lo[i]) * nodes for i in range(d)]
+    axes_wts = [(hi[i] - lo[i]) * weights for i in range(d)]
+    grids = np.meshgrid(*axes_pts, indexing="ij")
+    pts = np.stack([g.ravel() for g in grids], axis=-1)
+    wts = axes_wts[0]
+    for w in axes_wts[1:]:
+        wts = np.multiply.outer(wts, w)
+    return float(np.asarray(fn(pts), dtype=float) @ wts.ravel())
+
+
+def recursive_adaptive_integral(fn, lo, hi, tol, order=8, max_depth=40):
+    """Adaptive quadrature that integrates each box, then each of its children, on its own."""
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+
+    def recurse(box_lo, box_hi, box_tol, depth):
+        coarse = meshgrid_gl_box(fn, box_lo, box_hi, order)
+        mid = (box_lo + box_hi) / 2.0
+        children = []
+        for mask in itertools.product((0, 1), repeat=box_lo.size):
+            children.append((np.where(mask, mid, box_lo), np.where(mask, box_hi, mid)))
+        refined = sum(meshgrid_gl_box(fn, c_lo, c_hi, order) for c_lo, c_hi in children)
+        accept = max(box_tol, 4e-16 * (abs(coarse) + abs(refined)))
+        if abs(refined - coarse) <= accept:
+            return refined
+        if depth >= max_depth:
+            raise QuadratureError(
+                "adaptive quadrature failed to converge",
+                diagnostics={
+                    "box_lo": box_lo.tolist(),
+                    "box_hi": box_hi.tolist(),
+                    "coarse": coarse,
+                    "refined": refined,
+                    "difference": abs(refined - coarse),
+                    "tolerance": box_tol,
+                    "depth": depth,
+                },
+            )
+        return sum(recurse(c_lo, c_hi, box_tol / 2.0, depth + 1) for c_lo, c_hi in children)
+
+    return recurse(lo, hi, tol, 0)
+
+
+class Counted:
+    """An integrand that counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, pts):
+        self.calls += 1
+        return self.fn(pts)
+
+
+def pyramid_squared(d, k):
+    family = build_pyramid_family(d, k)
+    return (
+        lambda pts: evaluate_pyramid(family, 0, pts) ** 2,
+        family.centers[0] - family.bandwidth,
+        family.centers[0] + family.bandwidth,
+        pyramid_norm_sq(d, k),
+    )
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("order", [3, 8])
+def test_gl_box_is_bit_equal_to_the_meshgrid_rule(d, order):
+    rng = np.random.default_rng(10 * d + order)
+    for _ in range(50):
+        center, halfwidth = rng.random(d), rng.uniform(0.1, 0.6)
+
+        def fn(pts):
+            return np.maximum(halfwidth - np.abs(pts - center).sum(axis=1), 0.0) ** 2
+
+        lo = rng.random(d)
+        hi = lo + rng.uniform(0.01, 0.7, d)
+        assert gl_box(fn, lo, hi, order) == meshgrid_gl_box(fn, lo, hi, order)
+
+
+KINKS = {
+    "abs-1d": (lambda pts: np.abs(pts[:, 0] - 0.3), [0.0], [1.0], 1e-12),
+    "jump-slope-1d": (lambda pts: np.maximum(pts[:, 0] - math.sqrt(0.5), 0.0) ** 3, [0.1], [0.95], 1e-13),
+    "cone-2d": (
+        lambda pts: np.maximum(0.5 - np.abs(pts - 0.5).sum(axis=1), 0.0) ** 2,
+        [0.0, 0.0], [1.0, 1.0], 1e-10),
+    "ridge-2d": (
+        lambda pts: np.abs(pts[:, 0] + 2.0 * pts[:, 1] - 1.1), [0.0, -0.2], [0.9, 1.0], 1e-7),
+    "ridge-3d": (
+        lambda pts: np.maximum(pts.sum(axis=1) - 1.2, 0.0), [0.0, 0.0, 0.0], [1.0, 1.0, 1.0], 1e-5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KINKS))
+@pytest.mark.parametrize("order", [4, 8])
+def test_adaptive_integral_is_bit_equal_to_the_recursive_oracle(name, order):
+    fn, lo, hi, tol = KINKS[name]
+    batched, oracle = Counted(fn), Counted(fn)
+    value = adaptive_box_integral(batched, lo, hi, tol, order)
+    assert value == recursive_adaptive_integral(oracle, lo, hi, tol, order)
+    # the oracle calls fn once per box and once per child; one call per box
+    # (plus the first box) covers every child of a box
+    boxes = oracle.calls // (1 + 2 ** len(lo))
+    assert oracle.calls == boxes * (1 + 2 ** len(lo)) and batched.calls == 1 + boxes
+
+
+@pytest.mark.parametrize("d, k", [(1, 2), (2, 1), (3, 1), (3, 2)])
+def test_adaptive_pyramid_norm_is_bit_equal_to_the_recursive_oracle(d, k):
+    fn, lo, hi, closed = pyramid_squared(d, k)
+    tol = closed * 1e-5
+    assert adaptive_box_integral(fn, lo, hi, tol) == recursive_adaptive_integral(fn, lo, hi, tol)
+
+
+def test_adaptive_integral_of_a_zero_width_box_is_zero_without_calls():
+    fn = Counted(lambda pts: np.ones(len(pts)))
+    for lo, hi in (([0.2], [0.2]), ([0.0, 0.5, 0.0], [1.0, 0.5, 1.0]), ([0.3, 0.0], [0.1, 1.0])):
+        value = adaptive_box_integral(fn, lo, hi, tol=1e-12)
+        assert value == recursive_adaptive_integral(fn, lo, hi, tol=1e-12) == 0.0
+    assert fn.calls == 0
+
+
+@pytest.mark.parametrize("max_depth", [0, 3])
+def test_adaptive_failure_diagnostics_equal_the_recursive_oracle(max_depth):
+    def fn(pts):
+        return (pts[:, 0] + 0.5 * pts[:, 1] > math.sqrt(2.0) / 2.0).astype(float)
+
+    failures = []
+    for integral in (adaptive_box_integral, recursive_adaptive_integral):
+        with pytest.raises(QuadratureError) as excinfo:
+            integral(fn, [0.0, 0.0], [1.0, 1.0], tol=1e-15, max_depth=max_depth)
+        failures.append((str(excinfo.value), excinfo.value.diagnostics))
+    assert failures[0] == failures[1]
+    assert failures[0][1]["depth"] == max_depth

@@ -242,6 +242,46 @@ def test_sample_observation_rejects_bad_n():
         sample_observation(truth_of(0.0), -2.0, np.random.default_rng(0))
 
 
+@pytest.mark.parametrize("seed", [0, 1, 707])
+@pytest.mark.parametrize("draws", [1, 2, 500])
+def test_stacked_observations_equal_the_single_draws_row_by_row(seed, draws):
+    spectrum = Spectrum(np.array([0.02, 0.5, 0.0, 3e-4, 1e-9, 7.0, 0.02, 1e3]), BASIS)
+    theta = TruthCoefficients(np.linspace(-0.4, 0.7, 8), BASIS)
+    n = 500.0
+    single_rng, stacked_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    singles = [sample_observation(theta, n, single_rng) for _ in range(draws)]
+    stacked = sample_observation(theta, n, stacked_rng, draws=draws)
+    assert stacked.coefficients.shape == (draws, 8)
+    assert stacked.n == n and stacked.basis_id == BASIS
+    # one (draws, K) call reads the stream that draws calls of size K read
+    assert single_rng.bit_generator.state == stacked_rng.bit_generator.state
+    posterior = posterior_update(spectrum, stacked)
+    assert posterior.means.shape == (draws, 8)
+    for row, single in enumerate(singles):
+        assert np.array_equal(stacked.coefficients[row], single.coefficients)
+        one = posterior_update(spectrum, single)
+        assert np.array_equal(posterior.means[row], one.means)
+        assert np.array_equal(posterior.variances, one.variances)
+        assert np.array_equal(posterior.weights, one.weights)
+
+
+def test_stacked_observations_are_validated():
+    theta = truth_of(0.1, 0.2)
+    with pytest.raises(DomainError, match="draws"):
+        sample_observation(theta, 10.0, np.random.default_rng(0), draws=0)
+    with pytest.raises(DomainError):
+        observation_of(np.zeros((2, 2, 2)), 10.0)
+    with pytest.raises(DomainError):
+        observation_of(np.zeros((0, 2)), 10.0)
+    with pytest.raises(DomainError):
+        observation_of([[0.0, np.nan]], 10.0)
+    # truths and spectra stay one-dimensional
+    with pytest.raises(DomainError):
+        TruthCoefficients(np.zeros((2, 2)), BASIS)
+    with pytest.raises(ContractError):
+        posterior_update(spectrum_of(1.0, 2.0, 3.0), observation_of(np.zeros((4, 2)), 10.0))
+
+
 # ---------------------------------------------------------------------------
 # Monte Carlo risk
 # ---------------------------------------------------------------------------

@@ -195,6 +195,45 @@ def test_diagonal_domination_over_random_matrices():
     assert checked == 630
 
 
+def test_worst_case_risk_is_bit_equal_to_the_per_column_maximum():
+    # the one-pass worst case against the slow path it replaced
+    rng = np.random.default_rng(2024)
+    for _ in range(10_000):
+        m = int(rng.integers(1, 65))
+        estimator = LinearEstimator(rng.standard_normal((m, m)) * 10.0 ** rng.uniform(-3.0, 3.0))
+        sigma = 10.0 ** rng.uniform(-3.0, 3.0)
+        oracle = max(linear_estimator_risk(estimator, j, sigma) for j in range(m))
+        assert sparse_linear._worst_case_risk(estimator, sigma) == oracle
+    with pytest.raises(DomainError, match="sigma"):
+        sparse_linear._worst_case_risk(LinearEstimator(np.eye(2)), 0.0)
+
+
+def test_overflowing_sigma_squared_gives_the_limit():
+    # 1e200 ** 2 overflows a float: the risk is its limit, not an OverflowError
+    sigma = 1e200
+    rng = np.random.default_rng(5)
+    zero = LinearEstimator(np.zeros((3, 3)))
+    for j in range(3):
+        assert linear_estimator_risk(zero, j, sigma) == 1.0
+    assert sparse_linear._worst_case_risk(zero, sigma) == 1.0
+    assert diagonal_reduction(zero, sigma) == (0.0, True)
+    for matrix in (0.5 * np.eye(3), rng.standard_normal((4, 4))):
+        estimator = LinearEstimator(matrix)
+        assert linear_estimator_risk(estimator, 0, sigma) == math.inf
+        assert sparse_linear._worst_case_risk(estimator, sigma) == math.inf
+        a_bar, dominated = diagonal_reduction(estimator, sigma)
+        assert a_bar == float(np.sqrt(np.mean(np.diagonal(matrix) ** 2)))
+        assert dominated
+    # a zero diagonal collapses to a_bar = 0, whose risk is the bias 1 alone
+    off_diagonal = LinearEstimator(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert diagonal_reduction(off_diagonal, sigma) == (0.0, True)
+    # where sigma^2 is finite the expression is unchanged
+    estimator = LinearEstimator(rng.standard_normal((3, 3)))
+    column = estimator.matrix[:, 1] - np.eye(3)[:, 1]
+    expected = float(column @ column) + 1e100**2 * float(np.sum(estimator.matrix**2))
+    assert linear_estimator_risk(estimator, 1, 1e100) == expected
+
+
 # ---------------------------------------------------------------------------
 # Minimax: closed form and brute-force oracles
 # ---------------------------------------------------------------------------
