@@ -67,7 +67,6 @@ from .sparse_linear import (
 from .wavelet import (
     HaarTensorBasis,
     SawtoothSurrogate,
-    WaveletIndex,
     WaveletPrior,
     haar_tensor_basis,
     sample_wavelet_prior,
@@ -125,7 +124,6 @@ __all__ = [
     "brute_force_minimax",
     "brute_force_minimax_matrix",
     "gp_mean_dominates_linear",
-    "WaveletIndex",
     "HaarTensorBasis",
     "haar_tensor_basis",
     "WaveletPrior",

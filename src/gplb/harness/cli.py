@@ -13,7 +13,8 @@ Flags shared by every subcommand: --config, --seed, --out, --format,
 --threads.  Environment variables GPLB_CONFIG, GPLB_SEED, GPLB_OUT,
 GPLB_FORMAT, GPLB_THREADS override the file; flags override both.
 Without --out the report is written to stdout.  Exit codes: 0 success,
-1 verify-battery failure, 2 configuration error.
+1 verify-battery failure, 2 configuration error or a report that cannot
+be written to --out.
 """
 
 from __future__ import annotations
@@ -91,7 +92,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     if config.out is not None:
-        emit_report(report, config.out, config.format)
+        try:
+            emit_report(report, config.out, config.format)
+        except OSError as exc:
+            print(f"output error: {exc}", file=sys.stderr)
+            return 2
     else:
         text = render_csv(report) if config.format == "csv" else render_json(report)
         sys.stdout.write(text)

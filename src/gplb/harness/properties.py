@@ -276,14 +276,22 @@ def risk_concentration(rng: np.random.Generator, full: bool) -> tuple[bool, str]
 
 
 def basis_orthonormality(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
-    """The exact Gram matrix of the d = 2, level-1 tensor Haar basis is the identity."""
+    """The fast Haar transform of the d = 2, level-1 basis is orthonormal and pointwise right.
+
+    W = analyze of the N^d unit cell indicators holds member p's value on
+    cell c at W[c, p], so W^T W / N^d is the Gram matrix; W must also
+    equal ``evaluate`` at the cell midpoints.
+    """
     basis = haar_tensor_basis(2, 1)
-    gram_dev = 0.0
-    for i, gi in enumerate(basis.indices):
-        for gj in basis.indices[i:]:
-            target = 1.0 if gi == gj else 0.0
-            gram_dev = max(gram_dev, abs(basis.pair_inner(gi, gj) - target))
-    return gram_dev < 1e-12, f"max Gram deviation {gram_dev:.2e}"
+    shape = (basis.cells_per_axis,) * basis.d
+    cells = math.prod(shape)
+    values = basis.analyze(np.eye(cells).reshape((cells,) + shape))
+    gram_dev = float(np.max(np.abs(values.T @ values / cells - np.eye(basis.size))))
+    midpoints = (np.indices(shape).reshape(basis.d, cells).T + 0.5) / basis.cells_per_axis
+    pointwise = all(
+        np.array_equal(values[:, p], basis.evaluate(p, midpoints)) for p in range(basis.size)
+    )
+    return gram_dev < 1e-12 and pointwise, f"max Gram deviation {gram_dev:.2e}"
 
 
 def constant_identities(rng: np.random.Generator, full: bool) -> tuple[bool, str]:

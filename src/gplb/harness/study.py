@@ -26,7 +26,6 @@ import numpy.random  # noqa: F401  numpy loads it on first use; here it stays in
 
 from ..adversarial import (
     build_pyramid_family,
-    choose_grid,
     coefficient_work_bytes,
     compute_coefficients,
     grid_target,
@@ -159,10 +158,13 @@ def grid_count(d: int, n: float, rule: str) -> tuple[int, int]:
     and "floor" track the continuous target more closely, which matters
     when fitting empirical rates across a short n-range.
     """
-    if rule == "ceil":
-        return choose_grid(d, n)
     t = grid_target(d, n)
-    if rule == "round":
+    if rule == "ceil":
+        # choose_grid's k, without its family-size cap: _checked_K refuses
+        # an oversize family (m > MAX_FAMILY_SIZE needs over 2^30 bytes)
+        # with the sizes named, as it does under the other rules.
+        k = max(1, math.ceil(t * (1.0 - 4e-16)))
+    elif rule == "round":
         k = max(1, round(t))
     elif rule == "floor":
         k = max(1, math.floor(t))

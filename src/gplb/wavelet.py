@@ -39,7 +39,6 @@ from .integrate import ridge_box_integral  # noqa: F401  rebound here by the ben
 from .sequence_core import Spectrum, TruthCoefficients
 
 __all__ = [
-    "WaveletIndex",
     "HaarTensorBasis",
     "haar_tensor_basis",
     "WaveletPrior",
@@ -52,40 +51,6 @@ __all__ = [
 ]
 
 SCALING_LEVEL = -1
-
-
-@dataclass(frozen=True, order=True)
-class WaveletIndex:
-    """Index of one tensor Haar function: a (level, translate) pair per axis.
-
-    Level -1 denotes the univariate scaling function (translate must be 0);
-    level j >= 0 admits translates 0 .. 2^j - 1.
-    """
-
-    axes: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        if len(self.axes) < 1:
-            raise DomainError("a wavelet index needs at least one axis")
-        for level, translate in self.axes:
-            if level < SCALING_LEVEL:
-                raise DomainError(f"wavelet level must be >= {SCALING_LEVEL}, got {level}")
-            if level == SCALING_LEVEL:
-                if translate != 0:
-                    raise DomainError("the scaling function admits only translate 0")
-            elif not 0 <= translate < 2**level:
-                raise DomainError(
-                    f"translate {translate} out of range for level {level} (need 0..{2**level - 1})"
-                )
-
-    @property
-    def d(self) -> int:
-        return len(self.axes)
-
-    @property
-    def resolution(self) -> int:
-        """Finest univariate level appearing in the tuple (-1 if all scaling)."""
-        return max(level for level, _ in self.axes)
 
 
 def _axis_panels(level: int, translate: int) -> list[tuple[float, float, float]]:
@@ -147,17 +112,19 @@ def _haar_analysis(values: np.ndarray, axis: int) -> np.ndarray:
 class HaarTensorBasis:
     """All tensor Haar functions on [0,1]^d through univariate level J.
 
-    Indices are ordered coarse to fine: primarily by resolution (the finest
-    level in the tuple), then lexicographically, so truncating the sequence
+    A member is the product of one univariate function, a (level,
+    translate) pair, per axis.  Members are ordered coarse to fine:
+    primarily by resolution (the finest level among the axes), then
+    lexicographically by their axis pairs, so truncating the sequence
     always keeps a complete multiresolution prefix.  The univariate count
-    through level J is 2^{J+1}; the tensor count is 2^{d (J+1)}.
+    through level J is 2^{J+1}; the tensor count is 2^{d (J+1)}.  A member
+    is addressed by its position 0 .. size - 1 in this order.
 
     Every member is constant on the N^d finest dyadic cells, N = 2^{J+1},
     so :meth:`analyze` turns a function's exact cell integrals into its
-    exact coefficients.  Computations read the members from the integer
-    arrays ``order`` and ``groups``; the ``indices`` tuple of
-    :class:`WaveletIndex` objects, for evaluation and exact pairwise
-    inner products, is built only on first access.
+    exact coefficients.  The integer arrays ``order`` and ``groups``
+    describe every member at once; :meth:`evaluate` and
+    :meth:`constant_panels` read one member's axis pairs from ``order``.
     """
 
     d: int
@@ -193,7 +160,7 @@ class HaarTensorBasis:
 
         Position (u_1, ..., u_d) holds the product of the univariate
         functions at positions u_i; row-major order of the positions is the
-        lexicographic order of the index tuples, so a stable sort on
+        lexicographic order of the members' axis pairs, so a stable sort on
         resolution gives the coarse-to-fine basis order.
         """
         order = np.argsort(self._resolution, kind="stable")
@@ -210,15 +177,6 @@ class HaarTensorBasis:
         groups = np.maximum(self._resolution[self.order], 0).astype(np.intp)
         groups.setflags(write=False)
         return groups
-
-    @cached_property
-    def indices(self) -> tuple[WaveletIndex, ...]:
-        univariate = _univariate_indices(self.level)
-        positions = np.unravel_index(self.order, (self.cells_per_axis,) * self.d)
-        return tuple(
-            WaveletIndex(tuple(univariate[u] for u in cell))
-            for cell in zip(*(axis.tolist() for axis in positions))
-        )
 
     def analyze(self, cells) -> np.ndarray:
         """Exact coefficients, in basis order, from integrals over the finest cells.
@@ -243,56 +201,40 @@ class HaarTensorBasis:
     def basis_id(self) -> str:
         return f"haar{self.d}d_J{self.level}"
 
-    def _check_member(self, index: WaveletIndex) -> None:
-        if index.d != self.d:
-            raise ContractError(f"index dimension {index.d} does not match basis dimension {self.d}")
-        if index.resolution > self.level:
-            raise ContractError(f"index resolution {index.resolution} exceeds basis level {self.level}")
+    def _member_axes(self, position: int) -> list[tuple[int, int]]:
+        """(level, translate) of each axis factor of the member at a basis position."""
+        if not 0 <= position < self.size:
+            raise ContractError(f"basis position {position} is outside 0..{self.size - 1}")
+        univariate = _univariate_indices(self.level)
+        cell = np.unravel_index(self.order[position], (self.cells_per_axis,) * self.d)
+        return [univariate[u] for u in cell]
 
-    def evaluate(self, index: WaveletIndex, x) -> np.ndarray:
-        """Evaluate psi_gamma at points x of shape (npts, d) or (d,)."""
-        self._check_member(index)
+    def evaluate(self, position: int, x) -> np.ndarray:
+        """Evaluate the member at a basis position at points x of shape (npts, d) or (d,)."""
+        axes = self._member_axes(position)
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         if pts.shape[1] != self.d:
             raise DomainError(f"points must have {self.d} columns, got {pts.shape[1]}")
         if np.any(pts < 0.0) or np.any(pts > 1.0):
             raise DomainError("evaluation points must lie in the unit cube")
         values = np.ones(pts.shape[0])
-        for axis, (level, translate) in enumerate(index.axes):
+        for axis, (level, translate) in enumerate(axes):
             values *= _axis_values(level, translate, pts[:, axis])
         return values if np.ndim(x) > 1 else values.reshape(-1)
 
-    def constant_panels(self, index: WaveletIndex):
-        """Yield (lo, hi, value) boxes covering the support of psi_gamma.
+    def constant_panels(self, position: int):
+        """Yield (lo, hi, value) boxes covering the support of the member at a basis position.
 
         The function equals ``value`` on each box and 0 elsewhere; there
         are at most 2^d boxes.  Exact integration against any integrable
         function reduces to a sum of box integrals.
         """
-        self._check_member(index)
-        per_axis = [_axis_panels(level, translate) for level, translate in index.axes]
+        per_axis = [_axis_panels(level, translate) for level, translate in self._member_axes(position)]
         for combo in itertools.product(*per_axis):
             lo = np.array([seg[0] for seg in combo])
             hi = np.array([seg[1] for seg in combo])
             value = math.prod(seg[2] for seg in combo)
             yield lo, hi, value
-
-    def pair_inner(self, first: WaveletIndex, second: WaveletIndex) -> float:
-        """Exact L^2 inner product <psi_a, psi_b>, a product of axis integrals."""
-        self._check_member(first)
-        self._check_member(second)
-        total = 1.0
-        for (la, ta), (lb, tb) in zip(first.axes, second.axes):
-            axis_ip = 0.0
-            for alo, ahi, av in _axis_panels(la, ta):
-                for blo, bhi, bv in _axis_panels(lb, tb):
-                    overlap = min(ahi, bhi) - max(alo, blo)
-                    if overlap > 0.0:
-                        axis_ip += av * bv * overlap
-            total *= axis_ip
-            if total == 0.0:
-                return 0.0
-        return total
 
 
 def haar_tensor_basis(d: int, J: int) -> HaarTensorBasis:
@@ -405,14 +347,10 @@ def level_profile_risk_infimum(coefficients, basis: HaarTensorBasis, n: float) -
         theta = np.asarray(coefficients, dtype=float)
     if theta.shape != (basis.size,):
         raise ContractError(f"expected {basis.size} coefficients, got {theta.shape}")
-    total = 0.0
-    for level in range(basis.level + 1):
-        members = basis.groups == level
-        energy = float(np.sum(theta[members] ** 2))
-        size = float(np.count_nonzero(members))
-        if energy > 0.0:
-            total += energy * (size / n) / (energy + size / n)
-    return total
+    energy = np.bincount(basis.groups, weights=theta**2)
+    noise = np.bincount(basis.groups) / n
+    held = energy > 0.0
+    return float(np.sum(energy[held] * noise[held] / (energy[held] + noise[held])))
 
 
 def wavelet_prior_rate(d: int, n: float) -> float:

@@ -191,8 +191,7 @@ def test_criterion_08_posterior_mass_floor_beyond_transfer_threshold():
 
 
 def resolution_groups(basis):
-    keys = np.array([max(g.resolution, 0) for g in basis.indices])
-    return {level: np.flatnonzero(keys == level) for level in np.unique(keys)}
+    return {level: np.flatnonzero(basis.groups == level) for level in np.unique(basis.groups)}
 
 
 def dispersed_test_functions(basis, n):

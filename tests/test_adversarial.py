@@ -242,10 +242,10 @@ def test_coefficients_match_scipy_for_a_shifted_member():
     coeffs = compute_coefficients(family, basis, basis.size)
     c = family.centers[1][0]
     b = family.bandwidth
-    for col, index in enumerate(basis.indices):
+    for col in range(basis.size):
         expected, _ = integrate.quad(
             lambda x: max(b - abs(x - c), 0.0)
-            * float(basis.evaluate(index, np.array([[x]]))[0]),
+            * float(basis.evaluate(col, np.array([[x]]))[0]),
             c - b,
             c + b,
             points=[c - b, c, c + b],
@@ -273,7 +273,7 @@ def test_row_energy_approaches_the_norm_with_depth():
 
 def per_panel_coefficients(family, basis, K, members):
     """Oracle: every panel of every basis function, integrated one box at a time."""
-    panels = [tuple(basis.constant_panels(index)) for index in basis.indices[:K]]
+    panels = [tuple(basis.constant_panels(position)) for position in range(K)]
     rows = np.zeros((len(members), K))
     for row, j in enumerate(members):
         center = family.centers[j]
@@ -403,7 +403,7 @@ def test_floor_dominates_for_random_profile_spectra():
     truths = [
         TruthCoefficients(coeffs.entries[j], basis.basis_id) for j in range(family.m)
     ]
-    res = np.array([max(g.resolution, 0) for g in basis.indices], dtype=float)
+    res = basis.groups
     rng = np.random.default_rng(17)
     for trial in range(300):
         tau = 10.0 ** rng.uniform(-2, 2)
@@ -444,7 +444,7 @@ def test_dyadic_overresolved_grid_is_the_documented_floor_exception():
     coeffs = compute_coefficients(family, basis, basis.size)
     n = 10000.0
     bound = risk_lower_bound(coeffs, n)
-    res = np.array([max(g.resolution, 0) for g in basis.indices], dtype=float)
+    res = basis.groups
     lam = 0.011272771229883708 * 2.0 ** (-res * 2.483288759493436)
     spectrum = Spectrum(lam, basis.basis_id)
     worst = max(

@@ -29,6 +29,7 @@ import gplb.harness.study as study
 import gplb.sparse_linear as sparse_linear
 from gplb.adversarial import (
     build_pyramid_family,
+    choose_grid,
     compute_coefficients,
     mean_risk_floor,
     pyramid_norm_sq,
@@ -556,6 +557,16 @@ def test_grid_count_rules_and_frozen_examples():
         grid_count(1, 1000.0, "banana")
 
 
+def test_ceil_grid_count_is_the_canonical_grid_without_its_family_cap():
+    for d in (1, 2, 3):
+        for n in np.logspace(0, 14, 57):
+            assert grid_count(d, float(n), "ceil") == choose_grid(d, float(n))
+    # past the family cap choose_grid refuses; the study's size check
+    # refuses the same grid with the sizes named
+    k, m = grid_count(1, 1e40, "ceil")
+    assert m == k > 10**9
+
+
 # ---------------------------------------------------------------------------
 # study runners (tiny grids)
 
@@ -940,7 +951,7 @@ BREAKS = {
         lambda f: lambda spectrum, observation: f(
             Spectrum(1e6 * spectrum.eigenvalues, spectrum.basis_id), observation)),
     "basis-orthonormality": (
-        HaarTensorBasis, "pair_inner", lambda f: lambda basis, a, b: (1.0 + 1e-9) * f(basis, a, b)),
+        HaarTensorBasis, "analyze", lambda f: lambda basis, cells: (1.0 + 1e-9) * f(basis, cells)),
     "constant-identities": (
         properties, "lower_bound_constants",
         lambda f: lambda d: f(d)._replace(rate_exponent=1.0 / (2.0 + d))),
@@ -956,6 +967,18 @@ def test_every_check_fails_when_the_code_it_guards_breaks(monkeypatch, index):
     monkeypatch.setattr(owner, attribute, breaks(getattr(owner, attribute)))
     ok, detail = check(task_rng(1, index), False)
     assert not ok, detail
+
+
+def test_basis_orthonormality_fails_when_evaluate_and_the_transform_disagree(monkeypatch):
+    # Shifting evaluate by one member keeps the Gram matrix the identity;
+    # only the comparison at the cell midpoints sees it.
+    index = [name for name, _ in properties.CHECKS].index("basis-orthonormality")
+    check = properties.CHECKS[index][1]
+    evaluate = HaarTensorBasis.evaluate
+    monkeypatch.setattr(
+        HaarTensorBasis, "evaluate", lambda basis, p, x: evaluate(basis, (p + 1) % basis.size, x))
+    ok, detail = check(task_rng(1, index), False)
+    assert not ok and detail == "max Gram deviation 4.44e-16"
 
 
 # ---------------------------------------------------------------------------
@@ -1027,6 +1050,25 @@ def test_cli_exit_code_two_on_config_errors(tmp_path, capsys):
     assert "cannot resolve" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rule", ["ceil", "round", "floor"])
+def test_cli_refuses_an_oversize_n_under_every_grid_rule(tmp_path, capsys, rule):
+    path = write_ini(tmp_path, f"[experiment]\nn_grid = 1e40\ngrid_rule = {rule}\n")
+    assert main(["risk", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: d = 1, n = 1e+40: k = ")
+    for part in (", m = ", ", level = ", ", K = ", " bytes for coefficients"):
+        assert part in err
+
+
+def test_cli_exit_code_two_on_an_unwritable_out(tmp_path, capsys):
+    target = tmp_path / "missing" / "battery.csv"
+    assert main(["minimax", "--out", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not target.exists()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("output error: ") and str(target) in lines[0]
+
+
 def test_cli_minimax_reports_risk_one_when_m_sigma_sq_overflows(tmp_path):
     path = write_ini(
         tmp_path, "[minimax]\nm_values = 1, 64\nsigma_values = 1e200, 0.5\ngrid_size = 101\n"
@@ -1081,13 +1123,16 @@ def test_default_cli_calls_run_without_scipy_and_import_nothing_mid_study():
 
 def test_studies_describe_the_basis_without_index_objects(monkeypatch):
     # The risk, rates, contraction and wavelet studies use the basis's
-    # integer order and groups only; building a WaveletIndex fails here.
-    def refuse(self):
-        raise AssertionError("a study built a WaveletIndex")
+    # integer order and groups only; asking for one member's axis pairs,
+    # as evaluate and constant_panels do, fails here.
+    def refuse(self, position):
+        raise AssertionError("a study described a basis member by its axis pairs")
 
-    monkeypatch.setattr("gplb.wavelet.WaveletIndex.__post_init__", refuse)
+    monkeypatch.setattr(HaarTensorBasis, "_member_axes", refuse)
     with pytest.raises(AssertionError):
-        haar_tensor_basis(1, 0).indices
+        haar_tensor_basis(1, 0).evaluate(0, [0.5])
+    with pytest.raises(AssertionError):
+        next(haar_tensor_basis(1, 0).constant_panels(0))
     for runner, mode in (
         (run_risk_study, "risk"),
         (run_rate_study, "rates"),

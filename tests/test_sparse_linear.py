@@ -538,7 +538,7 @@ def test_posterior_mean_floor_for_random_spectra():
     basis = haar_tensor_basis(1, 6)
     coeffs = compute_coefficients(family, basis, basis.size)
     n = 1000.0
-    res = np.array([max(g.resolution, 0) for g in basis.indices], dtype=float)
+    res = basis.groups
     rng = np.random.default_rng(23)
     for trial in range(500):
         mode = trial % 3

@@ -22,7 +22,6 @@ from gplb.wavelet import (
     SCALING_LEVEL,
     HaarTensorBasis,
     SawtoothSurrogate,
-    WaveletIndex,
     WaveletPrior,
     haar_tensor_basis,
     level_profile_risk_infimum,
@@ -35,8 +34,7 @@ from gplb.wavelet import (
 
 def resolution_groups(basis):
     """Indices of basis members sharing a preset variance level."""
-    keys = np.array([max(g.resolution, 0) for g in basis.indices])
-    return {level: np.flatnonzero(keys == level) for level in np.unique(keys)}
+    return {level: np.flatnonzero(basis.groups == level) for level in np.unique(basis.groups)}
 
 
 def dispersed_test_functions(basis, n):
@@ -88,11 +86,6 @@ def midpoint_grid(d, J):
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
-def exact_inner_by_sampling(basis, a, b, pts):
-    # Exact because both factors are constant on each sampled cell.
-    return float(np.mean(basis.evaluate(a, pts) * basis.evaluate(b, pts)))
-
-
 # ---------------------------------------------------------------------------
 # Basis construction and evaluation
 # ---------------------------------------------------------------------------
@@ -100,14 +93,13 @@ def exact_inner_by_sampling(basis, a, b, pts):
 def test_level_zero_univariate_basis_is_the_classic_pair():
     basis = haar_tensor_basis(1, 0)
     assert basis.size == 2
-    scaling, mother = basis.indices
-    assert scaling.axes == ((SCALING_LEVEL, 0),)
-    assert mother.axes == ((0, 0),)
+    assert basis.groups.tolist() == [0, 0]
     pts = np.array([[0.1], [0.4], [0.6], [0.9]])
-    assert np.allclose(basis.evaluate(scaling, pts), 1.0)
-    assert np.allclose(basis.evaluate(mother, pts), [1.0, 1.0, -1.0, -1.0])
-    assert basis.pair_inner(scaling, mother) == 0.0
-    assert basis.pair_inner(mother, mother) == pytest.approx(1.0, abs=1e-15)
+    assert np.allclose(basis.evaluate(0, pts), 1.0)
+    assert np.allclose(basis.evaluate(1, pts), [1.0, 1.0, -1.0, -1.0])
+    (lo, hi, value), = basis.constant_panels(0)
+    assert (lo.tolist(), hi.tolist(), value) == ([0.0], [1.0], 1.0)
+    assert [value for _, _, value in basis.constant_panels(1)] == [1.0, -1.0]
 
 
 def test_basis_counts_follow_dyadic_counting():
@@ -116,18 +108,23 @@ def test_basis_counts_follow_dyadic_counting():
     assert haar_tensor_basis(3, 1).size == 2 ** (3 * 2)
 
 
+def resolution(axes):
+    """Finest univariate level among a member's (level, translate) axis pairs."""
+    return max(level for level, _ in axes)
+
+
 def test_indices_are_ordered_coarse_to_fine():
     basis = haar_tensor_basis(2, 2)
-    resolutions = [g.resolution for g in basis.indices]
+    resolutions = [resolution(basis._member_axes(p)) for p in range(basis.size)]
     assert resolutions == sorted(resolutions)
-    assert basis.indices[0].resolution == SCALING_LEVEL
+    assert resolutions[0] == SCALING_LEVEL
 
 
 def sorted_tensor_indices(d, J):
-    """Oracle: every index tuple built one by one, sorted by (resolution, axes)."""
+    """Oracle: every member's axis pairs built one by one, sorted by (resolution, axes)."""
     univariate = [(SCALING_LEVEL, 0)] + [(j, t) for j in range(J + 1) for t in range(2**j)]
-    tensor = [WaveletIndex(axes) for axes in itertools.product(univariate, repeat=d)]
-    return univariate, sorted(tensor, key=lambda g: (g.resolution, g.axes))
+    tensor = list(itertools.product(univariate, repeat=d))
+    return univariate, sorted(tensor, key=lambda axes: (resolution(axes), axes))
 
 
 @pytest.mark.parametrize("d,J", [(d, J) for d in (1, 2, 3) for J in (0, 1, 2, 3)])
@@ -135,8 +132,8 @@ def test_integer_order_equals_the_sorted_index_order(d, J):
     univariate, expected = sorted_tensor_indices(d, J)
     position = {axis: u for u, axis in enumerate(univariate)}
     flat = [
-        np.ravel_multi_index([position[axis] for axis in g.axes], (len(univariate),) * d)
-        for g in expected
+        np.ravel_multi_index([position[axis] for axis in axes], (len(univariate),) * d)
+        for axes in expected
     ]
     basis = haar_tensor_basis(d, J)
     assert basis.order.tolist() == flat
@@ -146,18 +143,19 @@ def test_integer_order_equals_the_sorted_index_order(d, J):
 @pytest.mark.parametrize("d,J", [(d, J) for d in (1, 2, 3) for J in (0, 1, 2, 3)])
 def test_integer_groups_equal_the_index_resolutions(d, J):
     basis = haar_tensor_basis(d, J)
+    _, expected = sorted_tensor_indices(d, J)
     assert basis.groups.dtype == np.intp
-    assert basis.groups.tolist() == [max(g.resolution, 0) for g in basis.indices]
+    assert basis.groups.tolist() == [max(resolution(axes), 0) for axes in expected]
     assert not basis.groups.flags.writeable
 
 
 def test_lazy_indices_equal_the_eager_tuple():
+    # evaluate and constant_panels read one member's axis pairs from the
+    # integer order; at every position they are the oracle's pairs.
     basis = haar_tensor_basis(2, 3)
-    assert "indices" not in vars(basis)
     _, expected = sorted_tensor_indices(2, 3)
-    assert basis.indices == tuple(expected)
-    assert basis.indices is basis.indices
-    assert all(type(level) is int for g in basis.indices[:5] for level, _ in g.axes)
+    assert [tuple(basis._member_axes(p)) for p in range(basis.size)] == expected
+    assert all(type(level) is int for p in range(5) for level, _ in basis._member_axes(p))
 
 
 def test_analyze_rejects_cells_of_the_wrong_shape():
@@ -169,58 +167,42 @@ def test_analyze_rejects_cells_of_the_wrong_shape():
 
 @pytest.mark.parametrize("d,J", [(1, 5), (2, 1), (3, 1)])
 def test_gram_matrix_is_the_identity(d, J):
+    # Member values at the cell midpoints, once from evaluate and once from
+    # the fast transform of the unit cell indicators; the Gram matrix is
+    # their cell average.
     basis = haar_tensor_basis(d, J)
-    gram = np.array(
-        [[basis.pair_inner(a, b) for b in basis.indices] for a in basis.indices]
-    )
+    pts = midpoint_grid(d, J)
+    values = np.stack([basis.evaluate(p, pts) for p in range(basis.size)], axis=1)
+    cells = len(pts)
+    transformed = basis.analyze(np.eye(cells).reshape((cells,) + (basis.cells_per_axis,) * d))
+    assert np.array_equal(transformed, values)
+    gram = values.T @ values / cells
     assert np.max(np.abs(gram - np.eye(basis.size))) < 1e-12
-
-
-def test_pair_inner_matches_midpoint_sampling_oracle():
-    basis = haar_tensor_basis(2, 1)
-    pts = midpoint_grid(2, 1)
-    rng = np.random.default_rng(4)
-    picks = rng.integers(0, basis.size, size=(40, 2))
-    for ia, ib in picks:
-        a, b = basis.indices[ia], basis.indices[ib]
-        assert basis.pair_inner(a, b) == pytest.approx(
-            exact_inner_by_sampling(basis, a, b, pts), abs=1e-12
-        )
 
 
 def test_evaluate_agrees_with_constant_panels():
     basis = haar_tensor_basis(2, 2)
     rng = np.random.default_rng(8)
-    for index in rng.choice(len(basis.indices), size=10, replace=False):
-        member = basis.indices[index]
-        for lo, hi, value in basis.constant_panels(member):
+    for position in rng.choice(basis.size, size=10, replace=False):
+        for lo, hi, value in basis.constant_panels(position):
             mid = (lo + hi) / 2.0
-            assert basis.evaluate(member, mid)[0] == pytest.approx(value, rel=1e-14)
+            assert basis.evaluate(position, mid)[0] == pytest.approx(value, rel=1e-14)
 
 
 def test_right_edge_folds_into_last_cell():
     basis = haar_tensor_basis(1, 0)
-    mother = basis.indices[1]
-    assert basis.evaluate(mother, np.array([[1.0]]))[0] == -1.0
+    assert basis.evaluate(1, np.array([[1.0]]))[0] == -1.0
 
 
 def test_evaluate_rejects_points_outside_cube_and_foreign_indices():
     basis = haar_tensor_basis(1, 1)
     with pytest.raises(DomainError):
-        basis.evaluate(basis.indices[0], np.array([[1.5]]))
-    deep = WaveletIndex(((5, 0),))
-    with pytest.raises(ContractError):
-        basis.evaluate(deep, np.array([[0.5]]))
-
-
-def test_wavelet_index_validates_translates():
-    with pytest.raises(DomainError):
-        WaveletIndex(((0, 1),))  # level 0 has a single translate
-    with pytest.raises(DomainError):
-        WaveletIndex(((2, -1),))
-    with pytest.raises(DomainError):
-        WaveletIndex(((SCALING_LEVEL, 2),))
-    assert WaveletIndex(((2, 3), (SCALING_LEVEL, 0))).resolution == 2
+        basis.evaluate(0, np.array([[1.5]]))
+    for position in (-1, basis.size, 2**40):
+        with pytest.raises(ContractError):
+            basis.evaluate(position, np.array([[0.5]]))
+        with pytest.raises(ContractError):
+            next(basis.constant_panels(position))
 
 
 def test_parseval_for_representable_functions():
@@ -232,7 +214,7 @@ def test_parseval_for_representable_functions():
     rng = np.random.default_rng(12)
     cell_values = rng.standard_normal(pts.shape[0])
     coeffs = np.array(
-        [float(np.mean(cell_values * basis.evaluate(g, pts))) for g in basis.indices]
+        [float(np.mean(cell_values * basis.evaluate(p, pts))) for p in range(basis.size)]
     )
     norm_sq = float(np.mean(cell_values**2))
     assert np.sum(coeffs**2) == pytest.approx(norm_sq, rel=1e-12)
@@ -247,8 +229,9 @@ def test_preset_prior_variances_decay_dyadically():
     prior = wavelet_prior_preset(basis, tau=2.0, alpha=1.0)
     exponent = 2.0 * 1.0 + 1  # 2 alpha + d
     assert prior.variances.shape == (basis.size,)
-    for variance, index in zip(prior.variances, basis.indices):
-        expected = 2.0 * 2.0 ** (-max(index.resolution, 0) * exponent)
+    _, expected_axes = sorted_tensor_indices(1, 3)
+    for variance, axes in zip(prior.variances, expected_axes):
+        expected = 2.0 * 2.0 ** (-max(resolution(axes), 0) * exponent)
         assert variance == pytest.approx(expected, rel=1e-15)
     # scaling and level-0 indices share the same variance
     assert prior.variances[0] == prior.variances[1]
@@ -486,10 +469,9 @@ def test_sawtooth_coefficients_match_quad_per_index():
         return min(x % 0.5, 0.5 - x % 0.5)
 
     for pos in (0, 1, 5, 11):
-        index = basis.indices[pos]
 
-        def product(x, index=index):
-            return sawtooth(x) * basis.evaluate(index, np.array([[x]]))[0]
+        def product(x, pos=pos):
+            return sawtooth(x) * basis.evaluate(pos, np.array([[x]]))[0]
 
         oracle, _ = integrate.quad(product, 0.0, 1.0, limit=400)
         assert coeffs[pos] == pytest.approx(oracle, abs=1e-9)
@@ -502,8 +484,8 @@ def test_sawtooth_coefficients_match_the_per_panel_ridge_sum(d, level, J):
     profile = surrogate._profile()
     oracle = np.array(
         [
-            sum(value * ridge_box_integral(profile, lo, hi) for lo, hi, value in basis.constant_panels(g))
-            for g in basis.indices
+            sum(value * ridge_box_integral(profile, lo, hi) for lo, hi, value in basis.constant_panels(p))
+            for p in range(basis.size)
         ]
     )
     deviation = np.max(np.abs(surrogate.haar_coefficients(basis) - oracle))
@@ -590,9 +572,8 @@ def test_same_level_wavelets_cannot_see_the_sawtooth():
     surrogate = SawtoothSurrogate(1, 2)
     basis = haar_tensor_basis(1, 2)
     coeffs = surrogate.haar_coefficients(basis)
-    for pos, index in enumerate(basis.indices):
-        if index.resolution == 2:
-            assert abs(coeffs[pos]) < 1e-15
+    for pos in np.flatnonzero(basis.groups == 2):
+        assert abs(coeffs[pos]) < 1e-15
 
 
 @given(st.integers(1, 3), st.integers(0, 3))
