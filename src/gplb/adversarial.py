@@ -112,19 +112,25 @@ def build_pyramid_family(d: int, k: int) -> PyramidFamily:
     return PyramidFamily(d, k)
 
 
-def evaluate_pyramid(family: PyramidFamily, j: int, x) -> np.ndarray | float:
-    """Evaluate family member j at x in [0,1]^d ((d,) point or (npts, d))."""
-    if not 0 <= j < family.m:
+def evaluate_pyramid(family: PyramidFamily, j, x) -> np.ndarray | float:
+    """Evaluate family member j at x in [0,1]^d ((d,) point or (npts, d)).
+
+    An array of members j gives one row per member, at the points (npts, d)
+    or at each member's own points (members, npts, d).
+    """
+    members = np.asarray(j)
+    if np.any((members < 0) | (members >= family.m)):
         raise DomainError(f"member index {j} out of range for family of size {family.m}")
     pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[1] != family.d:
-        raise DomainError(f"points must have {family.d} columns, got {pts.shape[1]}")
+    if pts.shape[-1] != family.d:
+        raise DomainError(f"points must have {family.d} columns, got {pts.shape[-1]}")
     if np.any(pts < 0.0) or np.any(pts > 1.0):
         raise DomainError("evaluation points must lie in the unit cube")
-    values = np.maximum(
-        family.bandwidth - np.abs(pts - family.centers[j]).sum(axis=1), 0.0
-    )
-    return values if np.ndim(x) > 1 else float(values[0])
+    centers = family.centers[members][..., None, :] if members.ndim else family.centers[members]
+    # the l1 distance added up axis by axis, as NumPy sums an axis shorter than 8
+    distance = sum(np.abs(pts[..., i] - centers[..., i]) for i in range(family.d))
+    values = np.maximum(family.bandwidth - distance, 0.0)
+    return values if np.ndim(x) > 1 or members.ndim else float(values[0])
 
 
 def pyramid_norm_sq(d: int, k: int) -> float:

@@ -20,6 +20,7 @@ be written to --out.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from ..errors import ConfigError
@@ -87,6 +88,10 @@ def main(argv: list[str] | None = None) -> int:
             for line in lines:
                 print(line)
             return 0 if passed else 1
+        parent = os.path.dirname(os.path.abspath(config.out)) if config.out is not None else None
+        if parent is not None and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            print(f"output error: {config.out}: {parent} is not a writable directory", file=sys.stderr)
+            return 2
         report = _RUNNERS[config.mode](config)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -7,7 +7,10 @@ generator ``task_rng(seed, i)``, so one check's draws never shift
 another's.  Criteria 1-4, 7 and 9 of the acceptance battery
 (``tests/test_acceptance.py``) run the same functions at the full size,
 with more configurations and draws.  A check's tolerances are the same
-at both sizes, or derived from the size.
+at both sizes, or derived from the size.  Checks read their generator one
+draw at a time; disjoint-supports, diagonal-domination, risk-floors and
+risk-concentration then pass the draws to the library in stacks, whose
+every item gets the bits of a call on that item alone.
 """
 
 from __future__ import annotations
@@ -52,6 +55,8 @@ __all__ = ["CHECKS", "run_verify"]
 
 # the pyramid families (d, k) that the geometry checks sweep at the full size
 FULL_FAMILIES = ((1, 2), (1, 4), (2, 2), (2, 3), (3, 2))
+SIGMAS = (0.1, 0.5, 1.0, 3.0)  # the noise levels diagonal-domination draws from
+RISK_STACK = 25  # spectra per exact_risks call of risk-floors: 100 kB temporaries at the quick size
 
 
 def _listed(cases) -> str:
@@ -81,24 +86,31 @@ def pyramid_norms(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
     return worst < 1e-6, f"max relative deviation {worst:.2e} (< 1e-06) over {len(cases)} (d, k) pairs"
 
 
+def _pair_overlaps(family, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per pair a < b in row-major order: max of f_a f_b at ``points`` (a against
+    all later members at once, so temporaries stay at m rows), and its order-6
+    Gauss-Legendre integral over the pair's bounding box."""
+    a, b = np.triu_indices(family.m, 1)
+    values = evaluate_pyramid(family, np.arange(family.m), points)
+    products = np.concatenate([np.max(values[i] * values[i + 1:], axis=1) for i in range(family.m)])
+    lo = np.minimum(family.centers[a], family.centers[b]) - family.bandwidth
+    hi = np.maximum(family.centers[a], family.centers[b]) + family.bandwidth
+
+    def cross(pts):
+        return evaluate_pyramid(family, a, pts) * evaluate_pyramid(family, b, pts)
+
+    return products, gl_box(cross, lo, hi, order=6)
+
+
 def disjoint_supports(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
     """Distinct members have zero product, pointwise and under quadrature."""
     cases = FULL_FAMILIES if full else ((2, 3),)
     worst_product = worst_inner = 0.0
     for d, k in cases:
         family = build_pyramid_family(d, k)
-        points = rng.random((4000, d))
-        values = [evaluate_pyramid(family, j, points) for j in range(family.m)]
-        for a in range(family.m):
-            for b in range(a + 1, family.m):
-                worst_product = max(worst_product, float(np.max(values[a] * values[b])))
-                lo = np.minimum(family.centers[a], family.centers[b]) - family.bandwidth
-                hi = np.maximum(family.centers[a], family.centers[b]) + family.bandwidth
-
-                def cross(pts, family=family, a=a, b=b):
-                    return evaluate_pyramid(family, a, pts) * evaluate_pyramid(family, b, pts)
-
-                worst_inner = max(worst_inner, abs(gl_box(cross, lo, hi, order=6)))
+        products, inner = _pair_overlaps(family, rng.random((4000, d)))
+        worst_product = max(worst_product, float(products.max()))
+        worst_inner = max(worst_inner, float(np.abs(inner).max()))
     return worst_product == 0.0 and worst_inner < 1e-12, (
         f"max pairwise product {worst_product:.2e} at 4000 random points, max pairwise "
         f"quadrature inner product {worst_inner:.1e} (< 1e-12) over (d, k) = {_listed(cases)}"
@@ -160,12 +172,14 @@ def minimax_identity(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
 def diagonal_domination(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
     """a_bar I dominates every square linear estimator A in worst-case risk."""
     draws = 500 if full else 100
-    violations = 0
+    groups = {m: ([], []) for m in range(2, 9)}  # the matrices and sigmas of each size m
     for _ in range(draws):
         m = int(rng.integers(2, 9))
-        sigma = float(rng.choice([0.1, 0.5, 1.0, 3.0]))
-        _, dominated = diagonal_reduction(LinearEstimator(rng.standard_normal((m, m))), sigma)
-        violations += not dominated
+        groups[m][1].append(SIGMAS[int(rng.integers(len(SIGMAS)))])
+        groups[m][0].append(rng.standard_normal((m, m)))
+    violations = sum(
+        int(np.count_nonzero(~diagonal_reduction(LinearEstimator(np.array(matrices)), sigmas)[1]))
+        for matrices, sigmas in groups.values() if sigmas)
     return violations == 0, f"{violations} violations in {draws} random matrices"
 
 
@@ -187,17 +201,21 @@ def risk_floors(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
         bound = risk_lower_bound(coeffs, n)
         floor = mean_risk_floor(d, n)
         levels = np.arange(basis.level + 1)
+        profiles = []
         for i in range(draws):
             if i % 2 == 0:
                 tau = 10.0 ** rng.uniform(-2.0, 2.0)
-                per_level = tau * 2.0 ** (-rng.uniform(0.0, 3.0) * levels)
+                profiles.append(tau * 2.0 ** (-rng.uniform(0.0, 3.0) * levels))
             else:
-                per_level = 10.0 ** rng.uniform(-6.0, 2.0, levels.size)
-            spectrum = Spectrum(per_level[basis.groups], coeffs.basis_id)
-            worst = float(exact_risks(spectrum, coeffs.entries, n, basis_id=coeffs.basis_id).max())
-            violations += (worst < bound - 1e-12) + (worst < floor - 1e-12)
-            closest = min(closest, worst / bound)
-            checked += 1
+                profiles.append(10.0 ** rng.uniform(-6.0, 2.0, levels.size))
+        eigenvalues = np.array(profiles)[:, basis.groups]
+        for start in range(0, draws, RISK_STACK):
+            spectra = Spectrum(eigenvalues[start:start + RISK_STACK], coeffs.basis_id)
+            worst = exact_risks(spectra, coeffs.entries, n, basis_id=coeffs.basis_id).max(axis=1)
+            violations += int(np.count_nonzero(worst < bound - 1e-12))
+            violations += int(np.count_nonzero(worst < floor - 1e-12))
+            closest = min(closest, float(np.min(worst / bound)))
+            checked += worst.size
     return violations == 0, (
         f"{violations} violations of the coordinatewise and mean floors (tolerance 1e-12) in "
         f"{checked} random spectra on tensor Haar bases of size {' and '.join(sizes)}; smallest "

@@ -359,17 +359,24 @@ def _gl_nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, n
     return pts, np.ascontiguousarray(wts)
 
 
-def gl_box(fn: Callable[[np.ndarray], np.ndarray], lo, hi, order: int = 8) -> float:
-    """Tensor Gauss-Legendre quadrature of fn over the box [lo, hi].
+def gl_box(fn: Callable[[np.ndarray], np.ndarray], lo, hi, order: int = 8):
+    """Tensor Gauss-Legendre quadrature of fn over the box [lo, hi], or over each of a stack.
 
-    ``fn`` maps an (npts, d) array of points to npts values.
+    ``fn`` maps an (npts, d) array of points to npts values; for a stack
+    (boxes, d), the (boxes, npts, d) points of the boxes with no empty side
+    to (boxes, npts) values.  An empty box gives 0.0, and each integral is
+    its own box's dot of values and weights, whatever else is stacked.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    if np.any(hi <= lo):
-        return 0.0
-    pts, wts = _gl_nodes(lo[None, :], hi[None, :], order)
-    return float(np.asarray(fn(pts[0]), dtype=float) @ wts[0])
+    stack = np.ndim(lo) > 1
+    lo, hi = np.atleast_2d(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+    integrals = np.zeros(len(lo))
+    live = np.all(hi > lo, axis=1)
+    if live.any():
+        pts, wts = _gl_nodes(lo[live], hi[live], order)
+        # C order, as the points of a stack are not: a strided row would sum in another order
+        values = np.ascontiguousarray(fn(pts if stack else pts[0]), dtype=float).reshape(wts.shape)
+        integrals[live] = (values[:, None, :] @ wts[:, :, None])[:, 0, 0]
+    return integrals if stack else float(integrals[0])
 
 
 def adaptive_box_integral(
@@ -391,29 +398,24 @@ def adaptive_box_integral(
     because tensor Gauss-Legendre of this order is exact for them.
     Non-convergent boxes raise QuadratureError with diagnostics.
 
-    Each box makes one ``fn`` call, on the stacked Gauss-Legendre points of
-    all 2^d children, and takes one dot per child with the points and
-    weights :func:`gl_box` builds; a child's estimate is passed down as its
-    coarse value, so no box is integrated twice.  ``fn`` must evaluate
-    every point on its own (row by row); then each estimate, and so the
-    result, is bit-equal to :func:`gl_box` applied box by box.
+    Each box integrates all 2^d children in one stacked :func:`gl_box`
+    call, so one ``fn`` call on their stacked points; a child's estimate is
+    passed down as its coarse value, so no box is integrated twice.  ``fn``
+    must evaluate every point on its own (row by row); then each estimate,
+    and so the result, is bit-equal to :func:`gl_box` applied box by box.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
     d = lo.size
     upper = np.array(list(itertools.product((False, True), repeat=d)))  # child c's upper halves
+
+    def stacked(pts):
+        return np.asarray(fn(pts.reshape(-1, d)), dtype=float).reshape(pts.shape[:-1])
 
     def recurse(box_lo, box_hi, coarse, box_tol, depth):
         mid = (box_lo + box_hi) / 2.0
         c_lo = np.where(upper, mid, box_lo)
         c_hi = np.where(upper, box_hi, mid)
-        estimates = np.zeros(len(upper))
-        live = np.all(c_hi > c_lo, axis=1)  # gl_box gives a degenerate box 0.0
-        if live.any():
-            pts, wts = _gl_nodes(c_lo[live], c_hi[live], order)
-            values = np.asarray(fn(pts.reshape(-1, d)), dtype=float).reshape(wts.shape)
-            estimates[live] = [float(v @ w) for v, w in zip(values, wts)]
-        estimates = estimates.tolist()
+        estimates = gl_box(stacked, c_lo, c_hi, order).tolist()
         refined = sum(estimates)
         # Accept on the tolerance share, with a floor at rounding level.
         accept = max(box_tol, 4e-16 * (abs(coarse) + abs(refined)))

@@ -52,7 +52,7 @@ __all__ = [
 
 
 def _frozen_array(values, name: str, *, allow_negative: bool, stacked: bool = False) -> np.ndarray:
-    arr = np.array(values, dtype=float)
+    arr = np.array(values, dtype=float, order="C")  # a stacked row then sums as it would alone
     if arr.ndim not in ((1, 2) if stacked else (1,)) or arr.size < 1:
         rows = " or a stack of such rows" if stacked else ""
         raise DomainError(f"{name} must be a one-dimensional array{rows} with at least one entry")
@@ -68,6 +68,7 @@ def _frozen_array(values, name: str, *, allow_negative: bool, stacked: bool = Fa
 class Spectrum:
     """Prior eigenvalues lambda_k on the first K coordinates of a basis.
 
+    ``eigenvalues`` may stack S spectra (S, K) for :func:`exact_risks`.
     Zero eigenvalues are permitted and describe coordinates the prior does
     not model (shrinkage weight 0, posterior variance 0), which covers
     finite-rank priors.  The prior puts no mass beyond coordinate K: a
@@ -79,12 +80,12 @@ class Spectrum:
     basis_id: str
 
     def __post_init__(self):
-        arr = _frozen_array(self.eigenvalues, "eigenvalues", allow_negative=False)
+        arr = _frozen_array(self.eigenvalues, "eigenvalues", allow_negative=False, stacked=True)
         object.__setattr__(self, "eigenvalues", arr)
 
     @property
     def size(self) -> int:
-        return int(self.eigenvalues.size)
+        return int(self.eigenvalues.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,9 @@ def _check_same_basis(basis_a: str, basis_b: str, what: str) -> None:
         raise ContractError(f"{what}: basis {basis_a!r} does not match basis {basis_b!r}")
 
 
-def _check_same_length(size_a: int, size_b: int, what: str) -> None:
-    if size_a != size_b:
-        raise ContractError(f"{what}: coordinate counts differ ({size_a} vs {size_b})")
+def _check_same_shape(shape_a: tuple, shape_b: tuple, what: str) -> None:
+    if shape_a != shape_b:
+        raise ContractError(f"{what}: coordinate shapes differ ({shape_a} vs {shape_b})")
 
 
 def _shrinkage(lam: np.ndarray, n: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,7 +192,8 @@ def posterior_update(spectrum: Spectrum, observation: SequenceObservation) -> GP
     the weights and variances do not depend on the data and stay (K,).
     """
     _check_same_basis(spectrum.basis_id, observation.basis_id, "posterior_update")
-    _check_same_length(spectrum.size, observation.coefficients.shape[-1], "posterior_update")
+    # one spectrum (K,): a stack of spectra differs from every observation row
+    _check_same_shape(spectrum.eigenvalues.shape, observation.coefficients.shape[-1:], "posterior_update")
     weights, _, variances = _shrinkage(spectrum.eigenvalues, observation.n)
     return GPPosterior(
         means=weights * observation.coefficients,
@@ -215,17 +217,19 @@ def exact_risks(spectrum: Spectrum, thetas, n: float, *, basis_id: str) -> np.nd
     """:func:`exact_risk` at every row of ``thetas`` (m x K), in one pass.
 
     Row j gets sum_k ((1 - a_k) theta_jk)^2 + sum_k a_k^2 / n.  Each row is
-    summed on its own, so its risk does not depend on the other rows.
+    summed on its own, so its risk does not depend on the other rows; a
+    stack of S spectra gives (S, m) risks, row s bit-equal to spectrum s alone.
     """
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
     _check_same_basis(spectrum.basis_id, basis_id, "exact_risks")
-    thetas = np.asarray(thetas, dtype=float)
+    thetas = np.ascontiguousarray(thetas, dtype=float)
     if thetas.ndim != 2:
         raise ContractError("exact_risks needs a 2-d array of truths, one per row")
-    _check_same_length(spectrum.size, thetas.shape[1], "exact_risks")
+    _check_same_shape(spectrum.eigenvalues.shape[-1:], thetas.shape[1:], "exact_risks")
     weights, one_minus, _ = _shrinkage(spectrum.eigenvalues, n)
-    return np.sum((one_minus * thetas) ** 2, axis=1) + float(np.sum(weights**2)) / n
+    bias = np.sum((one_minus[..., None, :] * thetas) ** 2, axis=-1)
+    return bias + (np.sum(weights**2, axis=-1) / n)[..., None]
 
 
 def _error_law(spectrum: Spectrum, theta: TruthCoefficients, n: float, what: str):
@@ -233,7 +237,7 @@ def _error_law(spectrum: Spectrum, theta: TruthCoefficients, n: float, what: str
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
     _check_same_basis(spectrum.basis_id, theta.basis_id, what)
-    _check_same_length(spectrum.size, theta.size, what)
+    _check_same_shape(spectrum.eigenvalues.shape, theta.theta.shape, what)  # one spectrum, not a stack
     weights, one_minus, variances = _shrinkage(spectrum.eigenvalues, n)
     return -one_minus * theta.theta, weights / math.sqrt(n), variances
 

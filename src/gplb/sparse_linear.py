@@ -67,14 +67,14 @@ class OneSparseModel:
 
 @dataclass(frozen=True)
 class LinearEstimator:
-    """Estimator theta_hat = A y for a square matrix A."""
+    """Estimator theta_hat = A y for a square matrix A, or a stack (g, m, m) of them."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         arr = np.array(self.matrix, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DomainError("estimator matrix must be square")
+        if arr.ndim not in (2, 3) or arr.shape[-1] != arr.shape[-2]:
+            raise DomainError("estimator matrix must be square, or a stack of square matrices")
         if not np.all(np.isfinite(arr)):
             raise DomainError("estimator matrix must be finite")
         arr.setflags(write=False)
@@ -82,7 +82,7 @@ class LinearEstimator:
 
     @property
     def m(self) -> int:
-        return int(self.matrix.shape[0])
+        return int(self.matrix.shape[-1])
 
 
 def reduce_to_sequence(
@@ -124,9 +124,11 @@ def reduce_to_sequence(
     return y, model
 
 
-def _check_sigma(sigma: float) -> None:
-    if not (sigma > 0 and math.isfinite(sigma)):
-        raise DomainError("noise level sigma must be positive and finite")
+def _check_sigma(sigma, shape: tuple = ()) -> np.ndarray:
+    sigmas = np.asarray(sigma, dtype=float)  # one per item of a stack of that shape
+    if sigmas.shape != shape or not np.all((sigmas > 0) & np.isfinite(sigmas)):
+        raise DomainError(f"noise level sigma must be positive and finite, of shape {shape}")
+    return sigmas
 
 
 def linear_estimator_risk(estimator: LinearEstimator, theta_index: int, sigma: float) -> float:
@@ -137,6 +139,8 @@ def linear_estimator_risk(estimator: LinearEstimator, theta_index: int, sigma: f
     """
     _check_sigma(sigma)
     A = estimator.matrix
+    if A.ndim != 2:
+        raise DomainError("linear_estimator_risk takes one matrix, not a stack")
     if not 0 <= theta_index < estimator.m:
         raise DomainError(f"theta index {theta_index} out of range for m = {estimator.m}")
     column = A[:, theta_index].copy()
@@ -145,35 +149,39 @@ def linear_estimator_risk(estimator: LinearEstimator, theta_index: int, sigma: f
     return bias_sq + _noise_load(float(np.sum(A * A)), sigma)
 
 
-def _worst_case_risk(estimator: LinearEstimator, sigma: float) -> float:
+def _worst_case_risk(estimator: LinearEstimator, sigma):
     """max_j of :func:`linear_estimator_risk`, in one pass over the columns of A - I.
 
-    Each column's squared norm is the dot product a 1-d ``column @ column``
-    takes, and adding the common noise term is monotone, so the maximum is
-    bit-equal to the per-column one.
+    A stack gives one risk per matrix.  Each column's squared norm is the
+    dot a 1-d ``column @ column`` takes, each ||A||_F^2 sums one contiguous
+    matrix as ``np.sum(A * A)`` does, and adding the common noise term is
+    monotone, so each maximum is bit-equal to the per-column one.
     """
-    _check_sigma(sigma)
     A = estimator.matrix
-    columns = A.T.copy()  # row j is the column A e_j, contiguous
-    columns.flat[:: estimator.m + 1] -= 1.0
-    bias_sq = (columns[:, None, :] @ columns[:, :, None]).max()
-    return float(bias_sq) + _noise_load(float(np.sum(A * A)), sigma)
+    sigmas = _check_sigma(sigma, A.shape[:-2])
+    columns = np.subtract(np.swapaxes(A, -1, -2), np.eye(estimator.m), order="C")  # row j: (A - I) e_j
+    bias_sq = (columns[..., :, None, :] @ columns[..., :, :, None]).max(axis=(-3, -2, -1))
+    weights = np.sum(A * A, axis=(-2, -1))
+    # sigma**2 by Python's power, as the scalar risks take it: NumPy's square differs in ~0.1%
+    loads = [_noise_load(w, s) for w, s in zip(np.ravel(weights).tolist(), np.ravel(sigmas).tolist())]
+    risks = bias_sq + np.reshape(loads, weights.shape)
+    return float(risks) if A.ndim == 2 else risks
 
 
-def diagonal_reduction(estimator: LinearEstimator, sigma: float) -> tuple[float, bool]:
+def diagonal_reduction(estimator: LinearEstimator, sigma):
     """Collapse A to the scalar a_bar = sqrt(mean of squared diagonal entries).
 
     Returns (a_bar, dominated) where dominated records that the one-sparse
     worst-case risk of a_bar I is no larger than that of A.  This holds for
     every matrix: the worst column bias dominates the average, the average
     diagonal bias dominates (a_bar - 1)^2 by Cauchy-Schwarz, and the trace
-    term only shrinks when off-diagonal entries are dropped.
+    term only shrinks when off-diagonal entries are dropped.  A stack of
+    matrices with one sigma each gives both as arrays, one entry per matrix.
     """
-    diag = np.diagonal(estimator.matrix)
-    a_bar = float(np.sqrt(np.mean(diag**2)))
-    scalar = LinearEstimator(a_bar * np.eye(estimator.m))
+    a_bar = np.sqrt(np.mean(np.diagonal(estimator.matrix, axis1=-2, axis2=-1) ** 2, axis=-1))
+    scalar = LinearEstimator(a_bar[..., None, None] * np.eye(estimator.m))
     dominated = _worst_case_risk(scalar, sigma) <= _worst_case_risk(estimator, sigma)
-    return a_bar, dominated
+    return (float(a_bar), bool(dominated)) if np.ndim(a_bar) == 0 else (a_bar, dominated)
 
 
 class MinimaxSolution(NamedTuple):
@@ -270,13 +278,10 @@ def brute_force_minimax(m, sigma, grid_size: int):
     noise can misplace the bisection only inside that flat band: it lands
     within 10 steps of a*, well inside the window.
     """
-    ms, sigmas = np.atleast_1d(m), np.atleast_1d(sigma)
-    if ms.ndim != 1 or ms.shape != sigmas.shape:
-        raise DomainError("m and sigma must be scalars or sequences of equal length")
-    if np.any(ms < 1):
-        raise DomainError("one-sparse model needs m >= 1")
-    if not np.all((sigmas > 0) & np.isfinite(sigmas)):
-        raise DomainError("noise level sigma must be positive and finite")
+    ms = np.atleast_1d(m)
+    if ms.ndim != 1 or np.any(ms < 1):
+        raise DomainError("one-sparse model needs m >= 1, as a scalar or a sequence")
+    sigmas = _check_sigma(np.atleast_1d(sigma), ms.shape)
     if grid_size < 2:
         raise DomainError("grid must contain at least the endpoints 0 and 1")
     if grid_size > MAX_GRID_SIZE:

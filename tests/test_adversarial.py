@@ -85,6 +85,19 @@ def test_pointwise_values_at_peak_boundary_and_quarter():
     assert evaluate_pyramid(two, 3, off) == 0.0
 
 
+def test_stacked_members_equal_one_member_at_a_time():
+    family = build_pyramid_family(3, 2)
+    pts = np.random.default_rng(4).random((500, 3))
+    members = np.arange(family.m)
+    shared = evaluate_pyramid(family, members, pts)
+    own = evaluate_pyramid(family, members[::-1], np.stack([pts] * family.m))
+    for j in members:
+        assert np.array_equal(shared[j], evaluate_pyramid(family, j, pts))
+        assert np.array_equal(own[family.m - 1 - j], evaluate_pyramid(family, j, pts))
+    with pytest.raises(DomainError):
+        evaluate_pyramid(family, [0, family.m], pts)
+
+
 def test_evaluation_rejects_bad_member_and_out_of_cube_points():
     family = build_pyramid_family(1, 2)
     with pytest.raises(DomainError):

@@ -24,8 +24,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gplb
+import gplb.harness.cli as cli
 import gplb.harness.properties as properties
 import gplb.harness.study as study
+import gplb.integrate as integrate
+import gplb.sequence_core as sequence_core
 import gplb.sparse_linear as sparse_linear
 from gplb.adversarial import (
     build_pyramid_family,
@@ -886,6 +889,48 @@ def test_verify_lines_equal_the_golden_output(seed):
     assert "".join(line + "\n" for line in lines).encode() == expected
 
 
+def test_verify_passes_at_every_seed():
+    # the README's claim: `gplb verify` passes at every seed 0..299
+    failing = [seed for seed in range(300) if not run_verify(ExperimentConfig(mode="verify", seed=seed))[0]]
+    assert failing == []
+
+
+def check_index(name):
+    return [check_name for check_name, _ in properties.CHECKS].index(name)
+
+
+def check_rng(full, seed, name):
+    """The generator a check reads: `gplb verify`'s at the quick size, its criterion's at the full size."""
+    return np.random.default_rng(seed) if full else task_rng(seed, check_index(name))
+
+
+def stacked_cases(criterion_seed):
+    """Quick runs at seeds 0..299, as `gplb verify` draws, and the full run of the check's criterion.
+
+    The checks of criteria 2-4 read a fresh generator: minimax_identity,
+    which runs before diagonal_domination in criterion 3, draws nothing.
+    """
+    return pytest.mark.parametrize(
+        "full, seeds", [(False, range(300)), (True, (criterion_seed,))], ids=["quick", "full"])
+
+
+def recorded(monkeypatch, owner, attribute, check, rng, full, implementation=None):
+    """Run ``check`` while recording what ``owner.attribute`` returns; returns (outputs, result).
+
+    With ``implementation`` given, it stands in for ``owner.attribute``.
+    """
+    outputs, original = [], implementation or getattr(owner, attribute)
+
+    def recording(*args, **kwargs):
+        outputs.append(original(*args, **kwargs))
+        return outputs[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(owner, attribute, recording)
+        result = check(rng, full)
+    return outputs, result
+
+
 def per_draw_small_error_hits(spectrum, theta, n, mu_sq, draws, rng):
     """The loop over single draws that ``properties._small_error_hits`` batches."""
     hits = 0
@@ -895,52 +940,194 @@ def per_draw_small_error_hits(spectrum, theta, n, mu_sq, draws, rng):
     return hits
 
 
-def recorded_risk_concentration(monkeypatch, count_hits, rng, full):
-    """Run the risk-concentration check with ``count_hits``; returns (hit counts, result)."""
-    counts = []
-
-    def recording(*args):
-        counts.append(count_hits(*args))
-        return counts[-1]
-
-    with monkeypatch.context() as patch:
-        patch.setattr(properties, "_small_error_hits", recording)
-        result = properties.risk_concentration(rng, full)
-    return counts, result
-
-
 @pytest.mark.parametrize("full, seeds", [(False, range(300)), (True, (707, 1))], ids=["quick", "full"])
 def test_risk_concentration_hits_equal_the_per_draw_loop(monkeypatch, full, seeds):
     # quick runs draw as `gplb verify` does, full runs as acceptance criterion 7
-    index = [name for name, _ in properties.CHECKS].index("risk-concentration")
-    batched = properties._small_error_hits
     for seed in seeds:
         outcomes = [
-            recorded_risk_concentration(
-                monkeypatch, count_hits,
-                np.random.default_rng(seed) if full else task_rng(seed, index), full)
-            for count_hits in (batched, per_draw_small_error_hits)
+            recorded(monkeypatch, properties, "_small_error_hits", properties.risk_concentration,
+                     check_rng(full, seed, "risk-concentration"), full, count_hits)
+            for count_hits in (properties._small_error_hits, per_draw_small_error_hits)
         ]
         assert outcomes[0] == outcomes[1], seed
         assert len(outcomes[0][0]) == (20 if full else 2)
 
 
+def per_pair_overlaps(family, points):
+    """The per-pair loop that ``properties._pair_overlaps`` stacks.
+
+    Members are evaluated one at a time and each pair's box is integrated
+    alone, both as computed before the stacked forms.
+    """
+    def value(j, pts):
+        return np.maximum(family.bandwidth - np.abs(pts - family.centers[j]).sum(axis=1), 0.0)
+
+    def one_box(fn, lo, hi):
+        pts, wts = integrate._gl_nodes(lo[None, :], hi[None, :], 6)
+        return float(np.asarray(fn(pts[0]), dtype=float) @ wts[0])
+
+    values = [value(j, points) for j in range(family.m)]
+    products, inner = [], []
+    for a in range(family.m):
+        for b in range(a + 1, family.m):
+            products.append(float(np.max(values[a] * values[b])))
+            lo = np.minimum(family.centers[a], family.centers[b]) - family.bandwidth
+            hi = np.maximum(family.centers[a], family.centers[b]) + family.bandwidth
+            inner.append(one_box(lambda pts, a=a, b=b: value(a, pts) * value(b, pts), lo, hi))
+    return np.array(products), np.array(inner)
+
+
+@stacked_cases(202)
+def test_disjoint_supports_stacks_equal_the_per_pair_loop(monkeypatch, full, seeds):
+    for seed in seeds:
+        (stacked, result), (looped, expected) = [
+            recorded(monkeypatch, properties, "_pair_overlaps", properties.disjoint_supports,
+                     check_rng(full, seed, "disjoint-supports"), full, overlaps)
+            for overlaps in (properties._pair_overlaps, per_pair_overlaps)
+        ]
+        assert len(stacked) == len(looped) == (5 if full else 1)
+        for (products, inner), (loop_products, loop_inner) in zip(stacked, looped):
+            assert np.array_equal(products, loop_products), seed
+            assert np.array_equal(inner, loop_inner), seed
+        assert result == expected, seed
+
+
+def test_sigma_drawn_by_index_reads_the_stream_choice_read():
+    # diagonal-domination draws sigma as SIGMAS[int(rng.integers(4))], where it
+    # drew float(rng.choice([0.1, 0.5, 1.0, 3.0])) before; a NumPy whose choice
+    # reads the stream otherwise fails here
+    sigmas = list(properties.SIGMAS)
+    assert sigmas == [0.1, 0.5, 1.0, 3.0]
+    for seed in range(300):
+        by_choice, by_index = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            m = int(by_choice.integers(2, 9))
+            assert int(by_index.integers(2, 9)) == m
+            assert float(by_choice.choice(sigmas)) == sigmas[int(by_index.integers(len(sigmas)))]
+            assert np.array_equal(by_choice.standard_normal((m, m)), by_index.standard_normal((m, m)))
+
+
+def per_matrix_worst_case_risk(A, sigma):
+    """The worst-case risk of one matrix, as computed before the stacked form."""
+    columns = A.T.copy()
+    columns.flat[:: len(A) + 1] -= 1.0
+    bias_sq = (columns[:, None, :] @ columns[:, :, None]).max()
+    return float(bias_sq) + sparse_linear._noise_load(float(np.sum(A * A)), sigma)
+
+
+def per_draw_diagonal_domination(rng, full):
+    """The per-draw loop of the diagonal-domination check before stacking.
+
+    Returns the drawn sizes m, the worst-case risks of a_bar I and of A, and
+    the dominated flags, one per draw, and the check's (ok, detail).
+    """
+    draws = 500 if full else 100
+    sizes, risks = [], []
+    for _ in range(draws):
+        m = int(rng.integers(2, 9))
+        sigma = float(rng.choice([0.1, 0.5, 1.0, 3.0]))
+        A = rng.standard_normal((m, m))
+        a_bar = float(np.sqrt(np.mean(np.diagonal(A) ** 2)))
+        sizes.append(m)
+        risks.append([per_matrix_worst_case_risk(M, sigma) for M in (a_bar * np.eye(m), A)])
+    scalar, matrix = np.array(risks).T
+    dominated = scalar <= matrix
+    violations = int(np.count_nonzero(~dominated))
+    return (np.array(sizes), scalar, matrix, dominated), (
+        violations == 0, f"{violations} violations in {draws} random matrices")
+
+
+@stacked_cases(303)
+def test_diagonal_domination_stacks_equal_the_per_draw_loop(monkeypatch, full, seeds):
+    for seed in seeds:
+        outputs, result = recorded(
+            monkeypatch, sparse_linear, "_worst_case_risk", properties.diagonal_domination,
+            check_rng(full, seed, "diagonal-domination"), full)
+        (sizes, scalar, matrix, dominated), expected = per_draw_diagonal_domination(
+            check_rng(full, seed, "diagonal-domination"), full)
+        # one stacked call per size m, in increasing m: a_bar I first, then A
+        order = np.argsort(sizes, kind="stable")
+        stacked_scalar, stacked_matrix = np.concatenate(outputs[0::2]), np.concatenate(outputs[1::2])
+        assert np.array_equal(stacked_scalar, scalar[order]), seed
+        assert np.array_equal(stacked_matrix, matrix[order]), seed
+        assert np.array_equal(stacked_scalar <= stacked_matrix, dominated[order]), seed
+        assert result == expected, seed
+
+
+def per_draw_risk_floors(rng, full):
+    """The per-draw loop of the risk-floors check before stacking.
+
+    Returns each draw's member risks, summed as the one-spectrum
+    ``exact_risks`` summed them before the stacked form, and the check's
+    (ok, detail).
+    """
+    configs = ((1, 4, 1000.0, 8), (2, 3, 10000.0, 4)) if full else ((1, 4, 1000.0, 6),)
+    draws = 500 if full else 100
+    violations = checked = 0
+    closest = math.inf
+    sizes, rows = [], []
+    for d, k, n, level in configs:
+        basis = haar_tensor_basis(d, level)
+        sizes.append(str(basis.size))
+        coeffs = compute_coefficients(build_pyramid_family(d, k), basis, basis.size)
+        bound = properties.risk_lower_bound(coeffs, n)
+        floor = mean_risk_floor(d, n)
+        levels = np.arange(basis.level + 1)
+        for i in range(draws):
+            if i % 2 == 0:
+                tau = 10.0 ** rng.uniform(-2.0, 2.0)
+                per_level = tau * 2.0 ** (-rng.uniform(0.0, 3.0) * levels)
+            else:
+                per_level = 10.0 ** rng.uniform(-6.0, 2.0, levels.size)
+            weights, one_minus, _ = sequence_core._shrinkage(per_level[basis.groups], n)
+            risks = np.sum((one_minus * coeffs.entries) ** 2, axis=1) + float(np.sum(weights**2)) / n
+            rows.append(risks)
+            worst = float(risks.max())
+            violations += (worst < bound - 1e-12) + (worst < floor - 1e-12)
+            closest = min(closest, worst / bound)
+            checked += 1
+    return rows, (violations == 0, (
+        f"{violations} violations of the coordinatewise and mean floors (tolerance 1e-12) in "
+        f"{checked} random spectra on tensor Haar bases of size {' and '.join(sizes)}; smallest "
+        f"worst-member-risk / floor ratio {closest:.3f}"
+    ))
+
+
+@stacked_cases(404)
+def test_risk_floors_stacks_equal_the_per_draw_loop(monkeypatch, full, seeds):
+    for seed in seeds:
+        outputs, result = recorded(
+            monkeypatch, properties, "exact_risks", properties.risk_floors,
+            check_rng(full, seed, "risk-floors"), full)
+        rows, expected = per_draw_risk_floors(check_rng(full, seed, "risk-floors"), full)
+        stacked_rows = [row for risks in outputs for row in risks]
+        assert len(stacked_rows) == len(rows), seed
+        assert all(np.array_equal(a, b) for a, b in zip(stacked_rows, rows)), seed
+        # the per-draw worst-member risks
+        assert [a.max() for a in stacked_rows] == [b.max() for b in rows], seed
+        assert result == expected, seed
+
+
 # check name -> (owner, attribute, wrapper that breaks the original)
 BREAKS = {
     "pyramid-norms": (properties, "pyramid_norm_sq", lambda f: lambda d, k: 1.01 * f(d, k)),
+    # every member evaluated as member 0, in each stacked evaluation
     "disjoint-supports": (
-        properties, "evaluate_pyramid", lambda f: lambda family, j, x: f(family, 0, x)),
+        properties, "evaluate_pyramid",
+        lambda f: lambda family, j, x: f(family, np.zeros_like(j), x)),
     "family-membership": (
         properties, "evaluate_pyramid", lambda f: lambda family, j, x: 1.01 * f(family, j, x)),
     "minimax-identity": (
         properties, "linear_minimax_risk",
         lambda f: lambda m, sigma: f(m, sigma)._replace(risk=f(m, sigma).risk + 1e-6)),
-    # the best column in place of the worst
+    # the best column in place of the worst, for each matrix of a stack
     "diagonal-domination": (
         sparse_linear, "_worst_case_risk",
-        lambda f: lambda estimator, sigma: min(
-            sparse_linear.linear_estimator_risk(estimator, j, sigma) for j in range(estimator.m))),
-    # risks at a thousandfold sample size
+        lambda f: lambda estimator, sigmas: np.array([
+            min(sparse_linear.linear_estimator_risk(sparse_linear.LinearEstimator(A), j, sigma)
+                for j in range(len(A)))
+            for A, sigma in zip(estimator.matrix, sigmas)])),
+    # risks at a thousandfold sample size, for each spectrum of a stack
     "risk-floors": (
         properties, "exact_risks",
         lambda f: lambda spectrum, thetas, n, basis_id: f(spectrum, thetas, 1e3 * n, basis_id=basis_id)),
@@ -1060,13 +1247,19 @@ def test_cli_refuses_an_oversize_n_under_every_grid_rule(tmp_path, capsys, rule)
         assert part in err
 
 
-def test_cli_exit_code_two_on_an_unwritable_out(tmp_path, capsys):
-    target = tmp_path / "missing" / "battery.csv"
-    assert main(["minimax", "--out", str(target)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == "" and not target.exists()
-    lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith("output error: ") and str(target) in lines[0]
+def test_cli_exit_code_two_on_an_unwritable_out(tmp_path, capsys, monkeypatch):
+    def runner(config):
+        raise AssertionError("the study ran although --out cannot be written")
+
+    monkeypatch.setitem(cli._RUNNERS, "minimax", runner)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    # a missing parent directory, and a parent that is a file
+    for target in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv"):
+        assert main(["minimax", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not target.exists()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("output error: ") and str(target) in lines[0]
 
 
 def test_cli_minimax_reports_risk_one_when_m_sigma_sq_overflows(tmp_path):

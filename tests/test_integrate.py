@@ -218,6 +218,20 @@ def test_ridge_integral_matches_tplquad():
 # Gauss-Legendre and adaptive quadrature
 # ---------------------------------------------------------------------------
 
+def test_gl_box_over_a_stack_equals_box_by_box():
+    rng = np.random.default_rng(3)
+    lo = rng.random((10, 2))
+    hi = lo + rng.random((10, 2))
+    hi[3, 1] = lo[3, 1]  # an empty box
+
+    def fn(pts):
+        return np.exp(pts[..., 0]) * np.cos(3.0 * pts[..., 1])
+
+    stacked = gl_box(fn, lo, hi, order=5)
+    assert stacked.tolist() == [gl_box(fn, a, b, order=5) for a, b in zip(lo, hi)]
+    assert stacked[3] == 0.0
+
+
 def test_gl_box_exact_for_polynomials_within_order():
     value = gl_box(lambda p: p[:, 0] ** 7 * p[:, 1] ** 3, [0.0, 0.0], [1.0, 1.0])
     assert value == pytest.approx(1.0 / 32.0, rel=1e-14)

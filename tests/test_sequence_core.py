@@ -156,6 +156,23 @@ def test_exact_risks_equal_the_looped_exact_risk(seed):
     assert np.allclose(exact_risks(spectrum, thetas, n, basis_id=BASIS), looped, rtol=1e-14, atol=0.0)
 
 
+def test_stacked_spectra_give_the_one_spectrum_risks_bit_for_bit():
+    rng = np.random.default_rng(11)
+    lams = 10.0 ** rng.uniform(-8.0, 4.0, (6, 50))
+    lams[rng.random((6, 50)) < 0.3] = 0.0
+    thetas = rng.standard_normal((7, 50))
+    # an F-ordered stack, as fancy indexing a stack of profiles gives, sums as C rows do
+    stacked = exact_risks(Spectrum(np.asfortranarray(lams), BASIS), thetas, 300.0, basis_id=BASIS)
+    assert stacked.shape == (6, 7)
+    for row, lam in zip(stacked, lams):
+        assert np.array_equal(row, exact_risks(Spectrum(lam, BASIS), thetas, 300.0, basis_id=BASIS))
+    # only exact_risks takes a stack of spectra
+    with pytest.raises(ContractError, match="shapes differ"):
+        mc_risk(Spectrum(lams, BASIS), TruthCoefficients(thetas[0], BASIS), 300.0, 10, rng)
+    with pytest.raises(ContractError, match="shapes differ"):
+        posterior_update(Spectrum(lams, BASIS), SequenceObservation(thetas[:6], 300.0, BASIS))
+
+
 def test_exact_risks_validates_inputs():
     spectrum = spectrum_of(1.0, 0.5)
     with pytest.raises(ContractError):

@@ -208,6 +208,27 @@ def test_worst_case_risk_is_bit_equal_to_the_per_column_maximum():
         sparse_linear._worst_case_risk(LinearEstimator(np.eye(2)), 0.0)
 
 
+def test_stacked_worst_case_risks_and_reductions_equal_the_one_matrix_calls():
+    rng = np.random.default_rng(7)
+    for m in range(1, 9):
+        stack = rng.standard_normal((20, m, m)) * 10.0 ** rng.uniform(-3.0, 3.0, (20, 1, 1))
+        sigmas = 10.0 ** rng.uniform(-3.0, 3.0, 20)
+        sigmas[0] = 1e200  # sigma^2 overflows
+        single = [LinearEstimator(A) for A in stack]
+        risks = sparse_linear._worst_case_risk(LinearEstimator(stack), sigmas)
+        assert risks.tolist() == [sparse_linear._worst_case_risk(e, s) for e, s in zip(single, sigmas)]
+        a_bar, dominated = diagonal_reduction(LinearEstimator(stack), sigmas)
+        assert list(zip(a_bar.tolist(), dominated.tolist())) == [
+            diagonal_reduction(e, s) for e, s in zip(single, sigmas)]
+    stack = LinearEstimator(np.zeros((3, 2, 2)))
+    with pytest.raises(DomainError, match="sigma"):
+        sparse_linear._worst_case_risk(stack, [1.0, 1.0])  # one sigma per matrix
+    with pytest.raises(DomainError):
+        linear_estimator_risk(stack, 0, 1.0)
+    with pytest.raises(DomainError):
+        LinearEstimator(np.zeros((2, 2, 2, 2)))
+
+
 def test_overflowing_sigma_squared_gives_the_limit():
     # 1e200 ** 2 overflows a float: the risk is its limit, not an OverflowError
     sigma = 1e200
