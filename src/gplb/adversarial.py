@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -146,7 +147,8 @@ class CoefficientMatrix:
 
     Row sums of squares may not exceed the common member norm (orthonormal
     coefficients obey the Bessel inequality); construction enforces this
-    with a small rounding allowance.
+    with a small rounding allowance.  Entries are copied into a read-only
+    array, unless they already are a read-only float64 array.
     """
 
     entries: np.ndarray
@@ -154,7 +156,9 @@ class CoefficientMatrix:
     family: PyramidFamily
 
     def __post_init__(self):
-        arr = np.array(self.entries, dtype=float)
+        arr = self.entries
+        if not (isinstance(arr, np.ndarray) and arr.dtype == float and not arr.flags.writeable):
+            arr = np.array(arr, dtype=float)
         if arr.ndim != 2:
             raise ContractError("coefficient entries must form a 2-d matrix")
         if arr.shape[0] != self.family.m:
@@ -178,61 +182,137 @@ class CoefficientMatrix:
     def K(self) -> int:
         return int(self.entries.shape[1])
 
+    @cached_property
+    def tk(self) -> np.ndarray:
+        """T_k = (1/m) sum_j <f_j, phi_k>^2, computed on first use and kept read-only.
 
-def _member_cells(family: PyramidFamily, N: int):
-    """Yield each member's exact integrals over the N^d finest dyadic cells.
+        Squared a block of columns at a time, so no second m x K array is
+        made; each column's mean has the bits of the whole matrix's.
+        """
+        width = max(1, 2**20 // self.m)
+        tk = np.concatenate([
+            (self.entries[:, start : start + width] ** 2).mean(axis=0)
+            for start in range(0, self.K, width)
+        ])
+        tk.setflags(write=False)
+        return tk
 
-    Member j sits at 0-based grid position (l_1, ..., l_d) and is supported
-    on prod_i [l_i/k, (l_i+1)/k]; only the cells meeting that block are
-    integrated, all at once, and every other cell is 0.
+
+def _blocks(k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
+    """(first, stop): grid position l's support [l/k, (l+1)/k] meets cells first_l .. stop_l - 1 of N."""
+    return np.arange(k) * N // k, -((-np.arange(1, k + 1) * N) // k)
+
+
+def _window_plan(k: int, N: int) -> tuple[int, int]:
+    """(T, W): the k per-axis windows are aligned to 2^T and W cells wide.
+
+    Aligned to 2^T, position l's block spans 2^T (ceil((l+1) r) - floor(l r))
+    cells, r = N / (k 2^T) = p/q in lowest terms; that is 2^T ceil(f + r)
+    with f the fractional part of l r, widest at f = (q - 1)/q, which some
+    l < q <= k reaches.  So W = 2^T ceil((p + q - 1)/q) without a pass over
+    the positions.  The T kept has the fewest cells plus coefficients per
+    window, W + (N/2^T + W - W/2^T), the largest T on a tie.
     """
-    first = np.arange(family.k) * N // family.k
-    stop = -((-np.arange(1, family.k + 1) * N) // family.k)
-    edges = [np.arange(a, b + 1) / N for a, b in zip(first, stop)]
-    for j, position in enumerate(np.ndindex(*(family.k,) * family.d)):
-        cells = np.zeros((N,) * family.d)
-        block = tuple(slice(first[l], stop[l]) for l in position)
-        cells[block] = pyramid_grid_integrals(
-            family.centers[j], family.bandwidth, [edges[l] for l in position]
-        )
-        yield cells
+    best = None
+    for T in range(N.bit_length()):
+        g = math.gcd(N >> T, k)
+        p, q = (N >> T) // g, k // g
+        width = (p + 2 * q - 2) // q << T
+        cost = 2 * width + (N >> T) - (width >> T)
+        if best is None or cost <= best[0]:
+            best = (cost, T, width)
+    return best[1], best[2]
 
 
-_TRANSFORM_COPIES = 4
+def _windows(k: int, N: int) -> tuple[np.ndarray, int]:
+    """Starts and common width W of the k per-axis cell windows of the family.
 
-
-def coefficient_work_bytes(m: int, K: int, cells: int) -> int:
-    """Peak working bytes of :func:`compute_coefficients` on a Haar basis.
-
-    Two m x K float64 matrices (the entries and the copy that
-    :class:`CoefficientMatrix` keeps), plus the transform temporaries of
-    one member at a time: its cell integrals, the analysis output, the
-    pairwise sums and differences and the permuted copy, each at most
-    ``cells`` = N^d floats.
+    Each support block (:func:`_blocks`) widened to cells aligned to 2^T
+    (:func:`_window_plan`); a window that would run past cell N - 1 is
+    pulled back inside.
     """
-    return 8 * (2 * m * K + _TRANSFORM_COPIES * cells)
+    T, width = _window_plan(k, N)
+    first, _ = _blocks(k, N)
+    return np.minimum(first >> T << T, N - width), width
+
+
+_STACK_COPIES = 6
+_TABLE_COPIES = 4
+_FIXED_BYTES = 2**16  # array headers and other small objects
+
+
+def coefficient_work_bytes(d: int, k: int, level: int, K: int) -> int:
+    """Peak working bytes of :func:`compute_coefficients` for k^d members on the level basis.
+
+    The m x K float64 entries; the basis's ``order`` and ``rank``, built
+    on first use with their sort and index temporaries, 24 bytes a member
+    of the N^d = size basis; at most ``_STACK_COPIES`` float64 or index
+    arrays the size of the largest stack, k^d P^d with P the larger of the
+    W + 2 vertex points and the D coefficients per window
+    (:func:`_window_plan`, :meth:`HaarTensorBasis.analyze_windows`); at
+    most ``_TABLE_COPIES`` per-axis tables of k P entries for each axis,
+    which only at d = 1 are as large as the stack; and ``_FIXED_BYTES``.
+    Arithmetic only: no array the size of k or N is made, so absurd sizes
+    are priced at once.
+    """
+    N = 2 ** (level + 1)
+    T, width = _window_plan(k, N)
+    per_axis = k * max(width + 2, (N >> T) + width - (width >> T))
+    stack = _STACK_COPIES * per_axis**d + _TABLE_COPIES * d * per_axis
+    return 8 * (k**d * K + 3 * N**d + stack) + _FIXED_BYTES
 
 
 def compute_coefficients(family: PyramidFamily, basis, K: int) -> CoefficientMatrix:
     """Inner products of every family member against the first K basis functions.
 
-    The coefficients are exact: each member's integrals over the finest
-    dyadic cells come from the vertex formula, and the fast Haar transform
-    of ``basis.analyze`` turns them into coefficients.
+    The coefficients are exact and come from one stacked pass over all
+    members.  Along each axis, grid position l gets a window of cells
+    aligned to a power of two that covers its support block
+    (:func:`_windows`).  The vertex formula gives every member's integrals
+    over the cells of its window box (:func:`pyramid_grid_integrals` on the
+    stacked per-axis tables), the windowed fast Haar transform
+    (``basis.analyze_windows``) turns them into the coefficients the
+    windows reach, and those are scattered into the m x K entries by basis
+    position; every other entry is 0.  Each entry has the bits of the dense
+    transform of the member's N^d cell integrals, up to the sign of zeros.
     """
     if family.d != basis.d:
         raise ContractError(f"family dimension {family.d} does not match basis dimension {basis.d}")
     if not 1 <= K <= basis.size:
         raise ContractError(f"need 1 <= K <= {basis.size}, got K = {K}")
+    d, k, N = family.d, family.k, basis.cells_per_axis
+    starts, width = _windows(k, N)
+    axis_centers = family.centers[:k, -1]  # the k center coordinates along every axis
+    edges = (starts[:, None] + np.arange(width + 1)) / N
+    cells = pyramid_grid_integrals([axis_centers] * d, family.bandwidth, [edges] * d)
+    # a cell beyond the support block is 0; the formula can leave a rounding
+    # residue there, from a support edge one ulp off the cell edge
+    first, stop = _blocks(k, N)
+    cell = starts[:, None] + np.arange(width)
+    inside = ((first[:, None] <= cell) & (cell < stop[:, None])).astype(float)
+    for axis in range(d):
+        shape = [1] * (2 * d)
+        shape[2 * axis : 2 * axis + 2] = inside.shape
+        cells *= inside.reshape(shape)
+    values, positions = basis.analyze_windows(cells, starts)
+    # member (l_1, ..., l_d) is row l_1 k^{d-1} + ... + l_d, like the centers
+    member = np.arange(family.m).reshape((k, 1) * d)
+    if K < basis.size:
+        kept = positions < K
+        member, positions, values = np.broadcast_to(member, kept.shape)[kept], positions[kept], values[kept]
     entries = np.zeros((family.m, K))
-    for j, cells in enumerate(_member_cells(family, basis.cells_per_axis)):
-        entries[j] = basis.analyze(cells)[:K]
+    entries[member, positions] = values
+    entries.setflags(write=False)
     return CoefficientMatrix(entries, basis.basis_id, family)
 
 
 def tk_values(coeffs: CoefficientMatrix) -> np.ndarray:
-    """Family-averaged squared coefficients T_k = (1/m) sum_j <f_j, phi_k>^2."""
-    return (coeffs.entries**2).mean(axis=0)
+    """Family-averaged squared coefficients T_k = (1/m) sum_j <f_j, phi_k>^2.
+
+    One pass over the entries per coefficient matrix (``coeffs.tk``), so the
+    matched spectrum and the floor of a grid point share it.
+    """
+    return coeffs.tk
 
 
 def tk_matched_spectrum(coeffs: CoefficientMatrix, *, scale: float = 1.0) -> Spectrum:

@@ -53,6 +53,7 @@ from ..wavelet import (
     HaarTensorBasis,
     SawtoothSurrogate,
     haar_tensor_basis,
+    sawtooth_work_bytes,
     single_function_risk_bound,
     wavelet_prior_preset,
 )
@@ -211,17 +212,18 @@ def _spectrum_for(config: ExperimentConfig, coeffs):
 MAX_COEFFICIENT_BYTES = 2**30
 
 
-def _checked_K(config: ExperimentConfig, level: int, m: int, where: str) -> int:
+def _checked_K(config: ExperimentConfig, level: int, m: int, where: str, work_bytes) -> int:
     """Retained K at this basis level, refused when its coefficients would be too large.
 
-    Raises ConfigError naming the sizes when the coefficient matrix and
-    transform temporaries would exceed MAX_COEFFICIENT_BYTES.
+    ``work_bytes(K)`` bounds the peak bytes of computing the m candidate
+    truths' first K coefficients.  Raises ConfigError naming the sizes
+    when it exceeds MAX_COEFFICIENT_BYTES.
     """
     size = HaarTensorBasis(config.d, level).size
     K = size if config.K is None else config.K
     if K > size:
         raise ConfigError(f"K = {K} exceeds the {size} functions of the level-{level} basis")
-    needed = coefficient_work_bytes(m, K, size)
+    needed = work_bytes(K)
     if needed > MAX_COEFFICIENT_BYTES:
         raise ConfigError(
             f"{where}m = {m}, level = {level}, K = {K} needs about {needed} bytes for "
@@ -237,7 +239,14 @@ def _grid_tasks(config: ExperimentConfig) -> list:
     for index, n in enumerate(config.n_grid):
         k, m = grid_count(config.d, n, config.grid_rule)
         level = _resolve_level(config, k)
-        K = _checked_K(config, level, m, f"d = {config.d}, n = {n:g}: k = {k}, ")
+        # the coefficient pass or, if larger, the exact risks after it: the
+        # entries and an m x K temporary, the basis's order and rank, and
+        # about six spectrum vectors of length K
+        def work_bytes(K):
+            risks = 8 * (2 * m * K + 3 * 2 ** (config.d * (level + 1)) + 6 * K)
+            return max(coefficient_work_bytes(config.d, k, level, K), risks)
+
+        K = _checked_K(config, level, m, f"d = {config.d}, n = {n:g}: k = {k}, ", work_bytes)
         tasks.append((index, n, partial(_family_point, config, k, level, K)))
     return tasks
 
@@ -431,7 +440,7 @@ def run_wavelet_study(config: ExperimentConfig) -> RiskReport:
     built once and serves every n.
     """
     level = config.level if config.level is not None else max(1, 6 // config.d)
-    K = _checked_K(config, level, 1, f"d = {config.d}: ")
+    K = _checked_K(config, level, 1, f"d = {config.d}: ", partial(sawtooth_work_bytes, config.d, level))
     basis = haar_tensor_basis(config.d, level)
     sawtooth_level = max(0, level - 2)
     surrogate = SawtoothSurrogate(config.d, sawtooth_level)

@@ -148,64 +148,88 @@ def pyramid_box_integral(
 
 
 def pyramid_grid_integrals(
-    center: Sequence[float],
+    center: Sequence,
     halfwidth: float,
-    edges: Sequence[Sequence[float]],
+    edges: Sequence,
 ) -> np.ndarray:
-    """Integrate (halfwidth - |x - center|_1)_+ over every box of a tensor grid.
+    """Integrate (halfwidth - |x - center|_1)_+ over every box of a tensor grid, or of a stack.
 
     ``edges`` holds one strictly increasing breakpoint array per axis; box
     (c_1, ..., c_d) is prod_i [edges[i][c_i], edges[i][c_i + 1]] and the
-    result has one entry per box.  This is the power-1 vertex formula of
-    :func:`pyramid_box_integral` evaluated for all boxes at once.  Every
-    axis is cut at the center, so on each piece the integrand is
-    (halfwidth - sum_i u_i)_+ with u_i the distance to the center along
-    axis i, and the piece integral is
+    result has one entry per box.  For a stack, axis i has k_i rows of
+    breakpoints (a (k_i, P_i) array) and ``center[i]`` the k_i center
+    coordinates that go with them; the pyramid at row (l_1, ..., l_d) is
+    integrated over the grid of those rows, and the result has shape
+    (k_1, P_1 - 1, ..., k_d, P_d - 1).
+
+    This is the power-1 vertex formula of :func:`pyramid_box_integral`
+    evaluated for all boxes at once.  Every row is cut at its center
+    (clipped into the row; a cut on a breakpoint adds a piece of width 0),
+    so on each piece the integrand is (halfwidth - sum_i u_i)_+ with u_i
+    the distance to the center along axis i, and the piece integral is
 
         (1/(d+1)!) sum_{e in {near, far}^d} (-1)^{#far}
                    (halfwidth - sum_i u_i^{e_i})_+^{d+1}.
 
     Neighbouring pieces share vertices, so the bracket is evaluated once
-    per grid point and differenced along each axis; the pieces of a box
-    cut by the center are then added back together.  Boxes outside the
-    support integrate to 0 through the positive part.
+    per grid point, from per-axis tables of distances broadcast over the
+    stack, and differenced along each axis; then, axis by axis, the piece
+    after each cut is added into the piece before it and dropped, which
+    leaves one value per box.  Boxes outside the support integrate to 0
+    through the positive part, up to rounding at a support edge that falls
+    on a breakpoint.
     """
-    center = np.asarray(center, dtype=float)
-    d = center.size
+    d = len(center)
     if halfwidth <= 0.0:
         raise DomainError("halfwidth must be positive")
     if len(edges) != d:
         raise DomainError(f"need one edge array per axis ({d}), got {len(edges)}")
-    gaps, signs, starts = [], [], []
+    stacked = any(np.ndim(axis_edges) == 2 for axis_edges in edges)
+    gaps, signs, cuts = [], [], []
     for a, axis_edges in zip(center, edges):
-        points = np.asarray(axis_edges, dtype=float)
-        if points.ndim != 1 or points.size < 2 or np.any(np.diff(points) <= 0.0):
+        a = np.atleast_1d(np.asarray(a, dtype=float))
+        points = np.atleast_2d(np.asarray(axis_edges, dtype=float))
+        if (
+            points.ndim != 2 or a.shape != points.shape[:1] or points.shape[1] < 2
+            or np.any(np.diff(points, axis=1) <= 0.0)
+        ):
             raise DomainError("edges must be strictly increasing arrays of at least two points")
-        boxes = np.arange(points.size - 1)
-        cut = int(np.searchsorted(points, a))
-        if 0 < cut < points.size and points[cut] != a:
-            # box cut - 1 straddles the center: split it into two pieces
-            points = np.insert(points, cut, a)
-            boxes = boxes + (boxes >= cut)
-        gaps.append(np.abs(points - a))
+        rows, size = points.shape
+        cut_at = np.clip(a, points[:, 0], points[:, -1])
+        cut = np.count_nonzero(points < cut_at[:, None], axis=1)
+        index = np.arange(size + 1)
+        points = np.take_along_axis(points, index - (index > cut[:, None]), axis=1)
+        points[np.arange(rows), cut] = cut_at
+        gaps.append(np.abs(points - a[:, None]))
         # near minus far along the axis: the near vertex of a piece left of
         # the center is its right end, so there it is the forward difference
-        signs.append(np.where(points[:-1] < a, 1.0, -1.0))
-        starts.append(boxes)
-    values = gaps[0]
-    for gap in gaps[1:]:
-        values = np.add.outer(values, gap)
+        signs.append(np.where(points[:, :-1] < a[:, None], 1.0, -1.0))
+        cuts.append(cut)
+
+    def spread(table, axis):
+        shape = [1] * (2 * d)
+        shape[2 * axis : 2 * axis + 2] = table.shape
+        return table.reshape(shape)
+
+    values = spread(gaps[0], 0)
+    for axis in range(1, d):
+        values = values + spread(gaps[axis], axis)
     values = halfwidth - values
     np.maximum(values, 0.0, out=values)
     values **= d + 1
     for axis, sign in enumerate(signs):
-        shape = [1] * d
-        shape[axis] = sign.size
-        values = np.diff(values, axis=axis) * sign.reshape(shape)
+        values = np.diff(values, axis=2 * axis + 1) * spread(sign, axis)
     values /= math.factorial(d + 1)
-    for axis, axis_starts in enumerate(starts):
-        values = np.add.reduceat(values, axis_starts, axis=axis)
-    return values
+    for axis, cut in enumerate(cuts):
+        # the piece after each cut joins the piece before it, where there is one
+        before = (slice(None),) * (2 * axis)
+        rows = np.flatnonzero(cut)
+        values[before + (rows, cut[rows] - 1)] += values[before + (rows, cut[rows])]
+        kept = np.ones(values.shape[2 * axis : 2 * axis + 2], dtype=bool)
+        kept[np.arange(cut.size), cut] = False
+        shape = values.shape[: 2 * axis] + (cut.size, -1) + values.shape[2 * axis + 2 :]
+        values = values[before + (kept,)].reshape(shape)
+    return values if stacked else values.reshape(values.shape[1::2])
 
 
 # ---------------------------------------------------------------------------
@@ -343,20 +367,25 @@ def _gl_nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, n
 
     ``lo`` and ``hi`` stack one box per row.  The points run over the
     tensor grid in C order (axis 0 slowest), and each weight is the product
-    of the axis weights taken from axis 0 up.
+    of the axis weights taken from axis 0 up.  Both are built in C order by
+    broadcasting the axis tables, so every box's row is contiguous.
     """
-    d = lo.shape[1]
+    boxes, d = lo.shape
     nodes, weights = _gl_rule(order)
     width = (hi - lo)[:, :, None]
     axes_pts = lo[:, :, None] + width * nodes
     axes_wts = width * weights
-    grid = np.indices((order,) * d).reshape(d, -1)
-    pts = np.stack([axes_pts[:, i, grid[i]] for i in range(d)], axis=-1)
-    wts = axes_wts[:, 0, grid[0]]
+
+    def along(table, i):  # axis i's (boxes, order) table, spread over the tensor grid
+        return table[:, i].reshape((boxes,) + (1,) * i + (order,) + (1,) * (d - 1 - i))
+
+    pts = np.empty((boxes,) + (order,) * d + (d,))
+    for i in range(d):
+        pts[..., i] = along(axes_pts, i)
+    wts = along(axes_wts, 0)
     for i in range(1, d):
-        wts = wts * axes_wts[:, i, grid[i]]
-    # a strided row would take BLAS's strided dot, which sums in another order
-    return pts, np.ascontiguousarray(wts)
+        wts = wts * along(axes_wts, i)
+    return pts.reshape(boxes, -1, d), wts.reshape(boxes, -1)
 
 
 def gl_box(fn: Callable[[np.ndarray], np.ndarray], lo, hi, order: int = 8):
@@ -373,7 +402,8 @@ def gl_box(fn: Callable[[np.ndarray], np.ndarray], lo, hi, order: int = 8):
     live = np.all(hi > lo, axis=1)
     if live.any():
         pts, wts = _gl_nodes(lo[live], hi[live], order)
-        # C order, as the points of a stack are not: a strided row would sum in another order
+        # a strided row would take BLAS's strided dot, which sums in another
+        # order; values computed from the C-order points are C order already
         values = np.ascontiguousarray(fn(pts if stack else pts[0]), dtype=float).reshape(wts.shape)
         integrals[live] = (values[:, None, :] @ wts[:, :, None])[:, 0, 0]
     return integrals if stack else float(integrals[0])

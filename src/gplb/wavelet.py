@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -48,6 +48,7 @@ __all__ = [
     "level_profile_risk_infimum",
     "wavelet_prior_rate",
     "SawtoothSurrogate",
+    "sawtooth_work_bytes",
 ]
 
 SCALING_LEVEL = -1
@@ -79,33 +80,38 @@ def _axis_values(level: int, translate: int, u: np.ndarray) -> np.ndarray:
     return np.where(cell == translate, values, 0.0)
 
 
-def _univariate_indices(J: int) -> list[tuple[int, int]]:
-    """(level, translate) of each univariate Haar function through level J.
+def _univariate_index(u: int) -> tuple[int, int]:
+    """(level, translate) of the univariate Haar function at axis position u.
 
-    The order (-1, 0), (0, 0), (1, 0), (1, 1), (2, 0), ... is the basis
-    order on one axis and the output layout of :func:`_haar_analysis`.
+    Positions 0, 1, 2, 3, 4, ... hold (-1, 0), (0, 0), (1, 0), (1, 1),
+    (2, 0), ...: the basis order on one axis and the output layout of
+    :func:`_pyramid`.  Position u >= 1 has level u.bit_length() - 1.
     """
-    return [(SCALING_LEVEL, 0)] + [(j, t) for j in range(J + 1) for t in range(2**j)]
+    if u == 0:
+        return SCALING_LEVEL, 0
+    level = u.bit_length() - 1
+    return level, u - 2**level
 
 
-def _haar_analysis(values: np.ndarray, axis: int) -> np.ndarray:
-    """One-dimensional Haar analysis of finest-cell integrals along ``axis``.
+def _pyramid(sums: np.ndarray, out: np.ndarray, offset: int, steps: int, level: int) -> np.ndarray:
+    """``steps`` steps of Mallat's pyramid along the last axis; returns the remaining sums.
 
-    Mallat's pyramid algorithm: adjacent pairs of level-(j+1) cell sums add
-    to the level-j sums, and their differences scaled by 2^{j/2} are the
-    level-j detail coefficients, stored at positions 2^j .. 2^{j+1} - 1.
-    The total integral, the scaling coefficient, lands at position 0.
+    ``sums`` holds cell sums at level ``level`` + 1, finest first.  A step
+    at level j adds the adjacent pairs into the level-j sums and writes
+    their differences, scaled by 2^{j/2}, as the level-j details to
+    ``out[..., offset + half : offset + 2 half]``, half the number of
+    pairs.  With offset 0, all J + 1 steps over a 2^{J+1}-cell axis leave
+    the total integral and put the details in the layout of
+    :func:`_univariate_index`.
     """
-    values = np.moveaxis(values, axis, -1)
-    out = np.empty_like(values)
-    sums = values
-    while sums.shape[-1] > 1:
+    for step in range(steps):
         half = sums.shape[-1] // 2
         even, odd = sums[..., 0::2], sums[..., 1::2]
-        out[..., half : 2 * half] = 2.0 ** ((half.bit_length() - 1) / 2.0) * (even - odd)
+        details = out[..., offset + half : offset + 2 * half]
+        np.subtract(even, odd, out=details)
+        details *= 2.0 ** ((level - step) / 2.0)
         sums = even + odd
-    out[..., 0] = sums[..., 0]
-    return np.moveaxis(out, -1, axis)
+    return sums
 
 
 @dataclass(frozen=True)
@@ -122,9 +128,11 @@ class HaarTensorBasis:
 
     Every member is constant on the N^d finest dyadic cells, N = 2^{J+1},
     so :meth:`analyze` turns a function's exact cell integrals into its
-    exact coefficients.  The integer arrays ``order`` and ``groups``
-    describe every member at once; :meth:`evaluate` and
-    :meth:`constant_panels` read one member's axis pairs from ``order``.
+    exact coefficients, and :meth:`analyze_windows` does so for a stack of
+    functions that each vanish outside a window box.  The integer arrays
+    ``order``, ``rank`` and ``groups`` describe every member at once;
+    :meth:`evaluate` and :meth:`constant_panels` read one member's axis
+    pairs from ``order``.
     """
 
     d: int
@@ -148,7 +156,9 @@ class HaarTensorBasis:
     @cached_property
     def _resolution(self) -> np.ndarray:
         """Resolution of the member at each flat position of the (N,)*d tensor layout."""
-        levels = np.array([level for level, _ in _univariate_indices(self.level)], dtype=np.int8)
+        # level -1 at axis position 0, level j at positions 2^j .. 2^{j+1} - 1
+        counts = [1] + [2**j for j in range(self.level + 1)]
+        levels = np.repeat(np.arange(SCALING_LEVEL, self.level + 1, dtype=np.int8), counts)
         resolution = levels
         for _ in range(self.d - 1):
             resolution = np.maximum.outer(resolution, levels)
@@ -178,24 +188,113 @@ class HaarTensorBasis:
         groups.setflags(write=False)
         return groups
 
+    @cached_property
+    def rank(self) -> np.ndarray:
+        """Basis position of the member at each flat position of the (N,)*d tensor layout.
+
+        The inverse permutation of ``order``.
+        """
+        rank = np.empty(self.size, dtype=np.intp)
+        rank[self.order] = np.arange(self.size)
+        rank.setflags(write=False)
+        return rank
+
     def analyze(self, cells) -> np.ndarray:
         """Exact coefficients, in basis order, from integrals over the finest cells.
 
         ``cells`` has shape (..., N, ..., N): its last d axes hold a
         function's integral over each finest dyadic cell (N = 2^{J+1} per
-        axis), and any leading axes index functions.  The 1-D Haar analysis
-        runs along each of the d axes (the fast wavelet transform), then the
-        result is permuted into basis order; the output has shape
-        (..., size).
+        axis), and any leading axes index functions.  This is the one-window
+        case of :meth:`analyze_windows`: one window, the whole axis, so the
+        whole pyramid runs in it and the coefficients come out in the
+        (N,)*d tensor layout, which ``order`` permutes into basis order.
+        The output has shape (..., size).
         """
         cells = np.asarray(cells, dtype=float)
-        shape = (self.cells_per_axis,) * self.d
-        if cells.shape[cells.ndim - self.d :] != shape:
-            raise ContractError(f"cell integrals must end in shape {shape}, got {cells.shape}")
-        lead = cells.shape[: cells.ndim - self.d]
-        for axis in range(len(lead), cells.ndim):
-            cells = _haar_analysis(cells, axis)
-        return cells.reshape(lead + (self.size,))[..., self.order]
+        N, d = self.cells_per_axis, self.d
+        if cells.shape[cells.ndim - d :] != (N,) * d:
+            raise ContractError(f"cell integrals must end in shape {(N,) * d}, got {cells.shape}")
+        lead = cells.shape[: cells.ndim - d]
+        values, _ = self._windowed_pyramid(cells.reshape(lead + (1, N) * d), np.zeros(1, np.int64))
+        return values.reshape(lead + (self.size,))[..., self.order]
+
+    def analyze_windows(self, cells, starts) -> tuple[np.ndarray, np.ndarray]:
+        """Exact coefficients of a stack of functions, each zero outside its own window box.
+
+        Along each axis a function sits in one of k windows of W finest
+        cells; window l covers cells starts[l] .. starts[l] + W - 1.
+        ``cells`` has shape (..., k, W, ..., k, W): the d (window, cell)
+        pairs of axes hold the integrals of function (l_1, ..., l_d) over the
+        W^d cells of its window box, and leading axes index more functions.
+
+        Let 2^T be the largest power of two, at most N, dividing W and every
+        start.  The 1-D Haar analysis of each axis in turn (the fast
+        wavelet transform) runs its first T pyramid levels inside the
+        windows; each window's W/2^T remaining sums go to its place in an
+        axis of N/2^T coarse sums, where the pyramid finishes.  The
+        operations on nonzero values are those of the pyramid over all N^d
+        cells with zeros outside the window box, so each coefficient has the
+        bits of :meth:`analyze` of the padded cells, up to the sign of zeros.
+
+        Returns (values, positions).  ``values`` has shape
+        (..., k, D, ..., k, D), D = N/2^T + W - W/2^T: per axis the N/2^T
+        coarse coefficients and the W - W/2^T details inside the window.
+        ``positions`` (shape (k, D, ..., k, D)) holds the basis position of
+        each; every other coefficient of the function is 0.
+        """
+        N, d = self.cells_per_axis, self.d
+        starts = np.asarray(starts, dtype=np.int64)
+        values, T = self._windowed_pyramid(cells, starts)
+        W = np.shape(cells)[-1]
+        # 1-D output position of each window's coefficients along an axis: the
+        # coarse ones first, then the window's details as _pyramid lays them
+        # out, whose level-j translates start at starts / 2^{J+1-j}
+        table = [np.broadcast_to(np.arange(N >> T), (starts.size, N >> T))]
+        for step in reversed(range(T)):
+            offset = (N - W + starts[:, None]) >> (step + 1)
+            table.append(np.arange(W >> (step + 1), W >> step) + offset)
+        table = np.concatenate(table, axis=1)
+        flat = 0
+        for axis in range(d):
+            shape = [1] * (2 * d)
+            shape[2 * axis : 2 * axis + 2] = table.shape
+            flat = flat * N + table.reshape(shape)
+        return values, self.rank[flat]
+
+    def _windowed_pyramid(self, cells, starts: np.ndarray) -> tuple[np.ndarray, int]:
+        """The pyramid of :meth:`analyze_windows`: its values and T.
+
+        Along each axis, the N/2^T coarse coefficients come first, then the
+        details inside the window in the layout :func:`_pyramid` leaves.
+        """
+        N, J, d = self.cells_per_axis, self.level, self.d
+        cells = np.asarray(cells, dtype=float)
+        lead = cells.ndim - 2 * d
+        k, W = starts.size, cells.shape[-1] if cells.ndim else 0
+        if (
+            lead < 0 or starts.ndim != 1 or cells.shape[lead:] != (k, W) * d
+            or not 1 <= W <= N or np.any(starts < 0) or np.any(starts > N - W)
+        ):
+            raise ContractError(
+                f"windowed cells must end in {d} (window, cell) axis pairs of windows inside "
+                f"0..{N - 1}, got shape {cells.shape} for starts {starts.tolist()}"
+            )
+        align = int(np.bitwise_or.reduce(starts, initial=W))
+        T = min((align & -align).bit_length() - 1, J + 1)
+        C, fine = N >> T, W >> T
+        rows, cols = np.arange(k)[:, None], (starts >> T)[:, None] + np.arange(fine)
+        values = cells
+        for axis in range(lead, cells.ndim, 2):
+            window = np.moveaxis(values, (axis, axis + 1), (-2, -1))
+            out = np.empty(window.shape[:-1] + (C + W - fine,))
+            sums = _pyramid(window, out, C - fine, T, J)
+            if W < N:  # else the window's sums are the whole coarse axis
+                coarse = np.zeros(window.shape[:-1] + (C,))
+                coarse[..., rows, cols] = sums
+                sums = coarse
+            out[..., 0] = _pyramid(sums, out, 0, J + 1 - T, J - T)[..., 0]
+            values = np.moveaxis(out, (-2, -1), (axis, axis + 1))
+        return values, T
 
     @property
     def basis_id(self) -> str:
@@ -205,9 +304,8 @@ class HaarTensorBasis:
         """(level, translate) of each axis factor of the member at a basis position."""
         if not 0 <= position < self.size:
             raise ContractError(f"basis position {position} is outside 0..{self.size - 1}")
-        univariate = _univariate_indices(self.level)
         cell = np.unravel_index(self.order[position], (self.cells_per_axis,) * self.d)
-        return [univariate[u] for u in cell]
+        return [_univariate_index(int(u)) for u in cell]
 
     def evaluate(self, position: int, x) -> np.ndarray:
         """Evaluate the member at a basis position at points x of shape (npts, d) or (d,)."""
@@ -237,8 +335,14 @@ class HaarTensorBasis:
             yield lo, hi, value
 
 
+@lru_cache(maxsize=32)
 def haar_tensor_basis(d: int, J: int) -> HaarTensorBasis:
-    """Build the tensor Haar basis on [0,1]^d complete through level J."""
+    """The tensor Haar basis on [0,1]^d complete through level J.
+
+    One shared basis per (d, J) among the 32 most recently asked for, so
+    its ``order``, ``groups`` and ``rank`` arrays, all read-only, are built
+    once per level and not at every grid point.
+    """
     return HaarTensorBasis(d, J)
 
 
@@ -443,8 +547,9 @@ class SawtoothSurrogate:
                     vertex = np.maximum(t + (r - j * p // 2), 0) ** (d + 1)
                     total += weight * math.comb(d, r) * (-1) ** (d - r) * vertex
             residues = total * h ** (d + 1) / math.factorial(d + 1)
-        table = np.resize(residues, d * (N - 1) + 1)
-        return basis.analyze(table[sum(np.indices((N,) * d, sparse=True))])
+        # the table of every index sum is freed once the cells are read from it
+        cells = np.resize(residues, d * (N - 1) + 1)[sum(np.indices((N,) * d, sparse=True))]
+        return basis.analyze(cells)
 
     def norm_sq(self) -> float:
         """Exact squared L^2 norm of g over the unit cube: P^2/12.
@@ -453,3 +558,19 @@ class SawtoothSurrogate:
         which the squared triangle wave of height P/2 has mean (P/2)^2/3.
         """
         return self.period**2 / 12.0
+
+
+_SAWTOOTH_COPIES = 6
+
+
+def sawtooth_work_bytes(d: int, level: int, K: int) -> int:
+    """Peak working bytes of the sawtooth truth's first K coefficients on the level basis.
+
+    :meth:`SawtoothSurrogate.haar_coefficients` and the copy of K of them
+    as a truth: the K kept float64 values, and at most ``_SAWTOOTH_COPIES``
+    float64 or index arrays of the basis size N^d alive at once (the cell
+    index and integral tables, the transform's output and pyramid
+    temporaries, the permuted copy, and ``order`` with its sort), plus 64
+    KiB for the small objects.
+    """
+    return 8 * (K + _SAWTOOTH_COPIES * 2 ** (d * (level + 1))) + 2**16

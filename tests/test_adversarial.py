@@ -6,6 +6,7 @@ closed-form arithmetic for every constant.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,11 @@ from scipy import integrate
 from gplb.adversarial import (
     MAX_FAMILY_SIZE,
     CoefficientMatrix,
+    _window_plan,
+    _windows,
     build_pyramid_family,
     choose_grid,
+    coefficient_work_bytes,
     compute_coefficients,
     evaluate_pyramid,
     grid_target,
@@ -32,9 +36,9 @@ from gplb.adversarial import (
     worst_member,
 )
 from gplb.errors import ContractError, DomainError
-from gplb.integrate import adaptive_box_integral, gl_box, pyramid_box_integral
+from gplb.integrate import adaptive_box_integral, gl_box, pyramid_box_integral, pyramid_grid_integrals
 from gplb.sequence_core import TruthCoefficients, exact_risk, Spectrum
-from gplb.wavelet import haar_tensor_basis
+from gplb.wavelet import HaarTensorBasis, haar_tensor_basis
 
 
 def pyramid_fn(center, bandwidth):
@@ -322,6 +326,117 @@ def test_coefficients_match_the_per_panel_oracle(d, k, J, K, members):
     oracle = per_panel_coefficients(family, basis, K, members)
     deviation = np.max(np.abs(coeffs.entries[list(members)] - oracle))
     assert deviation <= 1e-13 * math.sqrt(pyramid_norm_sq(d, k))
+
+
+def member_cells(family, N):
+    """Oracle: each member's N^d finest-cell integrals, its support block at a time.
+
+    Member j sits at grid position (l_1, ..., l_d) and is supported on
+    prod_i [l_i/k, (l_i+1)/k]; the vertex formula integrates the cells
+    meeting that block (cells first_l .. stop_l - 1 per axis, in integers),
+    and every other cell is 0.
+    """
+    first = np.arange(family.k) * N // family.k
+    stop = -((-np.arange(1, family.k + 1) * N) // family.k)
+    edges = [np.arange(a, b + 1) / N for a, b in zip(first, stop)]
+    for j, position in enumerate(np.ndindex(*(family.k,) * family.d)):
+        cells = np.zeros((N,) * family.d)
+        block = tuple(slice(first[l], stop[l]) for l in position)
+        cells[block] = pyramid_grid_integrals(
+            family.centers[j], family.bandwidth, [edges[l] for l in position]
+        )
+        yield cells
+
+
+def per_member_coefficients(family, basis, K):
+    """Oracle: the dense fast Haar transform of every member's cells, one member at a time."""
+    entries = np.zeros((family.m, K))
+    for j, cells in enumerate(member_cells(family, basis.cells_per_axis)):
+        entries[j] = basis.analyze(cells)[:K]
+    return entries
+
+
+# (d, k, J): power-of-two k (centers on cell edges), odd k, k with a
+# center on a cell edge only at some positions (k = 3, 6, 10), bases below
+# the minimal level (J = 0 with k = 5) and far above it
+PER_MEMBER_CASES = [
+    (1, k, J) for k in (1, 2, 3, 4, 5, 6, 7, 8, 10, 13, 16, 20) for J in (0, 1, 2, 3, 4, 5, 8)
+] + [
+    (2, k, J) for k in (1, 2, 3, 4, 5, 6, 7) for J in (0, 1, 2, 3, 4, 5)
+] + [
+    (3, k, J) for k in (1, 2, 3, 4, 5) for J in (0, 1, 2, 3)
+]
+
+
+@pytest.mark.parametrize("d,k,J", PER_MEMBER_CASES)
+def test_coefficients_equal_the_per_member_transform_bit_for_bit(d, k, J):
+    family = build_pyramid_family(d, k)
+    basis = haar_tensor_basis(d, J)
+    # every K, one cut inside the finest resolution group, the first member
+    for K in sorted({basis.size, basis.size - basis.size // 3, 1}):
+        assert np.array_equal(
+            compute_coefficients(family, basis, K).entries, per_member_coefficients(family, basis, K)
+        ), K
+
+
+def test_coefficient_work_bytes_bounds_the_traced_peak():
+    # fresh bases, so the peak includes building the basis's order and rank;
+    # the risk-d2 points, d = 3 at n = 1e4, minimal-level bases and a cut K
+    for d, k, J, K in [
+        (2, 2, 5, None), (2, 3, 6, None), (2, 4, 6, None), (3, 2, 5, None),
+        (1, 5, 4, None), (2, 3, 3, None), (3, 2, 2, None), (1, 5, 0, None), (2, 4, 6, 1000),
+        (3, 2, 5, 1),
+    ]:
+        basis = HaarTensorBasis(d, J)
+        K = basis.size if K is None else K
+        family = build_pyramid_family(d, k)
+        tracemalloc.start()
+        try:
+            compute_coefficients(family, basis, K)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= coefficient_work_bytes(d, k, J, K), (d, k, J, K)
+
+
+def test_window_plan_width_is_the_widest_aligned_block():
+    # the closed form of _window_plan against the pass over every position
+    for k in range(1, 40):
+        for J in range(0, 9):
+            N = 2 ** (J + 1)
+            first = np.arange(k) * N // k
+            stop = -((-np.arange(1, k + 1) * N) // k)
+            T, width = _window_plan(k, N)
+            assert width == int(np.max((-(-stop >> T) << T) - (first >> T << T)))
+            starts, same = _windows(k, N)
+            assert same == width and np.all(starts % 2**T == 0)
+            assert np.all(starts <= first) and np.all(starts + width >= stop)
+            assert np.all(starts >= 0) and np.all(starts + width <= N)
+
+
+def test_tk_values_are_computed_once_and_read_only():
+    coeffs = compute_coefficients(build_pyramid_family(2, 3), haar_tensor_basis(2, 4), 200)
+    tk = tk_values(coeffs)
+    assert tk is tk_values(coeffs) and not tk.flags.writeable
+    assert np.array_equal(tk, (coeffs.entries**2).mean(axis=0))
+    assert np.array_equal(tk_matched_spectrum(coeffs).eigenvalues, tk)
+    assert risk_lower_bound(coeffs, 1e4) == float(np.minimum(tk, 1e-4).sum())
+    # 2025 members square 517 columns at a time: three blocks, the bits of one pass
+    family = build_pyramid_family(1, 2025)
+    rng = np.random.default_rng(5)
+    entries = rng.standard_normal((family.m, 1200)) * 1e-9 * (rng.random((family.m, 1200)) < 0.5)
+    blocked = CoefficientMatrix(entries, "haar1d_J10", family)
+    assert np.array_equal(tk_values(blocked), (blocked.entries**2).mean(axis=0))
+
+
+def test_coefficient_matrix_keeps_a_read_only_float_array_and_copies_others():
+    family = build_pyramid_family(1, 2)
+    frozen = np.zeros((2, 3))
+    frozen.setflags(write=False)
+    assert CoefficientMatrix(frozen, "haar1d_J0", family).entries is frozen
+    writable = np.zeros((2, 3))
+    kept = CoefficientMatrix(writable, "haar1d_J0", family).entries
+    assert kept is not writable and not kept.flags.writeable and writable.flags.writeable
 
 
 def test_coefficient_contract_errors():

@@ -15,6 +15,7 @@ import subprocess
 import sys
 import textwrap
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -846,6 +847,35 @@ def test_runners_reject_infeasible_truncation_and_level():
         )
 
 
+@pytest.mark.parametrize(
+    "d,level,n,K,stages",
+    [(2, 7, 1e5, None, ("mc",)), (2, 6, 1e4, None, ("mc", "probes")), (3, 5, 1e4, None, ("mc",)),
+     (3, 4, 1e6, None, ("mc",)), (2, 7, 1e5, 1000, ("mc",))],
+)
+def test_grid_point_peak_stays_within_its_refusal_budget(monkeypatch, d, level, n, K, stages):
+    # the budget _checked_K prices a point at covers its traced peak, from
+    # the coefficient pass (with a fresh basis) to the last stage
+    budgets = []
+    checked_K = study._checked_K
+
+    def spy(config, level, m, where, work_bytes):
+        K = checked_K(config, level, m, where, work_bytes)
+        budgets.append(work_bytes(K))
+        return K
+
+    monkeypatch.setattr(study, "_checked_K", spy)
+    monkeypatch.setattr(study, "haar_tensor_basis", HaarTensorBasis)
+    config = ExperimentConfig(mode="risk", d=d, level=level, n_grid=(n,), replications=10, K=K)
+    (task,) = study._grid_tasks(config)
+    tracemalloc.start()
+    try:
+        study._grid_point(config, stages, task)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budgets[0]
+
+
 def test_oversized_grid_points_fail_before_any_work():
     config = ExperimentConfig(mode="risk", d=3, level=8, n_grid=(1e3, 1e4), replications=10)
     began = time.perf_counter()
@@ -887,6 +917,19 @@ def test_verify_lines_equal_the_golden_output(seed):
     assert passed
     expected = (GOLDEN / f"verify-seed-{seed}.txt").read_bytes()
     assert "".join(line + "\n" for line in lines).encode() == expected
+
+
+@pytest.mark.parametrize(
+    "mode,name",
+    [("risk", "risk-d2"), ("risk", "risk-d3"), ("wavelet", "wavelet-d3"), ("rates", None)],
+)
+def test_study_reports_equal_the_golden_output(capsys, mode, name):
+    # the golden files are `gplb <mode> [--config <name>.ini] --seed 1` stdout
+    # before the coefficient engine became one stacked pass
+    config = [] if name is None else ["--config", str(GOLDEN / f"{name}.ini")]
+    assert main([mode, *config, "--seed", "1"]) == 0
+    expected = (GOLDEN / f"{name or mode}-seed-1.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
 
 
 def test_verify_passes_at_every_seed():

@@ -134,6 +134,25 @@ def test_pyramid_grid_integrals_match_the_box_formula_box_by_box(d):
             )
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_stacked_pyramid_grid_integrals_equal_each_rows_call(d):
+    # centers inside a row, on one of its breakpoints, and outside it
+    rng = np.random.default_rng(20 + d)
+    hw = 0.3
+    rows = [3, 2, 4][:d]
+    size = [6, 5, 4][:d]
+    edges = [np.sort(rng.random((k, p)), axis=1) for k, p in zip(rows, size)]
+    centers = [rng.uniform(-0.2, 1.2, k) for k in rows]
+    centers[0][0] = edges[0][0, 2]
+    stacked = pyramid_grid_integrals(centers, hw, edges)
+    assert stacked.shape == tuple(x for k, p in zip(rows, size) for x in (k, p - 1))
+    for position in np.ndindex(*rows):
+        center = [c[l] for c, l in zip(centers, position)]
+        single = pyramid_grid_integrals(center, hw, [e[l] for e, l in zip(edges, position)])
+        window = tuple(x for l in position for x in (l, slice(None)))
+        assert np.array_equal(stacked[window], single)
+
+
 def test_pyramid_grid_integrals_reject_bad_edges():
     with pytest.raises(DomainError):
         pyramid_grid_integrals([0.5, 0.5], 0.25, [[0.0, 1.0]])
@@ -230,6 +249,22 @@ def test_gl_box_over_a_stack_equals_box_by_box():
     stacked = gl_box(fn, lo, hi, order=5)
     assert stacked.tolist() == [gl_box(fn, a, b, order=5) for a, b in zip(lo, hi)]
     assert stacked[3] == 0.0
+
+
+def test_gl_box_hands_the_integrand_c_ordered_points():
+    # values computed elementwise from C-ordered points come back C-ordered,
+    # so no box's row has to be copied before its dot with the weights
+    rng = np.random.default_rng(4)
+    lo = rng.random((6, 3))
+    seen = []
+
+    def fn(pts):
+        seen.append(pts.flags.c_contiguous)
+        return np.sin(pts[..., 0]) * pts[..., 1] + pts[..., 2]
+
+    gl_box(fn, lo, lo + 0.5, order=4)
+    gl_box(fn, lo[0], lo[0] + 0.5, order=4)
+    assert seen == [True, True]
 
 
 def test_gl_box_exact_for_polynomials_within_order():

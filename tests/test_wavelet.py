@@ -7,6 +7,7 @@ midpoints integrates products of such functions exactly.
 
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from gplb.wavelet import (
     haar_tensor_basis,
     level_profile_risk_infimum,
     sample_wavelet_prior,
+    sawtooth_work_bytes,
     single_function_risk_bound,
     wavelet_prior_preset,
     wavelet_prior_rate,
@@ -163,6 +165,65 @@ def test_analyze_rejects_cells_of_the_wrong_shape():
     with pytest.raises(ContractError):
         basis.analyze(np.zeros((4, 2)))
     assert basis.analyze(np.zeros((3, 4, 4))).shape == (3, basis.size)
+
+
+def padded(cells, starts, N, d):
+    """The window stack's functions on all N^d cells, zero outside their window boxes."""
+    k, W = len(starts), cells.shape[-1]
+    lead = cells.shape[: cells.ndim - 2 * d]
+    dense = np.zeros(lead + (k,) * d + (N,) * d)
+    for position in np.ndindex(*(k,) * d):
+        box = tuple(slice(starts[l], starts[l] + W) for l in position)
+        window = tuple(x for l in position for x in (l, slice(None)))
+        dense[(Ellipsis,) + position + box] = cells[(Ellipsis,) + window]
+    return dense
+
+
+@pytest.mark.parametrize("d,J", [(1, 0), (1, 3), (1, 6), (2, 0), (2, 2), (2, 4), (3, 1), (3, 2)])
+def test_windowed_analysis_equals_the_dense_transform_of_the_padded_cells(d, J):
+    basis = haar_tensor_basis(d, J)
+    N = basis.cells_per_axis
+    rng = np.random.default_rng(10 * d + J)
+    for _ in range(6):
+        # windows of any width; some aligned to a larger power of two than others
+        W = int(rng.integers(1, N + 1)) if rng.random() < 0.5 else N >> int(rng.integers(0, J + 2))
+        align = 2 ** int(rng.integers(0, J + 2))
+        k = int(rng.integers(1, 4))
+        starts = rng.integers(0, N - W + 1, size=k) // align * align
+        lead = (2,) if rng.random() < 0.5 else ()
+        cells = rng.standard_normal(lead + (k, W) * d)
+        values, positions = basis.analyze_windows(cells, starts)
+        dense = basis.analyze(padded(cells, starts, N, d))
+        scattered = np.zeros(dense.shape)
+        member_axes = tuple(range(len(lead), values.ndim, 2))
+        coefficient_axes = tuple(range(len(lead) + 1, values.ndim, 2))
+        order = tuple(range(len(lead))) + member_axes + coefficient_axes
+        flat_values = values.transpose(order).reshape(lead + (k**d, -1))
+        flat_positions = np.transpose(positions, [a - len(lead) for a in order[len(lead):]])
+        flat_positions = flat_positions.reshape(k**d, -1)
+        rows = np.arange(k**d)[:, None]
+        scattered.reshape(lead + (k**d, basis.size))[..., rows, flat_positions] = flat_values
+        assert np.array_equal(scattered.reshape(dense.shape), dense), (W, starts)
+
+
+def test_windowed_analysis_rejects_windows_off_the_grid():
+    basis = haar_tensor_basis(1, 2)  # 8 cells
+    with pytest.raises(ContractError):
+        basis.analyze_windows(np.zeros((2, 4)), [0, 6])  # runs past cell 7
+    with pytest.raises(ContractError):
+        basis.analyze_windows(np.zeros((2, 4)), [0])  # two windows, one start
+    with pytest.raises(ContractError):
+        basis.analyze_windows(np.zeros((1, 9)), [0])  # wider than the axis
+    with pytest.raises(ContractError):
+        haar_tensor_basis(2, 1).analyze_windows(np.zeros((1, 4)), [0])  # one axis pair of two
+
+
+def test_one_basis_per_level_with_read_only_index_arrays():
+    basis = haar_tensor_basis(2, 3)
+    assert haar_tensor_basis(2, 3) is basis and haar_tensor_basis(2, 2) is not basis
+    assert np.array_equal(basis.rank[basis.order], np.arange(basis.size))
+    for array in (basis.order, basis.groups, basis.rank):
+        assert not array.flags.writeable
 
 
 @pytest.mark.parametrize("d,J", [(1, 5), (2, 1), (3, 1)])
@@ -554,6 +615,21 @@ def test_sawtooth_norm_is_the_period_squared_over_twelve(d):
         assert surrogate.norm_sq() == float(Fraction(1, 12 * 4**level))
         ridge = ridge_box_integral(surrogate._profile().squared(), np.zeros(d), np.ones(d))
         assert surrogate.norm_sq() == pytest.approx(ridge, rel=1e-10)
+
+
+def test_sawtooth_work_bytes_bounds_the_traced_peak():
+    # fresh bases, so the peak includes building the basis's order
+    for d, J in [(1, 0), (1, 12), (1, 15), (2, 1), (2, 6), (3, 2), (3, 4), (4, 2)]:
+        for K in (1, 2 ** (d * (J + 1))):
+            basis = HaarTensorBasis(d, J)
+            surrogate = SawtoothSurrogate(d, max(0, J - 2))
+            tracemalloc.start()
+            try:
+                TruthCoefficients(surrogate.haar_coefficients(basis)[:K], basis.basis_id)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= sawtooth_work_bytes(d, J, K), (d, J, K)
 
 
 def test_sawtooth_coefficient_energy_approaches_norm():
