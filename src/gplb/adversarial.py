@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,7 +36,7 @@ from .integrate import (  # noqa: F401
     pyramid_box_integral,
     pyramid_grid_integrals,
 )
-from .sequence_core import Spectrum, exact_risks
+from .sequence_core import BLOCK_ELEMENTS, Spectrum, exact_risks
 
 __all__ = [
     "MAX_FAMILY_SIZE",
@@ -148,31 +147,36 @@ class CoefficientMatrix:
     Row sums of squares may not exceed the common member norm (orthonormal
     coefficients obey the Bessel inequality); construction enforces this
     with a small rounding allowance.  Entries are copied into a read-only
-    array, unless they already are a read-only float64 array.
+    array, unless they already are a read-only float64 array.  The same
+    pass over the entries gives ``tk``, T_k = (1/m) sum_j <f_j, phi_k>^2,
+    read-only (:func:`_column_squares`).
     """
 
     entries: np.ndarray
     basis_id: str
     family: PyramidFamily
+    tk: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = self.entries
         if not (isinstance(arr, np.ndarray) and arr.dtype == float and not arr.flags.writeable):
             arr = np.array(arr, dtype=float)
-        if arr.ndim != 2:
-            raise ContractError("coefficient entries must form a 2-d matrix")
+        if arr.ndim != 2 or arr.shape[1] < 1:
+            raise ContractError("coefficient entries must form a 2-d matrix with at least one column")
         if arr.shape[0] != self.family.m:
             raise ContractError(
                 f"entry rows {arr.shape[0]} do not match family size {self.family.m}"
             )
         norm_sq = pyramid_norm_sq(self.family.d, self.family.k)
-        row_mass = np.einsum("ij,ij->i", arr, arr)
+        tk, row_mass = _column_squares(arr)
         if np.any(row_mass > norm_sq * (1.0 + 1e-8) + 1e-15):
             raise ContractError(
                 "coefficient rows exceed the member norm; inner products are inconsistent"
             )
         arr.setflags(write=False)
+        tk.setflags(write=False)
         object.__setattr__(self, "entries", arr)
+        object.__setattr__(self, "tk", tk)
 
     @property
     def m(self) -> int:
@@ -182,20 +186,34 @@ class CoefficientMatrix:
     def K(self) -> int:
         return int(self.entries.shape[1])
 
-    @cached_property
-    def tk(self) -> np.ndarray:
-        """T_k = (1/m) sum_j <f_j, phi_k>^2, computed on first use and kept read-only.
 
-        Squared a block of columns at a time, so no second m x K array is
-        made; each column's mean has the bits of the whole matrix's.
-        """
-        width = max(1, 2**20 // self.m)
-        tk = np.concatenate([
-            (self.entries[:, start : start + width] ** 2).mean(axis=0)
-            for start in range(0, self.K, width)
-        ])
-        tk.setflags(write=False)
-        return tk
+def _column_squares(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(T_k, row sums of squares) of an m x K matrix, squared a block of columns at a time.
+
+    A block holds at most ``BLOCK_ELEMENTS`` squares, or three columns
+    where one column is longer than a third of that.  A column's mean is
+    a sum down its m rows in row order, whatever the block's width, so
+    T_k has the bits of (entries ** 2).mean(axis=0); a lone last column
+    would sum in another order, so the block before takes it.  The row
+    sums add block by block, an order only the Bessel check's 1e-8
+    allowance reads.
+    """
+    m, K = entries.shape
+    width = max(2, BLOCK_ELEMENTS // m - 1)
+    starts = list(range(0, K, width))
+    if K - starts[-1] == 1 and len(starts) > 1:
+        starts.pop()
+    squares = np.empty(m * min(K, width + 1))
+    tk, row_mass = np.empty(K), np.zeros(m)
+    for start, stop in zip(starts, starts[1:] + [K]):
+        block = squares[: m * (stop - start)].reshape(m, stop - start)
+        # copied, then squared in place: a ufunc on the strided columns
+        # would take NumPy's iteration buffers on top of the block
+        np.copyto(block, entries[:, start:stop])
+        np.square(block, out=block)
+        np.mean(block, axis=0, out=tk[start:stop])
+        row_mass += block.sum(axis=1)
+    return tk, row_mass
 
 
 def _blocks(k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -251,15 +269,17 @@ def coefficient_work_bytes(d: int, k: int, level: int, K: int) -> int:
     W + 2 vertex points and the D coefficients per window
     (:func:`_window_plan`, :meth:`HaarTensorBasis.analyze_windows`); at
     most ``_TABLE_COPIES`` per-axis tables of k P entries for each axis,
-    which only at d = 1 are as large as the stack; and ``_FIXED_BYTES``.
-    Arithmetic only: no array the size of k or N is made, so absurd sizes
-    are priced at once.
+    which only at d = 1 are as large as the stack; or, once those are
+    freed, the T_k pass's block of squares (:func:`_column_squares`) and
+    T_k; and ``_FIXED_BYTES``.  Arithmetic only: no array the size of k or
+    N is made, so absurd sizes are priced at once.
     """
-    N = 2 ** (level + 1)
+    N, m = 2 ** (level + 1), k**d
     T, width = _window_plan(k, N)
     per_axis = k * max(width + 2, (N >> T) + width - (width >> T))
     stack = _STACK_COPIES * per_axis**d + _TABLE_COPIES * d * per_axis
-    return 8 * (k**d * K + 3 * N**d + stack) + _FIXED_BYTES
+    squares = min(m * K, max(BLOCK_ELEMENTS, 3 * m)) + K
+    return 8 * (m * K + 3 * N**d + max(stack, squares)) + _FIXED_BYTES
 
 
 def compute_coefficients(family: PyramidFamily, basis, K: int) -> CoefficientMatrix:
@@ -280,6 +300,12 @@ def compute_coefficients(family: PyramidFamily, basis, K: int) -> CoefficientMat
         raise ContractError(f"family dimension {family.d} does not match basis dimension {basis.d}")
     if not 1 <= K <= basis.size:
         raise ContractError(f"need 1 <= K <= {basis.size}, got K = {K}")
+    # the stacked pass's arrays are freed before the matrix's T_k pass
+    return CoefficientMatrix(_stacked_entries(family, basis, K), basis.basis_id, family)
+
+
+def _stacked_entries(family: PyramidFamily, basis, K: int) -> np.ndarray:
+    """The read-only m x K entries of :func:`compute_coefficients`."""
     d, k, N = family.d, family.k, basis.cells_per_axis
     starts, width = _windows(k, N)
     axis_centers = family.centers[:k, -1]  # the k center coordinates along every axis
@@ -303,14 +329,15 @@ def compute_coefficients(family: PyramidFamily, basis, K: int) -> CoefficientMat
     entries = np.zeros((family.m, K))
     entries[member, positions] = values
     entries.setflags(write=False)
-    return CoefficientMatrix(entries, basis.basis_id, family)
+    return entries
 
 
 def tk_values(coeffs: CoefficientMatrix) -> np.ndarray:
     """Family-averaged squared coefficients T_k = (1/m) sum_j <f_j, phi_k>^2.
 
-    One pass over the entries per coefficient matrix (``coeffs.tk``), so the
-    matched spectrum and the floor of a grid point share it.
+    Computed with the Bessel check, in the one pass over the entries that
+    building the matrix makes (``coeffs.tk``), so the matched spectrum and
+    the floor of a grid point share it.
     """
     return coeffs.tk
 
@@ -350,6 +377,8 @@ def member_risks(spectrum: Spectrum, entries, n: float, norm_sq: float):
     Each row holds the first K coefficients of a truth of squared norm
     ``norm_sq``.  The posterior mean lives in the K-coordinate span, so
     the tail max(norm_sq - ||row||^2, 0) adds to the in-span risk as bias.
+    The in-span risks come from the blocked :func:`exact_risks`, so no
+    temporary the size of ``entries`` is made.
     """
     # ||row||^2 as BLAS dots of at most 8192 terms: exactly row @ row for
     # short rows, while OpenBLAS threads longer dots, which cost 6-8 ms a

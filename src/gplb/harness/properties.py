@@ -56,7 +56,6 @@ __all__ = ["CHECKS", "run_verify"]
 # the pyramid families (d, k) that the geometry checks sweep at the full size
 FULL_FAMILIES = ((1, 2), (1, 4), (2, 2), (2, 3), (3, 2))
 SIGMAS = (0.1, 0.5, 1.0, 3.0)  # the noise levels diagonal-domination draws from
-RISK_STACK = 25  # spectra per exact_risks call of risk-floors: 100 kB temporaries at the quick size
 
 
 def _listed(cases) -> str:
@@ -208,14 +207,12 @@ def risk_floors(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
                 profiles.append(tau * 2.0 ** (-rng.uniform(0.0, 3.0) * levels))
             else:
                 profiles.append(10.0 ** rng.uniform(-6.0, 2.0, levels.size))
-        eigenvalues = np.array(profiles)[:, basis.groups]
-        for start in range(0, draws, RISK_STACK):
-            spectra = Spectrum(eigenvalues[start:start + RISK_STACK], coeffs.basis_id)
-            worst = exact_risks(spectra, coeffs.entries, n, basis_id=coeffs.basis_id).max(axis=1)
-            violations += int(np.count_nonzero(worst < bound - 1e-12))
-            violations += int(np.count_nonzero(worst < floor - 1e-12))
-            closest = min(closest, float(np.min(worst / bound)))
-            checked += worst.size
+        spectra = Spectrum(np.array(profiles)[:, basis.groups], coeffs.basis_id)
+        worst = exact_risks(spectra, coeffs.entries, n, basis_id=coeffs.basis_id).max(axis=1)
+        violations += int(np.count_nonzero(worst < bound - 1e-12))
+        violations += int(np.count_nonzero(worst < floor - 1e-12))
+        closest = min(closest, float(np.min(worst / bound)))
+        checked += worst.size
     return violations == 0, (
         f"{violations} violations of the coordinatewise and mean floors (tolerance 1e-12) in "
         f"{checked} random spectra on tensor Haar bases of size {' and '.join(sizes)}; smallest "

@@ -18,7 +18,7 @@ report self-describing and reruns byte-comparable.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 from ..errors import ContractError, SchemaVersionError
 
@@ -110,17 +110,18 @@ def render_csv(report: RiskReport) -> str:
         lines.append(f"# config {key}={value}")
     lines.append(",".join(COLUMNS))
     for row in report.rows:
-        data = asdict(row)
-        lines.append(",".join(format_cell(data[col]) for col in COLUMNS))
+        lines.append(",".join(format_cell(getattr(row, col)) for col in COLUMNS))
     return "\n".join(lines) + "\n"
 
 
 def render_json(report: RiskReport) -> str:
+    # COLUMNS is RiskRow's field order, so each row object is what
+    # dataclasses.asdict would give, without its deep copy
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": dict(report.config_items),
         "columns": list(COLUMNS),
-        "rows": [asdict(row) for row in report.rows],
+        "rows": [{col: getattr(row, col) for col in COLUMNS} for row in report.rows],
         "fits": report.fits,
     }
     return json.dumps(payload, indent=2) + "\n"

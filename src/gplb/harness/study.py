@@ -38,6 +38,7 @@ from ..adversarial import (
 )
 from ..errors import ConfigError
 from ..sequence_core import (
+    BLOCK_ELEMENTS,
     Spectrum,
     TruthCoefficients,
     contraction_mass,
@@ -240,10 +241,10 @@ def _grid_tasks(config: ExperimentConfig) -> list:
         k, m = grid_count(config.d, n, config.grid_rule)
         level = _resolve_level(config, k)
         # the coefficient pass or, if larger, the exact risks after it: the
-        # entries and an m x K temporary, the basis's order and rank, and
-        # about six spectrum vectors of length K
+        # entries, the basis's order and rank, about six spectrum vectors
+        # of length K and one blocked pass's BLOCK_ELEMENTS
         def work_bytes(K):
-            risks = 8 * (2 * m * K + 3 * 2 ** (config.d * (level + 1)) + 6 * K)
+            risks = 8 * (m * K + 3 * 2 ** (config.d * (level + 1)) + 6 * K + BLOCK_ELEMENTS)
             return max(coefficient_work_bytes(config.d, k, level, K), risks)
 
         K = _checked_K(config, level, m, f"d = {config.d}, n = {n:g}: k = {k}, ", work_bytes)

@@ -45,10 +45,16 @@ __all__ = [
     "contraction_probability",
     "contraction_mass",
     "MASS_TOLERANCE",
+    "BLOCK_ELEMENTS",
     "polynomial_spectrum",
     "exponential_spectrum",
     "flat_spectrum",
 ]
+
+
+# float64 elements a blocked pass over a coefficient matrix holds at once
+# (128 KiB): exact_risks and the T_k pass of adversarial.CoefficientMatrix
+BLOCK_ELEMENTS = 2**14
 
 
 def _frozen_array(values, name: str, *, allow_negative: bool, stacked: bool = False) -> np.ndarray:
@@ -156,13 +162,17 @@ def _shrinkage(lam: np.ndarray, n: float) -> tuple[np.ndarray, np.ndarray, np.nd
 
     Uses variance = 1 / (n + 1/lambda) and a = n * variance, which stay
     accurate across the whole eigenvalue range, including lambda = 0.
+    Each step writes in place, so three arrays the size of ``lam`` are all
+    it holds; lambda = 0 needs no case of its own in 1 - a = 1 / (1 + n lambda).
     """
     with np.errstate(divide="ignore", over="ignore"):
-        inv_lam = np.where(lam > 0.0, 1.0 / lam, np.inf)
-        variances = 1.0 / (n + inv_lam)
-        weights = n * variances
-        one_minus = np.where(lam > 0.0, 1.0 / (1.0 + n * lam), 1.0)
-    return weights, one_minus, variances
+        variances = np.divide(1.0, lam, out=np.full(lam.shape, np.inf), where=lam > 0.0)
+        variances += n
+        np.divide(1.0, variances, out=variances)
+        one_minus = np.multiply(n, lam)
+        one_minus += 1.0
+        np.divide(1.0, one_minus, out=one_minus)
+    return n * variances, one_minus, variances
 
 
 def sample_observation(
@@ -214,11 +224,17 @@ def exact_risk(spectrum: Spectrum, theta: TruthCoefficients, n: float) -> float:
 
 
 def exact_risks(spectrum: Spectrum, thetas, n: float, *, basis_id: str) -> np.ndarray:
-    """:func:`exact_risk` at every row of ``thetas`` (m x K), in one pass.
+    """:func:`exact_risk` at every row of ``thetas`` (m x K), in blocks.
 
-    Row j gets sum_k ((1 - a_k) theta_jk)^2 + sum_k a_k^2 / n.  Each row is
-    summed on its own, so its risk does not depend on the other rows; a
-    stack of S spectra gives (S, m) risks, row s bit-equal to spectrum s alone.
+    Row j gets sum_k ((1 - a_k) theta_jk)^2 + sum_k a_k^2 / n; a stack of S
+    spectra gives (S, m) risks.  The (spectrum, row) pairs go in blocks of
+    at most :data:`BLOCK_ELEMENTS` elements: a block's spectra's shrinkage,
+    three arrays of K each, and their products with the block's rows,
+    squared in place in one buffer.  Only where one spectrum's shrinkage
+    and one row need more, four arrays of K, does a block exceed it.  Each
+    pair is still summed on its own over its K entries, so row s of a stack
+    is bit-equal to spectrum s alone, and every risk to the one-expression
+    np.sum((one_minus * thetas) ** 2, axis=-1) + sum_k a_k^2 / n.
     """
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
@@ -227,9 +243,31 @@ def exact_risks(spectrum: Spectrum, thetas, n: float, *, basis_id: str) -> np.nd
     if thetas.ndim != 2:
         raise ContractError("exact_risks needs a 2-d array of truths, one per row")
     _check_same_shape(spectrum.eigenvalues.shape[-1:], thetas.shape[1:], "exact_risks")
-    weights, one_minus, _ = _shrinkage(spectrum.eigenvalues, n)
-    bias = np.sum((one_minus[..., None, :] * thetas) ** 2, axis=-1)
-    return bias + (np.sum(weights**2, axis=-1) / n)[..., None]
+    (m, K), lams = thetas.shape, spectrum.eigenvalues.reshape(-1, thetas.shape[1])
+    rows = max(1, min(m, BLOCK_ELEMENTS // K - 3))
+    stack = max(1, min(len(lams), BLOCK_ELEMENTS // ((3 + m) * K))) if rows >= m else 1
+    risks = np.empty((len(lams), m))
+    products = np.empty(stack * rows * K)
+    for s in range(0, len(lams), stack):
+        _block_risks(lams[s : s + stack], thetas, n, rows, products, risks[s : s + stack])
+    return risks.reshape(spectrum.eigenvalues.shape[:-1] + (m,))
+
+
+def _block_risks(lams, thetas, n: float, rows: int, products: np.ndarray, out: np.ndarray) -> None:
+    """The risks of a block of spectra (S', K) at every row, into ``out`` (S', m).
+
+    ``products`` takes the spectra's products with ``rows`` rows at a time.
+    The shrinkage lives only in this call, so the next block's never meets it.
+    """
+    weights, one_minus, _ = _shrinkage(lams, n)
+    S, K = lams.shape
+    for j in range(0, len(thetas), rows):
+        block = thetas[j : j + rows]
+        part = products[: S * block.size].reshape(S, len(block), K)
+        np.multiply(one_minus[:, None, :], block, out=part)
+        np.square(part, out=part)
+        np.sum(part, axis=-1, out=out[:, j : j + rows])
+    out += (np.sum(np.square(weights, out=weights), axis=-1) / n)[:, None]
 
 
 def _error_law(spectrum: Spectrum, theta: TruthCoefficients, n: float, what: str):

@@ -37,8 +37,9 @@ from gplb.adversarial import (
 )
 from gplb.errors import ContractError, DomainError
 from gplb.integrate import adaptive_box_integral, gl_box, pyramid_box_integral, pyramid_grid_integrals
-from gplb.sequence_core import TruthCoefficients, exact_risk, Spectrum
+from gplb.sequence_core import BLOCK_ELEMENTS, Spectrum, TruthCoefficients, exact_risk
 from gplb.wavelet import HaarTensorBasis, haar_tensor_basis
+from test_sequence_core import traced_peak
 
 
 def pyramid_fn(center, bandwidth):
@@ -421,12 +422,52 @@ def test_tk_values_are_computed_once_and_read_only():
     assert np.array_equal(tk, (coeffs.entries**2).mean(axis=0))
     assert np.array_equal(tk_matched_spectrum(coeffs).eigenvalues, tk)
     assert risk_lower_bound(coeffs, 1e4) == float(np.minimum(tk, 1e-4).sum())
-    # 2025 members square 517 columns at a time: three blocks, the bits of one pass
+    # 2025 members square 7 columns at a time: 172 blocks, the bits of one pass
     family = build_pyramid_family(1, 2025)
     rng = np.random.default_rng(5)
     entries = rng.standard_normal((family.m, 1200)) * 1e-9 * (rng.random((family.m, 1200)) < 0.5)
     blocked = CoefficientMatrix(entries, "haar1d_J10", family)
     assert np.array_equal(tk_values(blocked), (blocked.entries**2).mean(axis=0))
+
+
+B = BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize(
+    "m,K",
+    [
+        (1, 1), (1, 7), (9, 1),  # one row, one column
+        (16, B // 16 - 1), (16, B // 16), (16, B // 16 + 1),  # the first block edge
+        (16, 2 * (B // 16 - 1) + 1), (9, 3 * (B // 9 - 1) + 2),  # a lone last column, two
+        (1, B + 3), (2, 2 * B + 1),  # K longer than the budget
+        (B // 2, 5), (B // 2 + 1, 4),  # columns longer than a third of it
+    ],
+)
+def test_blocked_tk_equals_the_one_expression_bit_for_bit(m, K):
+    rng = np.random.default_rng(m + K)
+    entries = rng.standard_normal((m, K)) * 10.0 ** rng.uniform(-9.0, 0.0, (m, K))
+    family = build_pyramid_family(1, m)
+    # scaled under the member norm, so the Bessel check passes
+    entries *= math.sqrt(pyramid_norm_sq(1, m) / 2.0 / np.max(np.sum(entries**2, axis=1)))
+    coeffs = CoefficientMatrix(entries, "b", family)
+    assert np.array_equal(coeffs.tk, (coeffs.entries**2).mean(axis=0))
+    # the row masses summed block by block still catch a row over the norm,
+    # its mass spread over every block
+    entries[m // 2] *= math.sqrt(1.1 * pyramid_norm_sq(1, m) / np.sum(entries[m // 2] ** 2))
+    with pytest.raises(ContractError, match="exceed the member norm"):
+        CoefficientMatrix(entries, "b", family)
+
+
+def test_tk_pass_stays_within_the_block_budget():
+    # the largest risk-d2 point: 16 members, 16384 coefficients; squaring the
+    # whole matrix made a second 2 MiB array
+    family = build_pyramid_family(2, 4)
+    rng = np.random.default_rng(4)
+    entries = rng.standard_normal((16, 16384)) * math.sqrt(pyramid_norm_sq(2, 4) / 2.0 / 16384)
+    entries.setflags(write=False)
+    tk, peak = traced_peak(lambda: CoefficientMatrix(entries, "b", family).tk)
+    # 8 KiB for array headers, views and vectors of m row masses
+    assert peak <= 8 * BLOCK_ELEMENTS + tk.nbytes + 8192, peak
 
 
 def test_coefficient_matrix_keeps_a_read_only_float_array_and_copies_others():

@@ -16,7 +16,7 @@ import sys
 import textwrap
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,6 +68,7 @@ from gplb.harness import (
     transfer_threshold,
 )
 from gplb.harness.cli import main
+from gplb.harness.report import format_cell
 from gplb.sequence_core import (
     Spectrum,
     TruthCoefficients,
@@ -415,6 +416,25 @@ def test_json_report_round_trips_with_fits(tmp_path):
     payload = json.loads(path.read_text(encoding="utf-8"))
     assert payload["schema_version"] == SCHEMA_VERSION
     assert payload["columns"] == list(COLUMNS)
+
+
+def test_rendered_rows_equal_the_asdict_rendering():
+    # the renderers read RiskRow fields directly; dataclasses.asdict, which
+    # they called before, is the oracle, on every column filled and empty
+    report = example_report()
+    report.rows.append(RiskRow())
+    assert tuple(f.name for f in fields(RiskRow)) == COLUMNS
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "config": dict(report.config_items),
+        "columns": list(COLUMNS),
+        "rows": [asdict(row) for row in report.rows],
+        "fits": report.fits,
+    }
+    assert render_json(report) == json.dumps(payload, indent=2) + "\n"
+    rows = [",".join(format_cell(asdict(row)[col]) for col in COLUMNS) for row in report.rows]
+    assert render_csv(report).splitlines()[-len(rows):] == rows
+    assert rows[-1] == "," * (len(COLUMNS) - 1)
 
 
 def test_csv_layout_version_line_config_block_header():

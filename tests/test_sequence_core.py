@@ -6,6 +6,7 @@ risk = sum (1-a)^2 theta^2 + a^2 / n.
 """
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -15,9 +16,11 @@ from hypothesis import strategies as st
 from scipy import stats
 from scipy.optimize import minimize_scalar
 
+from gplb import sequence_core
 from gplb.adversarial import build_pyramid_family, compute_coefficients, tk_matched_spectrum
 from gplb.errors import ContractError, DomainError
 from gplb.sequence_core import (
+    BLOCK_ELEMENTS,
     MASS_TOLERANCE,
     GPPosterior,
     SequenceObservation,
@@ -171,6 +174,88 @@ def test_stacked_spectra_give_the_one_spectrum_risks_bit_for_bit():
         mc_risk(Spectrum(lams, BASIS), TruthCoefficients(thetas[0], BASIS), 300.0, 10, rng)
     with pytest.raises(ContractError, match="shapes differ"):
         posterior_update(Spectrum(lams, BASIS), SequenceObservation(thetas[:6], 300.0, BASIS))
+
+
+def where_shrinkage(lam, n):
+    """The shrinkage as two np.where expressions, before it wrote in place."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inv_lam = np.where(lam > 0.0, 1.0 / lam, np.inf)
+        variances = 1.0 / (n + inv_lam)
+        one_minus = np.where(lam > 0.0, 1.0 / (1.0 + n * lam), 1.0)
+    return n * variances, one_minus, variances
+
+
+def unblocked_risks(lams, thetas, n):
+    """exact_risks as the one expression over the whole (S, m, K) product."""
+    weights, one_minus, _ = where_shrinkage(lams, n)
+    bias = np.sum((one_minus[..., None, :] * thetas) ** 2, axis=-1)
+    return bias + (np.sum(weights**2, axis=-1) / n)[..., None]
+
+
+def test_shrinkage_in_place_has_the_bits_of_the_where_form():
+    lam = np.array([0.0, -0.0, 5e-324, 1e-320, 1e-8, 1.0, 3.0, 1e308, 1.7976931348623157e308])
+    for n in (1e-3, 1.0, 7.0, 1e7, 1e300):
+        for new, old in zip(sequence_core._shrinkage(lam, n), where_shrinkage(lam, n)):
+            assert new.tobytes() == old.tobytes(), n
+
+
+B = BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize(
+    "S,m,K",
+    [
+        (None, 1, 1), (4, 1, 1), (None, 1, 300), (3, 1, 300),  # one row
+        (100, 4, 128), (41, 7, 200),  # stacks of spectra straddle a block edge
+        (3, 6, B // 8), (None, 5, B // 8),  # a block one row short of m, and just m
+        (2, 16, B // 4), (None, 3, B // 4 + 1),  # one row a block
+        (2, 2, B + 3), (None, 1, 2 * B + 1),  # K longer than the budget
+        (5, 3000, 2), (None, 20000, 5),  # many short rows
+    ],
+)
+def test_blocked_exact_risks_equal_the_one_expression_bit_for_bit(S, m, K):
+    rng = np.random.default_rng(m * K)
+    shape = (K,) if S is None else (S, K)
+    lams = 10.0 ** rng.uniform(-8.0, 4.0, shape)
+    lams[rng.random(shape) < 0.3] = 0.0
+    thetas = rng.standard_normal((m, K)) * 10.0 ** rng.uniform(-6.0, 0.0, (m, 1))
+    n = 10.0 ** rng.uniform(0.0, 7.0)
+    risks = exact_risks(Spectrum(lams, BASIS), thetas, n, basis_id=BASIS)
+    assert risks.shape == shape[:-1] + (m,)
+    assert np.array_equal(risks, unblocked_risks(lams, thetas, n))
+
+
+def traced_peak(call):
+    """(result, peak bytes allocated during call) above what was live before it.
+
+    An untraced call first, so one-time caches of NumPy and Python do not count.
+    """
+    call()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("m,K", [(16, 16384), (4, 128)])
+def test_exact_risks_stay_within_the_block_budget(m, K):
+    # a 100-spectrum stack at the largest risk-d2 point, and at the quick
+    # risk-floors size; the one-expression form held a 100 x m x K product.
+    # A block holds BLOCK_ELEMENTS, or at K > BLOCK_ELEMENTS / 4 one row of
+    # one spectrum and its shrinkage: four arrays of K.
+    rng = np.random.default_rng(8)
+    spectra = Spectrum(10.0 ** rng.uniform(-8.0, 0.0, (100, K)), BASIS)
+    thetas = rng.standard_normal((m, K))
+    risks, peak = traced_peak(lambda: exact_risks(spectra, thetas, 1e5, basis_id=BASIS))
+    # NumPy's iteration buffers, np.getbufsize() elements for each operand
+    # of the broadcast product, and 8 KiB for array headers, views and
+    # per-block vectors of S floats
+    overhead = 3 * 8 * np.getbufsize() + 8192
+    assert peak <= 8 * max(BLOCK_ELEMENTS, 4 * K) + risks.nbytes + overhead, peak
 
 
 def test_exact_risks_validates_inputs():
