@@ -17,7 +17,6 @@ from .adversarial import (
     MAX_FAMILY_SIZE,
     PyramidFamily,
     build_pyramid_family,
-    choose_grid,
     compute_coefficients,
     evaluate_pyramid,
     grid_target,
@@ -27,7 +26,6 @@ from .adversarial import (
     pyramid_norm_sq,
     risk_lower_bound,
     tk_matched_spectrum,
-    tk_values,
 )
 from .errors import (
     ConfigError,
@@ -106,11 +104,9 @@ __all__ = [
     "evaluate_pyramid",
     "pyramid_norm_sq",
     "compute_coefficients",
-    "tk_values",
     "tk_matched_spectrum",
     "risk_lower_bound",
     "grid_target",
-    "choose_grid",
     "lower_bound_constants",
     "n_threshold",
     "mean_risk_floor",

@@ -15,8 +15,9 @@ Gaussian-process prior.
 Averaging squared basis coefficients over the family yields per-coordinate
 masses T_k = (1/m) sum_j <f_j, phi_k>^2, and the worst-case posterior-mean
 risk over the family is bounded below by sum_k T_k AND 1/n for every prior
-spectrum on that basis.  Grid selection, the closed-form constants, and
-the sample-size threshold for the contraction machinery live here too.
+spectrum on that basis.  The risk-balancing grid target, the closed-form
+constants, and the sample-size threshold for the contraction machinery
+live here too.
 """
 
 from __future__ import annotations
@@ -48,13 +49,11 @@ __all__ = [
     "pyramid_norm_sq",
     "compute_coefficients",
     "coefficient_work_bytes",
-    "tk_values",
     "tk_matched_spectrum",
     "risk_lower_bound",
     "member_risks",
     "worst_member",
     "grid_target",
-    "choose_grid",
     "lower_bound_constants",
     "n_threshold",
     "mean_risk_floor",
@@ -332,16 +331,6 @@ def _stacked_entries(family: PyramidFamily, basis, K: int) -> np.ndarray:
     return entries
 
 
-def tk_values(coeffs: CoefficientMatrix) -> np.ndarray:
-    """Family-averaged squared coefficients T_k = (1/m) sum_j <f_j, phi_k>^2.
-
-    Computed with the Bessel check, in the one pass over the entries that
-    building the matrix makes (``coeffs.tk``), so the matched spectrum and
-    the floor of a grid point share it.
-    """
-    return coeffs.tk
-
-
 def tk_matched_spectrum(coeffs: CoefficientMatrix, *, scale: float = 1.0) -> Spectrum:
     """Prior spectrum lambda_k = scale * T_k on the coefficient basis.
 
@@ -351,7 +340,7 @@ def tk_matched_spectrum(coeffs: CoefficientMatrix, *, scale: float = 1.0) -> Spe
     """
     if not (scale > 0 and math.isfinite(scale)):
         raise DomainError("scale must be positive and finite")
-    return Spectrum(scale * tk_values(coeffs), coeffs.basis_id)
+    return Spectrum(scale * coeffs.tk, coeffs.basis_id)
 
 
 def risk_lower_bound(coeffs: CoefficientMatrix, n: float) -> float:
@@ -368,7 +357,7 @@ def risk_lower_bound(coeffs: CoefficientMatrix, n: float) -> float:
     """
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
-    return float(np.minimum(tk_values(coeffs), 1.0 / n).sum())
+    return float(np.minimum(coeffs.tk, 1.0 / n).sum())
 
 
 def member_risks(spectrum: Spectrum, entries, n: float, norm_sq: float):
@@ -406,23 +395,6 @@ def grid_target(d: int, n: float) -> float:
         raise DomainError("sample size n must be at least 1")
     exponent = 1.0 / (2.0 * d + 2.0)
     return math.exp((_log_half_inverse_factorial(d) + math.log(n)) * exponent)
-
-
-def choose_grid(d: int, n: float) -> tuple[int, int]:
-    """Risk-balancing grid count: k = ceil((r_d n)^{1/(2d+2)}), m = k^d.
-
-    With this choice (and n >= 1/r_d) the common member norm is wedged
-    between (1/2)^{2d+2} m/n and m/n, which is the regime where the
-    coordinatewise floor saturates at order m/n.
-    """
-    t = grid_target(d, n)
-    # ceil with a 4-ulp guard so exactly-integer targets (up to log/exp
-    # rounding) do not spill to the next grid size
-    k = max(1, math.ceil(t * (1.0 - 4e-16)))
-    m = k**d
-    if m > MAX_FAMILY_SIZE:
-        raise DomainError(f"family size k^d = {m} exceeds the supported limit {MAX_FAMILY_SIZE}")
-    return k, m
 
 
 class LowerBoundConstants(NamedTuple):

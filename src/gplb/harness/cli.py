@@ -9,9 +9,9 @@ Subcommands select the experiment mode::
     gplb wavelet --config wave.ini
     gplb verify
 
-Flags shared by every subcommand: --config, --seed, --out, --format,
---threads.  Environment variables GPLB_CONFIG, GPLB_SEED, GPLB_OUT,
-GPLB_FORMAT, GPLB_THREADS override the file; flags override both.
+Every subcommand takes --config and a flag for each setting whose
+``ExperimentConfig`` field declares one (``config.FLAGGED``).  The GPLB_*
+variables of the same settings override the file; flags override both.
 Without --out the report is written to stdout.  Exit codes: 0 success,
 1 verify-battery failure, 2 configuration error or a report that cannot
 be written to --out.
@@ -24,7 +24,7 @@ import os
 import sys
 
 from ..errors import ConfigError
-from .config import MODES, load_config
+from .config import FLAGGED, MODES, load_config
 from .properties import run_verify
 from .report import emit_report, render_csv, render_json
 from .study import (
@@ -65,24 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     for mode in MODES:
         sub = subparsers.add_parser(mode, help=_MODE_HELP[mode])
         sub.add_argument("--config", help="path to an INI experiment config")
-        sub.add_argument("--seed", type=int, help="master seed (overrides config)")
-        sub.add_argument("--out", help="report path (default: stdout)")
-        sub.add_argument("--format", choices=("csv", "json"), help="report format")
-        sub.add_argument("--threads", type=int, help="worker threads for grid points")
+        for setting in FLAGGED:
+            options = setting.metadata["flag"]
+            sub.add_argument(f"--{setting.name}", type=setting.metadata["parse"], **options)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    overrides = {
-        "mode": args.mode,
-        "seed": args.seed,
-        "out": args.out,
-        "format": args.format,
-        "threads": args.threads,
-    }
+    overrides = vars(build_parser().parse_args(argv))
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(overrides.pop("config"), overrides)
         if config.mode == "verify":
             passed, lines = run_verify(config)
             for line in lines:

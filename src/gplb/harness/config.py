@@ -1,40 +1,17 @@
 """Experiment configuration: file parsing, environment and CLI overrides.
 
-A run is configured by an INI file with typed sections::
-
-    [experiment]
-    mode = rates            ; risk | contraction | minimax | wavelet | rates | verify
-    d = 1
-    n_grid = logspace:3:6:7 ; or an explicit comma list: 1e3, 3.16e3, 1e4
-    seed = 1
-    threads = 1
-    delta = 0.1
-    grid_rule = ceil        ; ceil | round | floor
-
-    [spectrum]
-    preset = matched        ; matched | polynomial | exponential | flat
-    tau = 1.0
-    alpha = 1.0
-    beta = 1.0
-    ; K = 256               ; basis truncation (default: full basis)
-    ; level = 6             ; wavelet basis level (default: derived from the grid)
-
-    [mc]
-    replications = 1000     ; 2 to 2**53
-
-    [minimax]
-    m_values = 1, 2, 4, 8
-    sigma_values = 0.1, 0.5, 1.0, 3.0
-    grid_size = 100001
-
-    [output]
-    ; path = report.csv
-    format = csv
+Each setting is declared once, as a field of ``ExperimentConfig``: its
+default, its INI ``[section] key`` (the field name unless the field says
+otherwise), its text parser and, for ``seed``, ``threads``, ``out`` and
+``format``, the argparse options of its ``--<name>`` flag.  The file
+reader, the ``GPLB_<NAME>`` environment variables, the CLI flags and the
+configuration block of a report all derive from those fields, so adding
+a setting means adding one field.  README.md shows a full file.
 
 Overrides resolve with precedence: command-line flags, then GPLB_*
-environment variables (GPLB_CONFIG, GPLB_SEED, GPLB_OUT, GPLB_FORMAT,
-GPLB_THREADS), then the file, then defaults.  Every run embeds the fully
-resolved configuration in its report so outputs are self-describing.
+environment variables (GPLB_CONFIG names the file), then the file, then
+defaults.  Every run embeds the resolved experiment settings in its report
+so outputs are self-describing.
 """
 
 from __future__ import annotations
@@ -43,46 +20,89 @@ import configparser
 import math
 import os
 from dataclasses import dataclass, field, fields
+from functools import partial
 
 from ..errors import ConfigError
 from .report import format_cell
 
-__all__ = ["ExperimentConfig", "load_config", "resolved_items", "MODES"]
+__all__ = ["ExperimentConfig", "load_config", "resolved_items", "MODES", "FLAGGED", "ENV_VARIABLES"]
 
 MODES = ("risk", "contraction", "minimax", "wavelet", "rates", "verify")
 GRID_RULES = ("ceil", "round", "floor")
 SPECTRUM_PRESETS = ("matched", "polynomial", "exponential", "flat")
 FORMATS = ("csv", "json")
 
-_ENV_KEYS = {
-    "GPLB_SEED": "seed",
-    "GPLB_OUT": "out",
-    "GPLB_FORMAT": "format",
-    "GPLB_THREADS": "threads",
-}
+
+def _parse_n_grid(text: str) -> tuple[float, ...]:
+    text = text.strip()
+    if text.startswith("logspace:"):
+        parts = text.split(":")
+        if len(parts) != 4:
+            raise ConfigError("logspace grid must look like logspace:<lo_exp>:<hi_exp>:<count>")
+        try:
+            lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
+        except ValueError as exc:
+            raise ConfigError(f"could not parse logspace grid {text!r}") from exc
+        if count < 1:
+            raise ConfigError("logspace grid needs at least one point")
+        if count == 1:
+            return (10.0**lo,)
+        step = (hi - lo) / (count - 1)
+        return tuple(10.0 ** (lo + i * step) for i in range(count))
+    try:
+        return tuple(float(tok) for tok in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise ConfigError(f"could not parse n_grid {text!r}") from exc
+
+
+def _parse_list(text: str, cast):
+    try:
+        return tuple(cast(tok) for tok in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise ConfigError(f"could not parse list {text!r}") from exc
+
+
+def _setting(default, section: str, parse, *, key: str | None = None, flag: dict | None = None,
+             reported: bool = True):
+    """A setting: its default, INI section, text parser and the options below.
+
+    ``key`` is its INI key where that is not the lowercased field name.
+    ``flag`` holds the argparse options of a ``--<name>`` flag; a flagged
+    setting is also read from ``GPLB_<NAME>``.  An unreported setting says
+    where a report goes or how the work is scheduled, never what it holds,
+    so the report's config block leaves it out.
+    """
+    metadata = {"section": section, "key": key, "parse": parse, "flag": flag, "reported": reported}
+    return field(default=default, metadata=metadata)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    mode: str = "rates"
-    d: int = 1
-    n_grid: tuple[float, ...] = (1e3, 10**3.5, 1e4, 10**4.5, 1e5, 10**5.5, 1e6)
-    seed: int = 1
-    threads: int = 1
-    delta: float = 0.1
-    grid_rule: str = "ceil"
-    spectrum: str = "matched"
-    tau: float = 1.0
-    alpha: float = 1.0
-    beta: float = 1.0
-    K: int | None = None
-    level: int | None = None
-    replications: int = 1000
-    m_values: tuple[int, ...] = (1, 2, 4, 8)
-    sigma_values: tuple[float, ...] = (0.1, 0.5, 1.0, 3.0)
-    grid_size: int = 100001
-    out: str | None = None
-    format: str = "csv"
+    mode: str = _setting("rates", "experiment", str)
+    d: int = _setting(1, "experiment", int)
+    n_grid: tuple[float, ...] = _setting(
+        (1e3, 10**3.5, 1e4, 10**4.5, 1e5, 10**5.5, 1e6), "experiment", _parse_n_grid)
+    seed: int = _setting(1, "experiment", int, flag={"help": "master seed (overrides config)"})
+    threads: int = _setting(
+        1, "experiment", int, flag={"help": "worker threads for grid points"}, reported=False)
+    delta: float = _setting(0.1, "experiment", float)
+    grid_rule: str = _setting("ceil", "experiment", str)
+    spectrum: str = _setting("matched", "spectrum", str, key="preset")
+    tau: float = _setting(1.0, "spectrum", float)
+    alpha: float = _setting(1.0, "spectrum", float)
+    beta: float = _setting(1.0, "spectrum", float)
+    K: int | None = _setting(None, "spectrum", int)
+    level: int | None = _setting(None, "spectrum", int)
+    replications: int = _setting(1000, "mc", int)
+    m_values: tuple[int, ...] = _setting((1, 2, 4, 8), "minimax", partial(_parse_list, cast=int))
+    sigma_values: tuple[float, ...] = _setting(
+        (0.1, 0.5, 1.0, 3.0), "minimax", partial(_parse_list, cast=float))
+    grid_size: int = _setting(100001, "minimax", int)
+    out: str | None = _setting(
+        None, "output", str, key="path", flag={"help": "report path (default: stdout)"},
+        reported=False)
+    format: str = _setting(
+        "csv", "output", str, flag={"choices": FORMATS, "help": "report format"}, reported=False)
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -139,72 +159,9 @@ class ExperimentConfig:
             raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
 
 
-def _parse_n_grid(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if text.startswith("logspace:"):
-        parts = text.split(":")
-        if len(parts) != 4:
-            raise ConfigError("logspace grid must look like logspace:<lo_exp>:<hi_exp>:<count>")
-        try:
-            lo, hi, count = float(parts[1]), float(parts[2]), int(parts[3])
-        except ValueError as exc:
-            raise ConfigError(f"could not parse logspace grid {text!r}") from exc
-        if count < 1:
-            raise ConfigError("logspace grid needs at least one point")
-        if count == 1:
-            return (10.0**lo,)
-        step = (hi - lo) / (count - 1)
-        return tuple(10.0 ** (lo + i * step) for i in range(count))
-    try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"could not parse n_grid {text!r}") from exc
-
-
-def _parse_list(text: str, cast):
-    try:
-        return tuple(cast(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"could not parse list {text!r}") from exc
-
-
-_SECTION_FIELDS = {
-    "experiment": {
-        "mode": str,
-        "d": int,
-        "n_grid": _parse_n_grid,
-        "seed": int,
-        "threads": int,
-        "delta": float,
-        "grid_rule": str,
-    },
-    "spectrum": {
-        "preset": str,  # stored as "spectrum"
-        "tau": float,
-        "alpha": float,
-        "beta": float,
-        "k": int,  # stored as "K"; configparser lowercases option names
-        "level": int,
-    },
-    "mc": {
-        "replications": int,
-    },
-    "minimax": {
-        "m_values": lambda text: _parse_list(text, int),
-        "sigma_values": lambda text: _parse_list(text, float),
-        "grid_size": int,
-    },
-    "output": {
-        "path": str,  # stored as "out"
-        "format": str,
-    },
-}
-
-_KEY_RENAMES = {
-    ("spectrum", "preset"): "spectrum",
-    ("spectrum", "k"): "K",
-    ("output", "path"): "out",
-}
+# the settings that a --<name> flag and a GPLB_<NAME> variable also set
+FLAGGED = tuple(f for f in fields(ExperimentConfig) if f.metadata["flag"] is not None)
+ENV_VARIABLES = {f"GPLB_{f.name.upper()}": f for f in FLAGGED}
 
 
 def _read_file(path: str) -> dict:
@@ -212,17 +169,22 @@ def _read_file(path: str) -> dict:
     read = parser.read(path)
     if not read:
         raise ConfigError(f"config file not found: {path}")
+    # configparser lowercases option names, so K is read as k
+    settings = {
+        (f.metadata["section"], f.metadata["key"] or f.name.lower()): f
+        for f in fields(ExperimentConfig)
+    }
+    sections = {section for section, _ in settings}
     values: dict = {}
     for section in parser.sections():
-        if section not in _SECTION_FIELDS:
+        if section not in sections:
             raise ConfigError(f"unknown config section [{section}]")
-        known = _SECTION_FIELDS[section]
         for key, raw in parser.items(section):
-            if key not in known:
+            setting = settings.get((section, key))
+            if setting is None:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
-            target = _KEY_RENAMES.get((section, key), key)
             try:
-                values[target] = known[key](raw)
+                values[setting.name] = setting.metadata["parse"](raw)
             except ConfigError:
                 raise
             except ValueError as exc:
@@ -231,13 +193,12 @@ def _read_file(path: str) -> dict:
 
 
 def _apply_env(values: dict, env) -> None:
-    casts = {"seed": int, "threads": int, "out": str, "format": str}
-    for env_key, target in _ENV_KEYS.items():
+    for env_key, setting in ENV_VARIABLES.items():
         raw = env.get(env_key)
         if raw is None or raw == "":
             continue
         try:
-            values[target] = casts[target](raw)
+            values[setting.name] = setting.metadata["parse"](raw)
         except ValueError as exc:
             raise ConfigError(f"could not parse environment override {env_key}={raw!r}") from exc
 
@@ -273,12 +234,12 @@ def load_config(
 def resolved_items(config: ExperimentConfig) -> list[tuple[str, str]]:
     """The experiment configuration as ordered (key, value) strings.
 
-    Execution knobs (``out``, ``format``, ``threads``) are omitted so that a
-    report is a function of the experiment alone, never of where it is
-    written or how the work was scheduled.
+    Unreported settings (``threads``, ``out``, ``format``) are omitted so
+    that a report is a function of the experiment alone, never of where it
+    is written or how the work was scheduled.
     """
     return [
         (f.name, format_cell(getattr(config, f.name)))
         for f in fields(ExperimentConfig)
-        if f.name not in ("out", "format", "threads")
+        if f.metadata["reported"]
     ]

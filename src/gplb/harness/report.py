@@ -1,14 +1,10 @@
 """Report rows, CSV/JSON rendering, and schema-checked reading.
 
-The CSV schema is fixed, in this column order::
-
-    d,n,k,m,spectrum_id,K,exact_risk,mc_risk,mc_stderr,lemma4_bound,
-    thm2_floor,contraction_prob,radius,slope,seed
-
-``lemma4_bound`` is the coordinatewise floor sum_k T_k AND 1/n of the
-row's family and ``thm2_floor`` the closed-form envelope C_d'^2
-n^{-(2+d)/(2+2d)}; both column names are wire tokens kept stable for
-downstream consumers.  Floats print with 17 significant digits so parsing
+The CSV schema is fixed: its columns are the fields of ``RiskRow``, in
+order (``COLUMNS``).  ``lemma4_bound`` is the coordinatewise floor sum_k
+T_k AND 1/n of the row's family and ``thm2_floor`` the closed-form
+envelope C_d'^2 n^{-(2+d)/(2+2d)}; both column names are wire tokens kept
+stable for downstream consumers.  Floats print with 17 significant digits so parsing
 a report back reproduces every value bit-for-bit; inapplicable cells are
 empty (CSV) or null (JSON).  Two comment blocks precede the CSV header:
 the schema version and the fully resolved configuration, making every
@@ -18,7 +14,7 @@ report self-describing and reruns byte-comparable.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import ContractError, SchemaVersionError
 
@@ -34,24 +30,6 @@ __all__ = [
 ]
 
 SCHEMA_VERSION = 1
-
-COLUMNS = (
-    "d",
-    "n",
-    "k",
-    "m",
-    "spectrum_id",
-    "K",
-    "exact_risk",
-    "mc_risk",
-    "mc_stderr",
-    "lemma4_bound",
-    "thm2_floor",
-    "contraction_prob",
-    "radius",
-    "slope",
-    "seed",
-)
 
 _INT_COLUMNS = {"d", "k", "m", "K", "seed"}
 _STR_COLUMNS = {"spectrum_id"}
@@ -80,6 +58,9 @@ class RiskRow:
     def __post_init__(self):
         if any(ch in self.spectrum_id for ch in ",\n\r"):
             raise ContractError("spectrum_id must not contain commas or line breaks")
+
+
+COLUMNS = tuple(f.name for f in fields(RiskRow))
 
 
 @dataclass
@@ -115,8 +96,7 @@ def render_csv(report: RiskReport) -> str:
 
 
 def render_json(report: RiskReport) -> str:
-    # COLUMNS is RiskRow's field order, so each row object is what
-    # dataclasses.asdict would give, without its deep copy
+    # each row object is what dataclasses.asdict would give, without its deep copy
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": dict(report.config_items),

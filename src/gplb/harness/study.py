@@ -154,17 +154,20 @@ _AUTO_EXTRA_LEVELS = 3  # captures all but ~4^-3 of the coefficient mass
 
 
 def grid_count(d: int, n: float, rule: str) -> tuple[int, int]:
-    """Integer grid count under the configured rounding rule.
+    """Integer grid count k and family size m = k^d under the configured rounding rule.
 
-    "ceil" is the canonical construction (norm wedged below m/n); "round"
-    and "floor" track the continuous target more closely, which matters
-    when fitting empirical rates across a short n-range.
+    "ceil" is the canonical construction k = ceil((r_d n)^{1/(2d+2)}): for
+    n >= 1/r_d the common member norm is then wedged between
+    (1/2)^{2d+2} m/n and m/n, where the coordinatewise floor saturates at
+    order m/n.  "round" and "floor" track the continuous target more
+    closely, which matters when fitting empirical rates across a short
+    n-range.  No rule caps the family size: _checked_K refuses an oversize
+    family (m > MAX_FAMILY_SIZE needs over 2^30 bytes) with the sizes named.
     """
     t = grid_target(d, n)
     if rule == "ceil":
-        # choose_grid's k, without its family-size cap: _checked_K refuses
-        # an oversize family (m > MAX_FAMILY_SIZE needs over 2^30 bytes)
-        # with the sizes named, as it does under the other rules.
+        # a 4-ulp guard keeps exactly-integer targets (up to log/exp
+        # rounding) from spilling to the next grid size
         k = max(1, math.ceil(t * (1.0 - 4e-16)))
     elif rule == "round":
         k = max(1, round(t))

@@ -12,8 +12,9 @@ statements about the full posterior:
   n gamma^2 clears 32 log(5 / (1 - sqrt(1 - 4 delta))) the mass outside
   gamma/5 cannot drop below 1/4 - delta.
 
-These are evaluation helpers only; the Monte Carlo counterparts live in
-the study runners.
+These are closed-form caps only.  The studies compute the posterior mass
+they bound exactly (``sequence_core.contraction_mass``), and the
+risk-concentration check compares the cap with sampled squared errors.
 """
 
 from __future__ import annotations

@@ -28,6 +28,7 @@ import conftest
 from gplb.adversarial import build_pyramid_family, compute_coefficients
 from gplb.harness import ExperimentConfig, properties, run_rate_study
 from gplb.harness.cli import main
+from gplb.harness.config import ENV_VARIABLES
 from gplb.harness.transfer import transfer_threshold
 from gplb.sequence_core import (
     MASS_TOLERANCE,
@@ -50,7 +51,7 @@ from gplb.wavelet import (
 
 @pytest.fixture(autouse=True)
 def _clean_gplb_env(monkeypatch):
-    for key in ("GPLB_CONFIG", "GPLB_SEED", "GPLB_OUT", "GPLB_FORMAT", "GPLB_THREADS"):
+    for key in ("GPLB_CONFIG", *ENV_VARIABLES):
         monkeypatch.delenv(key, raising=False)
 
 

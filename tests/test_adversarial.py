@@ -20,7 +20,6 @@ from gplb.adversarial import (
     _window_plan,
     _windows,
     build_pyramid_family,
-    choose_grid,
     coefficient_work_bytes,
     compute_coefficients,
     evaluate_pyramid,
@@ -32,10 +31,10 @@ from gplb.adversarial import (
     pyramid_norm_sq,
     risk_lower_bound,
     tk_matched_spectrum,
-    tk_values,
     worst_member,
 )
 from gplb.errors import ContractError, DomainError
+from gplb.harness.study import grid_count
 from gplb.integrate import adaptive_box_integral, gl_box, pyramid_box_integral, pyramid_grid_integrals
 from gplb.sequence_core import BLOCK_ELEMENTS, Spectrum, TruthCoefficients, exact_risk
 from gplb.wavelet import HaarTensorBasis, haar_tensor_basis
@@ -417,8 +416,8 @@ def test_window_plan_width_is_the_widest_aligned_block():
 
 def test_tk_values_are_computed_once_and_read_only():
     coeffs = compute_coefficients(build_pyramid_family(2, 3), haar_tensor_basis(2, 4), 200)
-    tk = tk_values(coeffs)
-    assert tk is tk_values(coeffs) and not tk.flags.writeable
+    tk = coeffs.tk
+    assert not tk.flags.writeable
     assert np.array_equal(tk, (coeffs.entries**2).mean(axis=0))
     assert np.array_equal(tk_matched_spectrum(coeffs).eigenvalues, tk)
     assert risk_lower_bound(coeffs, 1e4) == float(np.minimum(tk, 1e-4).sum())
@@ -427,7 +426,7 @@ def test_tk_values_are_computed_once_and_read_only():
     rng = np.random.default_rng(5)
     entries = rng.standard_normal((family.m, 1200)) * 1e-9 * (rng.random((family.m, 1200)) < 0.5)
     blocked = CoefficientMatrix(entries, "haar1d_J10", family)
-    assert np.array_equal(tk_values(blocked), (blocked.entries**2).mean(axis=0))
+    assert np.array_equal(blocked.tk, (blocked.entries**2).mean(axis=0))
 
 
 B = BLOCK_ELEMENTS
@@ -507,7 +506,7 @@ def test_tk_values_average_squared_entries():
     entries = np.array([[0.06, 0.0, 0.02], [0.0, 0.06, -0.02]])
     coeffs = CoefficientMatrix(entries, "haar1d_J1", family)
     expected = np.array([0.0018, 0.0018, 0.0004])
-    assert np.allclose(tk_values(coeffs), expected, rtol=1e-15)
+    assert np.allclose(coeffs.tk, expected, rtol=1e-15)
 
 
 def test_matched_spectrum_copies_the_mass_profile():
@@ -515,10 +514,10 @@ def test_matched_spectrum_copies_the_mass_profile():
     basis = haar_tensor_basis(1, 4)
     coeffs = compute_coefficients(family, basis, basis.size)
     spectrum = tk_matched_spectrum(coeffs)
-    assert np.allclose(spectrum.eigenvalues, tk_values(coeffs), rtol=1e-15)
+    assert np.allclose(spectrum.eigenvalues, coeffs.tk, rtol=1e-15)
     assert spectrum.basis_id == basis.basis_id
     doubled = tk_matched_spectrum(coeffs, scale=2.0)
-    assert np.allclose(doubled.eigenvalues, 2.0 * tk_values(coeffs), rtol=1e-15)
+    assert np.allclose(doubled.eigenvalues, 2.0 * coeffs.tk, rtol=1e-15)
     with pytest.raises(DomainError):
         tk_matched_spectrum(coeffs, scale=0.0)
     with pytest.raises(DomainError):
@@ -548,14 +547,14 @@ def test_masses_stay_below_noise_level_in_the_calibrated_regime():
         assert pyramid_norm_sq(d, k) <= family.m / n
         basis = haar_tensor_basis(d, 6 if d == 1 else 3)
         coeffs = compute_coefficients(family, basis, basis.size)
-        assert np.all(tk_values(coeffs) <= 1.0 / n + 1e-15)
+        assert np.all(coeffs.tk <= 1.0 / n + 1e-15)
 
 
 def test_calibrated_floor_reaches_the_guaranteed_fraction():
     # With the calibrated grid the floor is at least (1/2)^{2d+2} m/n up
     # to basis truncation, because the truncated energy dominates it.
     d, n = 1, 1000.0
-    k, m = choose_grid(d, n)
+    k, m = grid_count(d, n, "ceil")
     family = build_pyramid_family(d, k)
     basis = haar_tensor_basis(d, 9)
     coeffs = compute_coefficients(family, basis, basis.size)
@@ -628,16 +627,16 @@ def test_dyadic_overresolved_grid_is_the_documented_floor_exception():
 # ---------------------------------------------------------------------------
 
 def test_grid_choice_frozen_examples():
-    assert choose_grid(1, 1000.0) == (4, 4)
-    assert choose_grid(2, 10000.0) == (3, 9)
-    assert choose_grid(1, 12.0) == (1, 1)
+    assert grid_count(1, 1000.0, "ceil") == (4, 4)
+    assert grid_count(2, 10000.0, "ceil") == (3, 9)
+    assert grid_count(1, 12.0, "ceil") == (1, 1)
 
 
 def test_grid_target_boundary_is_exactly_one():
     # n = 1/r_1 makes the target 1 up to log/exp rounding; the ulp guard
     # keeps the ceiling from spilling to 2.
     assert grid_target(1, 12.0) == pytest.approx(1.0, abs=1e-15)
-    assert choose_grid(1, 12.0)[0] == 1
+    assert grid_count(1, 12.0, "ceil")[0] == 1
 
 
 def test_grid_target_matches_direct_power():
@@ -646,13 +645,11 @@ def test_grid_target_matches_direct_power():
         assert grid_target(d, n) == pytest.approx((r * n) ** (1.0 / (2 * d + 2)), rel=1e-12)
 
 
-def test_grid_is_monotone_in_n_and_respects_the_cap():
-    ks = [choose_grid(1, n)[0] for n in np.logspace(1, 8, 30)]
+def test_grid_is_monotone_in_n():
+    ks = [grid_count(1, n, "ceil")[0] for n in np.logspace(1, 8, 30)]
     assert all(a <= b for a, b in zip(ks, ks[1:]))
     with pytest.raises(DomainError):
-        choose_grid(5, 1e30)
-    with pytest.raises(DomainError):
-        choose_grid(1, 0.5)
+        grid_count(1, 0.5, "ceil")
     with pytest.raises(DomainError):
         grid_target(0, 100.0)
 
@@ -662,7 +659,7 @@ def test_calibration_window_holds_beyond_the_threshold():
     for d in (1, 2, 3):
         r = 1.0 / (2.0 * math.factorial(d + 2))
         for n in np.logspace(math.log10(1.0 / r), math.log10(1.0 / r) + 5, 25):
-            k, m = choose_grid(d, float(n))
+            k, m = grid_count(d, float(n), "ceil")
             norm = pyramid_norm_sq(d, k)
             assert norm <= m / n * (1.0 + 1e-12)
             assert norm >= 0.5 ** (2 * d + 2) * m / n * (1.0 - 1e-12)

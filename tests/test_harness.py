@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import re
 import subprocess
 import sys
 import textwrap
@@ -32,9 +33,10 @@ import gplb.integrate as integrate
 import gplb.sequence_core as sequence_core
 import gplb.sparse_linear as sparse_linear
 from gplb.adversarial import (
+    PyramidFamily,
     build_pyramid_family,
-    choose_grid,
     compute_coefficients,
+    grid_target,
     mean_risk_floor,
     pyramid_norm_sq,
     tk_matched_spectrum,
@@ -68,6 +70,7 @@ from gplb.harness import (
     transfer_threshold,
 )
 from gplb.harness.cli import main
+from gplb.harness.config import ENV_VARIABLES, FLAGGED, MODES
 from gplb.harness.report import format_cell
 from gplb.sequence_core import (
     Spectrum,
@@ -90,7 +93,7 @@ from test_sparse_linear import per_pair_grid_minimum
 @pytest.fixture(autouse=True)
 def _clean_gplb_env(monkeypatch):
     """Keep ambient GPLB_* variables from leaking into config resolution."""
-    for key in ("GPLB_CONFIG", "GPLB_SEED", "GPLB_OUT", "GPLB_FORMAT", "GPLB_THREADS"):
+    for key in ("GPLB_CONFIG", *ENV_VARIABLES):
         monkeypatch.delenv(key, raising=False)
 
 
@@ -263,14 +266,32 @@ def test_unknown_sections_keys_and_files_raise(tmp_path):
 
 
 def test_precedence_defaults_file_env_overrides(tmp_path):
-    path = write_ini(tmp_path, "[experiment]\nseed = 3\n")
-    assert load_config(path, env={}).seed == 3
-    assert load_config(path, env={"GPLB_SEED": "5"}).seed == 5
-    assert load_config(path, {"seed": 7}, env={"GPLB_SEED": "5"}).seed == 7
-    # None overrides are "flag not given" and must not mask lower layers
-    assert load_config(path, {"seed": None}, env={}).seed == 3
-    # empty environment strings are ignored too
-    assert load_config(path, env={"GPLB_SEED": ""}).seed == 3
+    # per flagged setting: its INI line, its variable, the values given in the
+    # file, the variable and the override, and the value each layer resolves
+    # to; every layer changes the value of the one below
+    layers = [
+        ("seed", "[experiment]\nseed", "GPLB_SEED", "3", "5", 7, (1, 3, 5, 7)),
+        ("threads", "[experiment]\nthreads", "GPLB_THREADS", "2", "3", 4, (1, 2, 3, 4)),
+        ("out", "[output]\npath", "GPLB_OUT", "f.csv", "e.csv", "o.csv",
+         (None, "f.csv", "e.csv", "o.csv")),
+        ("format", "[output]\nformat", "GPLB_FORMAT", "json", "csv", "json",
+         ("csv", "json", "csv", "json")),
+    ]
+    assert [name for name, *_ in layers] == [setting.name for setting in FLAGGED]
+    for name, line, variable, in_file, in_env, override, expected in layers:
+        path = write_ini(tmp_path, f"{line} = {in_file}\n")
+        env = {variable: in_env}
+        resolved = [
+            load_config(None, env={}),
+            load_config(path, env={}),
+            load_config(path, env=env),
+            load_config(path, {name: override}, env=env),
+        ]
+        assert tuple(getattr(config, name) for config in resolved) == expected, name
+        # None overrides are "flag not given" and must not mask lower layers
+        assert getattr(load_config(path, {name: None}, env=env), name) == expected[2], name
+        # empty environment strings are ignored too
+        assert getattr(load_config(path, env={variable: ""}), name) == expected[1], name
 
 
 def test_gplb_config_environment_fallback(tmp_path):
@@ -582,11 +603,20 @@ def test_grid_count_rules_and_frozen_examples():
 
 
 def test_ceil_grid_count_is_the_canonical_grid_without_its_family_cap():
+    # the canonical k is the least integer at or above the target, up to the
+    # ulp guard that keeps an exact-integer target from spilling
     for d in (1, 2, 3):
         for n in np.logspace(0, 14, 57):
-            assert grid_count(d, float(n), "ceil") == choose_grid(d, float(n))
-    # past the family cap choose_grid refuses; the study's size check
-    # refuses the same grid with the sizes named
+            k, m = grid_count(d, float(n), "ceil")
+            target = grid_target(d, float(n))
+            assert m == k**d and k - 1 < target <= k * (1.0 + 4e-16), (d, n)
+        # n = k^{2d+2} / r_d puts the target at k up to log/exp rounding
+        for k in range(1, 21):
+            n = float(k ** (2 * d + 2) * 2 * math.factorial(d + 2))
+            assert grid_target(d, n) == pytest.approx(k, rel=1e-14)
+            assert grid_count(d, n, "ceil") == (k, k**d), (d, k)
+    # there is no family cap: the study's size check refuses an oversize
+    # grid with the sizes named
     k, m = grid_count(1, 1e40, "ceil")
     assert m == k > 10**9
 
@@ -1019,25 +1049,20 @@ def test_risk_concentration_hits_equal_the_per_draw_loop(monkeypatch, full, seed
 def per_pair_overlaps(family, points):
     """The per-pair loop that ``properties._pair_overlaps`` stacks.
 
-    Members are evaluated one at a time and each pair's box is integrated
-    alone, both as computed before the stacked forms.
+    Members are evaluated one at a time, and each pair's product and
+    center margin are formed alone.
     """
     def value(j, pts):
         return np.maximum(family.bandwidth - np.abs(pts - family.centers[j]).sum(axis=1), 0.0)
 
-    def one_box(fn, lo, hi):
-        pts, wts = integrate._gl_nodes(lo[None, :], hi[None, :], 6)
-        return float(np.asarray(fn(pts[0]), dtype=float) @ wts[0])
-
     values = [value(j, points) for j in range(family.m)]
-    products, inner = [], []
+    products, margins = [], []
     for a in range(family.m):
         for b in range(a + 1, family.m):
             products.append(float(np.max(values[a] * values[b])))
-            lo = np.minimum(family.centers[a], family.centers[b]) - family.bandwidth
-            hi = np.maximum(family.centers[a], family.centers[b]) + family.bandwidth
-            inner.append(one_box(lambda pts, a=a, b=b: value(a, pts) * value(b, pts), lo, hi))
-    return np.array(products), np.array(inner)
+            distance = float(np.abs(family.centers[a] - family.centers[b]).sum())
+            margins.append(family.k * (distance - 2.0 * family.bandwidth))
+    return np.array(products), np.array(margins)
 
 
 @stacked_cases(202)
@@ -1049,9 +1074,9 @@ def test_disjoint_supports_stacks_equal_the_per_pair_loop(monkeypatch, full, see
             for overlaps in (properties._pair_overlaps, per_pair_overlaps)
         ]
         assert len(stacked) == len(looped) == (5 if full else 1)
-        for (products, inner), (loop_products, loop_inner) in zip(stacked, looped):
+        for (products, margins), (loop_products, loop_margins) in zip(stacked, looped):
             assert np.array_equal(products, loop_products), seed
-            assert np.array_equal(inner, loop_inner), seed
+            assert np.array_equal(margins, loop_margins), seed
         assert result == expected, seed
 
 
@@ -1171,48 +1196,55 @@ def test_risk_floors_stacks_equal_the_per_draw_loop(monkeypatch, full, seeds):
         assert result == expected, seed
 
 
-# check name -> (owner, attribute, wrapper that breaks the original)
+# check name -> (owner, attribute, wrapper that breaks the original), one or more per check
 BREAKS = {
-    "pyramid-norms": (properties, "pyramid_norm_sq", lambda f: lambda d, k: 1.01 * f(d, k)),
-    # every member evaluated as member 0, in each stacked evaluation
-    "disjoint-supports": (
-        properties, "evaluate_pyramid",
-        lambda f: lambda family, j, x: f(family, np.zeros_like(j), x)),
-    "family-membership": (
-        properties, "evaluate_pyramid", lambda f: lambda family, j, x: 1.01 * f(family, j, x)),
-    "minimax-identity": (
+    "pyramid-norms": [(properties, "pyramid_norm_sq", lambda f: lambda d, k: 1.01 * f(d, k))],
+    "disjoint-supports": [
+        # every member evaluated as member 0, in each stacked evaluation
+        (properties, "evaluate_pyramid",
+         lambda f: lambda family, j, x: f(family, np.zeros_like(j), x)),
+        # neighbours overlap in a sliver that no sampled point hits
+        (PyramidFamily, "bandwidth", lambda f: property(lambda family: f.fget(family) * (1 + 1e-6))),
+    ],
+    "family-membership": [
+        (properties, "evaluate_pyramid", lambda f: lambda family, j, x: 1.01 * f(family, j, x))],
+    "minimax-identity": [(
         properties, "linear_minimax_risk",
-        lambda f: lambda m, sigma: f(m, sigma)._replace(risk=f(m, sigma).risk + 1e-6)),
+        lambda f: lambda m, sigma: f(m, sigma)._replace(risk=f(m, sigma).risk + 1e-6))],
     # the best column in place of the worst, for each matrix of a stack
-    "diagonal-domination": (
+    "diagonal-domination": [(
         sparse_linear, "_worst_case_risk",
         lambda f: lambda estimator, sigmas: np.array([
             min(sparse_linear.linear_estimator_risk(sparse_linear.LinearEstimator(A), j, sigma)
                 for j in range(len(A)))
-            for A, sigma in zip(estimator.matrix, sigmas)])),
+            for A, sigma in zip(estimator.matrix, sigmas)]))],
     # risks at a thousandfold sample size, for each spectrum of a stack
-    "risk-floors": (
+    "risk-floors": [(
         properties, "exact_risks",
-        lambda f: lambda spectrum, thetas, n, basis_id: f(spectrum, thetas, 1e3 * n, basis_id=basis_id)),
-    "one-sparse-law": (sparse_linear, "pyramid_norm_sq", lambda f: lambda d, k: 1.01 * f(d, k)),
+        lambda f: lambda spectrum, thetas, n, basis_id: f(spectrum, thetas, 1e3 * n, basis_id=basis_id))],
+    "one-sparse-law": [(sparse_linear, "pyramid_norm_sq", lambda f: lambda d, k: 1.01 * f(d, k))],
     # a posterior that ignores the prior's scale barely shrinks
-    "risk-concentration": (
+    "risk-concentration": [(
         properties, "posterior_update",
         lambda f: lambda spectrum, observation: f(
-            Spectrum(1e6 * spectrum.eigenvalues, spectrum.basis_id), observation)),
-    "basis-orthonormality": (
-        HaarTensorBasis, "analyze", lambda f: lambda basis, cells: (1.0 + 1e-9) * f(basis, cells)),
-    "constant-identities": (
+            Spectrum(1e6 * spectrum.eigenvalues, spectrum.basis_id), observation))],
+    "basis-orthonormality": [(
+        HaarTensorBasis, "analyze", lambda f: lambda basis, cells: (1.0 + 1e-9) * f(basis, cells))],
+    "constant-identities": [(
         properties, "lower_bound_constants",
-        lambda f: lambda d: f(d)._replace(rate_exponent=1.0 / (2.0 + d))),
+        lambda f: lambda d: f(d)._replace(rate_exponent=1.0 / (2.0 + d)))],
 }
+# (check index, break index): a check's first break keeps the check's name as its id
+BREAK_CASES = [
+    (index, case) for index, (name, _) in enumerate(properties.CHECKS) for case in range(len(BREAKS[name]))]
 
 
 @pytest.mark.parametrize(
-    "index", range(len(properties.CHECKS)), ids=[name for name, _ in properties.CHECKS])
-def test_every_check_fails_when_the_code_it_guards_breaks(monkeypatch, index):
+    "index, case", BREAK_CASES,
+    ids=[properties.CHECKS[index][0] + (f"-{case + 1}" if case else "") for index, case in BREAK_CASES])
+def test_every_check_fails_when_the_code_it_guards_breaks(monkeypatch, index, case):
     name, check = properties.CHECKS[index]
-    owner, attribute, breaks = BREAKS[name]
+    owner, attribute, breaks = BREAKS[name][case]
     assert check(task_rng(1, index), False)[0]
     monkeypatch.setattr(owner, attribute, breaks(getattr(owner, attribute)))
     ok, detail = check(task_rng(1, index), False)
@@ -1424,6 +1456,23 @@ def test_cli_requires_a_mode():
     with pytest.raises(SystemExit) as err:
         main([])
     assert err.value.code == 2
+
+
+def test_every_mode_lists_the_same_flags_and_help(capsys):
+    flags = [
+        "--config CONFIG path to an INI experiment config",
+        "--seed SEED master seed (overrides config)",
+        "--threads THREADS worker threads for grid points",
+        "--out OUT report path (default: stdout)",
+        "--format {csv,json} report format",
+    ]
+    for mode in MODES:
+        with pytest.raises(SystemExit) as err:
+            main([mode, "--help"])
+        assert err.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        assert set(re.findall(r"--\w+", text)) == {"--help"} | {flag.split()[0] for flag in flags}
+        assert all(flag in text for flag in flags), text
 
 
 def test_cli_verify_maps_battery_outcome_to_exit_code(capsys, monkeypatch):
