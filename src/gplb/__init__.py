@@ -55,7 +55,6 @@ from .sparse_linear import (
     LinearEstimator,
     OneSparseModel,
     brute_force_minimax,
-    brute_force_minimax_matrix,
     diagonal_reduction,
     gp_mean_dominates_linear,
     linear_estimator_risk,
@@ -67,7 +66,6 @@ from .wavelet import (
     SawtoothSurrogate,
     WaveletPrior,
     haar_tensor_basis,
-    sample_wavelet_prior,
     single_function_risk_bound,
     wavelet_prior_preset,
     wavelet_prior_rate,
@@ -118,13 +116,11 @@ __all__ = [
     "diagonal_reduction",
     "linear_minimax_risk",
     "brute_force_minimax",
-    "brute_force_minimax_matrix",
     "gp_mean_dominates_linear",
     "HaarTensorBasis",
     "haar_tensor_basis",
     "WaveletPrior",
     "wavelet_prior_preset",
-    "sample_wavelet_prior",
     "single_function_risk_bound",
     "wavelet_prior_rate",
     "SawtoothSurrogate",

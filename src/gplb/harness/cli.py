@@ -26,7 +26,7 @@ import sys
 from ..errors import ConfigError
 from .config import FLAGGED, MODES, load_config
 from .properties import run_verify
-from .report import emit_report, render_csv, render_json
+from .report import emit_report, render
 from .study import (
     run_contraction_study,
     run_minimax_battery,
@@ -95,6 +95,5 @@ def main(argv: list[str] | None = None) -> int:
             print(f"output error: {exc}", file=sys.stderr)
             return 2
     else:
-        text = render_csv(report) if config.format == "csv" else render_json(report)
-        sys.stdout.write(text)
+        sys.stdout.write(render(report, config.format))
     return 0

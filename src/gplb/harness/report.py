@@ -25,6 +25,7 @@ __all__ = [
     "RiskReport",
     "render_csv",
     "render_json",
+    "render",
     "emit_report",
     "read_report",
 ]
@@ -107,11 +108,18 @@ def render_json(report: RiskReport) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def render(report: RiskReport, format: str) -> str:
+    """The report's text in ``format``, "csv" or "json"."""
+    if format == "csv":
+        return render_csv(report)
+    if format == "json":
+        return render_json(report)
+    raise ContractError(f"format must be 'csv' or 'json', got {format!r}")
+
+
 def emit_report(report: RiskReport, path: str, format: str = "csv") -> None:
     """Write the report to ``path`` in the requested format."""
-    if format not in ("csv", "json"):
-        raise ContractError(f"format must be 'csv' or 'json', got {format!r}")
-    text = render_csv(report) if format == "csv" else render_json(report)
+    text = render(report, format)
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

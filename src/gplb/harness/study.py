@@ -156,19 +156,25 @@ _AUTO_EXTRA_LEVELS = 3  # captures all but ~4^-3 of the coefficient mass
 def grid_count(d: int, n: float, rule: str) -> tuple[int, int]:
     """Integer grid count k and family size m = k^d under the configured rounding rule.
 
-    "ceil" is the canonical construction k = ceil((r_d n)^{1/(2d+2)}): for
-    n >= 1/r_d the common member norm is then wedged between
-    (1/2)^{2d+2} m/n and m/n, where the coordinatewise floor saturates at
-    order m/n.  "round" and "floor" track the continuous target more
-    closely, which matters when fitting empirical rates across a short
-    n-range.  No rule caps the family size: _checked_K refuses an oversize
-    family (m > MAX_FAMILY_SIZE needs over 2^30 bytes) with the sizes named.
+    "ceil" is the canonical construction k = ceil((r_d n)^{1/(2d+2)}),
+    r_d = 1/(2 (d+2)!), decided exactly: the least k >= 1 with
+    k^{2d+2} 2 (d+2)! >= n, an integer compared with n.  For n >= 1/r_d
+    the common member norm is then wedged between (1/2)^{2d+2} m/n and
+    m/n, where the coordinatewise floor saturates at order m/n.  "round"
+    and "floor" track the continuous target more closely, which matters
+    when fitting empirical rates across a short n-range.  No rule caps the
+    family size: _checked_K refuses an oversize family (m >
+    MAX_FAMILY_SIZE needs over 2^30 bytes) with the sizes named.
     """
     t = grid_target(d, n)
     if rule == "ceil":
-        # a 4-ulp guard keeps exactly-integer targets (up to log/exp
-        # rounding) from spilling to the next grid size
-        k = max(1, math.ceil(t * (1.0 - 4e-16)))
+        # t is a few ulps from the root; step from its ceiling to the least k
+        scale, power = 2 * math.factorial(d + 2), 2 * d + 2
+        k = math.ceil(t)
+        while k > 1 and (k - 1) ** power * scale >= n:
+            k -= 1
+        while k**power * scale < n:
+            k += 1
     elif rule == "round":
         k = max(1, round(t))
     elif rule == "floor":
@@ -210,9 +216,9 @@ def _spectrum_for(config: ExperimentConfig, coeffs):
     return spectrum, spectrum_id
 
 
-# Largest coefficient-engine working set (coefficient_work_bytes), and
-# largest minimax search grid, that a study may plan; larger ones are
-# refused before any work.
+# Largest coefficient-engine working set (coefficient_work_bytes) that a
+# study may plan; a larger one is refused before any work.  The minimax
+# search grid has its own cap, sparse_linear.MAX_GRID_SIZE.
 MAX_COEFFICIENT_BYTES = 2**30
 
 

@@ -43,7 +43,6 @@ __all__ = [
     "diagonal_reduction",
     "linear_minimax_risk",
     "brute_force_minimax",
-    "brute_force_minimax_matrix",
     "gp_mean_dominates_linear",
 ]
 
@@ -90,33 +89,19 @@ def reduce_to_sequence(
     j_star: int,
     n: float,
     rng: np.random.Generator,
-    *,
-    gram: np.ndarray | None = None,
 ) -> tuple[np.ndarray, OneSparseModel]:
     """Draw the normalized family integrals of one observation at truth j_star.
 
     Because the family members are orthogonal with a common squared norm
     c_n^2, the vector y_i = (1/c_n^2) int f_i dY is exactly distributed as
     e_{j_star} + sigma_n w with sigma_n = 1/(c_n sqrt(n)) and iid standard
-    Gaussian w; the draw uses that law directly.  A caller-supplied Gram
-    matrix is validated against c_n^2 I first, so families violating the
-    equal-norm disjoint-support geometry are rejected.
+    Gaussian w; the draw uses that law directly.
     """
     if not 0 <= j_star < family.m:
         raise DomainError(f"truth index {j_star} out of range for family of size {family.m}")
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
     c_n_sq = pyramid_norm_sq(family.d, family.k)
-    if gram is not None:
-        gram = np.asarray(gram, dtype=float)
-        if gram.shape != (family.m, family.m):
-            raise ContractError(f"gram matrix must be {family.m} x {family.m}")
-        deviation = np.abs(gram - c_n_sq * np.eye(family.m)).max()
-        if deviation > 1e-9 * c_n_sq:
-            raise ContractError(
-                "family gram matrix is not c_n^2 I: norms differ across members "
-                "or supports overlap"
-            )
     sigma = 1.0 / math.sqrt(c_n_sq * n)
     model = OneSparseModel(family.m, sigma, c_n_sq)
     y = sigma * rng.standard_normal(family.m)
@@ -294,36 +279,6 @@ def brute_force_minimax(m, sigma, grid_size: int):
     minima = np.ones(t.shape)
     minima[finite] = _grid_risks(load[:, None], window, grid_size).min(axis=1)
     return float(minima[0]) if np.ndim(m) == 0 and np.ndim(sigma) == 0 else minima
-
-
-def brute_force_minimax_matrix(m: int, sigma: float, grid_size: int) -> float:
-    """Exhaustive matrix-grid oracle for tiny m: min over A of the worst risk.
-
-    Every entry of A ranges over linspace(-1, 1, grid_size), so the search
-    costs grid_size^(m^2) risk evaluations; m is capped at 2.  Refining the
-    grid converges to the same value as the scalar search, which is the
-    content of the diagonal-reduction property.
-    """
-    if not 1 <= m <= 2:
-        raise DomainError("exhaustive matrix search is supported only for m <= 2")
-    _check_sigma(sigma)
-    if grid_size < 2:
-        raise DomainError("grid must contain at least two points per entry")
-    levels = np.linspace(-1.0, 1.0, grid_size)
-    if m == 1:
-        risks = (levels - 1.0) ** 2 + sigma**2 * levels**2
-        return float(risks.min())
-    best = math.inf
-    sig_sq = sigma**2
-    # A = [[a, b], [c, d]]; vectorize over (b, c, d) and loop over a
-    b, c, d = np.meshgrid(levels, levels, levels, indexing="ij")
-    for a in levels:
-        trace_term = sig_sq * (a**2 + b**2 + c**2 + d**2)
-        risk_1 = (a - 1.0) ** 2 + c**2 + trace_term
-        risk_2 = b**2 + (d - 1.0) ** 2 + trace_term
-        worst = np.maximum(risk_1, risk_2)
-        best = min(best, float(worst.min()))
-    return best
 
 
 class DominationCheck(NamedTuple):

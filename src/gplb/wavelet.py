@@ -26,7 +26,6 @@ the full unhalved floor.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -34,7 +33,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .integrate import PiecewisePolynomial
 from .integrate import ridge_box_integral  # noqa: F401  rebound here by the benchmark's tracer (bench/layers.py)
 from .sequence_core import Spectrum, TruthCoefficients
 
@@ -43,7 +41,6 @@ __all__ = [
     "haar_tensor_basis",
     "WaveletPrior",
     "wavelet_prior_preset",
-    "sample_wavelet_prior",
     "single_function_risk_bound",
     "level_profile_risk_infimum",
     "wavelet_prior_rate",
@@ -52,16 +49,6 @@ __all__ = [
 ]
 
 SCALING_LEVEL = -1
-
-
-def _axis_panels(level: int, translate: int) -> list[tuple[float, float, float]]:
-    """Nonzero constant pieces (lo, hi, value) of one univariate factor."""
-    if level == SCALING_LEVEL:
-        return [(0.0, 1.0, 1.0)]
-    width = 0.5**level
-    lo = translate * width
-    amp = 2.0 ** (level / 2.0)
-    return [(lo, lo + width / 2.0, amp), (lo + width / 2.0, lo + width, -amp)]
 
 
 def _axis_values(level: int, translate: int, u: np.ndarray) -> np.ndarray:
@@ -131,8 +118,8 @@ class HaarTensorBasis:
     exact coefficients, and :meth:`analyze_windows` does so for a stack of
     functions that each vanish outside a window box.  The integer arrays
     ``order``, ``rank`` and ``groups`` describe every member at once;
-    :meth:`evaluate` and :meth:`constant_panels` read one member's axis
-    pairs from ``order``.
+    :meth:`evaluate`, which the ``basis-orthonormality`` check compares
+    with :meth:`analyze`, reads one member's axis pairs from ``order``.
     """
 
     d: int
@@ -320,20 +307,6 @@ class HaarTensorBasis:
             values *= _axis_values(level, translate, pts[:, axis])
         return values if np.ndim(x) > 1 else values.reshape(-1)
 
-    def constant_panels(self, position: int):
-        """Yield (lo, hi, value) boxes covering the support of the member at a basis position.
-
-        The function equals ``value`` on each box and 0 elsewhere; there
-        are at most 2^d boxes.  Exact integration against any integrable
-        function reduces to a sum of box integrals.
-        """
-        per_axis = [_axis_panels(level, translate) for level, translate in self._member_axes(position)]
-        for combo in itertools.product(*per_axis):
-            lo = np.array([seg[0] for seg in combo])
-            hi = np.array([seg[1] for seg in combo])
-            value = math.prod(seg[2] for seg in combo)
-            yield lo, hi, value
-
 
 @lru_cache(maxsize=32)
 def haar_tensor_basis(d: int, J: int) -> HaarTensorBasis:
@@ -389,16 +362,6 @@ def wavelet_prior_preset(
     if alpha <= 0:
         raise DomainError("smoothness alpha must be positive")
     return WaveletPrior(basis, tau * 2.0 ** (-basis.groups * (2.0 * alpha + basis.d)))
-
-
-def sample_wavelet_prior(prior: WaveletPrior, rng: np.random.Generator) -> TruthCoefficients:
-    """Draw sqrt(lambda_gamma) xi_gamma with iid standard normal xi_gamma.
-
-    Returns the coefficient vector in basis order (zero off the retained
-    set), ready for risk evaluation in the matching sequence model.
-    """
-    xi = rng.standard_normal(prior.basis.size)
-    return TruthCoefficients(np.sqrt(prior.variances) * xi, prior.basis.basis_id)
 
 
 def single_function_risk_bound(coefficients, n: float) -> float:
@@ -489,27 +452,6 @@ class SawtoothSurrogate:
     @property
     def period(self) -> float:
         return 0.5**self.level
-
-    def _profile(self) -> PiecewisePolynomial:
-        """The univariate sawtooth s -> dist(s, period Z) on [0, d], piece by piece.
-
-        Input of the ridge formula of :func:`ridge_box_integral`, which the
-        tests keep as an independent oracle for the closed forms below.
-        """
-        half = self.period / 2.0
-        teeth = int(math.ceil(self.d / half))
-        xs = [i * half for i in range(teeth + 1)]
-        ys = [0.0 if i % 2 == 0 else half for i in range(teeth + 1)]
-        return PiecewisePolynomial.from_linear_breakpoints(xs, ys)
-
-    def evaluate(self, x) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        if pts.shape[1] != self.d:
-            raise DomainError(f"points must have {self.d} columns, got {pts.shape[1]}")
-        s = pts.sum(axis=1)
-        rem = np.mod(s, self.period)
-        values = np.minimum(rem, self.period - rem)
-        return values if np.ndim(x) > 1 else values.reshape(-1)
 
     def haar_coefficients(self, basis: HaarTensorBasis) -> np.ndarray:
         """Exact inner products <g, psi_gamma> for every basis index.

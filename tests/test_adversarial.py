@@ -39,6 +39,7 @@ from gplb.integrate import adaptive_box_integral, gl_box, pyramid_box_integral, 
 from gplb.sequence_core import BLOCK_ELEMENTS, Spectrum, TruthCoefficients, exact_risk
 from gplb.wavelet import HaarTensorBasis, haar_tensor_basis
 from test_sequence_core import traced_peak
+from test_wavelet import constant_panels
 
 
 def pyramid_fn(center, bandwidth):
@@ -290,7 +291,7 @@ def test_row_energy_approaches_the_norm_with_depth():
 
 def per_panel_coefficients(family, basis, K, members):
     """Oracle: every panel of every basis function, integrated one box at a time."""
-    panels = [tuple(basis.constant_panels(position)) for position in range(K)]
+    panels = [tuple(constant_panels(basis, position)) for position in range(K)]
     rows = np.zeros((len(members), K))
     for row, j in enumerate(members):
         center = family.centers[j]

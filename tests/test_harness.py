@@ -88,6 +88,7 @@ from gplb.wavelet import (
     wavelet_prior_preset,
 )
 from test_sparse_linear import per_pair_grid_minimum
+from test_wavelet import constant_panels
 
 
 @pytest.fixture(autouse=True)
@@ -603,18 +604,22 @@ def test_grid_count_rules_and_frozen_examples():
 
 
 def test_ceil_grid_count_is_the_canonical_grid_without_its_family_cap():
-    # the canonical k is the least integer at or above the target, up to the
-    # ulp guard that keeps an exact-integer target from spilling
+    # the canonical k is the least k >= 1 with k^{2d+2} >= r_d n, r_d =
+    # 1/(2 (d+2)!), checked in integers against the float n
     for d in (1, 2, 3):
+        scale, power = 2 * math.factorial(d + 2), 2 * d + 2
         for n in np.logspace(0, 14, 57):
             k, m = grid_count(d, float(n), "ceil")
-            target = grid_target(d, float(n))
-            assert m == k**d and k - 1 < target <= k * (1.0 + 4e-16), (d, n)
+            assert m == k**d and k**power * scale >= n, (d, n)
+            assert k == 1 or (k - 1) ** power * scale < n, (d, n)
         # n = k^{2d+2} / r_d puts the target at k up to log/exp rounding
         for k in range(1, 21):
             n = float(k ** (2 * d + 2) * 2 * math.factorial(d + 2))
             assert grid_target(d, n) == pytest.approx(k, rel=1e-14)
             assert grid_count(d, n, "ceil") == (k, k**d), (d, k)
+    # grid_target gives 29.000000000000018 here, 6e-16 above the exact
+    # root 29, so a ceiling of the float with a few ulps' allowance spills
+    assert grid_count(2, float(29**6 * 48), "ceil") == (29, 29**2)
     # there is no family cap: the study's size check refuses an oversize
     # grid with the sizes named
     k, m = grid_count(1, 1e40, "ceil")
@@ -1412,7 +1417,7 @@ def test_default_cli_calls_run_without_scipy_and_import_nothing_mid_study():
 def test_studies_describe_the_basis_without_index_objects(monkeypatch):
     # The risk, rates, contraction and wavelet studies use the basis's
     # integer order and groups only; asking for one member's axis pairs,
-    # as evaluate and constant_panels do, fails here.
+    # as evaluate and the tests' constant_panels do, fails here.
     def refuse(self, position):
         raise AssertionError("a study described a basis member by its axis pairs")
 
@@ -1420,7 +1425,7 @@ def test_studies_describe_the_basis_without_index_objects(monkeypatch):
     with pytest.raises(AssertionError):
         haar_tensor_basis(1, 0).evaluate(0, [0.5])
     with pytest.raises(AssertionError):
-        next(haar_tensor_basis(1, 0).constant_panels(0))
+        next(constant_panels(haar_tensor_basis(1, 0), 0))
     for runner, mode in (
         (run_risk_study, "risk"),
         (run_rate_study, "rates"),

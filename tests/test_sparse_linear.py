@@ -27,7 +27,6 @@ from gplb.sparse_linear import (
     LinearEstimator,
     OneSparseModel,
     brute_force_minimax,
-    brute_force_minimax_matrix,
     diagonal_reduction,
     gp_mean_dominates_linear,
     linear_estimator_risk,
@@ -107,23 +106,9 @@ def test_reduction_marginals_pass_kolmogorov_smirnov():
         assert result.pvalue > 1e-3
 
 
-def test_reduction_validates_gram_and_indices():
+def test_reduction_validates_indices_and_n():
     family = build_pyramid_family(1, 2)
-    c_n_sq = pyramid_norm_sq(1, 2)
     rng = np.random.default_rng(0)
-    good = c_n_sq * np.eye(2)
-    y, _ = reduce_to_sequence(family, 0, 50.0, rng, gram=good)
-    assert y.shape == (2,)
-    skew = good.copy()
-    skew[0, 1] = 1e-5 * c_n_sq
-    with pytest.raises(ContractError):
-        reduce_to_sequence(family, 0, 50.0, rng, gram=skew)
-    unequal = good.copy()
-    unequal[1, 1] *= 1.5
-    with pytest.raises(ContractError):
-        reduce_to_sequence(family, 0, 50.0, rng, gram=unequal)
-    with pytest.raises(ContractError):
-        reduce_to_sequence(family, 0, 50.0, rng, gram=np.eye(3))
     with pytest.raises(DomainError):
         reduce_to_sequence(family, 2, 50.0, rng)
     with pytest.raises(DomainError):
@@ -486,6 +471,31 @@ def test_two_point_grid_picks_the_better_endpoint():
     assert brute_force_minimax(4, 0.01, 2) == pytest.approx(4e-4, rel=1e-12)
 
 
+def brute_force_minimax_matrix(m, sigma, grid_size):
+    """Exhaustive matrix-grid oracle for m <= 2: min over A of the worst risk.
+
+    Every entry of A ranges over linspace(-1, 1, grid_size), so the search
+    costs grid_size^(m^2) risk evaluations.  Refining the grid converges to
+    the same value as the scalar search, which is the content of the
+    diagonal-reduction property.
+    """
+    levels = np.linspace(-1.0, 1.0, grid_size)
+    if m == 1:
+        risks = (levels - 1.0) ** 2 + sigma**2 * levels**2
+        return float(risks.min())
+    best = math.inf
+    sig_sq = sigma**2
+    # A = [[a, b], [c, d]]; vectorize over (b, c, d) and loop over a
+    b, c, d = np.meshgrid(levels, levels, levels, indexing="ij")
+    for a in levels:
+        trace_term = sig_sq * (a**2 + b**2 + c**2 + d**2)
+        risk_1 = (a - 1.0) ** 2 + c**2 + trace_term
+        risk_2 = b**2 + (d - 1.0) ** 2 + trace_term
+        worst = np.maximum(risk_1, risk_2)
+        best = min(best, float(worst.min()))
+    return best
+
+
 def test_matrix_search_agrees_with_the_scalar_reduction():
     for m, sigma, grid in [(1, 1.0, 81), (2, 1.0, 17), (2, 0.4, 17)]:
         matrix_value = brute_force_minimax_matrix(m, sigma, grid)
@@ -493,12 +503,6 @@ def test_matrix_search_agrees_with_the_scalar_reduction():
         step = 2.0 / (grid - 1)
         assert matrix_value >= value - 1e-12
         assert matrix_value - value <= (1.0 + m * sigma**2) * step**2
-    with pytest.raises(DomainError):
-        brute_force_minimax_matrix(3, 1.0, 5)
-    with pytest.raises(DomainError):
-        brute_force_minimax_matrix(2, 1.0, 1)
-    with pytest.raises(DomainError):
-        brute_force_minimax_matrix(2, 0.0, 5)
 
 
 def test_matrix_search_converges_from_above_as_the_grid_refines():

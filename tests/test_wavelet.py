@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize
 
 from gplb.errors import ContractError, DomainError
-from gplb.integrate import ridge_box_integral
+from gplb.integrate import PiecewisePolynomial, ridge_box_integral
 from gplb.sequence_core import Spectrum, TruthCoefficients, exact_risk
 from gplb.wavelet import (
     SCALING_LEVEL,
@@ -26,7 +26,6 @@ from gplb.wavelet import (
     WaveletPrior,
     haar_tensor_basis,
     level_profile_risk_infimum,
-    sample_wavelet_prior,
     sawtooth_work_bytes,
     single_function_risk_bound,
     wavelet_prior_preset,
@@ -88,6 +87,27 @@ def midpoint_grid(d, J):
     return np.stack([g.ravel() for g in grids], axis=-1)
 
 
+def constant_panels(basis, position):
+    """Oracle: yield (lo, hi, value) boxes covering the support of the member at a basis position.
+
+    The member equals ``value`` on each box and 0 elsewhere; there are at
+    most 2^d boxes, so integrating it against any function is a sum of box
+    integrals.  The member's axis pairs come from the basis's own order.
+    """
+    per_axis = []
+    for level, translate in basis._member_axes(position):
+        if level == SCALING_LEVEL:
+            per_axis.append([(0.0, 1.0, 1.0)])
+            continue
+        width = 0.5**level
+        lo = translate * width
+        amp = 2.0 ** (level / 2.0)
+        per_axis.append([(lo, lo + width / 2.0, amp), (lo + width / 2.0, lo + width, -amp)])
+    for combo in itertools.product(*per_axis):
+        lo, hi, values = zip(*combo)
+        yield np.array(lo), np.array(hi), math.prod(values)
+
+
 # ---------------------------------------------------------------------------
 # Basis construction and evaluation
 # ---------------------------------------------------------------------------
@@ -99,9 +119,9 @@ def test_level_zero_univariate_basis_is_the_classic_pair():
     pts = np.array([[0.1], [0.4], [0.6], [0.9]])
     assert np.allclose(basis.evaluate(0, pts), 1.0)
     assert np.allclose(basis.evaluate(1, pts), [1.0, 1.0, -1.0, -1.0])
-    (lo, hi, value), = basis.constant_panels(0)
+    (lo, hi, value), = constant_panels(basis, 0)
     assert (lo.tolist(), hi.tolist(), value) == ([0.0], [1.0], 1.0)
-    assert [value for _, _, value in basis.constant_panels(1)] == [1.0, -1.0]
+    assert [value for _, _, value in constant_panels(basis, 1)] == [1.0, -1.0]
 
 
 def test_basis_counts_follow_dyadic_counting():
@@ -152,8 +172,8 @@ def test_integer_groups_equal_the_index_resolutions(d, J):
 
 
 def test_lazy_indices_equal_the_eager_tuple():
-    # evaluate and constant_panels read one member's axis pairs from the
-    # integer order; at every position they are the oracle's pairs.
+    # evaluate and the oracle constant_panels read one member's axis pairs
+    # from the integer order; at every position they are the eager pairs.
     basis = haar_tensor_basis(2, 3)
     _, expected = sorted_tensor_indices(2, 3)
     assert [tuple(basis._member_axes(p)) for p in range(basis.size)] == expected
@@ -245,7 +265,7 @@ def test_evaluate_agrees_with_constant_panels():
     basis = haar_tensor_basis(2, 2)
     rng = np.random.default_rng(8)
     for position in rng.choice(basis.size, size=10, replace=False):
-        for lo, hi, value in basis.constant_panels(position):
+        for lo, hi, value in constant_panels(basis, position):
             mid = (lo + hi) / 2.0
             assert basis.evaluate(position, mid)[0] == pytest.approx(value, rel=1e-14)
 
@@ -263,7 +283,7 @@ def test_evaluate_rejects_points_outside_cube_and_foreign_indices():
         with pytest.raises(ContractError):
             basis.evaluate(position, np.array([[0.5]]))
         with pytest.raises(ContractError):
-            next(basis.constant_panels(position))
+            next(constant_panels(basis, position))
 
 
 def test_parseval_for_representable_functions():
@@ -317,28 +337,6 @@ def test_prior_validates_membership_and_positivity():
         WaveletPrior(basis, [1.0, -0.5])
     with pytest.raises(DomainError):
         WaveletPrior(basis, [1.0, math.inf])
-
-
-def test_sample_wavelet_prior_is_deterministic_and_scales_correctly():
-    basis = haar_tensor_basis(1, 2)
-    prior = wavelet_prior_preset(basis, tau=1.0, alpha=0.5)
-    a = sample_wavelet_prior(prior, np.random.default_rng(33))
-    b = sample_wavelet_prior(prior, np.random.default_rng(33))
-    assert np.array_equal(a.theta, b.theta)
-    assert a.basis_id == basis.basis_id
-
-    draws = np.stack(
-        [
-            sample_wavelet_prior(prior, rng).theta
-            for rng in [np.random.default_rng(s) for s in range(10_000)]
-        ]
-    )
-    assert np.all(np.abs(draws.var(axis=0) / prior.variances - 1.0) < 0.05)
-
-    partial = WaveletPrior(haar_tensor_basis(1, 1), [0.5, 0.0, 0.25, 0.0])
-    theta = sample_wavelet_prior(partial, np.random.default_rng(4)).theta
-    assert theta[1] == theta[3] == 0.0
-    assert theta[0] != 0.0 and theta[2] != 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -511,14 +509,17 @@ def test_sawtooth_two_dimensional_norm_matches_dblquad():
     assert surrogate.norm_sq() == pytest.approx(oracle, abs=max(1e-8, 4 * err))
 
 
-def test_sawtooth_evaluate_matches_distance_formula():
-    surrogate = SawtoothSurrogate(2, 2)
-    rng = np.random.default_rng(3)
-    pts = rng.uniform(0, 1, size=(50, 2))
-    s = pts.sum(axis=1)
-    period = 0.25
-    expected = np.minimum(s % period, period - s % period)
-    assert np.allclose(surrogate.evaluate(pts), expected, atol=1e-14)
+def sawtooth_profile(surrogate):
+    """Oracle input: the profile s -> dist(s, period Z) of the sawtooth on [0, d], piece by piece.
+
+    The ridge formula of ridge_box_integral integrates it over boxes,
+    independently of the closed-form cell integrals of haar_coefficients.
+    """
+    half = surrogate.period / 2.0
+    teeth = int(math.ceil(surrogate.d / half))
+    xs = [i * half for i in range(teeth + 1)]
+    ys = [0.0 if i % 2 == 0 else half for i in range(teeth + 1)]
+    return PiecewisePolynomial.from_linear_breakpoints(xs, ys)
 
 
 def test_sawtooth_coefficients_match_quad_per_index():
@@ -542,10 +543,10 @@ def test_sawtooth_coefficients_match_quad_per_index():
 def test_sawtooth_coefficients_match_the_per_panel_ridge_sum(d, level, J):
     surrogate = SawtoothSurrogate(d, level)
     basis = haar_tensor_basis(d, J)
-    profile = surrogate._profile()
+    profile = sawtooth_profile(surrogate)
     oracle = np.array(
         [
-            sum(value * ridge_box_integral(profile, lo, hi) for lo, hi, value in basis.constant_panels(p))
+            sum(value * ridge_box_integral(profile, lo, hi) for lo, hi, value in constant_panels(basis, p))
             for p in range(basis.size)
         ]
     )
@@ -613,7 +614,7 @@ def test_sawtooth_norm_is_the_period_squared_over_twelve(d):
         surrogate = SawtoothSurrogate(d, level)
         assert surrogate.norm_sq() == surrogate.period**2 / 12
         assert surrogate.norm_sq() == float(Fraction(1, 12 * 4**level))
-        ridge = ridge_box_integral(surrogate._profile().squared(), np.zeros(d), np.ones(d))
+        ridge = ridge_box_integral(sawtooth_profile(surrogate).squared(), np.zeros(d), np.ones(d))
         assert surrogate.norm_sq() == pytest.approx(ridge, rel=1e-10)
 
 
