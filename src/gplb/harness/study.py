@@ -319,15 +319,15 @@ def _grid_point(config: ExperimentConfig, stages, task) -> list[RiskRow]:
         row = replace(row, mc_risk=estimate + tail, mc_stderr=stderr)
     if "probes" not in stages:
         return [row]
-    rows = []
-    for divisor in (4.0, 5.0):
-        radius = math.sqrt(mu_sq) / divisor
-        # the truncated mass is at distance tail from every posterior draw
-        prob = 1.0
-        if radius * radius > tail:
-            prob = contraction_mass(point.spectrum, truth, n, math.sqrt(radius * radius - tail))
-        rows.append(replace(row, contraction_prob=prob, radius=radius))
-    return rows
+    radii = [math.sqrt(mu_sq) / divisor for divisor in (4.0, 5.0)]
+    # the truncated mass is at distance tail from every posterior draw, so a
+    # radius^2 at most tail has full mass; one call probes the in-span rest
+    spans = [math.sqrt(r * r - tail) for r in radii if r * r > tail]
+    masses = iter(contraction_mass(point.spectrum, truth, n, spans) if spans else ())
+    return [
+        replace(row, contraction_prob=float(next(masses)) if r * r > tail else 1.0, radius=r)
+        for r in radii
+    ]
 
 
 def _run_tasks(config: ExperimentConfig, tasks, stages) -> list[list[RiskRow]]:

@@ -378,11 +378,13 @@ MASS_TOLERANCE = 1e-10  # absolute error of contraction_mass
 _SATURATED = 1e-12  # a tail certified below this is reported as exactly 0
 _TAIL_BUDGET = 1e-11  # share of MASS_TOLERANCE left to the truncated Imhof range
 _SEGMENT_PHASE = 32.0 * math.pi  # Imhof segments over 16 periods use Fourier weights
+_LADDER_RUNGS = 12  # Chernoff ladder rungs on each side of the mean
+_LADDER_BLOCK = 2**12  # float64 elements one block of ladder terms holds
 
 
 def contraction_mass(
-    spectrum: Spectrum, theta: TruthCoefficients, n: float, radius: float
-) -> float:
+    spectrum: Spectrum, theta: TruthCoefficients, n: float, radius: float | np.ndarray
+) -> float | np.ndarray:
     """Exact E_theta Pi(||f - theta|| >= radius | Y), within MASS_TOLERANCE.
 
     The quantity :func:`contraction_probability` estimates by nested Monte
@@ -390,42 +392,102 @@ def contraction_mass(
     f - theta = (posterior mean - theta) + posterior noise is Gaussian with
     independent coordinates, xi_k ~ N(b_k, v_k), b_k = -(1 - a_k) theta_k
     and v_k = a_k^2 / n + a_k / n.  So the expected posterior mass is the
-    single tail P(||xi||^2 >= radius^2) of a Gaussian quadratic form, found
-    by a Chernoff certificate when it is saturated and by Imhof's (1961)
-    inversion otherwise; no randomness is used.  Raises QuadratureError when
+    single tail P(||xi||^2 >= radius^2) of a Gaussian quadratic form; no
+    randomness is used.  It is settled by the first of three steps that can
+    (see ``_quadratic_form_tail``): the Chernoff bound on a fixed ladder of
+    t, then the Chernoff bound at its minimiser, each giving exactly 0 or 1
+    when it puts at most 1e-12 in the smaller tail, then Imhof's (1961)
+    inversion.  ``radius`` is one radius, which gives a float, or a 1-d
+    stack of radii, which gives one mass each from one error law; every
+    mass has the bits of its one-radius call.  Raises QuadratureError when
     the inversion cannot certify MASS_TOLERANCE.
     """
-    if not (radius > 0 and math.isfinite(radius)):
-        raise DomainError("radius must be positive and finite")
+    radii = np.asarray(radius, dtype=float)
+    if radii.ndim > 1 or not np.all((radii > 0.0) & np.isfinite(radii)):
+        raise DomainError("radius must be positive and finite, one radius or a 1-d stack of them")
     base, scale, variances = _error_law(spectrum, theta, n, "contraction_mass")
-    return _quadratic_form_tail(base**2, scale**2 + variances, radius * radius)
+    masses = _quadratic_form_tail(base**2, scale**2 + variances, np.atleast_1d(radii * radii))
+    return float(masses[0]) if radii.ndim == 0 else masses
 
 
-def _quadratic_form_tail(b_sq: np.ndarray, v: np.ndarray, x: float) -> float:
-    """P(sum_k (b_k + sqrt(v_k) g_k)^2 >= x) for iid standard Gaussian g_k.
+def _quadratic_form_tail(b_sq: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """P(sum_k (b_k + sqrt(v_k) g_k)^2 >= x_i) for iid standard Gaussian g_k, at each x_i.
 
-    Coordinates with v_k = 0 add b_k^2 exactly.  When the Chernoff bound on
-    the smaller tail is at most 1e-12 the answer is 0 or 1 exactly;
-    otherwise it comes from Imhof's inversion, within MASS_TOLERANCE.
+    Coordinates with v_k = 0 add b_k^2 exactly.  The rest is scaled to the
+    form's standard deviation once for every x_i, and each x_i is settled
+    by the first of three steps that can:
+
+    1. the Chernoff bound on the smaller tail at a fixed ladder of t
+       (``_ladder_settles``): at most 1e-12 at some rung gives 0 or 1;
+    2. the same bound at its minimiser (``_chernoff_log_bound``): 0 or 1 again;
+    3. Imhof's inversion (``_imhof_tail``), within MASS_TOLERANCE.
+
+    Every admissible t gives a valid bound, so the ladder only spares the
+    minimiser's iterations; a minimum above 1e-12 leaves every rung above
+    it too.  Each x_i gets the bits it would get alone.
     """
     live = v > 0.0
-    x -= float(np.sum(b_sq[~live]))
-    if x <= 0.0:
-        return 1.0
-    if not np.any(live):
-        return 0.0
+    x = x - float(np.sum(b_sq[~live]))
+    masses = np.where(x <= 0.0, 1.0, 0.0)
+    open_ = np.flatnonzero(x > 0.0)
+    if open_.size == 0 or not np.any(live):
+        return masses
     b_sq, v = b_sq[live], v[live]
     mean = float(np.sum(b_sq + v))
-    # sum_k b_k^2 - x, correctly rounded: Imhof's phase needs it where the two nearly cancel
-    excess = math.fsum(np.append(b_sq, -x))
     # the variance sum_k 2 v_k^2 + 4 b_k^2 v_k, summed relative to the mean so it cannot underflow
-    b_sq, v, x, excess = b_sq / mean, v / mean, x / mean, excess / mean
-    sd = math.sqrt(float(np.sum(2.0 * v * v + 4.0 * b_sq * v)))
+    b_unit, v_unit = b_sq / mean, v / mean
+    sd = math.sqrt(float(np.sum(2.0 * v_unit * v_unit + 4.0 * b_unit * v_unit)))
     # in units of the standard deviation of the form the scales are O(1)
-    b_sq, v, x, excess, mean = b_sq / sd, v / sd, x / sd, excess / sd, 1.0 / sd
-    if _chernoff_log_bound(b_sq, v, x, mean) <= math.log(_SATURATED):
-        return 1.0 if x < mean else 0.0
-    return _imhof_tail(b_sq, v, excess)
+    b_unit, v_unit, x_unit, mean_unit = b_unit / sd, v_unit / sd, x[open_] / mean / sd, 1.0 / sd
+    settled = _ladder_settles(b_unit, v_unit, x_unit, mean_unit)
+    masses[open_[settled]] = x_unit[settled] < mean_unit  # 1 below the mean, 0 above it
+    for i, xi in zip(open_[~settled], x_unit[~settled].tolist()):
+        if _chernoff_log_bound(b_unit, v_unit, xi, mean_unit) <= math.log(_SATURATED):
+            masses[i] = 1.0 if xi < mean_unit else 0.0
+        else:
+            # sum_k b_k^2 - x, correctly rounded: Imhof's phase needs it where the two nearly cancel
+            excess = math.fsum(np.append(b_sq, -x[i])) / mean / sd
+            masses[i] = _imhof_tail(b_unit, v_unit, excess)
+    return masses
+
+
+def _ladder_settles(b_sq: np.ndarray, v: np.ndarray, x: np.ndarray, mean: float) -> np.ndarray:
+    """Which x_i the Chernoff bound on the smaller tail puts at most 1e-12 beyond, on a fixed ladder.
+
+    The bound at t is log E exp(tQ) - t x_i (see ``_chernoff_log_bound``),
+    taken at t = -2^j, j = 0..11, for x_i below the mean and at
+    t = (1 - 2^-j) / (2 max v), j = 1..12, for x_i above it.  Its sum over k
+    does not depend on x_i, so one pass over a side's rungs serves all its
+    x_i.  The rungs go in blocks of at most _LADDER_BLOCK terms (a rung of
+    more coordinates in column blocks), and a side stops after the first
+    block that settles all of its x_i.
+    """
+    settled = np.zeros(x.shape, dtype=bool)
+    K = b_sq.size
+    rows, cols = max(1, _LADDER_BLOCK // K), min(K, _LADDER_BLOCK)
+    work = np.empty(rows * cols)  # a block's 1 - 2 t v_k, then w_k = 1 / (1 - 2 t v_k), then log w_k
+    powers = np.ldexp(1.0, np.arange(_LADDER_RUNGS))
+    pole = 0.5 / float(v.max())
+    for side, ladder in ((x < mean, -powers), (x > mean, pole * (1.0 - 0.5 / powers))):
+        xs = x[side]
+        hit = np.zeros(xs.shape, dtype=bool)
+        for i in range(0, len(ladder), rows):
+            if hit.all():
+                break
+            t = ladder[i : i + rows, None]
+            log_mgf = np.zeros(len(t))
+            for j in range(0, K, cols):
+                v_part = v[j : j + cols]
+                w = work[: t.size * v_part.size].reshape(t.size, v_part.size)
+                np.multiply(-2.0 * t, v_part, out=w)
+                w += 1.0
+                np.divide(1.0, w, out=w)
+                # sum_k t b_k^2 w_k - log(1 - 2 t v_k) / 2 = t (w . b^2) + sum_k log(w_k) / 2
+                log_mgf += t[:, 0] * (w @ b_sq[j : j + cols])
+                log_mgf += 0.5 * np.log(w, out=w).sum(axis=1)
+            hit |= np.any(log_mgf[:, None] - t * xs <= math.log(_SATURATED), axis=0)
+        settled[side] = hit
+    return settled
 
 
 def _chernoff_log_bound(b_sq: np.ndarray, v: np.ndarray, x: float, mean: float) -> float:

@@ -699,9 +699,9 @@ def test_run_rate_study_is_invariant_to_thread_count(mode):
     assert single == threaded
 
 
-def radius_probe(spectrum, theta, n, radius):
-    """Stand-in probe that reports the in-span radius it was given."""
-    return radius
+def radius_probe(spectrum, theta, n, radii):
+    """Stand-in probe that reports the in-span radii it was given."""
+    return radii
 
 
 def test_rates_and_contraction_report_the_same_seed_free_probes(monkeypatch):
@@ -718,9 +718,9 @@ def test_rates_and_contraction_report_the_same_seed_free_probes(monkeypatch):
 def test_probes_measure_the_full_space_distance(monkeypatch):
     radii = []
 
-    def record(spectrum, theta, n, radius):
-        radii.append(radius)
-        return 0.5
+    def record(spectrum, theta, n, spans):
+        radii.extend(spans)
+        return [0.5] * len(spans)
 
     monkeypatch.setattr(study, "contraction_mass", record)
     config = ExperimentConfig(mode="contraction", n_grid=(500.0,), K=16)
@@ -747,6 +747,31 @@ def test_probes_inside_the_truncation_tail_report_full_mass_unsampled(monkeypatc
     monkeypatch.setattr(study, "contraction_mass", never)
     config = ExperimentConfig(mode="contraction", n_grid=(500.0,), K=1)
     assert [row.contraction_prob for row in run_contraction_study(config).rows] == [1.0, 1.0]
+
+
+def test_default_rate_probes_are_settled_by_the_chernoff_ladder(monkeypatch):
+    # all 14 probes of `gplb rates` are saturated; none needs the minimiser or Imhof
+    calls = []
+    for name in ("_chernoff_slopes", "_imhof_tail"):
+        real = getattr(sequence_core, name)
+
+        def counted(*args, name=name, real=real):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(sequence_core, name, counted)
+    probes = []
+    real_mass = study.contraction_mass
+
+    def per_point(spectrum, theta, n, spans):
+        probes.append(len(spans))
+        return real_mass(spectrum, theta, n, spans)
+
+    monkeypatch.setattr(study, "contraction_mass", per_point)
+    report = run_rate_study(ExperimentConfig(mode="rates"))
+    assert probes == [2] * 7 and len(report.rows) == 14  # one call per grid point
+    assert {row.contraction_prob for row in report.rows} == {1.0}
+    assert calls == []
 
 
 def test_worst_member_pick_ignores_rounding_ties(monkeypatch):
@@ -976,11 +1001,13 @@ def test_verify_lines_equal_the_golden_output(seed):
 
 @pytest.mark.parametrize(
     "mode,name",
-    [("risk", "risk-d2"), ("risk", "risk-d3"), ("wavelet", "wavelet-d3"), ("rates", None)],
+    [("risk", "risk-d2"), ("risk", "risk-d3"), ("wavelet", "wavelet-d3"), ("rates", None),
+     ("contraction", None)],
 )
 def test_study_reports_equal_the_golden_output(capsys, mode, name):
     # the golden files are `gplb <mode> [--config <name>.ini] --seed 1` stdout
-    # before the coefficient engine became one stacked pass
+    # before the coefficient engine became one stacked pass (contraction's:
+    # before the Chernoff ladder and the stacked probes)
     config = [] if name is None else ["--config", str(GOLDEN / f"{name}.ini")]
     assert main([mode, *config, "--seed", "1"]) == 0
     expected = (GOLDEN / f"{name or mode}-seed-1.csv").read_bytes()

@@ -27,6 +27,7 @@ from gplb.sequence_core import (
     Spectrum,
     TruthCoefficients,
     _chernoff_log_bound,
+    _ladder_settles,
     contraction_mass,
     contraction_probability,
     exact_risk,
@@ -831,6 +832,77 @@ def test_chernoff_minimiser_needs_at_most_25_derivative_evaluations(monkeypatch)
     assert worst <= 25
 
 
+def test_chernoff_ladder_certifies_only_forms_the_minimisers_certify():
+    # Every rung is an admissible t, so the ladder may miss a saturated form
+    # but must never certify one whose minimised bound is above 1e-12.
+    saturated = math.log(1e-12)
+    minimised = laddered = 0
+    for b_sq, v, x, mean in random_chernoff_forms(2000, seed=67):
+        certified = bool(_ladder_settles(b_sq, v, np.array([x]), mean)[0])
+        newton = _chernoff_log_bound(b_sq, v, x, mean)
+        if certified:
+            assert newton <= saturated
+            assert bounded_brent_log_bound(b_sq, v, x, mean) <= saturated
+        minimised += newton <= saturated
+        laddered += certified
+    assert minimised >= 200
+    assert laddered >= 0.95 * minimised
+
+
+def test_chernoff_ladder_over_column_blocks_holds_one_block_and_stays_sound():
+    # K = 16384 coordinates in standard-deviation units: one rung spans four
+    # column blocks; x = mean + z sd with z = -12, -3, 3, 60
+    rng = np.random.default_rng(68)
+    v, b_sq = rng.random(2**14), rng.random(2**14)
+    sd = math.sqrt(float(np.sum(2.0 * v * v + 4.0 * b_sq * v)))
+    b_sq, v = b_sq / sd, v / sd
+    mean = float(np.sum(b_sq + v))
+    x = mean + np.array([-12.0, -3.0, 3.0, 60.0])
+    tracemalloc.start()
+    try:
+        settled = _ladder_settles(b_sq, v, x, mean)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * sequence_core._LADDER_BLOCK + 4096
+    minimised = [_chernoff_log_bound(b_sq, v, float(xi), mean) <= math.log(1e-12) for xi in x]
+    assert settled.tolist() == minimised == [True, False, False, True]
+
+
+def stacked_radii_case(name):
+    """(spectrum, theta, n, radii) of one kind of probe stack."""
+    if name == "saturated":
+        spectrum, n = flat_spectrum(1024, basis_id=BASIS, tau=1e-3), 1e6
+        theta = truth_of(*np.full(1024, 0.01))
+        b, v = error_law(spectrum, theta, n)
+        mean = float(np.sum(b * b + v))
+        return spectrum, theta, n, [math.sqrt(f * mean) for f in (0.5, 2.0, 0.25, 4.0)]
+    if name == "imhof":
+        spectrum, n = flat_spectrum(3, basis_id=BASIS, tau=0.004), 500.0
+        theta = truth_of(0.05, 0.08, 0.12)
+        b, v = error_law(spectrum, theta, n)
+        law = stats.ncx2(3, float(np.sum(b * b)) / v[0])
+        return spectrum, theta, n, [math.sqrt(v[0] * law.isf(q)) for q in (0.3, 1e-30, 0.5, 0.9)]
+    # no prior mass: the indicator 1{||theta||^2 >= radius^2}, ||theta|| = 0.5
+    radii = [0.5 * (1.0 - 1e-12), 0.5, 0.5 * (1.0 + 1e-12), 2.0]
+    return spectrum_of(0.0, 0.0, 0.0), truth_of(0.3, -0.4, 0.0), 50.0, radii
+
+
+@pytest.mark.parametrize("name", ["saturated", "imhof", "indicator"])
+def test_stacked_radii_give_the_one_radius_masses_bit_for_bit(name):
+    spectrum, theta, n, radii = stacked_radii_case(name)
+    stacked = contraction_mass(spectrum, theta, n, np.array(radii))
+    single = [contraction_mass(spectrum, theta, n, r) for r in radii]
+    assert isinstance(stacked, np.ndarray) and stacked.shape == (len(radii),)
+    assert all(type(mass) is float for mass in single)
+    assert stacked.tolist() == single
+    exact = {"saturated": [1.0, 0.0, 1.0, 0.0], "indicator": [1.0, 1.0, 0.0, 0.0]}
+    if name == "imhof":
+        assert all(0.0 < single[i] < 1.0 for i in (0, 2, 3)) and single[1] == 0.0
+    else:
+        assert single == exact[name]
+
+
 def test_contraction_mass_validates_inputs():
     with pytest.raises(DomainError):
         contraction_mass(spectrum_of(1.0), truth_of(0.0), 10.0, 0.0)
@@ -840,6 +912,10 @@ def test_contraction_mass_validates_inputs():
         contraction_mass(spectrum_of(1.0), truth_of(0.0), -1.0, 0.1)
     with pytest.raises(ContractError):
         contraction_mass(spectrum_of(1.0, 1.0), truth_of(0.0), 10.0, 0.1)
+    with pytest.raises(DomainError):
+        contraction_mass(spectrum_of(1.0), truth_of(0.0), 10.0, [0.1, 0.0])
+    with pytest.raises(DomainError):
+        contraction_mass(spectrum_of(1.0), truth_of(0.0), 10.0, [[0.1]])
 
 
 # ---------------------------------------------------------------------------
