@@ -170,9 +170,13 @@ def _read_csv(text: str) -> RiskReport:
 def _read_json(text: str) -> RiskReport:
     payload = json.loads(text)
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if version != SCHEMA_VERSION or payload.get("columns") != list(COLUMNS):
         raise SchemaVersionError(found=version, supported=SCHEMA_VERSION)
-    rows = [RiskRow(**row) for row in payload.get("rows", [])]
+    rows = []
+    for row in payload.get("rows", []):
+        if not (isinstance(row, dict) and row.keys() <= set(COLUMNS)):
+            raise ContractError(f"malformed report row: {row!r}")
+        rows.append(RiskRow(**row))
     config_items = list(payload.get("config", {}).items())
     return RiskReport(rows=rows, config_items=config_items, fits=payload.get("fits"))
 

@@ -378,7 +378,11 @@ MASS_TOLERANCE = 1e-10  # absolute error of contraction_mass
 _SATURATED = 1e-12  # a tail certified below this is reported as exactly 0
 _TAIL_BUDGET = 1e-11  # share of MASS_TOLERANCE left to the truncated Imhof range
 _SEGMENT_PHASE = 32.0 * math.pi  # Imhof segments over 16 periods use Fourier weights
-_LADDER_RUNGS = 12  # Chernoff ladder rungs on each side of the mean
+# Chernoff ladder rungs: t = -2^j, j < _LOWER_RUNGS, reach |t| = 2^99 ~ 6e29 (K = 1 at
+# radius 1e-150 first settles at j = 80); t = pole (1 - 2^-j) stops at j = _POLE_RUNGS,
+# well short of j ~ 53, where 1 - 2 t max v rounds to 0
+_LOWER_RUNGS = 100
+_POLE_RUNGS = 40
 _LADDER_BLOCK = 2**12  # float64 elements one block of ladder terms holds
 
 
@@ -393,14 +397,16 @@ def contraction_mass(
     independent coordinates, xi_k ~ N(b_k, v_k), b_k = -(1 - a_k) theta_k
     and v_k = a_k^2 / n + a_k / n.  So the expected posterior mass is the
     single tail P(||xi||^2 >= radius^2) of a Gaussian quadratic form; no
-    randomness is used.  It is settled by the first of three steps that can
-    (see ``_quadratic_form_tail``): the Chernoff bound on a fixed ladder of
-    t, then the Chernoff bound at its minimiser, each giving exactly 0 or 1
-    when it puts at most 1e-12 in the smaller tail, then Imhof's (1961)
-    inversion.  ``radius`` is one radius, which gives a float, or a 1-d
-    stack of radii, which gives one mass each from one error law; every
-    mass has the bits of its one-radius call.  Raises QuadratureError when
-    the inversion cannot certify MASS_TOLERANCE.
+    randomness is used.  It is settled in two steps (see
+    ``_quadratic_form_tail``): the Chernoff bound on a fixed ladder of t
+    (t = -2^j, j = 0..99, below the mean; t = 2^j below half the pole, then
+    t = pole (1 - 2^-j), j = 1..40, above it, in standard deviations of the
+    form) gives exactly 0 or 1 where it puts at most 1e-12 in the smaller
+    tail, and Imhof's (1961) inversion gives every other mass.  ``radius``
+    is one radius, which gives a float, or a 1-d stack of radii, which gives
+    one mass each from one error law; every mass has the bits of its
+    one-radius call.  Raises QuadratureError when the inversion cannot
+    certify MASS_TOLERANCE.
     """
     radii = np.asarray(radius, dtype=float)
     if radii.ndim > 1 or not np.all((radii > 0.0) & np.isfinite(radii)):
@@ -415,16 +421,16 @@ def _quadratic_form_tail(b_sq: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.n
 
     Coordinates with v_k = 0 add b_k^2 exactly.  The rest is scaled to the
     form's standard deviation once for every x_i, and each x_i is settled
-    by the first of three steps that can:
+    in two steps:
 
     1. the Chernoff bound on the smaller tail at a fixed ladder of t
-       (``_ladder_settles``): at most 1e-12 at some rung gives 0 or 1;
-    2. the same bound at its minimiser (``_chernoff_log_bound``): 0 or 1 again;
-    3. Imhof's inversion (``_imhof_tail``), within MASS_TOLERANCE.
+       (``_ladder_settles``: t = -2^j, j = 0..99, below the mean; t = 2^j
+       below half the pole 1 / (2 max v), then t = pole (1 - 2^-j),
+       j = 1..40, above it): at most 1e-12 at some rung gives 0 or 1;
+    2. Imhof's inversion (``_imhof_tail``), within MASS_TOLERANCE, for
+       every x_i the ladder leaves open.
 
-    Every admissible t gives a valid bound, so the ladder only spares the
-    minimiser's iterations; a minimum above 1e-12 leaves every rung above
-    it too.  Each x_i gets the bits it would get alone.
+    Each x_i gets the bits it would get alone.
     """
     live = v > 0.0
     x = x - float(np.sum(b_sq[~live]))
@@ -441,40 +447,48 @@ def _quadratic_form_tail(b_sq: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.n
     b_unit, v_unit, x_unit, mean_unit = b_unit / sd, v_unit / sd, x[open_] / mean / sd, 1.0 / sd
     settled = _ladder_settles(b_unit, v_unit, x_unit, mean_unit)
     masses[open_[settled]] = x_unit[settled] < mean_unit  # 1 below the mean, 0 above it
-    for i, xi in zip(open_[~settled], x_unit[~settled].tolist()):
-        if _chernoff_log_bound(b_unit, v_unit, xi, mean_unit) <= math.log(_SATURATED):
-            masses[i] = 1.0 if xi < mean_unit else 0.0
-        else:
-            # sum_k b_k^2 - x, correctly rounded: Imhof's phase needs it where the two nearly cancel
-            excess = math.fsum(np.append(b_sq, -x[i])) / mean / sd
-            masses[i] = _imhof_tail(b_unit, v_unit, excess)
+    for i in open_[~settled]:
+        # sum_k b_k^2 - x, correctly rounded: Imhof's phase needs it where the two nearly cancel
+        excess = math.fsum(np.append(b_sq, -x[i])) / mean / sd
+        masses[i] = _imhof_tail(b_unit, v_unit, excess)
     return masses
 
 
 def _ladder_settles(b_sq: np.ndarray, v: np.ndarray, x: np.ndarray, mean: float) -> np.ndarray:
     """Which x_i the Chernoff bound on the smaller tail puts at most 1e-12 beyond, on a fixed ladder.
 
-    The bound at t is log E exp(tQ) - t x_i (see ``_chernoff_log_bound``),
-    taken at t = -2^j, j = 0..11, for x_i below the mean and at
-    t = (1 - 2^-j) / (2 max v), j = 1..12, for x_i above it.  Its sum over k
-    does not depend on x_i, so one pass over a side's rungs serves all its
-    x_i.  The rungs go in blocks of at most _LADDER_BLOCK terms (a rung of
-    more coordinates in column blocks), and a side stops after the first
-    block that settles all of its x_i.
+    For Q = sum_k (b_k + sqrt(v_k) g_k)^2, log P(Q >= x) <= log E exp(tQ) - t x
+    at every 0 < t < 1 / (2 max v), the pole, and log P(Q <= x) is bounded by
+    the same expression at every t < 0, where
+    log E exp(tQ) = sum_k t b_k^2 / (1 - 2 t v_k) - log(1 - 2 t v_k) / 2.
+    Every admissible t gives a valid bound, so the ladder certifies no x_i
+    that the minimised bound leaves above 1e-12.  Its rungs are t = -2^j,
+    j = 0..99, for x_i below the mean, and for x_i above it t = 2^j, j >= 0,
+    below half the pole, then t = pole (1 - 2^-j), j = 1..40.  The sum over
+    k does not depend on x_i, so one pass over a side's rungs serves all its
+    x_i.  The rungs are formed and evaluated in blocks of at most
+    _LADDER_BLOCK terms (a rung of more coordinates in column blocks), and a
+    side stops after the first block that settles all of its x_i.
     """
     settled = np.zeros(x.shape, dtype=bool)
     K = b_sq.size
     rows, cols = max(1, _LADDER_BLOCK // K), min(K, _LADDER_BLOCK)
     work = np.empty(rows * cols)  # a block's 1 - 2 t v_k, then w_k = 1 / (1 - 2 t v_k), then log w_k
-    powers = np.ldexp(1.0, np.arange(_LADDER_RUNGS))
     pole = 0.5 / float(v.max())
-    for side, ladder in ((x < mean, -powers), (x > mean, pole * (1.0 - 0.5 / powers))):
+    doublings = max(0, math.ceil(math.log2(0.5 * pole)))  # the j >= 0 with 2^j < pole / 2
+    for side, sign, powers, rungs in (
+        (x < mean, -1.0, _LOWER_RUNGS, _LOWER_RUNGS),
+        (x > mean, 1.0, doublings, doublings + _POLE_RUNGS),
+    ):
         xs = x[side]
         hit = np.zeros(xs.shape, dtype=bool)
-        for i in range(0, len(ladder), rows):
+        for i in range(0, rungs, rows):
             if hit.all():
                 break
-            t = ladder[i : i + rows, None]
+            t = np.array([
+                [sign * 2.0**r if r < powers else pole * (1.0 - 2.0 ** (powers - 1 - r))]
+                for r in range(i, min(i + rows, rungs))
+            ])
             log_mgf = np.zeros(len(t))
             for j in range(0, K, cols):
                 v_part = v[j : j + cols]
@@ -488,97 +502,6 @@ def _ladder_settles(b_sq: np.ndarray, v: np.ndarray, x: np.ndarray, mean: float)
             hit |= np.any(log_mgf[:, None] - t * xs <= math.log(_SATURATED), axis=0)
         settled[side] = hit
     return settled
-
-
-def _chernoff_log_bound(b_sq: np.ndarray, v: np.ndarray, x: float, mean: float) -> float:
-    """log of the Chernoff bound on the smaller tail of Q = sum (b_k + sqrt(v_k) g_k)^2 at x.
-
-    log P(Q >= x) <= log E exp(tQ) - t x for 0 < t < 1/(2 max v), and
-    log P(Q <= x) is bounded by the same expression at t < 0, where
-    log E exp(tQ) = sum_k t b_k^2 / (1 - 2 t v_k) - log(1 - 2 t v_k) / 2.
-    The expression is convex in t; a safeguarded Newton iteration minimises
-    it.  Every admissible t gives a valid bound, so an inexact minimiser
-    only loosens the certificate.  The derivatives are sums in
-    w_k = 1 / (1 - 2 t v_k), which lies in (0, 1] for t < 0 and below about
-    1e16 short of the pole, so they do not overflow even when the
-    eigenvalues span the whole floating-point range.  On the upper tail the
-    bracket grows and is bisected in log(1 - 2 t max v), so it closes in on
-    a minimum near the pole in a few steps; the iteration stops once a
-    Newton step no longer moves t.
-    """
-    # the bound falls away from t = 0 towards the smaller tail's side; work in u = |t|
-    side = 1.0 if x > mean else -1.0
-
-    def derivatives(u):
-        """d/du and d^2/du^2 of the bound at t = side u, or None at or past the pole."""
-        moments = _chernoff_slopes(b_sq, v, x, side * u)
-        return None if moments is None else (side * moments[0], moments[1])
-
-    if side > 0.0:
-        # the pole sits at u = 1 / (2 max v); in s = 1 - 2 u max v, grow squares s
-        # and the midpoint is the geometric mean, floored where u can still resolve it
-        v_max = float(v.max())
-
-        def grow(u):
-            return (1.0 - (1.0 - 2.0 * u * v_max) ** 2) / (2.0 * v_max)
-
-        def middle(lo, hi):
-            s_lo, s_hi = (max(1.0 - 2.0 * u * v_max, 2.0**-53) for u in (lo, hi))
-            return (1.0 - math.sqrt(s_lo * s_hi)) / (2.0 * v_max)
-
-        u = 0.25 / v_max
-    else:
-        def grow(u):
-            return 2.0 * u
-
-        def middle(lo, hi):
-            return 0.5 * (lo + hi)
-
-        u = 1.0
-    # grow u until the slope turns (or u reaches the pole)
-    lo = 0.0
-    while (moments := derivatives(u)) is not None and moments[0] < 0.0:
-        lo, u = u, grow(u)
-    hi = u
-    # safeguarded Newton from the bracket's lower end: a step that would leave
-    # the bracket [lo, hi] around the minimum is replaced by bisection
-    u, (slope, curvature) = lo, derivatives(lo)
-    for _ in range(200):
-        if slope < 0.0:
-            lo = u
-        elif slope > 0.0:
-            hi = u
-        else:
-            break
-        if abs(slope) < curvature * (hi - lo):
-            step = u - slope / curvature
-            if abs(step - u) <= 1e-15 * u:
-                break
-        else:
-            step = lo
-        if not lo < step < hi:
-            step = middle(lo, hi)
-        if not lo < step < hi:
-            break
-        if (moments := derivatives(step)) is None:
-            hi = step
-        else:
-            u, (slope, curvature) = step, moments
-    t = side * u
-    s = 1.0 - 2.0 * t * v
-    return float(np.sum(b_sq * (t / s) - 0.5 * np.log(s))) - t * x
-
-
-def _chernoff_slopes(b_sq: np.ndarray, v: np.ndarray, x: float, t: float):
-    """d/dt and d^2/dt^2 of the log Chernoff bound at t, or None at or past the pole."""
-    s = 1.0 - 2.0 * t * v
-    if s.min() <= 0.0:
-        return None
-    w = 1.0 / s
-    bw = b_sq * w
-    a = v + bw
-    # slope sum_k (v_k + b_k w_k) w_k - x, curvature sum_k 2 v_k w_k^2 (v_k + 2 b_k w_k)
-    return float(a @ w) - x, 2.0 * float((v * w * w) @ (a + bw))
 
 
 def _minus_cos(phase: float) -> float:

@@ -498,6 +498,15 @@ def test_schema_version_and_header_are_enforced(tmp_path):
     payload["schema_version"] = 2
     with pytest.raises(SchemaVersionError):
         read_text(json.dumps(payload), "v2.json")
+    payload["schema_version"] = SCHEMA_VERSION
+    payload["columns"] = [col.replace("lemma4_bound", "bound4") for col in COLUMNS]
+    with pytest.raises(SchemaVersionError):
+        read_text(json.dumps(payload), "columns.json")
+    payload["columns"] = list(COLUMNS)
+    for bad in ({"bound4": 1.0}, [1, 2, 3]):
+        payload["rows"] = [bad]
+        with pytest.raises(ContractError, match="malformed report row"):
+            read_text(json.dumps(payload), "bad_row.json")
 
 
 def test_empty_report_round_trips(tmp_path):
@@ -750,16 +759,15 @@ def test_probes_inside_the_truncation_tail_report_full_mass_unsampled(monkeypatc
 
 
 def test_default_rate_probes_are_settled_by_the_chernoff_ladder(monkeypatch):
-    # all 14 probes of `gplb rates` are saturated; none needs the minimiser or Imhof
+    # all 14 probes of `gplb rates` are saturated; none needs Imhof
     calls = []
-    for name in ("_chernoff_slopes", "_imhof_tail"):
-        real = getattr(sequence_core, name)
+    real_imhof = sequence_core._imhof_tail
 
-        def counted(*args, name=name, real=real):
-            calls.append(name)
-            return real(*args)
+    def counted(*args):
+        calls.append("_imhof_tail")
+        return real_imhof(*args)
 
-        monkeypatch.setattr(sequence_core, name, counted)
+    monkeypatch.setattr(sequence_core, "_imhof_tail", counted)
     probes = []
     real_mass = study.contraction_mass
 
@@ -1011,6 +1019,14 @@ def test_study_reports_equal_the_golden_output(capsys, mode, name):
     config = [] if name is None else ["--config", str(GOLDEN / f"{name}.ini")]
     assert main([mode, *config, "--seed", "1"]) == 0
     expected = (GOLDEN / f"{name or mode}-seed-1.csv").read_bytes()
+    assert capsys.readouterr().out.encode() == expected
+
+
+def test_contraction_json_report_equals_the_golden_output(capsys):
+    # `gplb contraction --seed 1 --format json` stdout before the Newton
+    # minimiser of the Chernoff bound was deleted
+    assert main(["contraction", "--seed", "1", "--format", "json"]) == 0
+    expected = (GOLDEN / "contraction-seed-1.json").read_bytes()
     assert capsys.readouterr().out.encode() == expected
 
 

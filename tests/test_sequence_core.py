@@ -26,8 +26,8 @@ from gplb.sequence_core import (
     SequenceObservation,
     Spectrum,
     TruthCoefficients,
-    _chernoff_log_bound,
     _ladder_settles,
+    _quadratic_form_tail,
     contraction_mass,
     contraction_probability,
     exact_risk,
@@ -685,6 +685,25 @@ def test_contraction_mass_extreme_radii_are_exact():
     assert contraction_mass(big, theta, 1e6, math.sqrt(2.0 * mean)) == 0.0
 
 
+# contraction_mass at these radii before the Chernoff ladder became the only
+# certificate: the 1.0 at 1e-150 (and at 1e-12 for K = 2, 3) then came from a
+# Newton minimiser of the bound, which the lower rungs j = 12..99 now replace
+EXTREME_RADII = (1e-150, 1e-12, 1e-6, 1e-3, 1e3, 1e6, 1e150)
+EXTREME_RADII_MASSES = [
+    ((1.0,), (0.2,), 100.0, [1.0, 0.9999999999944917, 0.9999943164433487, 0.9943164914138953, 0.0, 0.0, 0.0]),
+    ((1.0,), (0.0,), 100.0, [1.0, 0.9999999999935323, 0.9999943158777933, 0.9943159258720844, 0.0, 0.0, 0.0]),
+    ((1.0, 1.0), (0.2, -0.2), 100.0, [1.0, 1.0, 0.9999999999762024, 0.9999746297493121, 0.0, 0.0, 0.0]),
+    ((1e-3,) * 3, (0.01,) * 3, 1e6, [1.0, 1.0, 0.9999999999056145, 0.918732081350917, 0.0, 0.0, 0.0]),
+]
+
+
+@pytest.mark.parametrize("lams, theta, n, expected", EXTREME_RADII_MASSES)
+def test_contraction_mass_at_extreme_radii_keeps_its_bits(lams, theta, n, expected):
+    spectrum, truth = spectrum_of(*lams), truth_of(*theta)
+    assert [contraction_mass(spectrum, truth, n, r) for r in EXTREME_RADII] == expected
+    assert contraction_mass(spectrum, truth, n, np.array(EXTREME_RADII)).tolist() == expected
+
+
 @given(
     lams=st.lists(st.sampled_from([0.0, 1e-4, 1e-2, 1.0]), min_size=1, max_size=6),
     scale=st.floats(0.0, 2.0),
@@ -797,56 +816,36 @@ def random_chernoff_forms(count, seed):
         yield b_sq / sd, v / sd, x / sd, 1.0 / sd
 
 
-def test_chernoff_bound_is_never_looser_than_bounded_brent():
-    saturated = math.log(1e-12)
-    near = 0
-    for args in random_chernoff_forms(2000, seed=67):
-        newton, brent = _chernoff_log_bound(*args), bounded_brent_log_bound(*args)
-        assert newton <= brent + 1e-9
-        assert (newton <= saturated) == (brent <= saturated)
-        near += abs(brent - saturated) < 5.0
-    assert near >= 40  # the saturation decision is exercised near its threshold
-
-
-def test_chernoff_minimiser_needs_at_most_25_derivative_evaluations(monkeypatch):
-    # Upper-tail forms whose minimum sits just short of the pole 1 / (2 max v)
-    # are among these; a minimiser that keeps bisecting after Newton has
-    # converged took up to 61 evaluations on them.
-    import gplb.sequence_core as core
-
-    calls = []
-    slopes = core._chernoff_slopes
-
-    def counted(*args):
-        calls.append(args[-1])
-        return slopes(*args)
-
-    monkeypatch.setattr(core, "_chernoff_slopes", counted)
-    worst = upper = 0
-    for args in random_chernoff_forms(2000, seed=67):
-        calls.clear()
-        _chernoff_log_bound(*args)
-        worst = max(worst, len(calls))
-        upper += args[2] > args[3]
-    assert upper >= 500
-    assert worst <= 25
-
-
 def test_chernoff_ladder_certifies_only_forms_the_minimisers_certify():
     # Every rung is an admissible t, so the ladder may miss a saturated form
-    # but must never certify one whose minimised bound is above 1e-12.
+    # but must never certify one whose minimised bound is above 1e-12.  A form
+    # it misses goes to Imhof and still comes back within MASS_TOLERANCE of 0 or 1.
     saturated = math.log(1e-12)
     minimised = laddered = 0
     for b_sq, v, x, mean in random_chernoff_forms(2000, seed=67):
         certified = bool(_ladder_settles(b_sq, v, np.array([x]), mean)[0])
-        newton = _chernoff_log_bound(b_sq, v, x, mean)
+        brent = bounded_brent_log_bound(b_sq, v, x, mean)
         if certified:
-            assert newton <= saturated
-            assert bounded_brent_log_bound(b_sq, v, x, mean) <= saturated
-        minimised += newton <= saturated
+            assert brent <= saturated
+        elif brent <= saturated:
+            mass = float(_quadratic_form_tail(b_sq, v, np.array([x]))[0])
+            assert abs(mass - (x < mean)) <= MASS_TOLERANCE
+        minimised += brent <= saturated
         laddered += certified
-    assert minimised >= 200
-    assert laddered >= 0.95 * minimised
+    assert minimised == 221
+    assert laddered >= 218
+
+
+def test_chernoff_ladder_certifies_upper_tail_minima_below_half_the_pole():
+    # forms 700 and 1291 of random_chernoff_forms(2000, seed=67): saturated
+    # upper tails whose bound is least at a t below every pole-side rung
+    # pole (1 - 2^-j); the rungs t = 2^j below pole / 2 reach them
+    forms = list(random_chernoff_forms(2000, seed=67))
+    for index, minimum in ((700, -35.5), (1291, -45.0)):
+        b_sq, v, x, mean = forms[index]
+        assert x > mean
+        assert bounded_brent_log_bound(b_sq, v, x, mean) == pytest.approx(minimum, abs=0.1)
+        assert _ladder_settles(b_sq, v, np.array([x]), mean).tolist() == [True]
 
 
 def test_chernoff_ladder_over_column_blocks_holds_one_block_and_stays_sound():
@@ -865,7 +864,7 @@ def test_chernoff_ladder_over_column_blocks_holds_one_block_and_stays_sound():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * sequence_core._LADDER_BLOCK + 4096
-    minimised = [_chernoff_log_bound(b_sq, v, float(xi), mean) <= math.log(1e-12) for xi in x]
+    minimised = [bounded_brent_log_bound(b_sq, v, float(xi), mean) <= math.log(1e-12) for xi in x]
     assert settled.tolist() == minimised == [True, False, False, True]
 
 
