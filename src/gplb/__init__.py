@@ -37,12 +37,12 @@ from .errors import (
 from .sequence_core import (
     GPPosterior,
     SequenceObservation,
+    SparseRows,
     Spectrum,
     TruthCoefficients,
     contraction_mass,
     contraction_probability,
     exact_risk,
-    exact_risks,
     exponential_spectrum,
     flat_spectrum,
     mc_risk,
@@ -82,12 +82,12 @@ __all__ = [
     "SchemaVersionError",
     "Spectrum",
     "TruthCoefficients",
+    "SparseRows",
     "SequenceObservation",
     "GPPosterior",
     "sample_observation",
     "posterior_update",
     "exact_risk",
-    "exact_risks",
     "mc_risk",
     "contraction_mass",
     "contraction_probability",

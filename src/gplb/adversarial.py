@@ -37,7 +37,7 @@ from .integrate import (  # noqa: F401
     pyramid_box_integral,
     pyramid_grid_integrals,
 )
-from .sequence_core import BLOCK_ELEMENTS, Spectrum, exact_risks
+from .sequence_core import SparseRows, Spectrum, TruthCoefficients, exact_risk
 
 __all__ = [
     "MAX_FAMILY_SIZE",
@@ -52,6 +52,7 @@ __all__ = [
     "tk_matched_spectrum",
     "risk_lower_bound",
     "member_risks",
+    "truth_risk",
     "worst_member",
     "grid_target",
     "lower_bound_constants",
@@ -140,79 +141,49 @@ def pyramid_norm_sq(d: int, k: int) -> float:
 
 
 @dataclass(frozen=True)
-class CoefficientMatrix:
-    """All inner products <f_j, phi_k>: rows index the family, columns the basis.
+class CoefficientMatrix(SparseRows):
+    """All inner products <f_j, phi_k> on the first K basis functions, one row per member.
 
-    Row sums of squares may not exceed the common member norm (orthonormal
-    coefficients obey the Bessel inequality); construction enforces this
-    with a small rounding allowance.  Entries are copied into a read-only
-    array, unless they already are a read-only float64 array.  The same
-    pass over the entries gives ``tk``, T_k = (1/m) sum_j <f_j, phi_k>^2,
-    read-only (:func:`_column_squares`).
+    Each member's row keeps only its nonzero coefficients, at their basis
+    positions (:class:`SparseRows`: ``values``, ``columns``,
+    ``row_starts``).  Row sums of squares may not exceed the common member
+    norm (orthonormal coefficients obey the Bessel inequality); construction
+    enforces this with a small rounding allowance.  ``tk`` holds
+    T_k = (1/m) sum_j <f_j, phi_k>^2, read-only, with the bits of the dense
+    column mean (entries ** 2).mean(axis=0): for K >= 2 NumPy adds each
+    column's squares in row order, as one ``np.bincount`` of the squared
+    values over their columns does; a lone column (K = 1) it sums pairwise,
+    and there the row masses are that column's squares, averaged as an
+    (m, 1) column.
     """
 
-    entries: np.ndarray
     basis_id: str
     family: PyramidFamily
     tk: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        arr = self.entries
-        if not (isinstance(arr, np.ndarray) and arr.dtype == float and not arr.flags.writeable):
-            arr = np.array(arr, dtype=float)
-        if arr.ndim != 2 or arr.shape[1] < 1:
-            raise ContractError("coefficient entries must form a 2-d matrix with at least one column")
-        if arr.shape[0] != self.family.m:
-            raise ContractError(
-                f"entry rows {arr.shape[0]} do not match family size {self.family.m}"
-            )
+        super().__post_init__()
+        if self.m != self.family.m:
+            raise ContractError(f"coefficient rows {self.m} do not match family size {self.family.m}")
         norm_sq = pyramid_norm_sq(self.family.d, self.family.k)
-        tk, row_mass = _column_squares(arr)
-        if np.any(row_mass > norm_sq * (1.0 + 1e-8) + 1e-15):
+        if np.any(self.row_mass > norm_sq * (1.0 + 1e-8) + 1e-15):
             raise ContractError(
                 "coefficient rows exceed the member norm; inner products are inconsistent"
             )
-        arr.setflags(write=False)
+        if self.K == 1:
+            tk = np.mean(self.row_mass[:, None], axis=0)
+        else:
+            tk = np.bincount(self.columns, np.square(self.values), minlength=self.K) / self.m
         tk.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
         object.__setattr__(self, "tk", tk)
 
-    @property
-    def m(self) -> int:
-        return int(self.entries.shape[0])
-
-    @property
-    def K(self) -> int:
-        return int(self.entries.shape[1])
-
-
-def _column_squares(entries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(T_k, row sums of squares) of an m x K matrix, squared a block of columns at a time.
-
-    A block holds at most ``BLOCK_ELEMENTS`` squares, or three columns
-    where one column is longer than a third of that.  A column's mean is
-    a sum down its m rows in row order, whatever the block's width, so
-    T_k has the bits of (entries ** 2).mean(axis=0); a lone last column
-    would sum in another order, so the block before takes it.  The row
-    sums add block by block, an order only the Bessel check's 1e-8
-    allowance reads.
-    """
-    m, K = entries.shape
-    width = max(2, BLOCK_ELEMENTS // m - 1)
-    starts = list(range(0, K, width))
-    if K - starts[-1] == 1 and len(starts) > 1:
-        starts.pop()
-    squares = np.empty(m * min(K, width + 1))
-    tk, row_mass = np.empty(K), np.zeros(m)
-    for start, stop in zip(starts, starts[1:] + [K]):
-        block = squares[: m * (stop - start)].reshape(m, stop - start)
-        # copied, then squared in place: a ufunc on the strided columns
-        # would take NumPy's iteration buffers on top of the block
-        np.copyto(block, entries[:, start:stop])
-        np.square(block, out=block)
-        np.mean(block, axis=0, out=tk[start:stop])
-        row_mass += block.sum(axis=1)
-    return tk, row_mass
+    def risks(self, spectrum: Spectrum, n: float) -> np.ndarray:
+        """:meth:`SparseRows.risks`, for a spectrum on this matrix's basis."""
+        if spectrum.basis_id != self.basis_id:
+            raise ContractError(
+                f"risks: spectrum basis {spectrum.basis_id!r} does not match basis {self.basis_id!r}"
+            )
+        return super().risks(spectrum, n)
 
 
 def _blocks(k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -256,29 +227,39 @@ def _windows(k: int, N: int) -> tuple[np.ndarray, int]:
 _STACK_COPIES = 6
 _TABLE_COPIES = 4
 _FIXED_BYTES = 2**16  # array headers and other small objects
+# arrays of K beside the store: T_k and its bincount, then the spectrum,
+# the shrinkage, the worst row and its error law and scale groups of the
+# passes a grid point makes over the store
+_K_VECTORS = 10
 
 
 def coefficient_work_bytes(d: int, k: int, level: int, K: int) -> int:
     """Peak working bytes of :func:`compute_coefficients` for k^d members on the level basis.
 
-    The m x K float64 entries; the basis's ``order`` and ``rank``, built
-    on first use with their sort and index temporaries, 24 bytes a member
-    of the N^d = size basis; at most ``_STACK_COPIES`` float64 or index
-    arrays the size of the largest stack, k^d P^d with P the larger of the
-    W + 2 vertex points and the D coefficients per window
-    (:func:`_window_plan`, :meth:`HaarTensorBasis.analyze_windows`); at
-    most ``_TABLE_COPIES`` per-axis tables of k P entries for each axis,
-    which only at d = 1 are as large as the stack; or, once those are
-    freed, the T_k pass's block of squares (:func:`_column_squares`) and
-    T_k; and ``_FIXED_BYTES``.  Arithmetic only: no array the size of k or
-    N is made, so absurd sizes are priced at once.
+    The basis's ``order`` and ``rank``, built on first use with their sort
+    and index temporaries, 24 bytes a member of the N^d = size basis; then
+    the larger of two phases, and ``_FIXED_BYTES``.  The stacked pass holds
+    at most ``_STACK_COPIES`` float64 or index arrays the size of the
+    largest stack, k^d P^d with P the larger of the W + 2 vertex points and
+    the D coefficients per window (:func:`_window_plan`,
+    :meth:`HaarTensorBasis.analyze_windows`), and at most ``_TABLE_COPIES``
+    per-axis tables of k P entries for each axis, which only at d = 1 are as
+    large as the stack; cutting the window stack to the store fits in those
+    copies.  The store then holds at most k^d min(K, D^d) nonzeros, a value
+    and a column each; building :class:`CoefficientMatrix` adds one square
+    and one column copy per nonzero (``np.bincount`` copies read-only
+    input) and a few arrays of m, and ``_K_VECTORS`` arrays of K: T_k and
+    what a grid point's passes over the store hold beside it, which need
+    no more per nonzero than one product.  Arithmetic only:
+    no array the size of k or N is made, so absurd sizes are priced at once.
     """
     N, m = 2 ** (level + 1), k**d
     T, width = _window_plan(k, N)
-    per_axis = k * max(width + 2, (N >> T) + width - (width >> T))
+    coefficients = (N >> T) + width - (width >> T)
+    per_axis = k * max(width + 2, coefficients)
     stack = _STACK_COPIES * per_axis**d + _TABLE_COPIES * d * per_axis
-    squares = min(m * K, max(BLOCK_ELEMENTS, 3 * m)) + K
-    return 8 * (m * K + 3 * N**d + max(stack, squares)) + _FIXED_BYTES
+    store = 4 * m * min(K, coefficients**d) + _K_VECTORS * K + 5 * m
+    return 8 * (3 * N**d + max(stack, store)) + _FIXED_BYTES
 
 
 def compute_coefficients(family: PyramidFamily, basis, K: int) -> CoefficientMatrix:
@@ -289,22 +270,25 @@ def compute_coefficients(family: PyramidFamily, basis, K: int) -> CoefficientMat
     aligned to a power of two that covers its support block
     (:func:`_windows`).  The vertex formula gives every member's integrals
     over the cells of its window box (:func:`pyramid_grid_integrals` on the
-    stacked per-axis tables), the windowed fast Haar transform
+    stacked per-axis tables), and the windowed fast Haar transform
     (``basis.analyze_windows``) turns them into the coefficients the
-    windows reach, and those are scattered into the m x K entries by basis
-    position; every other entry is 0.  Each entry has the bits of the dense
-    transform of the member's N^d cell integrals, up to the sign of zeros.
+    windows reach.  Member (l_1, ..., l_d) is row l_1 k^{d-1} + ... + l_d,
+    like the centers; it keeps, in its window's order, those coefficients
+    that are not 0 and sit at a basis position below K.  Every other
+    coefficient of the member is 0, and each kept value has the bits of the
+    dense transform of the member's N^d cell integrals.  No m x K array is
+    made.
     """
     if family.d != basis.d:
         raise ContractError(f"family dimension {family.d} does not match basis dimension {basis.d}")
     if not 1 <= K <= basis.size:
         raise ContractError(f"need 1 <= K <= {basis.size}, got K = {K}")
     # the stacked pass's arrays are freed before the matrix's T_k pass
-    return CoefficientMatrix(_stacked_entries(family, basis, K), basis.basis_id, family)
+    return CoefficientMatrix(*_stacked_store(family, basis, K), K, basis.basis_id, family)
 
 
-def _stacked_entries(family: PyramidFamily, basis, K: int) -> np.ndarray:
-    """The read-only m x K entries of :func:`compute_coefficients`."""
+def _stacked_store(family: PyramidFamily, basis, K: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The read-only (values, columns, row_starts) of :func:`compute_coefficients`."""
     d, k, N = family.d, family.k, basis.cells_per_axis
     starts, width = _windows(k, N)
     axis_centers = family.centers[:k, -1]  # the k center coordinates along every axis
@@ -320,15 +304,20 @@ def _stacked_entries(family: PyramidFamily, basis, K: int) -> np.ndarray:
         shape[2 * axis : 2 * axis + 2] = inside.shape
         cells *= inside.reshape(shape)
     values, positions = basis.analyze_windows(cells, starts)
-    # member (l_1, ..., l_d) is row l_1 k^{d-1} + ... + l_d, like the centers
-    member = np.arange(family.m).reshape((k, 1) * d)
+    del cells
+    # the (l_1, ..., l_d) axes ahead of the (u_1, ..., u_d) ones: a row of D^d per member
+    axes = [*range(0, 2 * d, 2), *range(1, 2 * d, 2)]
+    values = values.transpose(axes).reshape(family.m, -1)
+    positions = positions.transpose(axes).reshape(family.m, -1)
+    kept = values != 0.0
     if K < basis.size:
-        kept = positions < K
-        member, positions, values = np.broadcast_to(member, kept.shape)[kept], positions[kept], values[kept]
-    entries = np.zeros((family.m, K))
-    entries[member, positions] = values
-    entries.setflags(write=False)
-    return entries
+        kept &= positions < K
+    row_starts = np.zeros(family.m + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(kept, axis=1), out=row_starts[1:])
+    store = values[kept], positions[kept], row_starts
+    for arr in store:
+        arr.setflags(write=False)
+    return store
 
 
 def tk_matched_spectrum(coeffs: CoefficientMatrix, *, scale: float = 1.0) -> Spectrum:
@@ -360,21 +349,33 @@ def risk_lower_bound(coeffs: CoefficientMatrix, n: float) -> float:
     return float(np.minimum(coeffs.tk, 1.0 / n).sum())
 
 
-def member_risks(spectrum: Spectrum, entries, n: float, norm_sq: float):
+def member_risks(spectrum: Spectrum, rows: SparseRows, n: float, norm_sq: float):
     """(risks, tails): the exact risk of the posterior mean at each row's full truth.
 
-    Each row holds the first K coefficients of a truth of squared norm
-    ``norm_sq``.  The posterior mean lives in the K-coordinate span, so
-    the tail max(norm_sq - ||row||^2, 0) adds to the in-span risk as bias.
-    The in-span risks come from the blocked :func:`exact_risks`, so no
-    temporary the size of ``entries`` is made.
+    Each row of the store holds the first K coefficients of a truth of
+    squared norm ``norm_sq``.  The posterior mean lives in the K-coordinate
+    span, so the tail max(norm_sq - ||row||^2, 0) adds to the in-span risk
+    (:meth:`SparseRows.risks`) as bias.  Both read only the stored nonzeros;
+    a stack of spectra gives (S, m) risks.
     """
-    # ||row||^2 as BLAS dots of at most 8192 terms: exactly row @ row for
-    # short rows, while OpenBLAS threads longer dots, which cost 6-8 ms a
-    # call on a 2-vCPU VM and makes the last bits depend on the thread count
-    mass = [sum(p @ p for p in np.split(row, range(8192, row.size, 8192))) for row in entries]
-    tails = np.maximum(norm_sq - np.array(mass), 0.0)
-    return exact_risks(spectrum, entries, n, basis_id=spectrum.basis_id) + tails, tails
+    tails = np.maximum(norm_sq - rows.row_mass, 0.0)
+    return rows.risks(spectrum, n) + tails, tails
+
+
+def truth_risk(spectrum: Spectrum, truth: TruthCoefficients, n: float, norm_sq: float):
+    """(risk, tail): :func:`member_risks` of one truth, from its first K coefficients.
+
+    :func:`exact_risk` plus the tail max(norm_sq - ||theta||^2, 0).  Its
+    sums run over the K dense coordinates, so the bits do not depend on
+    which other truths shared a store with it.
+    """
+    # ||theta||^2 as BLAS dots of at most 8192 terms: exactly theta @ theta
+    # for short rows, while OpenBLAS threads longer dots, which cost 6-8 ms
+    # a call on a 2-vCPU VM and make the last bits depend on the thread count
+    theta = truth.theta
+    mass = sum(theta[i : i + 8192] @ theta[i : i + 8192] for i in range(0, theta.size, 8192))
+    tail = max(norm_sq - float(mass), 0.0)
+    return exact_risk(spectrum, truth, n) + tail, tail
 
 
 def worst_member(risks) -> int:

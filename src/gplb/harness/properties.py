@@ -34,7 +34,6 @@ from ..sequence_core import (
     Spectrum,
     TruthCoefficients,
     exact_risk,
-    exact_risks,
     flat_spectrum,
     posterior_update,
     sample_observation,
@@ -215,7 +214,7 @@ def risk_floors(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
             else:
                 profiles.append(10.0 ** rng.uniform(-6.0, 2.0, levels.size))
         spectra = Spectrum(np.array(profiles)[:, basis.groups], coeffs.basis_id)
-        worst = exact_risks(spectra, coeffs.entries, n, basis_id=coeffs.basis_id).max(axis=1)
+        worst = coeffs.risks(spectra, n).max(axis=1)
         violations += int(np.count_nonzero(worst < bound - 1e-12))
         violations += int(np.count_nonzero(worst < floor - 1e-12))
         closest = min(closest, float(np.min(worst / bound)))

@@ -34,11 +34,12 @@ from ..adversarial import (
     pyramid_norm_sq,
     risk_lower_bound,
     tk_matched_spectrum,
+    truth_risk,
     worst_member,
 )
 from ..errors import ConfigError
 from ..sequence_core import (
-    BLOCK_ELEMENTS,
+    SparseRows,
     Spectrum,
     TruthCoefficients,
     contraction_mass,
@@ -249,13 +250,8 @@ def _grid_tasks(config: ExperimentConfig) -> list:
     for index, n in enumerate(config.n_grid):
         k, m = grid_count(config.d, n, config.grid_rule)
         level = _resolve_level(config, k)
-        # the coefficient pass or, if larger, the exact risks after it: the
-        # entries, the basis's order and rank, about six spectrum vectors
-        # of length K and one blocked pass's BLOCK_ELEMENTS
-        def work_bytes(K):
-            risks = 8 * (m * K + 3 * 2 ** (config.d * (level + 1)) + 6 * K + BLOCK_ELEMENTS)
-            return max(coefficient_work_bytes(config.d, k, level, K), risks)
-
+        # the coefficient pass, and the point's passes over its store after it
+        work_bytes = partial(coefficient_work_bytes, config.d, k, level)
         K = _checked_K(config, level, m, f"d = {config.d}, n = {n:g}: k = {k}, ", work_bytes)
         tasks.append((index, n, partial(_family_point, config, k, level, K)))
     return tasks
@@ -264,7 +260,7 @@ def _grid_tasks(config: ExperimentConfig) -> list:
 class _Point(NamedTuple):
     """What a grid point needs besides n: candidate truths and their prior."""
 
-    rows: np.ndarray  # each candidate truth's first K coefficients
+    rows: SparseRows  # each candidate truth's first K coefficients
     norm_sq: float  # every candidate's full squared norm
     spectrum: Spectrum
     spectrum_id: str
@@ -278,7 +274,7 @@ def _family_point(config: ExperimentConfig, k: int, level: int, K: int) -> _Poin
     coeffs = compute_coefficients(family, haar_tensor_basis(config.d, level), K)
     spectrum, spectrum_id = _spectrum_for(config, coeffs)
     return _Point(
-        coeffs.entries,
+        coeffs,
         pyramid_norm_sq(config.d, k),
         spectrum,
         spectrum_id,
@@ -297,15 +293,16 @@ def _grid_point(config: ExperimentConfig, stages, task) -> list[RiskRow]:
     """
     index, n, build = task
     point = build()
-    risks, tails = member_risks(point.spectrum, point.rows, n, point.norm_sq)
-    j = worst_member(risks)
-    truth = TruthCoefficients(point.rows[j], point.spectrum.basis_id)
-    mu_sq, tail = float(risks[j]), float(tails[j])
+    # the store's sums only choose the worst truth; its reported risk comes
+    # from its dense row, so it keeps its bits whatever family it came from
+    j = worst_member(member_risks(point.spectrum, point.rows, n, point.norm_sq)[0]) if point.rows.m > 1 else 0
+    truth = TruthCoefficients(point.rows.row(j), point.spectrum.basis_id)
+    mu_sq, tail = truth_risk(point.spectrum, truth, n, point.norm_sq)
     row = RiskRow(
         d=config.d,
         n=n,
         k=point.k,
-        m=len(point.rows),
+        m=point.rows.m,
         spectrum_id=point.spectrum_id,
         K=point.spectrum.size,
         exact_risk=mu_sq,
@@ -459,7 +456,7 @@ def run_wavelet_study(config: ExperimentConfig) -> RiskReport:
     spectrum = Spectrum(prior.to_spectrum().eigenvalues[:K], basis.basis_id)
     norm_sq = surrogate.norm_sq()
     point = _Point(
-        truth.theta[None, :],
+        SparseRows.from_dense(truth.theta[None, :]),
         norm_sq,
         spectrum,
         f"wavelet:tau={config.tau:g}:alpha={config.alpha:g}",

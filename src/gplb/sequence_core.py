@@ -26,7 +26,7 @@ gammas), so every randomized operation is a pure function of (inputs, seed).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,10 +37,10 @@ __all__ = [
     "SequenceObservation",
     "GPPosterior",
     "TruthCoefficients",
+    "SparseRows",
     "sample_observation",
     "posterior_update",
     "exact_risk",
-    "exact_risks",
     "mc_risk",
     "contraction_probability",
     "contraction_mass",
@@ -52,8 +52,7 @@ __all__ = [
 ]
 
 
-# float64 elements a blocked pass over a coefficient matrix holds at once
-# (128 KiB): exact_risks and the T_k pass of adversarial.CoefficientMatrix
+# float64 elements a block of spectra in SparseRows.risks holds at once (128 KiB)
 BLOCK_ELEMENTS = 2**14
 
 
@@ -74,7 +73,7 @@ def _frozen_array(values, name: str, *, allow_negative: bool, stacked: bool = Fa
 class Spectrum:
     """Prior eigenvalues lambda_k on the first K coordinates of a basis.
 
-    ``eigenvalues`` may stack S spectra (S, K) for :func:`exact_risks`.
+    ``eigenvalues`` may stack S spectra (S, K) for :meth:`SparseRows.risks`.
     Zero eigenvalues are permitted and describe coordinates the prior does
     not model (shrinkage weight 0, posterior variance 0), which covers
     finite-rank priors.  The prior puts no mass beyond coordinate K: a
@@ -108,6 +107,137 @@ class TruthCoefficients:
     @property
     def size(self) -> int:
         return int(self.theta.size)
+
+
+def _read_only(arr, dtype) -> np.ndarray:
+    """``arr`` itself if it is a read-only array of ``dtype``, else a read-only copy."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and not arr.flags.writeable):
+        arr = np.array(arr, dtype=dtype)
+        arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True)
+class SparseRows:
+    """The first K coefficients of m truths, kept as their nonzeros (compressed sparse rows).
+
+    Row j holds ``values[row_starts[j]:row_starts[j + 1]]`` at the
+    coordinates ``columns[row_starts[j]:row_starts[j + 1]]``; its other
+    coefficients are 0.  A row must hold each coordinate at most once, as
+    :meth:`from_dense` and ``adversarial.compute_coefficients`` make them.
+    That is not checked, since the check would sort the stored positions
+    on every construction: a repeated coordinate would count twice in the
+    row sums, while :meth:`row` and :attr:`entries` keep one of its
+    values.  The three arrays are copied into read-only ones, unless they
+    already are read-only arrays of float64, int64 and int64.
+    ``row_mass`` holds each row's sum of squares.  Every pass over the
+    rows costs O(nonzeros + m), not O(m K).
+    """
+
+    values: np.ndarray
+    columns: np.ndarray
+    row_starts: np.ndarray
+    K: int
+    row_mass: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        values = _read_only(self.values, np.float64)
+        columns = _read_only(self.columns, np.int64)
+        starts = _read_only(self.row_starts, np.int64)
+        if not (
+            values.ndim == columns.ndim == starts.ndim == 1 and values.size == columns.size
+            and starts.size >= 2 and starts[0] == 0 and starts[-1] == values.size
+            and np.all(starts[:-1] <= starts[1:])
+        ):
+            raise ContractError(
+                "sparse rows need 1-d values and columns of one length, and row starts "
+                "rising from 0 to that length"
+            )
+        if self.K < 1 or (columns.size and not 0 <= columns.min() <= columns.max() < self.K):
+            raise ContractError(f"sparse rows need K >= 1 and columns in 0..K - 1, got K = {self.K}")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "row_starts", starts)
+        row_mass = self.row_sums(np.square(values))
+        row_mass.setflags(write=False)
+        object.__setattr__(self, "row_mass", row_mass)
+
+    @classmethod
+    def from_dense(cls, rows, *args):
+        """The nonzeros of the m x K array ``rows``; ``args`` go on to a subclass."""
+        rows = np.asarray(rows, dtype=float)
+        if rows.ndim != 2:
+            raise ContractError("dense rows must form a 2-d array, one truth per row")
+        kept = rows != 0.0
+        starts = np.concatenate(([0], np.cumsum(np.count_nonzero(kept, axis=1))))
+        return cls(rows[kept], np.nonzero(kept)[1], starts, rows.shape[1], *args)
+
+    @property
+    def m(self) -> int:
+        return int(self.row_starts.size - 1)
+
+    def row_sums(self, terms: np.ndarray) -> np.ndarray:
+        """Each row's sum of ``terms``, one term per stored value along the last axis; 0 for a row with none.
+
+        One ``np.add.reduceat``, which sums a long row pairwise, as ``np.sum`` does.
+        """
+        sums = np.zeros(terms.shape[:-1] + (self.m,))
+        starts = self.row_starts[:-1]
+        # reduceat gives an empty segment the next segment's first term, so
+        # only the rows holding a term take part
+        filled = starts < self.row_starts[1:]
+        sums[..., filled] = np.add.reduceat(terms, starts[filled], axis=-1)
+        return sums
+
+    def row(self, j: int) -> np.ndarray:
+        """Row j as its K coefficients."""
+        lo, hi = self.row_starts[j], self.row_starts[j + 1]
+        dense = np.zeros(self.K)
+        dense[self.columns[lo:hi]] = self.values[lo:hi]
+        return dense
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The m x K coefficients, made read-only on each access; no study reads them."""
+        dense = np.zeros((self.m, self.K))
+        dense[np.repeat(np.arange(self.m), np.diff(self.row_starts)), self.columns] = self.values
+        dense.setflags(write=False)
+        return dense
+
+    def risks(self, spectrum: Spectrum, n: float) -> np.ndarray:
+        """:func:`exact_risk` at every row; a stack of S spectra gives (S, m) risks.
+
+        Row j gets the bias sum_k ((1 - a_k) theta_jk)^2 over its stored
+        coefficients (:meth:`row_sums`), plus the variance sum_k a_k^2 / n,
+        made once per spectrum with the bits it has in :func:`exact_risk`.
+        The bias reads each stored value once per spectrum; its terms sum in
+        another grouping than the dense row's, so a risk can differ from
+        :func:`exact_risk` of the row in its last bits.  Spectra go in
+        blocks whose shrinkage and products hold about
+        :data:`BLOCK_ELEMENTS` elements, and row s of a stack has the bits
+        of spectrum s alone.
+        """
+        if not (n > 0 and math.isfinite(n)):
+            raise DomainError("sample size n must be positive and finite")
+        _check_same_shape(spectrum.eigenvalues.shape[-1:], (self.K,), "SparseRows.risks")
+        lams = spectrum.eigenvalues.reshape(-1, self.K)
+        stack = max(1, BLOCK_ELEMENTS // (self.values.size + 3 * self.K))
+        risks = np.empty((len(lams), self.m))
+        for s in range(0, len(lams), stack):
+            risks[s : s + stack] = self._block_risks(lams[s : s + stack], n)
+        return risks.reshape(spectrum.eigenvalues.shape[:-1] + (self.m,))
+
+    def _block_risks(self, lams: np.ndarray, n: float) -> np.ndarray:
+        """The (S', m) risks of a block of spectra (S', K).
+
+        Its shrinkage and products live only in this call, so the next
+        block's never meets them.
+        """
+        weights, one_minus, _ = _shrinkage(lams, n)
+        terms = one_minus[:, self.columns]  # np.take along axis 1 holds a second copy
+        terms *= self.values
+        np.square(terms, out=terms)
+        return self.row_sums(terms) + (np.sum(np.square(weights, out=weights), axis=-1) / n)[:, None]
 
 
 @dataclass(frozen=True)
@@ -217,57 +347,17 @@ def posterior_update(spectrum: Spectrum, observation: SequenceObservation) -> GP
 def exact_risk(spectrum: Spectrum, theta: TruthCoefficients, n: float) -> float:
     """Exact squared risk of the posterior mean at the given truth.
 
-    Computes sum_k (a_k - 1)^2 theta_k^2 + a_k^2 / n over the truncated
-    coordinates: :func:`exact_risks` at the single row theta.
-    """
-    return float(exact_risks(spectrum, theta.theta[None, :], n, basis_id=theta.basis_id)[0])
-
-
-def exact_risks(spectrum: Spectrum, thetas, n: float, *, basis_id: str) -> np.ndarray:
-    """:func:`exact_risk` at every row of ``thetas`` (m x K), in blocks.
-
-    Row j gets sum_k ((1 - a_k) theta_jk)^2 + sum_k a_k^2 / n; a stack of S
-    spectra gives (S, m) risks.  The (spectrum, row) pairs go in blocks of
-    at most :data:`BLOCK_ELEMENTS` elements: a block's spectra's shrinkage,
-    three arrays of K each, and their products with the block's rows,
-    squared in place in one buffer.  Only where one spectrum's shrinkage
-    and one row need more, four arrays of K, does a block exceed it.  Each
-    pair is still summed on its own over its K entries, so row s of a stack
-    is bit-equal to spectrum s alone, and every risk to the one-expression
-    np.sum((one_minus * thetas) ** 2, axis=-1) + sum_k a_k^2 / n.
+    Computes sum_k ((1 - a_k) theta_k)^2 + sum_k a_k^2 / n over the
+    truncated coordinates, each sum pairwise over its K terms.  The risks
+    of many truths are :meth:`SparseRows.risks`.
     """
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
-    _check_same_basis(spectrum.basis_id, basis_id, "exact_risks")
-    thetas = np.ascontiguousarray(thetas, dtype=float)
-    if thetas.ndim != 2:
-        raise ContractError("exact_risks needs a 2-d array of truths, one per row")
-    _check_same_shape(spectrum.eigenvalues.shape[-1:], thetas.shape[1:], "exact_risks")
-    (m, K), lams = thetas.shape, spectrum.eigenvalues.reshape(-1, thetas.shape[1])
-    rows = max(1, min(m, BLOCK_ELEMENTS // K - 3))
-    stack = max(1, min(len(lams), BLOCK_ELEMENTS // ((3 + m) * K))) if rows >= m else 1
-    risks = np.empty((len(lams), m))
-    products = np.empty(stack * rows * K)
-    for s in range(0, len(lams), stack):
-        _block_risks(lams[s : s + stack], thetas, n, rows, products, risks[s : s + stack])
-    return risks.reshape(spectrum.eigenvalues.shape[:-1] + (m,))
-
-
-def _block_risks(lams, thetas, n: float, rows: int, products: np.ndarray, out: np.ndarray) -> None:
-    """The risks of a block of spectra (S', K) at every row, into ``out`` (S', m).
-
-    ``products`` takes the spectra's products with ``rows`` rows at a time.
-    The shrinkage lives only in this call, so the next block's never meets it.
-    """
-    weights, one_minus, _ = _shrinkage(lams, n)
-    S, K = lams.shape
-    for j in range(0, len(thetas), rows):
-        block = thetas[j : j + rows]
-        part = products[: S * block.size].reshape(S, len(block), K)
-        np.multiply(one_minus[:, None, :], block, out=part)
-        np.square(part, out=part)
-        np.sum(part, axis=-1, out=out[:, j : j + rows])
-    out += (np.sum(np.square(weights, out=weights), axis=-1) / n)[:, None]
+    _check_same_basis(spectrum.basis_id, theta.basis_id, "exact_risk")
+    _check_same_shape(spectrum.eigenvalues.shape, theta.theta.shape, "exact_risk")  # one spectrum
+    weights, one_minus, _ = _shrinkage(spectrum.eigenvalues, n)
+    bias = np.multiply(one_minus, theta.theta, out=one_minus)  # squared in place
+    return float(np.sum(np.square(bias, out=bias)) + np.sum(np.square(weights, out=weights)) / n)
 
 
 def _error_law(spectrum: Spectrum, theta: TruthCoefficients, n: float, what: str):
@@ -444,7 +534,11 @@ def _quadratic_form_tail(b_sq: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.n
     b_unit, v_unit = b_sq / mean, v / mean
     sd = math.sqrt(float(np.sum(2.0 * v_unit * v_unit + 4.0 * b_unit * v_unit)))
     # in units of the standard deviation of the form the scales are O(1)
-    b_unit, v_unit, x_unit, mean_unit = b_unit / sd, v_unit / sd, x[open_] / mean / sd, 1.0 / sd
+    b_unit, v_unit, mean_unit = b_unit / sd, v_unit / sd, 1.0 / sd
+    # an x_i beyond the float range in these units is infinitely far above
+    # the mean; the first upper rung settles it to 0
+    with np.errstate(over="ignore"):
+        x_unit = x[open_] / mean / sd
     settled = _ladder_settles(b_unit, v_unit, x_unit, mean_unit)
     masses[open_[settled]] = x_unit[settled] < mean_unit  # 1 below the mean, 0 above it
     for i in open_[~settled]:

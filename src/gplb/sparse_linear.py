@@ -309,6 +309,6 @@ def gp_mean_dominates_linear(
     family = coeffs.family
     c_n_sq = pyramid_norm_sq(family.d, family.k)
     sigma = 1.0 / math.sqrt(c_n_sq * n)
-    gp_risk_max = float(member_risks(spectrum, coeffs.entries, n, c_n_sq)[0].max())
+    gp_risk_max = float(member_risks(spectrum, coeffs, n, c_n_sq)[0].max())
     floor = c_n_sq * linear_minimax_risk(family.m, sigma).risk
     return DominationCheck(gp_risk_max, floor, gp_risk_max >= floor)

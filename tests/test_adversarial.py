@@ -31,15 +31,22 @@ from gplb.adversarial import (
     pyramid_norm_sq,
     risk_lower_bound,
     tk_matched_spectrum,
+    truth_risk,
     worst_member,
 )
 from gplb.errors import ContractError, DomainError
 from gplb.harness.study import grid_count
 from gplb.integrate import adaptive_box_integral, gl_box, pyramid_box_integral, pyramid_grid_integrals
-from gplb.sequence_core import BLOCK_ELEMENTS, Spectrum, TruthCoefficients, exact_risk
+from gplb.sequence_core import BLOCK_ELEMENTS, SparseRows, Spectrum, TruthCoefficients, exact_risk
 from gplb.wavelet import HaarTensorBasis, haar_tensor_basis
-from test_sequence_core import traced_peak
+from test_sequence_core import dense_risks, traced_peak
 from test_wavelet import constant_panels
+
+
+def within_ulps(actual, expected, ulps=4):
+    """Whether every value is within ``ulps`` units in the last place of its expected value."""
+    actual, expected = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    return bool(np.all(np.abs(actual - expected) <= ulps * np.spacing(np.abs(expected))))
 
 
 def pyramid_fn(center, bandwidth):
@@ -380,6 +387,55 @@ def test_coefficients_equal_the_per_member_transform_bit_for_bit(d, k, J):
         ), K
 
 
+def dense_scatter(family, basis, K):
+    """Oracle: the windowed pass's coefficients scattered into a dense m x K matrix.
+
+    The stacked window values and their basis positions come from
+    ``analyze_windows`` as in :func:`compute_coefficients`; member
+    (l_1, ..., l_d) is row l_1 k^{d-1} + ... + l_d, and every entry no
+    window reaches is 0.
+    """
+    d, k, N = family.d, family.k, basis.cells_per_axis
+    starts, width = _windows(k, N)
+    edges = (starts[:, None] + np.arange(width + 1)) / N
+    cells = pyramid_grid_integrals([family.centers[:k, -1]] * d, family.bandwidth, [edges] * d)
+    first = np.arange(k) * N // k
+    stop = -((-np.arange(1, k + 1) * N) // k)
+    cell = starts[:, None] + np.arange(width)
+    inside = ((first[:, None] <= cell) & (cell < stop[:, None])).astype(float)
+    for axis in range(d):
+        shape = [1] * (2 * d)
+        shape[2 * axis : 2 * axis + 2] = inside.shape
+        cells *= inside.reshape(shape)
+    values, positions = basis.analyze_windows(cells, starts)
+    member = np.broadcast_to(np.arange(family.m).reshape((k, 1) * d), positions.shape)
+    kept = positions < K
+    entries = np.zeros((family.m, K))
+    entries[member[kept], positions[kept]] = values[kept]
+    return entries
+
+
+@pytest.mark.parametrize("d,k,J", PER_MEMBER_CASES)
+def test_store_passes_match_the_dense_scatter(d, k, J):
+    family = build_pyramid_family(d, k)
+    basis = haar_tensor_basis(d, J)
+    n, norm_sq = 1e3, pyramid_norm_sq(d, k)
+    for K in sorted({basis.size, basis.size - basis.size // 3, 1}):
+        coeffs = compute_coefficients(family, basis, K)
+        dense = dense_scatter(family, basis, K)
+        assert np.array_equal(coeffs.entries, dense), K
+        assert np.count_nonzero(coeffs.values == 0.0) == 0 and coeffs.values.size == np.count_nonzero(dense)
+        assert np.array_equal(coeffs.tk, (dense**2).mean(axis=0)), K
+        mass = np.sum(dense**2, axis=1)
+        assert within_ulps(coeffs.row_mass, mass), K
+        spectrum = tk_matched_spectrum(coeffs)
+        risks, tails = member_risks(spectrum, coeffs, n, norm_sq)
+        dense_tails = np.maximum(norm_sq - mass, 0.0)
+        in_span = dense_risks(spectrum.eigenvalues, dense, n)
+        assert within_ulps(coeffs.risks(spectrum, n), in_span), K
+        assert within_ulps(risks, in_span + dense_tails), K
+
+
 def test_coefficient_work_bytes_bounds_the_traced_peak():
     # fresh bases, so the peak includes building the basis's order and rank;
     # the risk-d2 points, d = 3 at n = 1e4, minimal-level bases and a cut K
@@ -422,12 +478,13 @@ def test_tk_values_are_computed_once_and_read_only():
     assert np.array_equal(tk, (coeffs.entries**2).mean(axis=0))
     assert np.array_equal(tk_matched_spectrum(coeffs).eigenvalues, tk)
     assert risk_lower_bound(coeffs, 1e4) == float(np.minimum(tk, 1e-4).sum())
-    # 2025 members square 7 columns at a time: 172 blocks, the bits of one pass
+    # 2025 members with half their coefficients 0: one bincount has the bits of the column mean
     family = build_pyramid_family(1, 2025)
     rng = np.random.default_rng(5)
     entries = rng.standard_normal((family.m, 1200)) * 1e-9 * (rng.random((family.m, 1200)) < 0.5)
-    blocked = CoefficientMatrix(entries, "haar1d_J10", family)
-    assert np.array_equal(blocked.tk, (blocked.entries**2).mean(axis=0))
+    sparse = CoefficientMatrix.from_dense(entries, "haar1d_J10", family)
+    assert np.array_equal(sparse.tk, (entries**2).mean(axis=0))
+    assert np.array_equal(sparse.entries, entries)
 
 
 B = BLOCK_ELEMENTS
@@ -444,40 +501,78 @@ B = BLOCK_ELEMENTS
     ],
 )
 def test_blocked_tk_equals_the_one_expression_bit_for_bit(m, K):
+    # one row or column, many rows, K past BLOCK_ELEMENTS: the store's T_k is
+    # one bincount, which must keep the dense column mean's bits at each shape
     rng = np.random.default_rng(m + K)
     entries = rng.standard_normal((m, K)) * 10.0 ** rng.uniform(-9.0, 0.0, (m, K))
     family = build_pyramid_family(1, m)
     # scaled under the member norm, so the Bessel check passes
     entries *= math.sqrt(pyramid_norm_sq(1, m) / 2.0 / np.max(np.sum(entries**2, axis=1)))
-    coeffs = CoefficientMatrix(entries, "b", family)
-    assert np.array_equal(coeffs.tk, (coeffs.entries**2).mean(axis=0))
-    # the row masses summed block by block still catch a row over the norm,
-    # its mass spread over every block
+    coeffs = CoefficientMatrix.from_dense(entries, "b", family)
+    assert np.array_equal(coeffs.tk, (entries**2).mean(axis=0))
+    assert within_ulps(coeffs.row_mass, np.sum(entries**2, axis=1))
+    # a row over the norm, its mass spread over every column, is refused
     entries[m // 2] *= math.sqrt(1.1 * pyramid_norm_sq(1, m) / np.sum(entries[m // 2] ** 2))
     with pytest.raises(ContractError, match="exceed the member norm"):
-        CoefficientMatrix(entries, "b", family)
+        CoefficientMatrix.from_dense(entries, "b", family)
 
 
 def test_tk_pass_stays_within_the_block_budget():
-    # the largest risk-d2 point: 16 members, 16384 coefficients; squaring the
-    # whole matrix made a second 2 MiB array
+    # the largest risk-d2 point's shape, 16 members and 16384 coefficients,
+    # every tenth one stored: building the matrix holds one array of squares
+    # at a time and T_k, and nothing of m x K
     family = build_pyramid_family(2, 4)
     rng = np.random.default_rng(4)
     entries = rng.standard_normal((16, 16384)) * math.sqrt(pyramid_norm_sq(2, 4) / 2.0 / 16384)
-    entries.setflags(write=False)
-    tk, peak = traced_peak(lambda: CoefficientMatrix(entries, "b", family).tk)
-    # 8 KiB for array headers, views and vectors of m row masses
-    assert peak <= 8 * BLOCK_ELEMENTS + tk.nbytes + 8192, peak
+    entries[:, np.arange(16384) % 10 != 0] = 0.0
+    store = SparseRows.from_dense(entries)
+    tk, peak = traced_peak(
+        lambda: CoefficientMatrix(store.values, store.columns, store.row_starts, 16384, "b", family).tk
+    )
+    # one square and one column copy per stored value (np.bincount copies
+    # read-only input), T_k and its bincount, 8 KiB for headers and vectors of m
+    assert peak <= store.values.nbytes + store.columns.nbytes + 2 * tk.nbytes + 8192, peak
 
 
 def test_coefficient_matrix_keeps_a_read_only_float_array_and_copies_others():
     family = build_pyramid_family(1, 2)
-    frozen = np.zeros((2, 3))
-    frozen.setflags(write=False)
-    assert CoefficientMatrix(frozen, "haar1d_J0", family).entries is frozen
-    writable = np.zeros((2, 3))
-    kept = CoefficientMatrix(writable, "haar1d_J0", family).entries
-    assert kept is not writable and not kept.flags.writeable and writable.flags.writeable
+    arrays = [np.array([0.1, -0.1]), np.array([0, 2]), np.array([0, 1, 2])]
+    for arr in arrays:
+        arr.setflags(write=False)
+    frozen = CoefficientMatrix(*arrays, 3, "haar1d_J0", family)
+    assert all(kept is arr for kept, arr in zip((frozen.values, frozen.columns, frozen.row_starts), arrays))
+    writable = [np.array([0.1, -0.1]), [0, 2], np.array([0, 1, 2], dtype=np.int32)]
+    copied = CoefficientMatrix(*writable, 3, "haar1d_J0", family)
+    for kept, arr in zip((copied.values, copied.columns, copied.row_starts), writable):
+        assert kept is not arr and not kept.flags.writeable and kept.dtype in (np.float64, np.int64)
+    assert writable[0].flags.writeable
+    assert np.array_equal(copied.entries, [[0.1, 0.0, 0.0], [0.0, 0.0, -0.1]])
+    assert not copied.entries.flags.writeable
+
+
+def test_sparse_rows_contract_errors():
+    family = build_pyramid_family(1, 2)
+    values = np.array([0.1, 0.2])
+    for columns, starts, K in [
+        ([0, 3], [0, 1, 2], 3),  # a column past K - 1
+        ([0, -1], [0, 1, 2], 3),  # a negative column
+        ([0, 1], [0, 2, 1], 3),  # falling row starts
+        ([0, 1], [1, 1, 2], 3),  # not starting at 0
+        ([0, 1], [0, 1, 3], 3),  # not ending at the number of values
+        ([0], [0, 1, 2], 3),  # fewer columns than values
+        ([0, 0], [0, 1, 2], 0),  # K = 0
+    ]:
+        with pytest.raises(ContractError):
+            SparseRows(values, columns, starts, K)
+    # one coordinate in two rows is two truths' coefficients
+    assert SparseRows(values, [2, 2], [0, 1, 2], 3).entries.tolist() == [[0, 0, 0.1], [0, 0, 0.2]]
+    coeffs = CoefficientMatrix(values / 10.0, [0, 1], [0, 1, 2], 3, "b", family)
+    with pytest.raises(ContractError, match="does not match basis"):
+        coeffs.risks(Spectrum([1.0, 1.0, 1.0], "other"), 10.0)
+    with pytest.raises(ContractError, match="do not match family size"):
+        CoefficientMatrix(values, [0, 1], [0, 2], 3, "b", family)
+    with pytest.raises(ContractError):
+        SparseRows.from_dense(np.zeros(3))
 
 
 def test_coefficient_contract_errors():
@@ -495,7 +590,7 @@ def test_rows_violating_bessel_are_rejected():
     family = build_pyramid_family(1, 1)
     overweight = np.array([[math.sqrt(pyramid_norm_sq(1, 1)) * 1.1, 0.0]])
     with pytest.raises(ContractError):
-        CoefficientMatrix(overweight, "haar1d_J0", family)
+        CoefficientMatrix.from_dense(overweight, "haar1d_J0", family)
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +600,7 @@ def test_rows_violating_bessel_are_rejected():
 def test_tk_values_average_squared_entries():
     family = build_pyramid_family(1, 2)
     entries = np.array([[0.06, 0.0, 0.02], [0.0, 0.06, -0.02]])
-    coeffs = CoefficientMatrix(entries, "haar1d_J1", family)
+    coeffs = CoefficientMatrix.from_dense(entries, "haar1d_J1", family)
     expected = np.array([0.0018, 0.0018, 0.0004])
     assert np.allclose(coeffs.tk, expected, rtol=1e-15)
 
@@ -527,13 +622,13 @@ def test_matched_spectrum_copies_the_mass_profile():
 
 def test_risk_floor_trivial_and_saturated_cases():
     family = build_pyramid_family(1, 2)
-    zero = CoefficientMatrix(np.zeros((2, 4)), "haar1d_J1", family)
+    zero = CoefficientMatrix.from_dense(np.zeros((2, 4)), "haar1d_J1", family)
     assert risk_lower_bound(zero, 100.0) == 0.0
     n = 1000.0
     unit = build_pyramid_family(1, 1)
     # three coefficients with squared size >= 1/n, the rest zero
     row = np.array([[0.2, -0.1, 0.04, 0.0]])
-    saturated = CoefficientMatrix(row, "haar1d_J1", unit)
+    saturated = CoefficientMatrix.from_dense(row, "haar1d_J1", unit)
     assert risk_lower_bound(saturated, n) == pytest.approx(3.0 / n, rel=1e-12)
     with pytest.raises(DomainError):
         risk_lower_bound(saturated, 0.0)
@@ -749,18 +844,79 @@ def test_member_risks_add_each_rows_truncation_tail():
     norm_sq = float(np.max(np.einsum("ij,ij->i", rows, rows))) * 1.5
     rows[2] *= math.sqrt(norm_sq / float(rows[2] @ rows[2]))  # no tail
     spectrum = Spectrum(10.0 ** rng.uniform(-4.0, 0.0, K), "b")
-    risks, tails = member_risks(spectrum, rows, 300.0, norm_sq)
+    risks, tails = member_risks(spectrum, SparseRows.from_dense(rows), 300.0, norm_sq)
     for j, row in enumerate(rows):
         tail = max(norm_sq - float(row @ row), 0.0)
-        assert tails[j] == tail
-        assert risks[j] == exact_risk(spectrum, TruthCoefficients(row, "b"), 300.0) + tail
+        assert within_ulps(tails[j], tail)
+        assert within_ulps(risks[j], exact_risk(spectrum, TruthCoefficients(row, "b"), 300.0) + tail)
     assert tails[2] <= 1e-15 * norm_sq and np.all(tails[[0, 1, 3, 4, 5]] > 0.0)
+
+
+def test_sparse_risks_of_a_stack_of_spectra_equal_each_spectrum_alone():
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((7, 300)) * (rng.random((7, 300)) < 0.3)
+    store = SparseRows.from_dense(rows)
+    # about 630 stored values: blocks of 10 spectra, the last one short
+    lams = 10.0 ** rng.uniform(-4.0, 1.0, (37, 300))
+    stacked = store.risks(Spectrum(lams, "b"), 200.0)
+    assert stacked.shape == (37, 7)
+    for s in range(37):
+        assert np.array_equal(stacked[s], store.risks(Spectrum(lams[s], "b"), 200.0))
+    assert within_ulps(stacked, dense_risks(lams, rows, 200.0))
+    with pytest.raises(ContractError):
+        store.risks(Spectrum(lams[:, :299], "b"), 200.0)
+    with pytest.raises(DomainError):
+        store.risks(Spectrum(lams[0], "b"), 0.0)
+
+
+def test_member_risks_of_rows_that_keep_no_coefficient():
+    # empty rows first, inside and last: np.add.reduceat would give each the
+    # next row's first term; an empty row has no bias and its whole norm as tail
+    rows = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, -0.2], [0.0, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0] * 3])
+    store = SparseRows.from_dense(rows)
+    assert store.row_starts.tolist() == [0, 0, 2, 2, 3, 3]
+    spectrum = Spectrum([1.0, 0.5, 0.0], "b")
+    n, norm_sq = 50.0, 0.25
+    risks, tails = member_risks(spectrum, store, n, norm_sq)
+    variance = exact_risk(spectrum, TruthCoefficients(np.zeros(3), "b"), n)
+    assert risks[[0, 2, 4]].tolist() == [variance + norm_sq] * 3 and tails[[0, 2, 4]].tolist() == [norm_sq] * 3
+    for j in (1, 3):
+        truth = TruthCoefficients(rows[j], "b")
+        assert within_ulps(risks[j], exact_risk(spectrum, truth, n) + norm_sq - rows[j] @ rows[j])
+    # no stored value at all
+    empty = SparseRows.from_dense(np.zeros((2, 3)))
+    assert member_risks(spectrum, empty, n, norm_sq)[0].tolist() == [variance + norm_sq] * 2
+    # K = 1: one coefficient per member, the constant function's
+    family = build_pyramid_family(2, 3)
+    coeffs = compute_coefficients(family, haar_tensor_basis(2, 3), 1)
+    assert coeffs.K == 1 and coeffs.row_starts.tolist() == list(range(10))
+    dense = coeffs.entries
+    one = Spectrum([2.0], coeffs.basis_id)
+    risks, tails = member_risks(one, coeffs, n, pyramid_norm_sq(2, 3))
+    assert within_ulps(tails, pyramid_norm_sq(2, 3) - dense[:, 0] ** 2)
+    assert within_ulps(risks, dense_risks(one.eigenvalues, dense, n) + tails)
 
 
 def test_member_risks_sum_long_rows_in_pieces():
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((2, 20000))
     norm_sq = 1e5
-    _, tails = member_risks(Spectrum(np.ones(20000), "b"), rows, 10.0, norm_sq)
+    _, tails = member_risks(Spectrum(np.ones(20000), "b"), SparseRows.from_dense(rows), 10.0, norm_sq)
     expected = norm_sq - np.sum(rows**2, axis=1)
     assert np.allclose(tails, expected, rtol=1e-14, atol=0.0)
+
+
+def test_truth_risk_is_one_rows_member_risk_from_its_dense_sums():
+    # a row longer than one 8192-term dot, and a short one with no tail
+    rng = np.random.default_rng(6)
+    for K, scale in ((20000, 2.0), (300, 1.0)):
+        theta = rng.standard_normal(K) * (rng.random(K) < 0.4)
+        norm_sq = scale * float(theta @ theta)
+        spectrum = Spectrum(10.0 ** rng.uniform(-4.0, 0.0, K), "b")
+        truth = TruthCoefficients(theta, "b")
+        risk, tail = truth_risk(spectrum, truth, 50.0, norm_sq)
+        chunks = [theta[i : i + 8192] for i in range(0, K, 8192)]
+        assert tail == max(norm_sq - sum(c @ c for c in chunks), 0.0)
+        assert risk == exact_risk(spectrum, truth, 50.0) + tail
+        risks, tails = member_risks(spectrum, SparseRows.from_dense(theta[None, :]), 50.0, norm_sq)
+        assert within_ulps(risks[0], risk) and abs(tails[0] - tail) <= 4 * np.spacing(norm_sq)

@@ -33,6 +33,7 @@ import gplb.integrate as integrate
 import gplb.sequence_core as sequence_core
 import gplb.sparse_linear as sparse_linear
 from gplb.adversarial import (
+    CoefficientMatrix,
     PyramidFamily,
     build_pyramid_family,
     compute_coefficients,
@@ -76,7 +77,6 @@ from gplb.sequence_core import (
     Spectrum,
     TruthCoefficients,
     exact_risk,
-    exact_risks,
     posterior_update,
     sample_observation,
 )
@@ -87,6 +87,8 @@ from gplb.wavelet import (
     single_function_risk_bound,
     wavelet_prior_preset,
 )
+from test_adversarial import within_ulps
+from test_sequence_core import dense_risks
 from test_sparse_linear import per_pair_grid_minimum
 from test_wavelet import constant_panels
 
@@ -795,7 +797,7 @@ def test_worst_member_pick_ignores_rounding_ties(monkeypatch):
     k, _ = grid_count(1, 1e3, "ceil")
     basis = haar_tensor_basis(1, minimal_basis_level(k) + 3)
     coeffs = compute_coefficients(build_pyramid_family(1, k), basis, basis.size)
-    risks = exact_risks(tk_matched_spectrum(coeffs), coeffs.entries, 1e3, basis_id=coeffs.basis_id)
+    risks = dense_risks(tk_matched_spectrum(coeffs).eigenvalues, coeffs.entries, 1e3)
     assert k == 4 and np.ptp(risks) <= 1e-12 * risks.max()
     assert np.array_equal(picked[0], coeffs.entries[0])
 
@@ -974,8 +976,8 @@ def test_oversized_grid_points_fail_before_any_work():
     for part in ("d = 3", "n = 1000", "k = 2", "m = 8", "level = 8", "bytes"):
         assert part in message
     # the size check covers the whole grid, not only the first point
-    later = replace(RISK_CONFIG, n_grid=(200.0, 1e12), level=17)
-    with pytest.raises(ConfigError, match="n = 1e\\+12"):
+    later = replace(RISK_CONFIG, n_grid=(200.0, 1e15), level=21)
+    with pytest.raises(ConfigError, match="n = 1e\\+15"):
         run_risk_study(later)
     # the wavelet study sizes its one basis (m = 1) the same way
     began = time.perf_counter()
@@ -1193,8 +1195,8 @@ def test_diagonal_domination_stacks_equal_the_per_draw_loop(monkeypatch, full, s
 def per_draw_risk_floors(rng, full):
     """The per-draw loop of the risk-floors check before stacking.
 
-    Returns each draw's member risks, summed as the one-spectrum
-    ``exact_risks`` summed them before the stacked form, and the check's
+    Returns each draw's member risks, summed over the dense rows as one
+    spectrum's risks were summed before the stacked form, and the check's
     (ok, detail).
     """
     configs = ((1, 4, 1000.0, 8), (2, 3, 10000.0, 4)) if full else ((1, 4, 1000.0, 6),)
@@ -1233,14 +1235,15 @@ def per_draw_risk_floors(rng, full):
 def test_risk_floors_stacks_equal_the_per_draw_loop(monkeypatch, full, seeds):
     for seed in seeds:
         outputs, result = recorded(
-            monkeypatch, properties, "exact_risks", properties.risk_floors,
+            monkeypatch, CoefficientMatrix, "risks", properties.risk_floors,
             check_rng(full, seed, "risk-floors"), full)
         rows, expected = per_draw_risk_floors(check_rng(full, seed, "risk-floors"), full)
         stacked_rows = [row for risks in outputs for row in risks]
         assert len(stacked_rows) == len(rows), seed
-        assert all(np.array_equal(a, b) for a, b in zip(stacked_rows, rows)), seed
+        # the store sums each row's nonzeros in another grouping than the dense row
+        assert all(within_ulps(a, b) for a, b in zip(stacked_rows, rows)), seed
         # the per-draw worst-member risks
-        assert [a.max() for a in stacked_rows] == [b.max() for b in rows], seed
+        assert within_ulps([a.max() for a in stacked_rows], [b.max() for b in rows]), seed
         assert result == expected, seed
 
 
@@ -1268,8 +1271,7 @@ BREAKS = {
             for A, sigma in zip(estimator.matrix, sigmas)]))],
     # risks at a thousandfold sample size, for each spectrum of a stack
     "risk-floors": [(
-        properties, "exact_risks",
-        lambda f: lambda spectrum, thetas, n, basis_id: f(spectrum, thetas, 1e3 * n, basis_id=basis_id))],
+        CoefficientMatrix, "risks", lambda f: lambda coeffs, spectrum, n: f(coeffs, spectrum, 1e3 * n))],
     "one-sparse-law": [(sparse_linear, "pyramid_norm_sq", lambda f: lambda d, k: 1.01 * f(d, k))],
     # a posterior that ignores the prior's scale barely shrinks
     "risk-concentration": [(

@@ -24,6 +24,7 @@ from gplb.sequence_core import (
     MASS_TOLERANCE,
     GPPosterior,
     SequenceObservation,
+    SparseRows,
     Spectrum,
     TruthCoefficients,
     _ladder_settles,
@@ -31,7 +32,6 @@ from gplb.sequence_core import (
     contraction_mass,
     contraction_probability,
     exact_risk,
-    exact_risks,
     exponential_spectrum,
     flat_spectrum,
     mc_risk,
@@ -149,15 +149,18 @@ def test_exact_risk_multi_coordinate_hand_value():
 
 @pytest.mark.parametrize("seed", range(5))
 def test_exact_risks_equal_the_looped_exact_risk(seed):
+    # the store's risks of many truths against exact_risk of each
     rng = np.random.default_rng(seed)
     K, m = int(rng.integers(1, 300)), int(rng.integers(1, 20))
     lams = 10.0 ** rng.uniform(-8.0, 4.0, K)
     lams[rng.random(K) < 0.3] = 0.0
     spectrum = Spectrum(lams, BASIS)
     thetas = rng.standard_normal((m, K)) * 10.0 ** rng.uniform(-6.0, 0.0, (m, 1))
+    thetas[rng.random((m, K)) < 0.5] = 0.0
     n = 10.0 ** rng.uniform(0.0, 7.0)
     looped = np.array([exact_risk(spectrum, truth_of(*row), n) for row in thetas])
-    assert np.allclose(exact_risks(spectrum, thetas, n, basis_id=BASIS), looped, rtol=1e-14, atol=0.0)
+    risks = SparseRows.from_dense(thetas).risks(spectrum, n)
+    assert np.allclose(risks, looped, rtol=1e-14, atol=0.0)
 
 
 def test_stacked_spectra_give_the_one_spectrum_risks_bit_for_bit():
@@ -165,16 +168,20 @@ def test_stacked_spectra_give_the_one_spectrum_risks_bit_for_bit():
     lams = 10.0 ** rng.uniform(-8.0, 4.0, (6, 50))
     lams[rng.random((6, 50)) < 0.3] = 0.0
     thetas = rng.standard_normal((7, 50))
+    store = SparseRows.from_dense(thetas)
     # an F-ordered stack, as fancy indexing a stack of profiles gives, sums as C rows do
-    stacked = exact_risks(Spectrum(np.asfortranarray(lams), BASIS), thetas, 300.0, basis_id=BASIS)
+    stacked = store.risks(Spectrum(np.asfortranarray(lams), BASIS), 300.0)
     assert stacked.shape == (6, 7)
     for row, lam in zip(stacked, lams):
-        assert np.array_equal(row, exact_risks(Spectrum(lam, BASIS), thetas, 300.0, basis_id=BASIS))
-    # only exact_risks takes a stack of spectra
-    with pytest.raises(ContractError, match="shapes differ"):
-        mc_risk(Spectrum(lams, BASIS), TruthCoefficients(thetas[0], BASIS), 300.0, 10, rng)
-    with pytest.raises(ContractError, match="shapes differ"):
-        posterior_update(Spectrum(lams, BASIS), SequenceObservation(thetas[:6], 300.0, BASIS))
+        assert np.array_equal(row, store.risks(Spectrum(lam, BASIS), 300.0))
+    # only the store's risks take a stack of spectra
+    for call in (
+        lambda: exact_risk(Spectrum(lams, BASIS), TruthCoefficients(thetas[0], BASIS), 300.0),
+        lambda: mc_risk(Spectrum(lams, BASIS), TruthCoefficients(thetas[0], BASIS), 300.0, 10, rng),
+        lambda: posterior_update(Spectrum(lams, BASIS), SequenceObservation(thetas[:6], 300.0, BASIS)),
+    ):
+        with pytest.raises(ContractError, match="shapes differ"):
+            call()
 
 
 def where_shrinkage(lam, n):
@@ -186,8 +193,13 @@ def where_shrinkage(lam, n):
     return n * variances, one_minus, variances
 
 
-def unblocked_risks(lams, thetas, n):
-    """exact_risks as the one expression over the whole (S, m, K) product."""
+def dense_risks(lams, thetas, n):
+    """The risk of every dense row of thetas (m, K) under every spectrum (K,) or (S, K).
+
+    One expression over the whole (S, m, K) product: the oracle of
+    exact_risk, which it equals bit for bit at each row, and of
+    SparseRows.risks, which sums only the stored terms.
+    """
     weights, one_minus, _ = where_shrinkage(lams, n)
     bias = np.sum((one_minus[..., None, :] * thetas) ** 2, axis=-1)
     return bias + (np.sum(weights**2, axis=-1) / n)[..., None]
@@ -208,22 +220,35 @@ B = BLOCK_ELEMENTS
     [
         (None, 1, 1), (4, 1, 1), (None, 1, 300), (3, 1, 300),  # one row
         (100, 4, 128), (41, 7, 200),  # stacks of spectra straddle a block edge
-        (3, 6, B // 8), (None, 5, B // 8),  # a block one row short of m, and just m
-        (2, 16, B // 4), (None, 3, B // 4 + 1),  # one row a block
+        (3, 6, B // 8), (None, 5, B // 8),  # a block of two spectra, and of one
+        (2, 16, B // 4), (None, 3, B // 4 + 1),  # one spectrum a block
         (2, 2, B + 3), (None, 1, 2 * B + 1),  # K longer than the budget
         (5, 3000, 2), (None, 20000, 5),  # many short rows
     ],
 )
 def test_blocked_exact_risks_equal_the_one_expression_bit_for_bit(S, m, K):
+    # exact_risk is the one expression at each row, bit for bit; the store's
+    # risks go in blocks of spectra, and each spectrum's row keeps the bits
+    # it has alone and lies within 4 ulp of the one expression
     rng = np.random.default_rng(m * K)
     shape = (K,) if S is None else (S, K)
     lams = 10.0 ** rng.uniform(-8.0, 4.0, shape)
     lams[rng.random(shape) < 0.3] = 0.0
     thetas = rng.standard_normal((m, K)) * 10.0 ** rng.uniform(-6.0, 0.0, (m, 1))
+    thetas[rng.random((m, K)) < 0.3] = 0.0
     n = 10.0 ** rng.uniform(0.0, 7.0)
-    risks = exact_risks(Spectrum(lams, BASIS), thetas, n, basis_id=BASIS)
+    expected = dense_risks(lams, thetas, n)
+    for s, j in ((s, j) for s in range(S or 1)[:3] for j in {0, m // 2, m - 1}):
+        lam = lams if S is None else lams[s]
+        got = exact_risk(Spectrum(lam, BASIS), truth_of(*thetas[j]), n)
+        assert got == (expected[j] if S is None else expected[s, j])
+    store = SparseRows.from_dense(thetas)
+    risks = store.risks(Spectrum(lams, BASIS), n)
     assert risks.shape == shape[:-1] + (m,)
-    assert np.array_equal(risks, unblocked_risks(lams, thetas, n))
+    for s in range(S or 0):
+        assert np.array_equal(risks[s], store.risks(Spectrum(lams[s], BASIS), n))
+    scale = np.spacing(np.abs(expected))
+    assert np.all(np.abs(risks - expected) <= 4 * scale)
 
 
 def traced_peak(call):
@@ -244,31 +269,35 @@ def traced_peak(call):
 
 @pytest.mark.parametrize("m,K", [(16, 16384), (4, 128)])
 def test_exact_risks_stay_within_the_block_budget(m, K):
-    # a 100-spectrum stack at the largest risk-d2 point, and at the quick
-    # risk-floors size; the one-expression form held a 100 x m x K product.
-    # A block holds BLOCK_ELEMENTS, or at K > BLOCK_ELEMENTS / 4 one row of
-    # one spectrum and its shrinkage: four arrays of K.
+    # the store's risks under a 100-spectrum stack, at the largest risk-d2
+    # point and at the quick risk-floors size, every tenth coefficient
+    # stored.  A block holds about BLOCK_ELEMENTS, or one spectrum's
+    # shrinkage, three arrays of K, and one product per stored value.
     rng = np.random.default_rng(8)
     spectra = Spectrum(10.0 ** rng.uniform(-8.0, 0.0, (100, K)), BASIS)
     thetas = rng.standard_normal((m, K))
-    risks, peak = traced_peak(lambda: exact_risks(spectra, thetas, 1e5, basis_id=BASIS))
-    # NumPy's iteration buffers, np.getbufsize() elements for each operand
-    # of the broadcast product, and 8 KiB for array headers, views and
-    # per-block vectors of S floats
-    overhead = 3 * 8 * np.getbufsize() + 8192
-    assert peak <= 8 * max(BLOCK_ELEMENTS, 4 * K) + risks.nbytes + overhead, peak
+    thetas[:, np.arange(K) % 10 != 0] = 0.0
+    store = SparseRows.from_dense(thetas)
+    risks, peak = traced_peak(lambda: store.risks(spectra, 1e5))
+    # a block's row sums, and 8 KiB for array headers and views
+    block = max(BLOCK_ELEMENTS, store.values.size + 3 * K)
+    assert peak <= 8 * block + risks.nbytes + 3 * 8 * 100 * m + 8192, peak
 
 
 def test_exact_risks_validates_inputs():
+    # exact_risk and the store's risks refuse a mismatched basis, shape or n
     spectrum = spectrum_of(1.0, 0.5)
     with pytest.raises(ContractError):
-        exact_risks(spectrum, np.zeros((2, 2)), 10.0, basis_id="other")
+        exact_risk(spectrum, TruthCoefficients([0.0, 0.0], "other"), 10.0)
     with pytest.raises(ContractError):
-        exact_risks(spectrum, np.zeros((2, 3)), 10.0, basis_id=BASIS)
-    with pytest.raises(ContractError):
-        exact_risks(spectrum, np.zeros(2), 10.0, basis_id=BASIS)
+        exact_risk(spectrum, truth_of(0.0, 0.0, 0.0), 10.0)
     with pytest.raises(DomainError):
-        exact_risks(spectrum, np.zeros((1, 2)), 0.0, basis_id=BASIS)
+        exact_risk(spectrum, truth_of(0.0, 0.0), 0.0)
+    store = SparseRows.from_dense(np.zeros((2, 3)))
+    with pytest.raises(ContractError):
+        store.risks(spectrum, 10.0)
+    with pytest.raises(DomainError):
+        SparseRows.from_dense(np.zeros((1, 2))).risks(spectrum, 0.0)
 
 
 def test_matched_eigenvalue_attains_the_coordinatewise_minimum():
@@ -750,6 +779,19 @@ def test_contraction_mass_on_spectra_spanning_the_float_range_raises_no_warning(
             assert masses[0] == 1.0 and masses[-1] == 0.0
             assert all(0.0 <= a <= 1.0 for a in masses)
             assert all(far <= near + 2.0 * MASS_TOLERANCE for near, far in zip(masses, masses[1:]))
+
+
+def test_contraction_mass_beyond_the_float_range_of_the_form_is_zero_without_a_warning():
+    # the mean is 1e-300 and radius^2 = 1e300, so radius^2 in units of the
+    # mean is past the float range; a stack mixes it with an open radius
+    spectrum, theta = Spectrum([1e-300], BASIS), truth_of(0.0)
+    radii = [1e150, 1e-150, 1e150]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert contraction_mass(spectrum, theta, 100.0, 1e150) == 0.0
+        alone = [contraction_mass(spectrum, theta, 100.0, r) for r in radii]
+        assert contraction_mass(spectrum, theta, 100.0, np.array(radii)).tolist() == alone
+    assert alone[0] == alone[2] == 0.0 and 0.0 < alone[1] < 1.0
 
 
 def test_contraction_mass_where_the_mean_is_far_above_the_standard_deviation():
