@@ -37,7 +37,7 @@ from .integrate import (  # noqa: F401
     pyramid_box_integral,
     pyramid_grid_integrals,
 )
-from .sequence_core import SparseRows, Spectrum, TruthCoefficients, exact_risk
+from .sequence_core import SparseRows, Spectrum
 
 __all__ = [
     "MAX_FAMILY_SIZE",
@@ -51,8 +51,6 @@ __all__ = [
     "coefficient_work_bytes",
     "tk_matched_spectrum",
     "risk_lower_bound",
-    "member_risks",
-    "truth_risk",
     "worst_member",
     "grid_target",
     "lower_bound_constants",
@@ -177,13 +175,13 @@ class CoefficientMatrix(SparseRows):
         tk.setflags(write=False)
         object.__setattr__(self, "tk", tk)
 
-    def risks(self, spectrum: Spectrum, n: float) -> np.ndarray:
+    def risks(self, spectrum: Spectrum, n: float, norm_sq: float | None = None) -> np.ndarray:
         """:meth:`SparseRows.risks`, for a spectrum on this matrix's basis."""
         if spectrum.basis_id != self.basis_id:
             raise ContractError(
                 f"risks: spectrum basis {spectrum.basis_id!r} does not match basis {self.basis_id!r}"
             )
-        return super().risks(spectrum, n)
+        return super().risks(spectrum, n, norm_sq)
 
 
 def _blocks(k: int, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -347,35 +345,6 @@ def risk_lower_bound(coeffs: CoefficientMatrix, n: float) -> float:
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
     return float(np.minimum(coeffs.tk, 1.0 / n).sum())
-
-
-def member_risks(spectrum: Spectrum, rows: SparseRows, n: float, norm_sq: float):
-    """(risks, tails): the exact risk of the posterior mean at each row's full truth.
-
-    Each row of the store holds the first K coefficients of a truth of
-    squared norm ``norm_sq``.  The posterior mean lives in the K-coordinate
-    span, so the tail max(norm_sq - ||row||^2, 0) adds to the in-span risk
-    (:meth:`SparseRows.risks`) as bias.  Both read only the stored nonzeros;
-    a stack of spectra gives (S, m) risks.
-    """
-    tails = np.maximum(norm_sq - rows.row_mass, 0.0)
-    return rows.risks(spectrum, n) + tails, tails
-
-
-def truth_risk(spectrum: Spectrum, truth: TruthCoefficients, n: float, norm_sq: float):
-    """(risk, tail): :func:`member_risks` of one truth, from its first K coefficients.
-
-    :func:`exact_risk` plus the tail max(norm_sq - ||theta||^2, 0).  Its
-    sums run over the K dense coordinates, so the bits do not depend on
-    which other truths shared a store with it.
-    """
-    # ||theta||^2 as BLAS dots of at most 8192 terms: exactly theta @ theta
-    # for short rows, while OpenBLAS threads longer dots, which cost 6-8 ms
-    # a call on a 2-vCPU VM and make the last bits depend on the thread count
-    theta = truth.theta
-    mass = sum(theta[i : i + 8192] @ theta[i : i + 8192] for i in range(0, theta.size, 8192))
-    tail = max(norm_sq - float(mass), 0.0)
-    return exact_risk(spectrum, truth, n) + tail, tail
 
 
 def worst_member(risks) -> int:

@@ -30,11 +30,9 @@ from ..adversarial import (
     compute_coefficients,
     grid_target,
     mean_risk_floor,
-    member_risks,
     pyramid_norm_sq,
     risk_lower_bound,
     tk_matched_spectrum,
-    truth_risk,
     worst_member,
 )
 from ..errors import ConfigError
@@ -44,7 +42,7 @@ from ..sequence_core import (
     TruthCoefficients,
     contraction_mass,
     contraction_probability,  # noqa: F401  rebound here by the benchmark's tracer (bench/layers.py)
-    exact_risk,  # noqa: F401  rebound here by the benchmark's tracer (bench/layers.py)
+    exact_risk,
     exponential_spectrum,
     flat_spectrum,
     mc_risk,
@@ -295,9 +293,9 @@ def _grid_point(config: ExperimentConfig, stages, task) -> list[RiskRow]:
     point = build()
     # the store's sums only choose the worst truth; its reported risk comes
     # from its dense row, so it keeps its bits whatever family it came from
-    j = worst_member(member_risks(point.spectrum, point.rows, n, point.norm_sq)[0]) if point.rows.m > 1 else 0
-    truth = TruthCoefficients(point.rows.row(j), point.spectrum.basis_id)
-    mu_sq, tail = truth_risk(point.spectrum, truth, n, point.norm_sq)
+    j = worst_member(point.rows.risks(point.spectrum, n, point.norm_sq)) if point.rows.m > 1 else 0
+    truth = TruthCoefficients(point.rows.row(j), point.spectrum.basis_id, point.norm_sq)
+    mu_sq = exact_risk(point.spectrum, truth, n)
     row = RiskRow(
         d=config.d,
         n=n,
@@ -313,18 +311,12 @@ def _grid_point(config: ExperimentConfig, stages, task) -> list[RiskRow]:
     if "mc" in stages:
         rng = task_rng(config.seed, index)
         estimate, stderr = mc_risk(point.spectrum, truth, n, config.replications, rng)
-        row = replace(row, mc_risk=estimate + tail, mc_stderr=stderr)
+        row = replace(row, mc_risk=estimate, mc_stderr=stderr)
     if "probes" not in stages:
         return [row]
     radii = [math.sqrt(mu_sq) / divisor for divisor in (4.0, 5.0)]
-    # the truncated mass is at distance tail from every posterior draw, so a
-    # radius^2 at most tail has full mass; one call probes the in-span rest
-    spans = [math.sqrt(r * r - tail) for r in radii if r * r > tail]
-    masses = iter(contraction_mass(point.spectrum, truth, n, spans) if spans else ())
-    return [
-        replace(row, contraction_prob=float(next(masses)) if r * r > tail else 1.0, radius=r)
-        for r in radii
-    ]
+    masses = contraction_mass(point.spectrum, truth, n, radii)
+    return [replace(row, contraction_prob=float(mass), radius=r) for r, mass in zip(radii, masses)]
 
 
 def _run_tasks(config: ExperimentConfig, tasks, stages) -> list[list[RiskRow]]:

@@ -77,8 +77,8 @@ class Spectrum:
     Zero eigenvalues are permitted and describe coordinates the prior does
     not model (shrinkage weight 0, posterior variance 0), which covers
     finite-rank priors.  The prior puts no mass beyond coordinate K: a
-    truth's coefficients there are risk as bias, which callers add (see
-    ``adversarial.member_risks``).
+    truth's mass there is error with no variance, its ``tail`` (see
+    :class:`TruthCoefficients` and :meth:`SparseRows.risks`).
     """
 
     eigenvalues: np.ndarray
@@ -95,18 +95,36 @@ class Spectrum:
 
 @dataclass(frozen=True)
 class TruthCoefficients:
-    """Coefficients of the true regression function in a named basis."""
+    """Coefficients of the true regression function in a named basis.
+
+    ``norm_sq``, if given, is its full squared norm; the ``tail``
+    max(norm_sq - ||theta||^2, 0) is error with no variance, which the
+    risks add and the contraction probes take off radius^2.
+    """
 
     theta: np.ndarray
     basis_id: str
+    norm_sq: float | None = None
+    tail: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _frozen_array(self.theta, "theta", allow_negative=True)
         object.__setattr__(self, "theta", arr)
+        if self.norm_sq is not None:
+            # BLAS dots of at most 8192 terms: OpenBLAS threads longer ones, which
+            # makes their last bits depend on the thread count
+            mass = sum(arr[i : i + 8192] @ arr[i : i + 8192] for i in range(0, arr.size, 8192))
+            object.__setattr__(self, "tail", max(_checked_norm_sq(self.norm_sq) - float(mass), 0.0))
 
     @property
     def size(self) -> int:
         return int(self.theta.size)
+
+
+def _checked_norm_sq(norm_sq) -> float:
+    if not (norm_sq >= 0.0 and math.isfinite(norm_sq)):
+        raise DomainError(f"norm_sq must be finite and nonnegative, got {norm_sq!r}")
+    return float(norm_sq)
 
 
 def _read_only(arr, dtype) -> np.ndarray:
@@ -204,13 +222,14 @@ class SparseRows:
         dense.setflags(write=False)
         return dense
 
-    def risks(self, spectrum: Spectrum, n: float) -> np.ndarray:
+    def risks(self, spectrum: Spectrum, n: float, norm_sq: float | None = None) -> np.ndarray:
         """:func:`exact_risk` at every row; a stack of S spectra gives (S, m) risks.
 
         Row j gets the bias sum_k ((1 - a_k) theta_jk)^2 over its stored
         coefficients (:meth:`row_sums`), plus the variance sum_k a_k^2 / n,
-        made once per spectrum with the bits it has in :func:`exact_risk`.
-        The bias reads each stored value once per spectrum; its terms sum in
+        made once per spectrum with the bits it has in :func:`exact_risk`,
+        plus, given ``norm_sq``, the rows' common full squared norm, the tail
+        max(norm_sq - ``row_mass[j]``, 0).  The bias reads each stored value once per spectrum; its terms sum in
         another grouping than the dense row's, so a risk can differ from
         :func:`exact_risk` of the row in its last bits.  Spectra go in
         blocks whose shrinkage and products hold about
@@ -225,7 +244,10 @@ class SparseRows:
         risks = np.empty((len(lams), self.m))
         for s in range(0, len(lams), stack):
             risks[s : s + stack] = self._block_risks(lams[s : s + stack], n)
-        return risks.reshape(spectrum.eigenvalues.shape[:-1] + (self.m,))
+        risks = risks.reshape(spectrum.eigenvalues.shape[:-1] + (self.m,))
+        if norm_sq is not None:
+            risks = risks + np.maximum(_checked_norm_sq(norm_sq) - self.row_mass, 0.0)
+        return risks
 
     def _block_risks(self, lams: np.ndarray, n: float) -> np.ndarray:
         """The (S', m) risks of a block of spectra (S', K).
@@ -348,8 +370,8 @@ def exact_risk(spectrum: Spectrum, theta: TruthCoefficients, n: float) -> float:
     """Exact squared risk of the posterior mean at the given truth.
 
     Computes sum_k ((1 - a_k) theta_k)^2 + sum_k a_k^2 / n over the
-    truncated coordinates, each sum pairwise over its K terms.  The risks
-    of many truths are :meth:`SparseRows.risks`.
+    truncated coordinates, each sum pairwise over its K terms, plus the
+    truth's ``tail``.  The risks of many truths are :meth:`SparseRows.risks`.
     """
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
@@ -357,7 +379,8 @@ def exact_risk(spectrum: Spectrum, theta: TruthCoefficients, n: float) -> float:
     _check_same_shape(spectrum.eigenvalues.shape, theta.theta.shape, "exact_risk")  # one spectrum
     weights, one_minus, _ = _shrinkage(spectrum.eigenvalues, n)
     bias = np.multiply(one_minus, theta.theta, out=one_minus)  # squared in place
-    return float(np.sum(np.square(bias, out=bias)) + np.sum(np.square(weights, out=weights)) / n)
+    risk = float(np.sum(np.square(bias, out=bias)) + np.sum(np.square(weights, out=weights)) / n)
+    return risk + theta.tail
 
 
 def _error_law(spectrum: Spectrum, theta: TruthCoefficients, n: float, what: str):
@@ -390,10 +413,10 @@ def mc_risk(
     drawn at once: sum_r sum_{k in G} (b_k + s w_rk)^2 is
     s^2 chi'^2_{R|G|}(R ||b_G||^2 / s^2), which has the law of
     (s Z + sqrt(R) ||b_G||)^2 + 2 s^2 Gamma((R |G| - 1) / 2).  Coordinates
-    with s = 0 add sum b_k^2 exactly.  So the estimate has the law of the
-    replication mean, at the cost of one normal and one gamma per distinct
-    scale whatever R is, and the standard error is its exact standard
-    deviation, sqrt(sum_G (2 s^4 |G| + 4 s^2 ||b_G||^2) / R).  R enters as a
+    with s = 0 add sum b_k^2 exactly, and the ``tail`` last.  So the
+    estimate has the law of the replication mean, at the cost of one normal
+    and one gamma per distinct scale whatever R is, and the standard error
+    is its exact standard deviation, sqrt(sum_G (2 s^4 |G| + 4 s^2 ||b_G||^2) / R).  R enters as a
     float64, so a huge integer R cannot overflow; it is exact up to 2^53.
     The normals and the gammas come from two generators spawned from
     ``rng``, so the caller's generator does not advance.
@@ -414,7 +437,7 @@ def mc_risk(
     normal_rng, gamma_rng = rng.spawn(2)
     center = scale * normal_rng.standard_normal(scale.size) + math.sqrt(reps) * np.sqrt(norm_sq)
     spread = gamma_rng.standard_gamma(0.5 * (reps * sizes - 1.0))
-    estimate = exact + float(np.sum(center**2 + 2.0 * var * spread)) / reps
+    estimate = exact + float(np.sum(center**2 + 2.0 * var * spread)) / reps + theta.tail
     stderr = math.sqrt(float(np.sum(2.0 * var**2 * sizes + 4.0 * var * norm_sq)) / reps)
     return estimate, stderr
 
@@ -432,8 +455,8 @@ def contraction_probability(
 
     The outer loop draws observations, the inner loop draws posterior
     samples coordinatewise from N(mean_k, variance_k) and checks whether
-    the squared distance to the truth reaches radius^2.  Returns
-    (estimate, standard error across outer draws).
+    the squared distance to the truth reaches radius^2 less its ``tail``.
+    Returns (estimate, standard error across outer draws).
     """
     if not (radius > 0 and math.isfinite(radius)):
         raise DomainError("radius must be positive and finite")
@@ -441,7 +464,7 @@ def contraction_probability(
         raise DomainError("outer and inner sample counts must be at least 1")
     base, scale, variances = _error_law(spectrum, theta, n, "contraction_probability")
     sd = np.sqrt(variances)
-    r_sq = radius * radius
+    r_sq = radius * radius - theta.tail
     K = spectrum.size
 
     fractions = np.empty(outer)
@@ -486,8 +509,9 @@ def contraction_mass(
     f - theta = (posterior mean - theta) + posterior noise is Gaussian with
     independent coordinates, xi_k ~ N(b_k, v_k), b_k = -(1 - a_k) theta_k
     and v_k = a_k^2 / n + a_k / n.  So the expected posterior mass is the
-    single tail P(||xi||^2 >= radius^2) of a Gaussian quadratic form; no
-    randomness is used.  It is settled in two steps (see
+    single tail P(||xi||^2 >= radius^2 - tail) of a Gaussian quadratic form
+    (1 where the truth's ``tail`` reaches radius^2); no randomness is used.
+    It is settled in two steps (see
     ``_quadratic_form_tail``): the Chernoff bound on a fixed ladder of t
     (t = -2^j, j = 0..99, below the mean; t = 2^j below half the pole, then
     t = pole (1 - 2^-j), j = 1..40, above it, in standard deviations of the
@@ -502,7 +526,7 @@ def contraction_mass(
     if radii.ndim > 1 or not np.all((radii > 0.0) & np.isfinite(radii)):
         raise DomainError("radius must be positive and finite, one radius or a 1-d stack of them")
     base, scale, variances = _error_law(spectrum, theta, n, "contraction_mass")
-    masses = _quadratic_form_tail(base**2, scale**2 + variances, np.atleast_1d(radii * radii))
+    masses = _quadratic_form_tail(base**2, scale**2 + variances, np.atleast_1d(radii * radii) - theta.tail)
     return float(masses[0]) if radii.ndim == 0 else masses
 
 

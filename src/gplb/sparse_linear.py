@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .adversarial import CoefficientMatrix, PyramidFamily, member_risks, pyramid_norm_sq
+from .adversarial import CoefficientMatrix, PyramidFamily, pyramid_norm_sq
 from .errors import ContractError, DomainError
 from .sequence_core import Spectrum
 
@@ -309,6 +309,6 @@ def gp_mean_dominates_linear(
     family = coeffs.family
     c_n_sq = pyramid_norm_sq(family.d, family.k)
     sigma = 1.0 / math.sqrt(c_n_sq * n)
-    gp_risk_max = float(member_risks(spectrum, coeffs, n, c_n_sq)[0].max())
+    gp_risk_max = float(coeffs.risks(spectrum, n, c_n_sq).max())
     floor = c_n_sq * linear_minimax_risk(family.m, sigma).risk
     return DominationCheck(gp_risk_max, floor, gp_risk_max >= floor)

@@ -26,12 +26,10 @@ from gplb.adversarial import (
     grid_target,
     lower_bound_constants,
     mean_risk_floor,
-    member_risks,
     n_threshold,
     pyramid_norm_sq,
     risk_lower_bound,
     tk_matched_spectrum,
-    truth_risk,
     worst_member,
 )
 from gplb.errors import ContractError, DomainError
@@ -429,7 +427,7 @@ def test_store_passes_match_the_dense_scatter(d, k, J):
         mass = np.sum(dense**2, axis=1)
         assert within_ulps(coeffs.row_mass, mass), K
         spectrum = tk_matched_spectrum(coeffs)
-        risks, tails = member_risks(spectrum, coeffs, n, norm_sq)
+        risks = coeffs.risks(spectrum, n, norm_sq)
         dense_tails = np.maximum(norm_sq - mass, 0.0)
         in_span = dense_risks(spectrum.eigenvalues, dense, n)
         assert within_ulps(coeffs.risks(spectrum, n), in_span), K
@@ -844,12 +842,13 @@ def test_member_risks_add_each_rows_truncation_tail():
     norm_sq = float(np.max(np.einsum("ij,ij->i", rows, rows))) * 1.5
     rows[2] *= math.sqrt(norm_sq / float(rows[2] @ rows[2]))  # no tail
     spectrum = Spectrum(10.0 ** rng.uniform(-4.0, 0.0, K), "b")
-    risks, tails = member_risks(spectrum, SparseRows.from_dense(rows), 300.0, norm_sq)
+    risks = SparseRows.from_dense(rows).risks(spectrum, 300.0, norm_sq)
+    tails = [TruthCoefficients(row, "b", norm_sq).tail for row in rows]
     for j, row in enumerate(rows):
         tail = max(norm_sq - float(row @ row), 0.0)
         assert within_ulps(tails[j], tail)
         assert within_ulps(risks[j], exact_risk(spectrum, TruthCoefficients(row, "b"), 300.0) + tail)
-    assert tails[2] <= 1e-15 * norm_sq and np.all(tails[[0, 1, 3, 4, 5]] > 0.0)
+    assert tails[2] <= 1e-15 * norm_sq and min(tails[:2] + tails[3:]) > 0.0
 
 
 def test_sparse_risks_of_a_stack_of_spectra_equal_each_spectrum_alone():
@@ -877,23 +876,23 @@ def test_member_risks_of_rows_that_keep_no_coefficient():
     assert store.row_starts.tolist() == [0, 0, 2, 2, 3, 3]
     spectrum = Spectrum([1.0, 0.5, 0.0], "b")
     n, norm_sq = 50.0, 0.25
-    risks, tails = member_risks(spectrum, store, n, norm_sq)
+    risks = store.risks(spectrum, n, norm_sq)
     variance = exact_risk(spectrum, TruthCoefficients(np.zeros(3), "b"), n)
-    assert risks[[0, 2, 4]].tolist() == [variance + norm_sq] * 3 and tails[[0, 2, 4]].tolist() == [norm_sq] * 3
+    assert risks[[0, 2, 4]].tolist() == [variance + norm_sq] * 3 and store.row_mass[[0, 2, 4]].tolist() == [0.0] * 3
     for j in (1, 3):
         truth = TruthCoefficients(rows[j], "b")
         assert within_ulps(risks[j], exact_risk(spectrum, truth, n) + norm_sq - rows[j] @ rows[j])
     # no stored value at all
     empty = SparseRows.from_dense(np.zeros((2, 3)))
-    assert member_risks(spectrum, empty, n, norm_sq)[0].tolist() == [variance + norm_sq] * 2
+    assert empty.risks(spectrum, n, norm_sq).tolist() == [variance + norm_sq] * 2
     # K = 1: one coefficient per member, the constant function's
     family = build_pyramid_family(2, 3)
     coeffs = compute_coefficients(family, haar_tensor_basis(2, 3), 1)
     assert coeffs.K == 1 and coeffs.row_starts.tolist() == list(range(10))
     dense = coeffs.entries
     one = Spectrum([2.0], coeffs.basis_id)
-    risks, tails = member_risks(one, coeffs, n, pyramid_norm_sq(2, 3))
-    assert within_ulps(tails, pyramid_norm_sq(2, 3) - dense[:, 0] ** 2)
+    tails = pyramid_norm_sq(2, 3) - dense[:, 0] ** 2
+    risks = coeffs.risks(one, n, pyramid_norm_sq(2, 3))
     assert within_ulps(risks, dense_risks(one.eigenvalues, dense, n) + tails)
 
 
@@ -901,7 +900,9 @@ def test_member_risks_sum_long_rows_in_pieces():
     rng = np.random.default_rng(3)
     rows = rng.standard_normal((2, 20000))
     norm_sq = 1e5
-    _, tails = member_risks(Spectrum(np.ones(20000), "b"), SparseRows.from_dense(rows), 10.0, norm_sq)
+    spectrum = Spectrum(np.ones(20000), "b")
+    store = SparseRows.from_dense(rows)
+    tails = store.risks(spectrum, 10.0, norm_sq) - store.risks(spectrum, 10.0)
     expected = norm_sq - np.sum(rows**2, axis=1)
     assert np.allclose(tails, expected, rtol=1e-14, atol=0.0)
 
@@ -913,10 +914,11 @@ def test_truth_risk_is_one_rows_member_risk_from_its_dense_sums():
         theta = rng.standard_normal(K) * (rng.random(K) < 0.4)
         norm_sq = scale * float(theta @ theta)
         spectrum = Spectrum(10.0 ** rng.uniform(-4.0, 0.0, K), "b")
-        truth = TruthCoefficients(theta, "b")
-        risk, tail = truth_risk(spectrum, truth, 50.0, norm_sq)
+        truth = TruthCoefficients(theta, "b", norm_sq)
+        risk, tail = exact_risk(spectrum, truth, 50.0), truth.tail
         chunks = [theta[i : i + 8192] for i in range(0, K, 8192)]
         assert tail == max(norm_sq - sum(c @ c for c in chunks), 0.0)
-        assert risk == exact_risk(spectrum, truth, 50.0) + tail
-        risks, tails = member_risks(spectrum, SparseRows.from_dense(theta[None, :]), 50.0, norm_sq)
-        assert within_ulps(risks[0], risk) and abs(tails[0] - tail) <= 4 * np.spacing(norm_sq)
+        assert risk == exact_risk(spectrum, TruthCoefficients(theta, "b"), 50.0) + tail
+        store = SparseRows.from_dense(theta[None, :])
+        assert within_ulps(store.risks(spectrum, 50.0, norm_sq)[0], risk)
+        assert abs(max(norm_sq - store.row_mass[0], 0.0) - tail) <= 4 * np.spacing(norm_sq)

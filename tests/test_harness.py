@@ -711,7 +711,7 @@ def test_run_rate_study_is_invariant_to_thread_count(mode):
 
 
 def radius_probe(spectrum, theta, n, radii):
-    """Stand-in probe that reports the in-span radii it was given."""
+    """Stand-in probe that reports the radii it was given."""
     return radii
 
 
@@ -727,11 +727,12 @@ def test_rates_and_contraction_report_the_same_seed_free_probes(monkeypatch):
 
 
 def test_probes_measure_the_full_space_distance(monkeypatch):
-    radii = []
+    radii, truth_tails = [], []
 
-    def record(spectrum, theta, n, spans):
-        radii.extend(spans)
-        return [0.5] * len(spans)
+    def record(spectrum, theta, n, radius):
+        radii.extend(radius)
+        truth_tails.append(theta.tail)
+        return [0.5] * len(radius)
 
     monkeypatch.setattr(study, "contraction_mass", record)
     config = ExperimentConfig(mode="contraction", n_grid=(500.0,), K=16)
@@ -746,18 +747,35 @@ def test_probes_measure_the_full_space_distance(monkeypatch):
     ]
     tail = tails[int(np.argmax(risks))]
     assert near.exact_risk == pytest.approx(max(risks), rel=1e-13) and tail > 0.0
-    for got, row in zip(radii, (near, far)):
-        assert got == pytest.approx(math.sqrt(row.radius**2 - tail), rel=1e-12)
-        assert row.contraction_prob == 0.5
+    # the probe takes the full radii and a truth carrying the tail it subtracts
+    assert truth_tails == [tail]
+    assert radii == [near.radius, far.radius]
+    assert near.contraction_prob == far.contraction_prob == 0.5
 
 
 def test_probes_inside_the_truncation_tail_report_full_mass_unsampled(monkeypatch):
     def never(*args):
         raise AssertionError("the probe was evaluated although its radius is inside the tail")
 
-    monkeypatch.setattr(study, "contraction_mass", never)
+    monkeypatch.setattr(sequence_core, "_ladder_settles", never)
+    monkeypatch.setattr(sequence_core, "_imhof_tail", never)
     config = ExperimentConfig(mode="contraction", n_grid=(500.0,), K=1)
     assert [row.contraction_prob for row in run_contraction_study(config).rows] == [1.0, 1.0]
+
+
+@pytest.mark.parametrize("mode", list(STUDY_RUNNERS))
+def test_each_study_takes_one_exact_risk_per_grid_point(monkeypatch, mode):
+    calls = []
+    real_exact_risk = study.exact_risk
+
+    def counted(*args):
+        calls.append(args[2])
+        return real_exact_risk(*args)
+
+    monkeypatch.setattr(study, "exact_risk", counted)
+    config = replace(RATE_CONFIG, mode=mode)
+    STUDY_RUNNERS[mode](config)
+    assert calls == list(config.n_grid)
 
 
 def test_default_rate_probes_are_settled_by_the_chernoff_ladder(monkeypatch):
@@ -773,9 +791,9 @@ def test_default_rate_probes_are_settled_by_the_chernoff_ladder(monkeypatch):
     probes = []
     real_mass = study.contraction_mass
 
-    def per_point(spectrum, theta, n, spans):
-        probes.append(len(spans))
-        return real_mass(spectrum, theta, n, spans)
+    def per_point(spectrum, theta, n, radii):
+        probes.append(len(radii))
+        return real_mass(spectrum, theta, n, radii)
 
     monkeypatch.setattr(study, "contraction_mass", per_point)
     report = run_rate_study(ExperimentConfig(mode="rates"))

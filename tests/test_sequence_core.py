@@ -453,39 +453,27 @@ def _permuted(spectrum, theta, seed):
     return Spectrum(spectrum.eigenvalues[perm], BASIS), TruthCoefficients(theta.theta[perm], BASIS)
 
 
-def test_mc_risk_estimate_independent_of_chunking(monkeypatch):
-    # mc_risk draws the replication mean per group, so neither the chunk
-    # budget of the nested sampler nor the layout of the coordinates may
-    # change the estimate for a fixed seed
-    import gplb.sequence_core as core
-
+def test_mc_risk_estimate_independent_of_coordinate_order():
+    # mc_risk draws the replication mean per group, so the layout of the
+    # coordinates may not change the estimate for a fixed seed
     spectrum = flat_spectrum(64, basis_id=BASIS, tau=0.3)
     theta = TruthCoefficients(np.linspace(-1, 1, 64), BASIS)
     whole = mc_risk(spectrum, theta, 77.0, 500, np.random.default_rng(3))
     shuffled = mc_risk(*_permuted(spectrum, theta, 5), 77.0, 500, np.random.default_rng(3))
-    monkeypatch.setattr(core, "_MC_CHUNK_BUDGET", 64 * 7)
-    chunked = mc_risk(spectrum, theta, 77.0, 500, np.random.default_rng(3))
-    for other in (chunked, shuffled):
-        assert whole[0] == pytest.approx(other[0], rel=1e-12)
-        assert whole[1] == pytest.approx(other[1], rel=1e-9)
+    assert whole[0] == pytest.approx(shuffled[0], rel=1e-12)
+    assert whole[1] == pytest.approx(shuffled[1], rel=1e-9)
 
 
-def test_mc_risk_with_mixed_groups_is_independent_of_chunking(monkeypatch):
-    # singletons, groups of 2, 5 and 9 and zero eigenvalues: a small chunk
-    # budget and a reshuffle of the coordinates leave every group, and so
-    # the normal and gamma drawn for it, unchanged
-    import gplb.sequence_core as core
-
+def test_mc_risk_with_mixed_groups_is_independent_of_coordinate_order():
+    # singletons, groups of 2, 5 and 9 and zero eigenvalues: a reshuffle of
+    # the coordinates leaves every group, and so the normal and gamma drawn
+    # for it, unchanged
     spectrum = mixed_group_spectrum()
     theta = TruthCoefficients(np.cos(np.arange(spectrum.size)), BASIS)
-    groups = np.unique(spectrum.eigenvalues[spectrum.eigenvalues > 0.0]).size
     whole = mc_risk(spectrum, theta, 40.0, 500, np.random.default_rng(8))
     shuffled = mc_risk(*_permuted(spectrum, theta, 6), 40.0, 500, np.random.default_rng(8))
-    monkeypatch.setattr(core, "_MC_CHUNK_BUDGET", groups * 7)
-    chunked = mc_risk(spectrum, theta, 40.0, 500, np.random.default_rng(8))
-    for other in (chunked, shuffled):
-        assert whole[0] == pytest.approx(other[0], rel=1e-12)
-        assert whole[1] == pytest.approx(other[1], rel=1e-9)
+    assert whole[0] == pytest.approx(shuffled[0], rel=1e-12)
+    assert whole[1] == pytest.approx(shuffled[1], rel=1e-9)
 
 
 def mixed_group_spectrum():
@@ -942,6 +930,71 @@ def test_stacked_radii_give_the_one_radius_masses_bit_for_bit(name):
         assert all(0.0 < single[i] < 1.0 for i in (0, 2, 3)) and single[1] == 0.0
     else:
         assert single == exact[name]
+
+
+def with_tail(theta, tail):
+    """``theta`` as a truth whose full squared norm exceeds its coefficients' by about ``tail``."""
+    return TruthCoefficients(theta.theta, theta.basis_id, float(theta.theta @ theta.theta) + tail)
+
+
+def test_risks_with_a_norm_add_the_truth_tail_last_bit_for_bit():
+    rng = np.random.default_rng(12)
+    for K in (1, 300, 20000):  # 20000: the tail's mass takes three 8192-term dots
+        spectrum = Spectrum(10.0 ** rng.uniform(-4.0, 0.0, K), BASIS)
+        theta = TruthCoefficients(rng.standard_normal(K) * (rng.random(K) < 0.5), BASIS)
+        truth = with_tail(theta, 0.37)
+        chunks = [theta.theta[i : i + 8192] for i in range(0, K, 8192)]
+        assert truth.tail == max(truth.norm_sq - float(sum(c @ c for c in chunks)), 0.0) > 0.0
+        assert theta.tail == 0.0
+        assert exact_risk(spectrum, truth, 80.0) == exact_risk(spectrum, theta, 80.0) + truth.tail
+        estimate, stderr = mc_risk(spectrum, truth, 80.0, 300, np.random.default_rng(4))
+        in_span = mc_risk(spectrum, theta, 80.0, 300, np.random.default_rng(4))
+        assert (estimate, stderr) == (in_span[0] + truth.tail, in_span[1])
+    # a norm below the coefficients' own mass leaves no tail
+    assert with_tail(theta, -1.0).tail == 0.0
+
+
+@pytest.mark.parametrize("name", ["saturated", "imhof", "indicator"])
+def test_contraction_mass_with_a_tail_is_the_in_span_mass_at_the_reduced_radius(name):
+    spectrum, theta, n, in_span = stacked_radii_case(name)
+    # the indicator's radius 0.5 sits on its jump, which an ulp of radius^2 - tail moves across
+    in_span = [r for r in in_span if r != 0.5] if name == "indicator" else in_span
+    truth = with_tail(theta, 0.5 * min(in_span) ** 2)
+    # radii with the tail on top of each in-span radius, and two inside the tail
+    radii = [math.sqrt(r * r + truth.tail) for r in in_span]
+    radii += [math.sqrt(truth.tail), 0.5 * math.sqrt(truth.tail)]
+    masses = contraction_mass(spectrum, truth, n, np.array(radii))
+    assert masses[-2:].tolist() == [1.0, 1.0]
+    reduced = [contraction_mass(spectrum, theta, n, math.sqrt(r * r - truth.tail)) for r in radii[:-2]]
+    for mass, expected in zip(masses, reduced):
+        if expected in (0.0, 1.0):  # settled by the ladder or the indicator
+            assert mass == expected
+        else:
+            assert abs(mass - expected) <= 1e-12
+
+
+def test_contraction_probability_takes_the_truth_tail_off_the_radius():
+    coeffs = compute_coefficients(build_pyramid_family(1, 4), haar_tensor_basis(1, 4), 32)
+    spectrum = tk_matched_spectrum(coeffs)
+    theta = TruthCoefficients(coeffs.entries[0], coeffs.basis_id)
+    truth, n = with_tail(theta, 1e-4), 1000.0
+    b, v = error_law(spectrum, theta, n)
+    radius = math.sqrt(float(np.sum(b * b + v)) + truth.tail)
+    estimate = contraction_probability(spectrum, truth, n, radius, 50, 40, np.random.default_rng(2))
+    reduced = math.sqrt(radius * radius - truth.tail)
+    assert estimate == contraction_probability(spectrum, theta, n, reduced, 50, 40, np.random.default_rng(2))
+    assert 0.2 < estimate[0] < 0.8
+    inside = contraction_probability(spectrum, truth, n, 1e-3, 3, 5, np.random.default_rng(2))
+    assert inside == (1.0, 0.0)
+
+
+@pytest.mark.parametrize("norm_sq", [-1e-300, -1.0, math.nan, math.inf, -math.inf])
+def test_a_bad_truth_norm_is_refused(norm_sq):
+    with pytest.raises(DomainError):
+        TruthCoefficients(np.ones(3), BASIS, norm_sq)
+    rows = SparseRows.from_dense(np.eye(3))
+    with pytest.raises(DomainError):
+        rows.risks(spectrum_of(1.0, 1.0, 1.0), 10.0, norm_sq)
 
 
 def test_contraction_mass_validates_inputs():
