@@ -4,7 +4,7 @@ Subcommands select the experiment mode::
 
     gplb rates --config study.ini --out report.csv
     gplb risk --seed 7 --format json
-    gplb contraction --config probe.ini --threads 4
+    gplb contraction --config probe.ini --format json
     gplb minimax --out battery.csv
     gplb wavelet --config wave.ini
     gplb verify

@@ -2,8 +2,8 @@
 
 Each setting is declared once, as a field of ``ExperimentConfig``: its
 default, its INI ``[section] key`` (the field name unless the field says
-otherwise), its text parser and, for ``seed``, ``threads``, ``out`` and
-``format``, the argparse options of its ``--<name>`` flag.  The file
+otherwise), its text parser and, for ``seed``, ``out`` and ``format``,
+the argparse options of its ``--<name>`` flag.  The file
 reader, the ``GPLB_<NAME>`` environment variables, the CLI flags and the
 configuration block of a report all derive from those fields, so adding
 a setting means adding one field.  README.md shows a full file.
@@ -83,8 +83,8 @@ class ExperimentConfig:
     n_grid: tuple[float, ...] = _setting(
         (1e3, 10**3.5, 1e4, 10**4.5, 1e5, 10**5.5, 1e6), "experiment", _parse_n_grid)
     seed: int = _setting(1, "experiment", int, flag={"help": "master seed (overrides config)"})
-    threads: int = _setting(
-        1, "experiment", int, flag={"help": "worker threads for grid points"}, reported=False)
+    # grid points run one at a time; the field stays, at 1, for callers that still pass it
+    threads: int = _setting(1, "experiment", int, reported=False)
     delta: float = _setting(0.1, "experiment", float)
     grid_rule: str = _setting("ceil", "experiment", str)
     spectrum: str = _setting("matched", "spectrum", str, key="preset")
@@ -119,8 +119,8 @@ class ExperimentConfig:
         object.__setattr__(self, "n_grid", grid)
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
+        if self.threads != 1:
+            raise ConfigError(f"threads must be 1, got {self.threads}; grid points run one at a time")
         if not 0.0 < self.delta < 0.25:
             raise ConfigError("delta must lie strictly between 0 and 1/4")
         if self.grid_rule not in GRID_RULES:
@@ -235,8 +235,8 @@ def resolved_items(config: ExperimentConfig) -> list[tuple[str, str]]:
     """The experiment configuration as ordered (key, value) strings.
 
     Unreported settings (``threads``, ``out``, ``format``) are omitted so
-    that a report is a function of the experiment alone, never of where it
-    is written or how the work was scheduled.
+    that a report is a function of the experiment alone, never of where or
+    how it is written.
     """
     return [
         (f.name, format_cell(getattr(config, f.name)))

@@ -1,22 +1,22 @@
 """Experiment runners: rate studies, contraction probes, batteries.
 
 Every runner maps an ExperimentConfig to a RiskReport.  The risk, rates,
-contraction and wavelet studies share one grid-point pipeline: a point's
-candidate truths (the pyramid family at n, or the one sawtooth truth for
-every n) and prior go to ``_grid_point``, which reports the worst
-candidate's exact risk with its basis-truncation tail and runs the
-study's stages, Monte Carlo risk ("mc") and/or the two contraction
-probes ("probes").  The Monte Carlo risk of grid point i seeds its own
-generator from (master seed, i); the probes are exact and use no
-randomness.  So results are identical whatever the thread count and
+contraction and wavelet studies share one grid-point pipeline: each point
+is built at its n as its worst candidate truth (the pyramid family's
+worst member at n, or the one sawtooth truth for every n) with its
+prior, and ``_grid_point`` reports that truth's exact risk with its
+basis-truncation tail and runs the study's stages, Monte Carlo risk
+("mc") and/or the two contraction probes ("probes").  The Monte Carlo
+risk of grid point i seeds its own generator from (master seed, i); the
+probes are exact and use no randomness.  The points run one at a time in
+grid order, so only one point's coefficients are alive at once and each
+point's size check prices the whole study.  Results are identical
 whichever stages run, and reruns of the same config are byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from functools import partial
 from typing import NamedTuple
@@ -37,7 +37,6 @@ from ..adversarial import (
 )
 from ..errors import ConfigError
 from ..sequence_core import (
-    SparseRows,
     Spectrum,
     TruthCoefficients,
     contraction_mass,
@@ -256,29 +255,27 @@ def _grid_tasks(config: ExperimentConfig) -> list:
 
 
 class _Point(NamedTuple):
-    """What a grid point needs besides n: candidate truths and their prior."""
+    """One grid point's worst candidate truth and its prior."""
 
-    rows: SparseRows  # each candidate truth's first K coefficients
-    norm_sq: float  # every candidate's full squared norm
+    truth: TruthCoefficients  # first K coefficients, with the full squared norm
+    m: int  # number of candidate truths it was picked from
     spectrum: Spectrum
     spectrum_id: str
     k: int | None
-    lemma4_bound: Callable[[float], float]
+    lemma4_bound: float
 
 
-def _family_point(config: ExperimentConfig, k: int, level: int, K: int) -> _Point:
-    """The k^d pyramid family as candidate truths."""
+def _family_point(config: ExperimentConfig, k: int, level: int, K: int, n: float) -> _Point:
+    """The worst member of the k^d pyramid family at n."""
     family = build_pyramid_family(config.d, k)
     coeffs = compute_coefficients(family, haar_tensor_basis(config.d, level), K)
     spectrum, spectrum_id = _spectrum_for(config, coeffs)
-    return _Point(
-        coeffs,
-        pyramid_norm_sq(config.d, k),
-        spectrum,
-        spectrum_id,
-        k,
-        lambda n: risk_lower_bound(coeffs, n),
-    )
+    norm_sq = pyramid_norm_sq(config.d, k)
+    # the store's sums only choose the worst truth; its reported risk comes
+    # from its dense row, so it keeps its bits whatever family it came from
+    j = worst_member(coeffs.risks(spectrum, n, norm_sq))
+    truth = TruthCoefficients(coeffs.row(j), coeffs.basis_id, norm_sq)
+    return _Point(truth, coeffs.m, spectrum, spectrum_id, k, risk_lower_bound(coeffs, n))
 
 
 def _grid_point(config: ExperimentConfig, stages, task) -> list[RiskRow]:
@@ -290,42 +287,29 @@ def _grid_point(config: ExperimentConfig, stages, task) -> list[RiskRow]:
     posterior mass outside mu/4 and gamma/5.
     """
     index, n, build = task
-    point = build()
-    # the store's sums only choose the worst truth; its reported risk comes
-    # from its dense row, so it keeps its bits whatever family it came from
-    j = worst_member(point.rows.risks(point.spectrum, n, point.norm_sq)) if point.rows.m > 1 else 0
-    truth = TruthCoefficients(point.rows.row(j), point.spectrum.basis_id, point.norm_sq)
-    mu_sq = exact_risk(point.spectrum, truth, n)
+    point = build(n)
+    mu_sq = exact_risk(point.spectrum, point.truth, n)
     row = RiskRow(
         d=config.d,
         n=n,
         k=point.k,
-        m=point.rows.m,
+        m=point.m,
         spectrum_id=point.spectrum_id,
         K=point.spectrum.size,
         exact_risk=mu_sq,
-        lemma4_bound=point.lemma4_bound(n),
+        lemma4_bound=point.lemma4_bound,
         thm2_floor=mean_risk_floor(config.d, n),
         seed=config.seed,
     )
     if "mc" in stages:
         rng = task_rng(config.seed, index)
-        estimate, stderr = mc_risk(point.spectrum, truth, n, config.replications, rng)
+        estimate, stderr = mc_risk(point.spectrum, point.truth, n, config.replications, rng)
         row = replace(row, mc_risk=estimate, mc_stderr=stderr)
     if "probes" not in stages:
         return [row]
     radii = [math.sqrt(mu_sq) / divisor for divisor in (4.0, 5.0)]
-    masses = contraction_mass(point.spectrum, truth, n, radii)
+    masses = contraction_mass(point.spectrum, point.truth, n, radii)
     return [replace(row, contraction_prob=float(mass), radius=r) for r, mass in zip(radii, masses)]
-
-
-def _run_tasks(config: ExperimentConfig, tasks, stages) -> list[list[RiskRow]]:
-    """Each task's rows, in grid order, on ``config.threads`` threads."""
-    worker = partial(_grid_point, config, stages)
-    if config.threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(task) for task in tasks]
 
 
 def _report(config: ExperimentConfig, groups, *, fit: bool, fits: dict | None = None) -> RiskReport:
@@ -357,7 +341,7 @@ def run_rate_study(
     every row (the band is reported in the JSON fits).
     """
     stages = ("mc", "probes") if probabilities else ("mc",)
-    groups = _run_tasks(config, _grid_tasks(config), stages)
+    groups = [_grid_point(config, stages, task) for task in _grid_tasks(config)]
     return _report(config, groups, fit=fit)
 
 
@@ -376,7 +360,7 @@ def run_contraction_study(config: ExperimentConfig) -> RiskReport:
     delta-threshold so consumers can see which rows the mass floor
     1/4 - delta applies to.
     """
-    groups = _run_tasks(config, _grid_tasks(config), ("probes",))
+    groups = [_grid_point(config, ("probes",), task) for task in _grid_tasks(config)]
     fits = {
         "n_gamma_sq": [group[0].n * group[0].exact_risk for group in groups],
         "threshold": transfer_threshold(config.delta),
@@ -435,27 +419,23 @@ def run_wavelet_study(config: ExperimentConfig) -> RiskReport:
     carries the single-function floor sum of coefficient^2 AND 1/n over
     the retained coordinates (a valid partial sum of the full floor),
     and thm2_floor the universal envelope, which applies to worst-case
-    truths rather than this particular one.  The one-truth point is
-    built once and serves every n.
+    truths rather than this particular one.  The one truth and its prior
+    are built once and serve every n.
     """
     level = config.level if config.level is not None else max(1, 6 // config.d)
     K = _checked_K(config, level, 1, f"d = {config.d}: ", partial(sawtooth_work_bytes, config.d, level))
     basis = haar_tensor_basis(config.d, level)
     sawtooth_level = max(0, level - 2)
     surrogate = SawtoothSurrogate(config.d, sawtooth_level)
-    truth = TruthCoefficients(surrogate.haar_coefficients(basis)[:K], basis.basis_id)
+    norm_sq = surrogate.norm_sq()
+    truth = TruthCoefficients(surrogate.haar_coefficients(basis)[:K], basis.basis_id, norm_sq)
     prior = wavelet_prior_preset(basis, tau=config.tau, alpha=config.alpha)
     spectrum = Spectrum(prior.to_spectrum().eigenvalues[:K], basis.basis_id)
-    norm_sq = surrogate.norm_sq()
-    point = _Point(
-        SparseRows.from_dense(truth.theta[None, :]),
-        norm_sq,
-        spectrum,
-        f"wavelet:tau={config.tau:g}:alpha={config.alpha:g}",
-        None,
-        lambda n: single_function_risk_bound(truth, n),
-    )
-    tasks = [(index, n, lambda: point) for index, n in enumerate(config.n_grid)]
-    groups = _run_tasks(config, tasks, ("mc",))
+    spectrum_id = f"wavelet:tau={config.tau:g}:alpha={config.alpha:g}"
+
+    def point(n):
+        return _Point(truth, 1, spectrum, spectrum_id, None, single_function_risk_bound(truth, n))
+
+    groups = [_grid_point(config, ("mc",), (index, n, point)) for index, n in enumerate(config.n_grid)]
     fits = {"sawtooth_level": sawtooth_level, "sawtooth_norm_sq": norm_sq}
     return _report(config, groups, fit=True, fits=fits)

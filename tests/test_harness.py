@@ -192,7 +192,6 @@ def test_ini_file_parsing_covers_every_section(tmp_path):
         d = 2
         n_grid = logspace:3:5:3
         seed = 11
-        threads = 2
         delta = 0.2
         grid_rule = round
 
@@ -221,7 +220,7 @@ def test_ini_file_parsing_covers_every_section(tmp_path):
     assert config.mode == "contraction"
     assert config.d == 2
     assert config.n_grid == (1e3, 1e4, 1e5)
-    assert config.seed == 11 and config.threads == 2
+    assert config.seed == 11
     assert config.delta == 0.2 and config.grid_rule == "round"
     assert config.spectrum == "polynomial"
     assert config.tau == 0.5 and config.alpha == 1.5 and config.beta == 2.0
@@ -274,7 +273,6 @@ def test_precedence_defaults_file_env_overrides(tmp_path):
     # to; every layer changes the value of the one below
     layers = [
         ("seed", "[experiment]\nseed", "GPLB_SEED", "3", "5", 7, (1, 3, 5, 7)),
-        ("threads", "[experiment]\nthreads", "GPLB_THREADS", "2", "3", 4, (1, 2, 3, 4)),
         ("out", "[output]\npath", "GPLB_OUT", "f.csv", "e.csv", "o.csv",
          (None, "f.csv", "e.csv", "o.csv")),
         ("format", "[output]\nformat", "GPLB_FORMAT", "json", "csv", "json",
@@ -305,7 +303,7 @@ def test_gplb_config_environment_fallback(tmp_path):
 
 
 def test_environment_values_are_cast_and_checked():
-    assert load_config(None, env={"GPLB_THREADS": "4"}).threads == 4
+    assert load_config(None, env={"GPLB_SEED": "4"}).seed == 4
     assert load_config(None, env={"GPLB_FORMAT": "json"}).format == "json"
     assert load_config(None, env={"GPLB_OUT": "r.csv"}).out == "r.csv"
     with pytest.raises(ConfigError, match="environment override"):
@@ -351,6 +349,20 @@ def test_config_validation_rejects(kwargs):
         ExperimentConfig(**kwargs)
 
 
+def test_threads_accepts_only_one_and_has_no_flag_or_variable(tmp_path):
+    # grid points run one at a time; the field stays at 1 for callers that pass it
+    assert load_config(None, {"threads": 1}, env={}).threads == 1
+    path = write_ini(tmp_path, "[experiment]\nthreads = 2\n")
+    with pytest.raises(ConfigError, match="threads"):
+        load_config(path, env={})
+    with pytest.raises(ConfigError, match="threads"):
+        load_config(None, {"threads": 2}, env={})
+    with pytest.raises(SystemExit) as err:
+        main(["risk", "--threads", "2"])
+    assert err.value.code == 2
+    assert "GPLB_THREADS" not in ENV_VARIABLES
+
+
 def test_config_refuses_replications_beyond_two_to_the_53():
     assert ExperimentConfig(replications=2**53).replications == 2**53
     with pytest.raises(ConfigError, match=f"replications = {2**53 + 1} exceeds"):
@@ -358,7 +370,7 @@ def test_config_refuses_replications_beyond_two_to_the_53():
 
 
 def test_resolved_items_excludes_execution_knobs_and_orders_fields():
-    config = ExperimentConfig(seed=5, K=16, out="x.csv", format="json", threads=8)
+    config = ExperimentConfig(seed=5, K=16, out="x.csv", format="json")
     items = resolved_items(config)
     keys = [key for key, _ in items]
     assert keys == [
@@ -702,14 +714,6 @@ STUDY_RUNNERS = {
 }
 
 
-@pytest.mark.parametrize("mode", list(STUDY_RUNNERS))
-def test_run_rate_study_is_invariant_to_thread_count(mode):
-    runner, config = STUDY_RUNNERS[mode], replace(RATE_CONFIG, mode=mode)
-    single = render_csv(runner(config))
-    threaded = render_csv(runner(replace(config, threads=3)))
-    assert single == threaded
-
-
 def radius_probe(spectrum, theta, n, radii):
     """Stand-in probe that reports the radii it was given."""
     return radii
@@ -955,14 +959,9 @@ def test_runners_reject_infeasible_truncation_and_level():
         )
 
 
-@pytest.mark.parametrize(
-    "d,level,n,K,stages",
-    [(2, 7, 1e5, None, ("mc",)), (2, 6, 1e4, None, ("mc", "probes")), (3, 5, 1e4, None, ("mc",)),
-     (3, 4, 1e6, None, ("mc",)), (2, 7, 1e5, 1000, ("mc",))],
-)
-def test_grid_point_peak_stays_within_its_refusal_budget(monkeypatch, d, level, n, K, stages):
-    # the budget _checked_K prices a point at covers its traced peak, from
-    # the coefficient pass (with a fresh basis) to the last stage
+@pytest.fixture
+def priced_budgets(monkeypatch):
+    """The budget of every _checked_K call, with fresh bases so the cache holds none."""
     budgets = []
     checked_K = study._checked_K
 
@@ -973,15 +972,43 @@ def test_grid_point_peak_stays_within_its_refusal_budget(monkeypatch, d, level, 
 
     monkeypatch.setattr(study, "_checked_K", spy)
     monkeypatch.setattr(study, "haar_tensor_basis", HaarTensorBasis)
-    config = ExperimentConfig(mode="risk", d=d, level=level, n_grid=(n,), replications=10, K=K)
-    (task,) = study._grid_tasks(config)
+    return budgets
+
+
+def traced_peak(run) -> int:
     tracemalloc.start()
     try:
-        study._grid_point(config, stages, task)
-        peak = tracemalloc.get_traced_memory()[1]
+        run()
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= budgets[0]
+
+
+@pytest.mark.parametrize(
+    "d,level,n,K,stages",
+    [(2, 7, 1e5, None, ("mc",)), (2, 6, 1e4, None, ("mc", "probes")), (3, 5, 1e4, None, ("mc",)),
+     (3, 4, 1e6, None, ("mc",)), (2, 7, 1e5, 1000, ("mc",))],
+)
+def test_grid_point_peak_stays_within_its_refusal_budget(priced_budgets, d, level, n, K, stages):
+    # the budget _checked_K prices a point at covers its traced peak, from
+    # the coefficient pass (with a fresh basis) to the last stage
+    config = ExperimentConfig(mode="risk", d=d, level=level, n_grid=(n,), replications=10, K=K)
+    (task,) = study._grid_tasks(config)
+    assert traced_peak(lambda: study._grid_point(config, stages, task)) <= priced_budgets[0]
+
+
+@pytest.mark.parametrize(
+    "d,level,n_grid",
+    [(1, 10, (1e3, 10**3.5, 1e4, 10**4.5, 1e5, 10**5.5, 1e6)),
+     (2, 6, (1e3, 10**3.5, 1e4, 10**4.5, 1e5))],
+    ids=["d1-level10", "d2-level6"],
+)
+def test_whole_study_peak_stays_within_its_largest_point_budget(priced_budgets, d, level, n_grid):
+    # the points run one at a time, so the per-point price caps the whole study
+    config = ExperimentConfig(mode="rates", d=d, level=level, n_grid=n_grid)
+    peak = traced_peak(lambda: run_rate_study(config))
+    assert len(priced_budgets) == len(n_grid)
+    assert peak <= max(priced_budgets)
 
 
 def test_oversized_grid_points_fail_before_any_work():
@@ -1530,7 +1557,6 @@ def test_every_mode_lists_the_same_flags_and_help(capsys):
     flags = [
         "--config CONFIG path to an INI experiment config",
         "--seed SEED master seed (overrides config)",
-        "--threads THREADS worker threads for grid points",
         "--out OUT report path (default: stdout)",
         "--format {csv,json} report format",
     ]
