@@ -13,14 +13,16 @@ frequentist squared risk
 
     E_theta || fbar_n - theta ||^2 = sum_k (a_k - 1)^2 theta_k^2 + a_k^2 / n,
 
-which this module evaluates in closed form and by Monte Carlo.  The Monte
-Carlo risk draws the mean over R replications directly: for each group G of
-coordinates sharing a scale s = a_k / sqrt(n), the sum over the replications
-is the scaled noncentral chi-square s^2 chi'^2_{R|G|}(R sum_G b_k^2 / s^2)
-with b_k = -(1 - a_k) theta_k, drawn as one normal and one gamma whatever R
-is.  All randomness flows through numpy Generators supplied by the caller
-(the Monte Carlo risk spawns one child for its normals and one for its
-gammas), so every randomized operation is a pure function of (inputs, seed).
+which this module evaluates in closed form and by Monte Carlo, from one error
+law per truth (``_error_law``).  The Monte Carlo risk draws the mean over R
+replications directly: the noiseless coordinates add sum b_k^2 exactly, and
+for each group G of coordinates sharing a scale s = a_k / sqrt(n) > 0 the sum
+over the replications is the scaled noncentral chi-square
+s^2 chi'^2_{R|G|}(R sum_G b_k^2 / s^2) with b_k = -(1 - a_k) theta_k, drawn as
+one normal and one gamma whatever R is.  All randomness flows through numpy
+Generators supplied by the caller (the Monte Carlo risk spawns one child for
+its normals and one for its gammas), so every randomized operation is a pure
+function of (inputs, seed).
 """
 
 from __future__ import annotations
@@ -45,15 +47,10 @@ __all__ = [
     "contraction_probability",
     "contraction_mass",
     "MASS_TOLERANCE",
-    "BLOCK_ELEMENTS",
     "polynomial_spectrum",
     "exponential_spectrum",
     "flat_spectrum",
 ]
-
-
-# float64 elements a block of spectra in SparseRows.risks holds at once (128 KiB)
-BLOCK_ELEMENTS = 2**14
 
 
 def _frozen_array(values, name: str, *, allow_negative: bool, stacked: bool = False) -> np.ndarray:
@@ -197,7 +194,8 @@ class SparseRows:
     def row_sums(self, terms: np.ndarray) -> np.ndarray:
         """Each row's sum of ``terms``, one term per stored value along the last axis; 0 for a row with none.
 
-        One ``np.add.reduceat``, which sums a long row pairwise, as ``np.sum`` does.
+        One ``np.add.reduceat``, which sums a row as its first term plus
+        the pairwise sum of the rest, as ``np.sum`` sums that rest.
         """
         sums = np.zeros(terms.shape[:-1] + (self.m,))
         starts = self.row_starts[:-1]
@@ -229,37 +227,24 @@ class SparseRows:
         coefficients (:meth:`row_sums`), plus the variance sum_k a_k^2 / n,
         made once per spectrum with the bits it has in :func:`exact_risk`,
         plus, given ``norm_sq``, the rows' common full squared norm, the tail
-        max(norm_sq - ``row_mass[j]``, 0).  The bias reads each stored value once per spectrum; its terms sum in
-        another grouping than the dense row's, so a risk can differ from
-        :func:`exact_risk` of the row in its last bits.  Spectra go in
-        blocks whose shrinkage and products hold about
-        :data:`BLOCK_ELEMENTS` elements, and row s of a stack has the bits
-        of spectrum s alone.
+        max(norm_sq - ``row_mass[j]``, 0).  The bias reads each stored value
+        once per spectrum; its terms sum in another grouping than the dense
+        row's, so a risk can differ from :func:`exact_risk` of the row in its
+        last bits.  One shrinkage serves the whole stack, held at once with one
+        product per stored value of each spectrum; row s of a stack has the
+        bits of spectrum s alone.
         """
         if not (n > 0 and math.isfinite(n)):
             raise DomainError("sample size n must be positive and finite")
         _check_same_shape(spectrum.eigenvalues.shape[-1:], (self.K,), "SparseRows.risks")
-        lams = spectrum.eigenvalues.reshape(-1, self.K)
-        stack = max(1, BLOCK_ELEMENTS // (self.values.size + 3 * self.K))
-        risks = np.empty((len(lams), self.m))
-        for s in range(0, len(lams), stack):
-            risks[s : s + stack] = self._block_risks(lams[s : s + stack], n)
-        risks = risks.reshape(spectrum.eigenvalues.shape[:-1] + (self.m,))
-        if norm_sq is not None:
-            risks = risks + np.maximum(_checked_norm_sq(norm_sq) - self.row_mass, 0.0)
-        return risks
-
-    def _block_risks(self, lams: np.ndarray, n: float) -> np.ndarray:
-        """The (S', m) risks of a block of spectra (S', K).
-
-        Its shrinkage and products live only in this call, so the next
-        block's never meets them.
-        """
-        weights, one_minus, _ = _shrinkage(lams, n)
-        terms = one_minus[:, self.columns]  # np.take along axis 1 holds a second copy
+        weights, one_minus = _shrinkage(spectrum.eigenvalues, n)[:2]  # the variances go before the products
+        terms = one_minus[..., self.columns]  # np.take along the last axis holds a second copy
         terms *= self.values
         np.square(terms, out=terms)
-        return self.row_sums(terms) + (np.sum(np.square(weights, out=weights), axis=-1) / n)[:, None]
+        risks = self.row_sums(terms) + (np.sum(np.square(weights, out=weights), axis=-1) / n)[..., None]
+        if norm_sq is not None:
+            risks += np.maximum(_checked_norm_sq(norm_sq) - self.row_mass, 0.0)
+        return risks
 
 
 @dataclass(frozen=True)
@@ -366,31 +351,32 @@ def posterior_update(spectrum: Spectrum, observation: SequenceObservation) -> GP
     )
 
 
-def exact_risk(spectrum: Spectrum, theta: TruthCoefficients, n: float) -> float:
-    """Exact squared risk of the posterior mean at the given truth.
-
-    Computes sum_k ((1 - a_k) theta_k)^2 + sum_k a_k^2 / n over the
-    truncated coordinates, each sum pairwise over its K terms, plus the
-    truth's ``tail``.  The risks of many truths are :meth:`SparseRows.risks`.
-    """
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
-    _check_same_basis(spectrum.basis_id, theta.basis_id, "exact_risk")
-    _check_same_shape(spectrum.eigenvalues.shape, theta.theta.shape, "exact_risk")  # one spectrum
-    weights, one_minus, _ = _shrinkage(spectrum.eigenvalues, n)
-    bias = np.multiply(one_minus, theta.theta, out=one_minus)  # squared in place
-    risk = float(np.sum(np.square(bias, out=bias)) + np.sum(np.square(weights, out=weights)) / n)
-    return risk + theta.tail
-
-
 def _error_law(spectrum: Spectrum, theta: TruthCoefficients, n: float, what: str):
-    """(base, scale, posterior variances) with fbar - theta = base + scale * w, w ~ N(0, I)."""
+    """(b_k, a_k, posterior variances): fbar - theta = b + (a / sqrt(n)) w, w ~ N(0, I).
+
+    b_k = -(1 - a_k) theta_k, formed in place of the 1 - a_k.  The one place
+    that checks a (spectrum, truth, n) and forms its shrinkage, for the exact
+    and Monte Carlo risks and the contraction probes alike.
+    """
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
     _check_same_basis(spectrum.basis_id, theta.basis_id, what)
     _check_same_shape(spectrum.eigenvalues.shape, theta.theta.shape, what)  # one spectrum, not a stack
-    weights, one_minus, variances = _shrinkage(spectrum.eigenvalues, n)
-    return -one_minus * theta.theta, weights / math.sqrt(n), variances
+    weights, base, variances = _shrinkage(spectrum.eigenvalues, n)
+    np.multiply(base, theta.theta, out=base)
+    return np.negative(base, out=base), weights, variances
+
+
+def exact_risk(spectrum: Spectrum, theta: TruthCoefficients, n: float) -> float:
+    """Exact squared risk of the posterior mean at the given truth.
+
+    Computes sum_k b_k^2 + sum_k a_k^2 / n from the error law, over the
+    truncated coordinates, each sum pairwise over its K terms, plus the
+    truth's ``tail``.  The risks of many truths are :meth:`SparseRows.risks`.
+    """
+    base, weights, _ = _error_law(spectrum, theta, n, "exact_risk")
+    risk = float(np.sum(np.square(base, out=base)) + np.sum(np.square(weights, out=weights)) / n)
+    return risk + theta.tail
 
 
 _MC_CHUNK_BUDGET = 4_000_000  # scalars per Monte Carlo chunk
@@ -413,7 +399,9 @@ def mc_risk(
     drawn at once: sum_r sum_{k in G} (b_k + s w_rk)^2 is
     s^2 chi'^2_{R|G|}(R ||b_G||^2 / s^2), which has the law of
     (s Z + sqrt(R) ||b_G||)^2 + 2 s^2 Gamma((R |G| - 1) / 2).  Coordinates
-    with s = 0 add sum b_k^2 exactly, and the ``tail`` last.  So the
+    with s = 0 (no prior mass, or a scale that underflows) add sum b_k^2
+    exactly, summed in index order before the grouping, so only the s > 0
+    coordinates are sorted into groups; the ``tail`` comes last.  So the
     estimate has the law of the replication mean, at the cost of one normal
     and one gamma per distinct scale whatever R is, and the standard error
     is its exact standard deviation, sqrt(sum_G (2 s^4 |G| + 4 s^2 ||b_G||^2) / R).  R enters as a
@@ -423,16 +411,19 @@ def mc_risk(
     """
     if replications < 2:
         raise DomainError("mc_risk needs at least 2 replications")
-    base, scale, _ = _error_law(spectrum, theta, n, "mc_risk")
+    base, weights, _ = _error_law(spectrum, theta, n, "mc_risk")
+    scale = weights / math.sqrt(n)
+    live = scale > 0.0
+    # in index order, first term plus the pairwise rest: the bits np.add.reduceat gives a segment
+    noiseless = np.square(base[~live])
+    exact = float(noiseless[0] + np.sum(noiseless[1:])) if noiseless.size else 0.0
+    base, scale = base[live], scale[live]
     order = np.argsort(scale, kind="stable")
     scale = scale[order]
     starts = np.flatnonzero(np.diff(scale, prepend=-1.0))
     sizes = np.diff(starts, append=scale.size)
     scale = scale[starts]
     norm_sq = np.add.reduceat(base[order] ** 2, starts)
-    exact = float(np.sum(norm_sq[scale == 0.0]))
-    live = scale > 0.0
-    scale, norm_sq, sizes = scale[live], norm_sq[live], sizes[live]
     var, reps = scale**2, float(replications)
     normal_rng, gamma_rng = rng.spawn(2)
     center = scale * normal_rng.standard_normal(scale.size) + math.sqrt(reps) * np.sqrt(norm_sq)
@@ -462,7 +453,8 @@ def contraction_probability(
         raise DomainError("radius must be positive and finite")
     if outer < 1 or inner < 1:
         raise DomainError("outer and inner sample counts must be at least 1")
-    base, scale, variances = _error_law(spectrum, theta, n, "contraction_probability")
+    base, weights, variances = _error_law(spectrum, theta, n, "contraction_probability")
+    scale = weights / math.sqrt(n)
     sd = np.sqrt(variances)
     r_sq = radius * radius - theta.tail
     K = spectrum.size
@@ -525,8 +517,9 @@ def contraction_mass(
     radii = np.asarray(radius, dtype=float)
     if radii.ndim > 1 or not np.all((radii > 0.0) & np.isfinite(radii)):
         raise DomainError("radius must be positive and finite, one radius or a 1-d stack of them")
-    base, scale, variances = _error_law(spectrum, theta, n, "contraction_mass")
-    masses = _quadratic_form_tail(base**2, scale**2 + variances, np.atleast_1d(radii * radii) - theta.tail)
+    base, weights, variances = _error_law(spectrum, theta, n, "contraction_mass")
+    spread = (weights / math.sqrt(n)) ** 2 + variances  # s_k^2 + v_k
+    masses = _quadratic_form_tail(base**2, spread, np.atleast_1d(radii * radii) - theta.tail)
     return float(masses[0]) if radii.ndim == 0 else masses
 
 

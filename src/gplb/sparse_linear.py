@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adversarial import CoefficientMatrix, PyramidFamily, pyramid_norm_sq
-from .errors import ContractError, DomainError
+from .errors import DomainError
 from .sequence_core import Spectrum
 
 __all__ = [
@@ -298,14 +298,11 @@ def gp_mean_dominates_linear(
     the exact risk as additional squared bias.  The floor is c_n^2 times
     the one-sparse linear minimax risk at noise sigma_n = 1/(c_n sqrt(n)),
     and the returned flag records gp_risk_max >= floor, which the
-    reduction guarantees for every spectrum.
+    reduction guarantees for every spectrum.  A spectrum on another basis
+    raises ContractError from ``coeffs.risks``.
     """
     if not (n > 0 and math.isfinite(n)):
         raise DomainError("sample size n must be positive and finite")
-    if spectrum.basis_id != coeffs.basis_id:
-        raise ContractError(
-            f"spectrum basis {spectrum.basis_id!r} does not match coefficient basis {coeffs.basis_id!r}"
-        )
     family = coeffs.family
     c_n_sq = pyramid_norm_sq(family.d, family.k)
     sigma = 1.0 / math.sqrt(c_n_sq * n)

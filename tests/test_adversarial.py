@@ -35,7 +35,7 @@ from gplb.adversarial import (
 from gplb.errors import ContractError, DomainError
 from gplb.harness.study import grid_count
 from gplb.integrate import adaptive_box_integral, gl_box, pyramid_box_integral, pyramid_grid_integrals
-from gplb.sequence_core import BLOCK_ELEMENTS, SparseRows, Spectrum, TruthCoefficients, exact_risk
+from gplb.sequence_core import SparseRows, Spectrum, TruthCoefficients, exact_risk
 from gplb.wavelet import HaarTensorBasis, haar_tensor_basis
 from test_sequence_core import dense_risks, traced_peak
 from test_wavelet import constant_panels
@@ -485,7 +485,7 @@ def test_tk_values_are_computed_once_and_read_only():
     assert np.array_equal(sparse.entries, entries)
 
 
-B = BLOCK_ELEMENTS
+B = 2**14  # 128 KiB of float64: the shapes below lie on either side of it
 
 
 @pytest.mark.parametrize(
@@ -499,7 +499,7 @@ B = BLOCK_ELEMENTS
     ],
 )
 def test_blocked_tk_equals_the_one_expression_bit_for_bit(m, K):
-    # one row or column, many rows, K past BLOCK_ELEMENTS: the store's T_k is
+    # one row or column, many rows, K past 2^14: the store's T_k is
     # one bincount, which must keep the dense column mean's bits at each shape
     rng = np.random.default_rng(m + K)
     entries = rng.standard_normal((m, K)) * 10.0 ** rng.uniform(-9.0, 0.0, (m, K))

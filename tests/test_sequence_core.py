@@ -20,7 +20,6 @@ from gplb import sequence_core
 from gplb.adversarial import build_pyramid_family, compute_coefficients, tk_matched_spectrum
 from gplb.errors import ContractError, DomainError
 from gplb.sequence_core import (
-    BLOCK_ELEMENTS,
     MASS_TOLERANCE,
     GPPosterior,
     SequenceObservation,
@@ -212,24 +211,41 @@ def test_shrinkage_in_place_has_the_bits_of_the_where_form():
             assert new.tobytes() == old.tobytes(), n
 
 
-B = BLOCK_ELEMENTS
+def test_exact_risk_at_zero_and_huge_eigenvalues_is_the_one_expression_bit_for_bit():
+    # exact_risk sums the squares of the error law's b_k = -(1 - a_k) theta_k:
+    # the one expression, at lambda = 0 (a_k = 0, b_k = -theta_k) and at
+    # lambda = 1e308 (n lambda overflows past n = 1.8, so 1 - a_k = 0)
+    rng = np.random.default_rng(26)
+    thetas = rng.standard_normal((4, 40))
+    thetas[rng.random((4, 40)) < 0.3] = 0.0
+    for lam in (0.0, 1e308):
+        mixed = 10.0 ** rng.uniform(-6.0, 2.0, 40)
+        mixed[rng.random(40) < 0.5] = lam
+        for lams in (mixed, np.full(40, lam)):
+            for n in (1e-3, 7.0, 1e5):
+                expected = dense_risks(lams, thetas, n)
+                for theta, risk in zip(thetas, expected):
+                    assert exact_risk(Spectrum(lams, BASIS), truth_of(*theta), n) == risk, (lam, n)
+
+
+B = 2**14  # 128 KiB of float64: the stacks and rows below lie on either side of it
 
 
 @pytest.mark.parametrize(
     "S,m,K",
     [
         (None, 1, 1), (4, 1, 1), (None, 1, 300), (3, 1, 300),  # one row
-        (100, 4, 128), (41, 7, 200),  # stacks of spectra straddle a block edge
-        (3, 6, B // 8), (None, 5, B // 8),  # a block of two spectra, and of one
-        (2, 16, B // 4), (None, 3, B // 4 + 1),  # one spectrum a block
-        (2, 2, B + 3), (None, 1, 2 * B + 1),  # K longer than the budget
+        (100, 4, 128), (41, 7, 200),  # stacks of many spectra
+        (3, 6, B // 8), (None, 5, B // 8),
+        (2, 16, B // 4), (None, 3, B // 4 + 1),
+        (2, 2, B + 3), (None, 1, 2 * B + 1),  # long rows
         (5, 3000, 2), (None, 20000, 5),  # many short rows
     ],
 )
 def test_blocked_exact_risks_equal_the_one_expression_bit_for_bit(S, m, K):
     # exact_risk is the one expression at each row, bit for bit; the store's
-    # risks go in blocks of spectra, and each spectrum's row keeps the bits
-    # it has alone and lies within 4 ulp of the one expression
+    # risks take the whole stack of spectra at once, and each spectrum's row
+    # keeps the bits it has alone and lies within 4 ulp of the one expression
     rng = np.random.default_rng(m * K)
     shape = (K,) if S is None else (S, K)
     lams = 10.0 ** rng.uniform(-8.0, 4.0, shape)
@@ -267,21 +283,25 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("m,K", [(16, 16384), (4, 128)])
-def test_exact_risks_stay_within_the_block_budget(m, K):
-    # the store's risks under a 100-spectrum stack, at the largest risk-d2
-    # point and at the quick risk-floors size, every tenth coefficient
-    # stored.  A block holds about BLOCK_ELEMENTS, or one spectrum's
-    # shrinkage, three arrays of K, and one product per stored value.
-    rng = np.random.default_rng(8)
-    spectra = Spectrum(10.0 ** rng.uniform(-8.0, 0.0, (100, K)), BASIS)
-    thetas = rng.standard_normal((m, K))
-    thetas[:, np.arange(K) % 10 != 0] = 0.0
-    store = SparseRows.from_dense(thetas)
-    risks, peak = traced_peak(lambda: store.risks(spectra, 1e5))
-    # a block's row sums, and 8 KiB for array headers and views
-    block = max(BLOCK_ELEMENTS, store.values.size + 3 * K)
-    assert peak <= 8 * block + risks.nbytes + 3 * 8 * 100 * m + 8192, peak
+def test_stacked_risk_floors_peak_stays_within_one_shrinkage_and_product_per_spectrum():
+    # the risk-floors check's stacked call at the acceptance size: 500
+    # level-profile spectra on the d = 2, level-4 tensor Haar basis.  One
+    # shrinkage serves the stack, so the call holds at most three arrays of K
+    # and one product per stored value for each spectrum, the result, and
+    # 8 KiB for array headers and vectors of S
+    basis = haar_tensor_basis(2, 4)
+    coeffs = compute_coefficients(build_pyramid_family(2, 3), basis, basis.size)
+    rng = np.random.default_rng(9)
+    levels = np.arange(basis.level + 1)
+    profiles = 10.0 ** rng.uniform(-6.0, 2.0, (500, levels.size))
+    profiles[::2] = 10.0 ** rng.uniform(-2.0, 2.0, (250, 1)) * 2.0 ** (
+        -rng.uniform(0.0, 3.0, (250, 1)) * levels
+    )
+    spectra = Spectrum(profiles[:, basis.groups], coeffs.basis_id)
+    risks, peak = traced_peak(lambda: coeffs.risks(spectra, 1e4))
+    S, K = spectra.eigenvalues.shape
+    assert risks.shape == (S, coeffs.m)
+    assert peak <= 8 * S * (coeffs.values.size + 3 * K) + risks.nbytes + 8192, peak
 
 
 def test_exact_risks_validates_inputs():
@@ -577,6 +597,64 @@ def test_mc_risk_at_a_trillion_replications_stays_within_five_stderr():
     estimate, stderr = mc_risk(spectrum, theta, n, 10**12, np.random.default_rng(4))
     assert 0.0 < stderr < 1e-6
     assert abs(estimate - exact_risk(spectrum, theta, n)) <= 5.0 * stderr
+
+
+def all_coordinate_mc_risk(spectrum, theta, n, replications, rng):
+    """mc_risk as it grouped every coordinate, the s_k = 0 ones as a group of their own."""
+    weights, one_minus, _ = where_shrinkage(spectrum.eigenvalues, n)
+    base, scale = -one_minus * theta.theta, weights / math.sqrt(n)
+    order = np.argsort(scale, kind="stable")
+    scale = scale[order]
+    starts = np.flatnonzero(np.diff(scale, prepend=-1.0))
+    sizes = np.diff(starts, append=scale.size)
+    scale = scale[starts]
+    norm_sq = np.add.reduceat(base[order] ** 2, starts)
+    exact = float(np.sum(norm_sq[scale == 0.0]))
+    live = scale > 0.0
+    scale, norm_sq, sizes = scale[live], norm_sq[live], sizes[live]
+    var, reps = scale**2, float(replications)
+    normal_rng, gamma_rng = rng.spawn(2)
+    center = scale * normal_rng.standard_normal(scale.size) + math.sqrt(reps) * np.sqrt(norm_sq)
+    spread = gamma_rng.standard_gamma(0.5 * (reps * sizes - 1.0))
+    estimate = exact + float(np.sum(center**2 + 2.0 * var * spread)) / reps + theta.tail
+    stderr = math.sqrt(float(np.sum(2.0 * var**2 * sizes + 4.0 * var * norm_sq)) / reps)
+    return estimate, stderr
+
+
+def _noiseless_case(name, rng):
+    """Eigenvalues in a few shared levels, so scales form groups, with some coordinates noiseless."""
+    K = 700
+    lams = 10.0 ** rng.integers(-5, 2, K).astype(float)
+    if name == "30% zero eigenvalues":
+        lams[rng.random(K) < 0.3] = 0.0
+    elif name == "underflowing scale":
+        lams[rng.random(K) < 0.3] = 5e-324  # 1 / lambda overflows, so a_k and s_k are 0
+    elif name == "all zero":
+        lams[:] = 0.0
+    return lams
+
+
+@pytest.mark.parametrize("name", ["30% zero eigenvalues", "underflowing scale", "all zero", "none zero"])
+@pytest.mark.parametrize("replications", [2, 1000, 2**53])
+def test_mc_risk_equals_the_all_coordinate_grouping_bit_for_bit(name, replications):
+    # the noiseless coordinates sum in index order before the grouping, as
+    # their one group summed them, so the estimate, the stderr and the
+    # stream of normals and gammas keep every bit
+    rng = np.random.default_rng([replications % 997, len(name)])
+    for trial in range(4):
+        lams = _noiseless_case(name, rng)
+        theta = rng.standard_normal(lams.size) * 10.0 ** rng.uniform(-3.0, 0.0)
+        theta[rng.random(lams.size) < 0.2] = 0.0
+        norm_sq = None if trial % 2 else float(theta @ theta) + 0.5
+        truth = TruthCoefficients(theta, BASIS, norm_sq)
+        spectrum = Spectrum(lams, BASIS)
+        n = (1e-3, 1e3)[trial // 2]
+        got = mc_risk(spectrum, truth, n, replications, np.random.default_rng(trial))
+        expected = all_coordinate_mc_risk(spectrum, truth, n, replications, np.random.default_rng(trial))
+        assert got == expected, (trial, got, expected)
+        if name == "underflowing scale":
+            tiny = lams == 5e-324
+            assert np.any(tiny) and np.all(where_shrinkage(lams, n)[0][tiny] == 0.0)
 
 
 def test_mc_risk_rejects_fewer_than_two_replications():
