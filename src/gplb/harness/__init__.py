@@ -1,59 +1,6 @@
-"""Experiment harness: configuration, studies, reports, CLI."""
+"""Experiment harness: configuration, studies, reports, CLI.
 
-from .config import ExperimentConfig, load_config, resolved_items
-from .properties import run_verify
-from .report import (
-    COLUMNS,
-    SCHEMA_VERSION,
-    RiskReport,
-    RiskRow,
-    emit_report,
-    read_report,
-    render_csv,
-    render_json,
-)
-from .study import (
-    fit_loglog_slope,
-    grid_count,
-    minimal_basis_level,
-    run_contraction_study,
-    run_minimax_battery,
-    run_rate_study,
-    run_risk_study,
-    run_wavelet_study,
-    task_rng,
-)
-from .transfer import (
-    anderson_transfer,
-    concentration_bound,
-    contraction_mass_floor,
-    transfer_threshold,
-)
-
-__all__ = [
-    "ExperimentConfig",
-    "load_config",
-    "resolved_items",
-    "run_verify",
-    "COLUMNS",
-    "SCHEMA_VERSION",
-    "RiskReport",
-    "RiskRow",
-    "emit_report",
-    "read_report",
-    "render_csv",
-    "render_json",
-    "fit_loglog_slope",
-    "grid_count",
-    "minimal_basis_level",
-    "run_contraction_study",
-    "run_minimax_battery",
-    "run_rate_study",
-    "run_risk_study",
-    "run_wavelet_study",
-    "task_rng",
-    "anderson_transfer",
-    "concentration_bound",
-    "contraction_mass_floor",
-    "transfer_threshold",
-]
+Each name is imported from the module that defines it
+(``from gplb.harness.study import run_rate_study``); this package
+re-exports nothing.
+"""

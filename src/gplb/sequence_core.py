@@ -139,12 +139,12 @@ class SparseRows:
     Row j holds ``values[row_starts[j]:row_starts[j + 1]]`` at the
     coordinates ``columns[row_starts[j]:row_starts[j + 1]]``; its other
     coefficients are 0.  A row must hold each coordinate at most once, as
-    :meth:`from_dense` and ``adversarial.compute_coefficients`` make them.
-    That is not checked, since the check would sort the stored positions
-    on every construction: a repeated coordinate would count twice in the
-    row sums, while :meth:`row` and :attr:`entries` keep one of its
-    values.  The three arrays are copied into read-only ones, unless they
-    already are read-only arrays of float64, int64 and int64.
+    ``adversarial.compute_coefficients`` makes them.  That is not checked,
+    since the check would sort the stored positions on every construction:
+    a repeated coordinate would count twice in the row sums, while
+    :meth:`row` and :attr:`entries` keep one of its values.  The three
+    arrays are copied into read-only ones, unless they already are
+    read-only arrays of float64, int64 and int64.
     ``row_mass`` holds each row's sum of squares.  Every pass over the
     rows costs O(nonzeros + m), not O(m K).
     """
@@ -177,16 +177,6 @@ class SparseRows:
         row_mass.setflags(write=False)
         object.__setattr__(self, "row_mass", row_mass)
 
-    @classmethod
-    def from_dense(cls, rows, *args):
-        """The nonzeros of the m x K array ``rows``; ``args`` go on to a subclass."""
-        rows = np.asarray(rows, dtype=float)
-        if rows.ndim != 2:
-            raise ContractError("dense rows must form a 2-d array, one truth per row")
-        kept = rows != 0.0
-        starts = np.concatenate(([0], np.cumsum(np.count_nonzero(kept, axis=1))))
-        return cls(rows[kept], np.nonzero(kept)[1], starts, rows.shape[1], *args)
-
     @property
     def m(self) -> int:
         return int(self.row_starts.size - 1)
@@ -206,7 +196,9 @@ class SparseRows:
         return sums
 
     def row(self, j: int) -> np.ndarray:
-        """Row j as its K coefficients."""
+        """Row j as its K coefficients, for j in 0..m - 1."""
+        if not 0 <= j < self.m:
+            raise DomainError(f"row index {j} out of range for {self.m} rows")
         lo, hi = self.row_starts[j], self.row_starts[j + 1]
         dense = np.zeros(self.K)
         dense[self.columns[lo:hi]] = self.values[lo:hi]

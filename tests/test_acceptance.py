@@ -26,9 +26,10 @@ import pytest
 
 import conftest
 from gplb.adversarial import build_pyramid_family, compute_coefficients
-from gplb.harness import ExperimentConfig, properties, run_rate_study
+from gplb.harness import properties
 from gplb.harness.cli import main
-from gplb.harness.config import ENV_VARIABLES
+from gplb.harness.config import ENV_VARIABLES, ExperimentConfig
+from gplb.harness.study import run_rate_study
 from gplb.harness.transfer import transfer_threshold
 from gplb.sequence_core import (
     MASS_TOLERANCE,

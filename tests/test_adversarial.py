@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from conftest import from_dense
 from gplb.adversarial import (
     MAX_FAMILY_SIZE,
     CoefficientMatrix,
@@ -480,7 +481,7 @@ def test_tk_values_are_computed_once_and_read_only():
     family = build_pyramid_family(1, 2025)
     rng = np.random.default_rng(5)
     entries = rng.standard_normal((family.m, 1200)) * 1e-9 * (rng.random((family.m, 1200)) < 0.5)
-    sparse = CoefficientMatrix.from_dense(entries, "haar1d_J10", family)
+    sparse = from_dense(CoefficientMatrix, entries, "haar1d_J10", family)
     assert np.array_equal(sparse.tk, (entries**2).mean(axis=0))
     assert np.array_equal(sparse.entries, entries)
 
@@ -506,13 +507,13 @@ def test_blocked_tk_equals_the_one_expression_bit_for_bit(m, K):
     family = build_pyramid_family(1, m)
     # scaled under the member norm, so the Bessel check passes
     entries *= math.sqrt(pyramid_norm_sq(1, m) / 2.0 / np.max(np.sum(entries**2, axis=1)))
-    coeffs = CoefficientMatrix.from_dense(entries, "b", family)
+    coeffs = from_dense(CoefficientMatrix, entries, "b", family)
     assert np.array_equal(coeffs.tk, (entries**2).mean(axis=0))
     assert within_ulps(coeffs.row_mass, np.sum(entries**2, axis=1))
     # a row over the norm, its mass spread over every column, is refused
     entries[m // 2] *= math.sqrt(1.1 * pyramid_norm_sq(1, m) / np.sum(entries[m // 2] ** 2))
     with pytest.raises(ContractError, match="exceed the member norm"):
-        CoefficientMatrix.from_dense(entries, "b", family)
+        from_dense(CoefficientMatrix, entries, "b", family)
 
 
 def test_tk_pass_stays_within_the_block_budget():
@@ -523,7 +524,7 @@ def test_tk_pass_stays_within_the_block_budget():
     rng = np.random.default_rng(4)
     entries = rng.standard_normal((16, 16384)) * math.sqrt(pyramid_norm_sq(2, 4) / 2.0 / 16384)
     entries[:, np.arange(16384) % 10 != 0] = 0.0
-    store = SparseRows.from_dense(entries)
+    store = from_dense(SparseRows, entries)
     tk, peak = traced_peak(
         lambda: CoefficientMatrix(store.values, store.columns, store.row_starts, 16384, "b", family).tk
     )
@@ -570,7 +571,7 @@ def test_sparse_rows_contract_errors():
     with pytest.raises(ContractError, match="do not match family size"):
         CoefficientMatrix(values, [0, 1], [0, 2], 3, "b", family)
     with pytest.raises(ContractError):
-        SparseRows.from_dense(np.zeros(3))
+        from_dense(SparseRows, np.zeros(3))
 
 
 def test_coefficient_contract_errors():
@@ -588,7 +589,7 @@ def test_rows_violating_bessel_are_rejected():
     family = build_pyramid_family(1, 1)
     overweight = np.array([[math.sqrt(pyramid_norm_sq(1, 1)) * 1.1, 0.0]])
     with pytest.raises(ContractError):
-        CoefficientMatrix.from_dense(overweight, "haar1d_J0", family)
+        from_dense(CoefficientMatrix, overweight, "haar1d_J0", family)
 
 
 # ---------------------------------------------------------------------------
@@ -598,7 +599,7 @@ def test_rows_violating_bessel_are_rejected():
 def test_tk_values_average_squared_entries():
     family = build_pyramid_family(1, 2)
     entries = np.array([[0.06, 0.0, 0.02], [0.0, 0.06, -0.02]])
-    coeffs = CoefficientMatrix.from_dense(entries, "haar1d_J1", family)
+    coeffs = from_dense(CoefficientMatrix, entries, "haar1d_J1", family)
     expected = np.array([0.0018, 0.0018, 0.0004])
     assert np.allclose(coeffs.tk, expected, rtol=1e-15)
 
@@ -620,13 +621,13 @@ def test_matched_spectrum_copies_the_mass_profile():
 
 def test_risk_floor_trivial_and_saturated_cases():
     family = build_pyramid_family(1, 2)
-    zero = CoefficientMatrix.from_dense(np.zeros((2, 4)), "haar1d_J1", family)
+    zero = from_dense(CoefficientMatrix, np.zeros((2, 4)), "haar1d_J1", family)
     assert risk_lower_bound(zero, 100.0) == 0.0
     n = 1000.0
     unit = build_pyramid_family(1, 1)
     # three coefficients with squared size >= 1/n, the rest zero
     row = np.array([[0.2, -0.1, 0.04, 0.0]])
-    saturated = CoefficientMatrix.from_dense(row, "haar1d_J1", unit)
+    saturated = from_dense(CoefficientMatrix, row, "haar1d_J1", unit)
     assert risk_lower_bound(saturated, n) == pytest.approx(3.0 / n, rel=1e-12)
     with pytest.raises(DomainError):
         risk_lower_bound(saturated, 0.0)
@@ -842,7 +843,7 @@ def test_member_risks_add_each_rows_truncation_tail():
     norm_sq = float(np.max(np.einsum("ij,ij->i", rows, rows))) * 1.5
     rows[2] *= math.sqrt(norm_sq / float(rows[2] @ rows[2]))  # no tail
     spectrum = Spectrum(10.0 ** rng.uniform(-4.0, 0.0, K), "b")
-    risks = SparseRows.from_dense(rows).risks(spectrum, 300.0, norm_sq)
+    risks = from_dense(SparseRows, rows).risks(spectrum, 300.0, norm_sq)
     tails = [TruthCoefficients(row, "b", norm_sq).tail for row in rows]
     for j, row in enumerate(rows):
         tail = max(norm_sq - float(row @ row), 0.0)
@@ -854,7 +855,7 @@ def test_member_risks_add_each_rows_truncation_tail():
 def test_sparse_risks_of_a_stack_of_spectra_equal_each_spectrum_alone():
     rng = np.random.default_rng(8)
     rows = rng.standard_normal((7, 300)) * (rng.random((7, 300)) < 0.3)
-    store = SparseRows.from_dense(rows)
+    store = from_dense(SparseRows, rows)
     # about 630 stored values: blocks of 10 spectra, the last one short
     lams = 10.0 ** rng.uniform(-4.0, 1.0, (37, 300))
     stacked = store.risks(Spectrum(lams, "b"), 200.0)
@@ -872,7 +873,7 @@ def test_member_risks_of_rows_that_keep_no_coefficient():
     # empty rows first, inside and last: np.add.reduceat would give each the
     # next row's first term; an empty row has no bias and its whole norm as tail
     rows = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, -0.2], [0.0, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0] * 3])
-    store = SparseRows.from_dense(rows)
+    store = from_dense(SparseRows, rows)
     assert store.row_starts.tolist() == [0, 0, 2, 2, 3, 3]
     spectrum = Spectrum([1.0, 0.5, 0.0], "b")
     n, norm_sq = 50.0, 0.25
@@ -883,7 +884,7 @@ def test_member_risks_of_rows_that_keep_no_coefficient():
         truth = TruthCoefficients(rows[j], "b")
         assert within_ulps(risks[j], exact_risk(spectrum, truth, n) + norm_sq - rows[j] @ rows[j])
     # no stored value at all
-    empty = SparseRows.from_dense(np.zeros((2, 3)))
+    empty = from_dense(SparseRows, np.zeros((2, 3)))
     assert empty.risks(spectrum, n, norm_sq).tolist() == [variance + norm_sq] * 2
     # K = 1: one coefficient per member, the constant function's
     family = build_pyramid_family(2, 3)
@@ -901,7 +902,7 @@ def test_member_risks_sum_long_rows_in_pieces():
     rows = rng.standard_normal((2, 20000))
     norm_sq = 1e5
     spectrum = Spectrum(np.ones(20000), "b")
-    store = SparseRows.from_dense(rows)
+    store = from_dense(SparseRows, rows)
     tails = store.risks(spectrum, 10.0, norm_sq) - store.risks(spectrum, 10.0)
     expected = norm_sq - np.sum(rows**2, axis=1)
     assert np.allclose(tails, expected, rtol=1e-14, atol=0.0)
@@ -919,6 +920,6 @@ def test_truth_risk_is_one_rows_member_risk_from_its_dense_sums():
         chunks = [theta[i : i + 8192] for i in range(0, K, 8192)]
         assert tail == max(norm_sq - sum(c @ c for c in chunks), 0.0)
         assert risk == exact_risk(spectrum, TruthCoefficients(theta, "b"), 50.0) + tail
-        store = SparseRows.from_dense(theta[None, :])
+        store = from_dense(SparseRows, theta[None, :])
         assert within_ulps(store.risks(spectrum, 50.0, norm_sq)[0], risk)
         assert abs(max(norm_sq - store.row_mass[0], 0.0) - tail) <= 4 * np.spacing(norm_sq)

@@ -8,9 +8,11 @@ stays fast.
 
 from __future__ import annotations
 
+import importlib
 import itertools
 import json
 import math
+import pkgutil
 import re
 import subprocess
 import sys
@@ -43,36 +45,44 @@ from gplb.adversarial import (
     tk_matched_spectrum,
 )
 from gplb.errors import ConfigError, ContractError, SchemaVersionError
-from gplb.harness import (
+from gplb.harness.cli import main
+from gplb.harness.config import (
+    ENV_VARIABLES,
+    FLAGGED,
+    MODES,
+    ExperimentConfig,
+    load_config,
+    resolved_items,
+)
+from gplb.harness.properties import run_verify
+from gplb.harness.report import (
     COLUMNS,
     SCHEMA_VERSION,
-    ExperimentConfig,
     RiskReport,
     RiskRow,
-    anderson_transfer,
-    concentration_bound,
-    contraction_mass_floor,
     emit_report,
-    fit_loglog_slope,
-    grid_count,
-    load_config,
-    minimal_basis_level,
+    format_cell,
     read_report,
     render_csv,
     render_json,
-    resolved_items,
+)
+from gplb.harness.study import (
+    fit_loglog_slope,
+    grid_count,
+    minimal_basis_level,
     run_contraction_study,
     run_minimax_battery,
     run_rate_study,
     run_risk_study,
-    run_verify,
     run_wavelet_study,
     task_rng,
+)
+from gplb.harness.transfer import (
+    anderson_transfer,
+    concentration_bound,
+    contraction_mass_floor,
     transfer_threshold,
 )
-from gplb.harness.cli import main
-from gplb.harness.config import ENV_VARIABLES, FLAGGED, MODES
-from gplb.harness.report import format_cell
 from gplb.sequence_core import (
     Spectrum,
     TruthCoefficients,
@@ -1475,10 +1485,11 @@ import sys
 
 sys.modules["scipy"] = None  # every import of scipy now fails
 sys.path.insert(0, sys.argv[1])
-import gplb
 import gplb.harness.cli
-from gplb.harness import load_config, render_csv, run_verify
 from gplb.harness.cli import _RUNNERS
+from gplb.harness.config import load_config
+from gplb.harness.properties import run_verify
+from gplb.harness.report import render_csv
 
 for mode in ("risk", "rates", "contraction", "wavelet", "verify", "minimax"):
     config = load_config(None, {"mode": mode}, env={})
@@ -1502,6 +1513,23 @@ def test_default_cli_calls_run_without_scipy_and_import_nothing_mid_study():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["ok"]
+
+
+def test_each_public_name_is_bound_only_where_it_is_defined():
+    # Every function and class a module exports is that module's own, and
+    # the packages gplb and gplb.harness bind none: a name has one import path
+    walked = pkgutil.walk_packages(gplb.__path__, "gplb.")
+    modules = [gplb, *(importlib.import_module(info.name) for info in walked)]
+    exported = [
+        (module.__name__, name, getattr(module, name))
+        for module in modules
+        for name in getattr(module, "__all__", ())
+    ]
+    borrowed = [(home, name) for home, name, value in exported if callable(value) and value.__module__ != home]
+    assert exported and not borrowed, borrowed
+    for package in (gplb, gplb.harness):
+        bound = [name for name, value in vars(package).items() if callable(value)]
+        assert not bound, (package.__name__, bound)
 
 
 def test_studies_describe_the_basis_without_index_objects(monkeypatch):
