@@ -16,8 +16,18 @@ Averaging squared basis coefficients over the family yields per-coordinate
 masses T_k = (1/m) sum_j <f_j, phi_k>^2, and the worst-case posterior-mean
 risk over the family is bounded below by sum_k T_k AND 1/n for every prior
 spectrum on that basis.  The risk-balancing grid target, the closed-form
-constants, and the sample-size threshold for the contraction machinery
-live here too.
+constants and the contraction sample-size threshold live here too, with
+the closed-form caps that tie the exact risk mu_n^2 = E ||fbar_n - f0||^2
+to the full posterior (the studies compute the mass they bound exactly):
+
+- the squared error concentrates: P(||fbar_n - f0||^2 <= mu_n^2 / 4) is at
+  most 4 exp(-n mu_n^2 / 32);
+- Anderson's inequality transfers posterior mass to the mean:
+  P(||fbar_n - f0|| >= 2 gamma) <= 2 sqrt(E Pi(||f - f0|| >= gamma | Y));
+- combining the two floors the expected posterior mass outside radius
+  mu_n / 4 by (1/4)(1 - 4 exp(-n mu_n^2 / 32))_+^2, and once
+  n gamma^2 clears 32 log(5 / (1 - sqrt(1 - 4 delta))) the mass outside
+  gamma/5 cannot drop below 1/4 - delta.
 """
 
 from __future__ import annotations
@@ -56,18 +66,13 @@ __all__ = [
     "lower_bound_constants",
     "n_threshold",
     "mean_risk_floor",
+    "concentration_bound",
+    "anderson_transfer",
+    "transfer_threshold",
+    "contraction_mass_floor",
 ]
 
 MAX_FAMILY_SIZE = 10_000_000
-
-_FACTORIAL_CUTOFF = 15  # exact math.factorial below, log-gamma above
-
-
-def _half_inverse_factorial(d: int) -> float:
-    """r_d = 1 / (2 (d+2)!), evaluated in log space for large d."""
-    if d <= _FACTORIAL_CUTOFF:
-        return 1.0 / (2.0 * math.factorial(d + 2))
-    return 0.5 * math.exp(-math.lgamma(d + 3))
 
 
 def _log_half_inverse_factorial(d: int) -> float:
@@ -135,7 +140,7 @@ def pyramid_norm_sq(d: int, k: int) -> float:
     """Common squared L^2 norm of every family member: k^{-(d+2)}/(2(d+2)!)."""
     if d < 1 or k < 1:
         raise DomainError("pyramid_norm_sq needs d >= 1 and k >= 1")
-    return _half_inverse_factorial(d) * float(k) ** -(d + 2)
+    return 1 / (2 * math.factorial(d + 2)) * float(k) ** -(d + 2)
 
 
 @dataclass(frozen=True)
@@ -400,18 +405,15 @@ def lower_bound_constants(d: int) -> LowerBoundConstants:
 def n_threshold(d: int, delta: float) -> float:
     """Smallest sample-size scale at which the contraction floor is active.
 
-    Evaluates 2 (d+2)! 2^{(2d+2)^2 / d} [32 log(5 / (1 - sqrt(1-4 delta)))]^{(d+2)/d}
+    Evaluates 2 (d+2)! 2^{(2d+2)^2 / d} [:func:`transfer_threshold` (delta)]^{(d+2)/d}
     in log space; returns inf when the value overflows a float.
     """
     if d < 1:
         raise DomainError("dimension d must be at least 1")
-    if not 0.0 < delta < 0.25:
-        raise DomainError("delta must lie strictly between 0 and 1/4")
-    log_factor = math.log(32.0 * math.log(5.0 / (1.0 - math.sqrt(1.0 - 4.0 * delta))))
     log_value = (
         -_log_half_inverse_factorial(d)
         + (2.0 * d + 2.0) ** 2 / d * math.log(2.0)
-        + (d + 2.0) / d * log_factor
+        + (d + 2.0) / d * math.log(transfer_threshold(delta))
     )
     try:
         return math.exp(log_value)
@@ -429,3 +431,39 @@ def mean_risk_floor(d: int, n: float) -> float:
         raise DomainError("sample size n must be at least 1")
     constants = lower_bound_constants(d)
     return constants.mean_constant**2 * float(n) ** (-(2.0 + d) / (2.0 + 2.0 * d))
+
+
+def concentration_bound(n: float, mu_sq: float) -> float:
+    """4 exp(-n mu_sq / 32): cap on P(squared error <= quarter of its mean)."""
+    if not (n > 0 and math.isfinite(n)):
+        raise DomainError("sample size n must be positive and finite")
+    if not (mu_sq > 0 and math.isfinite(mu_sq)):
+        raise DomainError("mean squared error mu_sq must be positive and finite")
+    return 4.0 * math.exp(-n * mu_sq / 32.0)
+
+
+def anderson_transfer(v: float) -> float:
+    """2 sqrt(v): cap on P(||fbar - f0|| >= 2 gamma) from posterior mass v."""
+    if not 0.0 <= v <= 1.0:
+        raise DomainError("expected posterior mass v must lie in [0, 1]")
+    return 2.0 * math.sqrt(v)
+
+
+def transfer_threshold(delta: float) -> float:
+    """Smallest n gamma^2 at which mass outside gamma/5 must reach 1/4 - delta."""
+    if not 0.0 < delta < 0.25:
+        raise DomainError("delta must lie strictly between 0 and 1/4")
+    # 1 - sqrt(1 - 4 delta) as 4 delta / (1 + sqrt(1 - 4 delta)): no cancellation as delta -> 0
+    return 32.0 * math.log(5.0 / (4.0 * delta / (1.0 + math.sqrt(1.0 - 4.0 * delta))))
+
+
+def contraction_mass_floor(n: float, mu_sq: float) -> float:
+    """(1/4)(1 - 4 exp(-n mu_sq/32))_+^2: floor on mass outside radius mu/4.
+
+    mu_sq is the exact posterior-mean risk at the truth; the floor is
+    nontrivial once n mu_sq > 32 log 4.
+    """
+    base = 1.0 - concentration_bound(n, mu_sq)
+    if base <= 0.0:
+        return 0.0
+    return 0.25 * base * base

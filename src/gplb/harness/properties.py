@@ -23,6 +23,7 @@ import numpy as np
 from ..adversarial import (
     build_pyramid_family,
     compute_coefficients,
+    concentration_bound,
     evaluate_pyramid,
     lower_bound_constants,
     mean_risk_floor,
@@ -48,7 +49,6 @@ from ..sparse_linear import (
 from ..wavelet import haar_tensor_basis
 from .config import ExperimentConfig
 from .study import task_rng
-from .transfer import concentration_bound
 
 __all__ = ["CHECKS", "run_verify"]
 

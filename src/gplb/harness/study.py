@@ -33,6 +33,7 @@ from ..adversarial import (
     pyramid_norm_sq,
     risk_lower_bound,
     tk_matched_spectrum,
+    transfer_threshold,
     worst_member,
 )
 from ..errors import ConfigError
@@ -58,7 +59,6 @@ from ..wavelet import (
 )
 from .config import ExperimentConfig, resolved_items
 from .report import RiskReport, RiskRow
-from .transfer import transfer_threshold
 
 __all__ = [
     "MAX_COEFFICIENT_BYTES",

@@ -22,15 +22,14 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 import conftest
-from gplb.adversarial import build_pyramid_family, compute_coefficients
+from conftest import dispersed_test_functions
+from gplb.adversarial import build_pyramid_family, compute_coefficients, transfer_threshold
 from gplb.harness import properties
 from gplb.harness.cli import main
-from gplb.harness.config import ENV_VARIABLES, ExperimentConfig
+from gplb.harness.config import ExperimentConfig
 from gplb.harness.study import run_rate_study
-from gplb.harness.transfer import transfer_threshold
 from gplb.sequence_core import (
     MASS_TOLERANCE,
     Spectrum,
@@ -48,12 +47,6 @@ from gplb.wavelet import (
     single_function_risk_bound,
     wavelet_prior_preset,
 )
-
-
-@pytest.fixture(autouse=True)
-def _clean_gplb_env(monkeypatch):
-    for key in ("GPLB_CONFIG", *ENV_VARIABLES):
-        monkeypatch.delenv(key, raising=False)
 
 
 def record(index: int, name: str, ok: bool, detail: str) -> None:
@@ -190,51 +183,6 @@ def test_criterion_08_posterior_mass_floor_beyond_transfer_threshold():
         "0.15 - 1e-10 whenever n*gamma^2 cleared "
         f"{threshold:.2f}: " + "; ".join(summaries),
     )
-
-
-def resolution_groups(basis):
-    return {level: np.flatnonzero(basis.groups == level) for level in np.unique(basis.groups)}
-
-
-def dispersed_test_functions(basis, n):
-    """Five coefficient vectors with spread-out within-group energy.
-
-    Each either concentrates far above the noise level 1/n or straddles
-    it within a resolution group, so the level-profile risk infimum
-    exceeds the single-function floor and dominance over every
-    level-profile prior is a theorem rather than a sampling accident.
-    """
-    groups = resolution_groups(basis)
-    noise = 1.0 / n
-
-    lone = np.zeros(basis.size)
-    lone[groups[2][0]] = 0.35
-
-    pair = np.zeros(basis.size)
-    pair[groups[1][0]] = 0.5
-    pair[groups[4][0]] = 0.2 * math.sqrt(noise)
-
-    zigzag = np.zeros(basis.size)
-    for level in (1, 2, 3, 4):
-        zigzag[groups[level][0]] = 4.0 * math.sqrt(noise)
-        zigzag[groups[level][-1]] = 0.25 * math.sqrt(noise)
-
-    comb = np.zeros(basis.size)
-    comb[groups[4][::2]] = 2.0 * math.sqrt(noise)
-
-    alternating = np.zeros(basis.size)
-    for level, members in groups.items():
-        scale = 0.04 * 2.0 ** (-level)
-        for slot, position in enumerate(members):
-            alternating[position] = math.sqrt(scale * (8.0 if slot % 2 == 0 else 0.125))
-
-    return {
-        "lone supra-noise spike": lone,
-        "cross-scale pair": pair,
-        "zigzag straddling 1/n": zigzag,
-        "half-filled fine comb": comb,
-        "alternating geometric": alternating,
-    }
 
 
 def test_criterion_09_single_function_floor_and_exponent_ordering():

@@ -5,8 +5,10 @@ the separately validated adaptive panel integrator for d = 3, and direct
 closed-form arithmetic for every constant.
 """
 
+import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -244,6 +246,15 @@ def test_norm_large_dimension_uses_log_space_safely():
     for d in (20, 60, 100):
         direct = 1.0 / (2.0 * math.factorial(d + 2)) * 3.0 ** -(d + 2)
         assert pyramid_norm_sq(d, 3) == pytest.approx(direct, rel=1e-12)
+
+
+def test_norm_keeps_the_float_factorial_bits_and_rounds_correctly_beyond():
+    # through d = 15, 2 (d+2)! is exact in a float, so the float formula
+    # pins every bit; past it r_d = 1 / (2 (d+2)!) is the correctly rounded rational
+    for d, k in itertools.product(range(1, 16), range(1, 9)):
+        assert pyramid_norm_sq(d, k) == 1.0 / (2.0 * math.factorial(d + 2)) * float(k) ** -(d + 2)
+    for d in range(16, 200):
+        assert pyramid_norm_sq(d, 1) == float(Fraction(1, 2 * math.factorial(d + 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ stays fast.
 
 from __future__ import annotations
 
+import decimal
 import importlib
 import itertools
 import json
@@ -37,12 +38,17 @@ import gplb.sparse_linear as sparse_linear
 from gplb.adversarial import (
     CoefficientMatrix,
     PyramidFamily,
+    anderson_transfer,
     build_pyramid_family,
     compute_coefficients,
+    concentration_bound,
+    contraction_mass_floor,
     grid_target,
     mean_risk_floor,
+    n_threshold,
     pyramid_norm_sq,
     tk_matched_spectrum,
+    transfer_threshold,
 )
 from gplb.errors import ConfigError, ContractError, SchemaVersionError
 from gplb.harness.cli import main
@@ -77,12 +83,6 @@ from gplb.harness.study import (
     run_wavelet_study,
     task_rng,
 )
-from gplb.harness.transfer import (
-    anderson_transfer,
-    concentration_bound,
-    contraction_mass_floor,
-    transfer_threshold,
-)
 from gplb.sequence_core import (
     Spectrum,
     TruthCoefficients,
@@ -103,13 +103,6 @@ from test_sparse_linear import per_pair_grid_minimum
 from test_wavelet import constant_panels
 
 
-@pytest.fixture(autouse=True)
-def _clean_gplb_env(monkeypatch):
-    """Keep ambient GPLB_* variables from leaking into config resolution."""
-    for key in ("GPLB_CONFIG", *ENV_VARIABLES):
-        monkeypatch.delenv(key, raising=False)
-
-
 def write_ini(tmp_path, text, name="experiment.ini"):
     path = tmp_path / name
     path.write_text(textwrap.dedent(text), encoding="utf-8")
@@ -126,6 +119,19 @@ def test_transfer_threshold_frozen_value():
     assert value == pytest.approx(99.17765801020667, rel=1e-12)
     direct = 32.0 * math.log(5.0 / (1.0 - math.sqrt(0.6)))
     assert value == pytest.approx(direct, rel=1e-15)
+
+
+def test_transfer_threshold_is_within_two_ulps_down_to_tiny_delta(tmp_path):
+    # 1 - sqrt(1 - 4 delta) cancels as delta falls to 0; the reference keeps
+    # 50 digits, so at delta = 1e-17 it still holds 33
+    for delta in (1e-17, 1e-9, 0.01, 0.1, 0.24):
+        with decimal.localcontext(prec=50):
+            root = (1 - 4 * decimal.Decimal(delta)).sqrt()
+            expected = float(32 * (5 / (1 - root)).ln())
+        assert within_ulps(transfer_threshold(delta), expected, ulps=2), delta
+    assert math.isfinite(n_threshold(1, 1e-17))
+    path = write_ini(tmp_path, "[experiment]\ndelta = 1e-17\n")
+    assert main(["contraction", "--config", path, "--out", str(tmp_path / "tiny.csv")]) == 0
 
 
 def test_transfer_threshold_decreases_in_delta_and_guards_domain():
@@ -1513,6 +1519,19 @@ def test_default_cli_calls_run_without_scipy_and_import_nothing_mid_study():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["ok"]
+
+
+def test_science_modules_import_no_harness_module():
+    # the proof constants and transfer caps live beside the science they
+    # serve; only the harness may import the harness
+    src = str(Path(gplb.__file__).resolve().parents[1])
+    science = "gplb.adversarial, gplb.sequence_core, gplb.wavelet, gplb.sparse_linear, gplb.integrate"
+    probe = f"import sys; sys.path.insert(0, sys.argv[1]); import {science}; print(*sys.modules, sep='\\n')"
+    done = subprocess.run([sys.executable, "-c", probe, src], capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    loaded = done.stdout.splitlines()
+    assert "gplb.adversarial" in loaded
+    assert [name for name in loaded if name.startswith("gplb.harness")] == []
 
 
 def test_each_public_name_is_bound_only_where_it_is_defined():

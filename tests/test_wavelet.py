@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, optimize
 
+from conftest import dispersed_test_functions, resolution_groups
 from gplb.errors import ContractError, DomainError
 from gplb.integrate import PiecewisePolynomial, ridge_box_integral
 from gplb.sequence_core import Spectrum, TruthCoefficients, exact_risk
@@ -31,52 +32,6 @@ from gplb.wavelet import (
     wavelet_prior_preset,
     wavelet_prior_rate,
 )
-
-
-def resolution_groups(basis):
-    """Indices of basis members sharing a preset variance level."""
-    return {level: np.flatnonzero(basis.groups == level) for level in np.unique(basis.groups)}
-
-
-def dispersed_test_functions(basis, n):
-    """Five coefficient vectors with spread-out within-group energy.
-
-    Each either concentrates far above the noise level 1/n or straddles
-    it within a resolution group, so the level-profile risk infimum
-    exceeds the unhalved floor and dominance is a theorem rather than a
-    sampling accident.
-    """
-    groups = resolution_groups(basis)
-    noise = 1.0 / n
-
-    lone = np.zeros(basis.size)
-    lone[groups[2][0]] = 0.35
-
-    pair = np.zeros(basis.size)
-    pair[groups[1][0]] = 0.5
-    pair[groups[4][0]] = 0.2 * math.sqrt(noise)
-
-    zigzag = np.zeros(basis.size)
-    for level in (1, 2, 3, 4):
-        zigzag[groups[level][0]] = 4.0 * math.sqrt(noise)
-        zigzag[groups[level][-1]] = 0.25 * math.sqrt(noise)
-
-    comb = np.zeros(basis.size)
-    comb[groups[4][::2]] = 2.0 * math.sqrt(noise)
-
-    alternating = np.zeros(basis.size)
-    for level, members in groups.items():
-        scale = 0.04 * 2.0 ** (-level)
-        for slot, position in enumerate(members):
-            alternating[position] = math.sqrt(scale * (8.0 if slot % 2 == 0 else 0.125))
-
-    return {
-        "lone supra-noise spike": lone,
-        "cross-scale pair": pair,
-        "zigzag straddling 1/n": zigzag,
-        "half-filled fine comb": comb,
-        "alternating geometric": alternating,
-    }
 
 
 def midpoint_grid(d, J):
