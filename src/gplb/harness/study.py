@@ -325,29 +325,27 @@ def _report(config: ExperimentConfig, groups, *, fit: bool, fits: dict | None = 
     return RiskReport(rows=rows, config_items=resolved_items(config), fits=fits)
 
 
-def run_rate_study(
-    config: ExperimentConfig, *, fit: bool = True, probabilities: bool = True
-) -> RiskReport:
+def run_rate_study(config: ExperimentConfig) -> RiskReport:
     """Worst-case risk of the configured prior over the adversarial family.
 
     For each n: build the grid family, compute every member's exact risk
     (truncation tail included), Monte Carlo the risk at the worst member
     (the lowest index within 1e-12 of the largest), and record the coordinatewise
-    floor and the closed-form envelope.  With ``probabilities`` each grid
-    point contributes two rows sharing those values, carrying the posterior
-    mass outside radius mu/4 and gamma/5 (mu^2 = gamma^2 = the worst
-    member's exact risk).  With ``fit`` the log-log slope of the worst-case
-    exact risk is fitted across the grid and written to the slope column of
-    every row (the band is reported in the JSON fits).
+    floor and the closed-form envelope.  Each grid point contributes two
+    rows sharing those values, carrying the posterior mass outside radius
+    mu/4 and gamma/5 (mu^2 = gamma^2 = the worst member's exact risk).  The
+    log-log slope of the worst-case exact risk is fitted across the grid and
+    written to the slope column of every row (the band is reported in the
+    JSON fits).
     """
-    stages = ("mc", "probes") if probabilities else ("mc",)
-    groups = [_grid_point(config, stages, task) for task in _grid_tasks(config)]
-    return _report(config, groups, fit=fit)
+    groups = [_grid_point(config, ("mc", "probes"), task) for task in _grid_tasks(config)]
+    return _report(config, groups, fit=True)
 
 
 def run_risk_study(config: ExperimentConfig) -> RiskReport:
     """Rate-study rows without the slope fit or contraction estimates."""
-    return run_rate_study(config, fit=False, probabilities=False)
+    groups = [_grid_point(config, ("mc",), task) for task in _grid_tasks(config)]
+    return _report(config, groups, fit=False)
 
 
 def run_contraction_study(config: ExperimentConfig) -> RiskReport:

@@ -480,7 +480,6 @@ _SEGMENT_PHASE = 32.0 * math.pi  # Imhof segments over 16 periods use Fourier we
 # well short of j ~ 53, where 1 - 2 t max v rounds to 0
 _LOWER_RUNGS = 100
 _POLE_RUNGS = 40
-_LADDER_BLOCK = 2**12  # float64 elements one block of ladder terms holds
 
 
 def contraction_mass(
@@ -495,16 +494,13 @@ def contraction_mass(
     and v_k = a_k^2 / n + a_k / n.  So the expected posterior mass is the
     single tail P(||xi||^2 >= radius^2 - tail) of a Gaussian quadratic form
     (1 where the truth's ``tail`` reaches radius^2); no randomness is used.
-    It is settled in two steps (see
-    ``_quadratic_form_tail``): the Chernoff bound on a fixed ladder of t
-    (t = -2^j, j = 0..99, below the mean; t = 2^j below half the pole, then
-    t = pole (1 - 2^-j), j = 1..40, above it, in standard deviations of the
-    form) gives exactly 0 or 1 where it puts at most 1e-12 in the smaller
-    tail, and Imhof's (1961) inversion gives every other mass.  ``radius``
-    is one radius, which gives a float, or a 1-d stack of radii, which gives
-    one mass each from one error law; every mass has the bits of its
-    one-radius call.  Raises QuadratureError when the inversion cannot
-    certify MASS_TOLERANCE.
+    It is settled in two steps (see ``_quadratic_form_tail``): the Chernoff
+    bound on the fixed ladder of t of ``_ladder_settles`` gives exactly 0 or
+    1 where it puts at most 1e-12 in the smaller tail, and Imhof's (1961)
+    inversion gives every other mass.  ``radius`` is one radius, which gives
+    a float, or a 1-d stack of radii, which gives one mass each from one
+    error law; every mass has the bits of its one-radius call.  Raises
+    QuadratureError when the inversion cannot certify MASS_TOLERANCE.
     """
     radii = np.asarray(radius, dtype=float)
     if radii.ndim > 1 or not np.all((radii > 0.0) & np.isfinite(radii)):
@@ -522,10 +518,8 @@ def _quadratic_form_tail(b_sq: np.ndarray, v: np.ndarray, x: np.ndarray) -> np.n
     form's standard deviation once for every x_i, and each x_i is settled
     in two steps:
 
-    1. the Chernoff bound on the smaller tail at a fixed ladder of t
-       (``_ladder_settles``: t = -2^j, j = 0..99, below the mean; t = 2^j
-       below half the pole 1 / (2 max v), then t = pole (1 - 2^-j),
-       j = 1..40, above it): at most 1e-12 at some rung gives 0 or 1;
+    1. the Chernoff bound on the smaller tail at the fixed ladder of t of
+       ``_ladder_settles``: at most 1e-12 at some rung gives 0 or 1;
     2. Imhof's inversion (``_imhof_tail``), within MASS_TOLERANCE, for
        every x_i the ladder leaves open.
 
@@ -568,15 +562,11 @@ def _ladder_settles(b_sq: np.ndarray, v: np.ndarray, x: np.ndarray, mean: float)
     that the minimised bound leaves above 1e-12.  Its rungs are t = -2^j,
     j = 0..99, for x_i below the mean, and for x_i above it t = 2^j, j >= 0,
     below half the pole, then t = pole (1 - 2^-j), j = 1..40.  The sum over
-    k does not depend on x_i, so one pass over a side's rungs serves all its
-    x_i.  The rungs are formed and evaluated in blocks of at most
-    _LADDER_BLOCK terms (a rung of more coordinates in column blocks), and a
-    side stops after the first block that settles all of its x_i.
+    k does not depend on x_i, so each rung serves all of its side's x_i.
+    The rungs are evaluated one at a time, each over all K coordinates, and
+    a side stops at the first rung that settles all of its x_i.
     """
     settled = np.zeros(x.shape, dtype=bool)
-    K = b_sq.size
-    rows, cols = max(1, _LADDER_BLOCK // K), min(K, _LADDER_BLOCK)
-    work = np.empty(rows * cols)  # a block's 1 - 2 t v_k, then w_k = 1 / (1 - 2 t v_k), then log w_k
     pole = 0.5 / float(v.max())
     doublings = max(0, math.ceil(math.log2(0.5 * pole)))  # the j >= 0 with 2^j < pole / 2
     for side, sign, powers, rungs in (
@@ -585,24 +575,16 @@ def _ladder_settles(b_sq: np.ndarray, v: np.ndarray, x: np.ndarray, mean: float)
     ):
         xs = x[side]
         hit = np.zeros(xs.shape, dtype=bool)
-        for i in range(0, rungs, rows):
+        for r in range(rungs):
             if hit.all():
                 break
-            t = np.array([
-                [sign * 2.0**r if r < powers else pole * (1.0 - 2.0 ** (powers - 1 - r))]
-                for r in range(i, min(i + rows, rungs))
-            ])
-            log_mgf = np.zeros(len(t))
-            for j in range(0, K, cols):
-                v_part = v[j : j + cols]
-                w = work[: t.size * v_part.size].reshape(t.size, v_part.size)
-                np.multiply(-2.0 * t, v_part, out=w)
-                w += 1.0
-                np.divide(1.0, w, out=w)
-                # sum_k t b_k^2 w_k - log(1 - 2 t v_k) / 2 = t (w . b^2) + sum_k log(w_k) / 2
-                log_mgf += t[:, 0] * (w @ b_sq[j : j + cols])
-                log_mgf += 0.5 * np.log(w, out=w).sum(axis=1)
-            hit |= np.any(log_mgf[:, None] - t * xs <= math.log(_SATURATED), axis=0)
+            t = sign * 2.0**r if r < powers else pole * (1.0 - 2.0 ** (powers - 1 - r))
+            w = v * (-2.0 * t)
+            w += 1.0
+            np.divide(1.0, w, out=w)
+            # sum_k t b_k^2 w_k - log(1 - 2 t v_k) / 2 = t (w . b^2) + sum_k log(w_k) / 2
+            log_mgf = t * (w @ b_sq) + 0.5 * np.log(w, out=w).sum()
+            hit |= log_mgf - t * xs <= math.log(_SATURATED)
         settled[side] = hit
     return settled
 

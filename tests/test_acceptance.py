@@ -97,7 +97,7 @@ def test_criterion_05_worst_case_rate_slope_and_envelope():
         seed=5,
         replications=2,
     )
-    report = run_rate_study(config, fit=True, probabilities=False)
+    report = run_rate_study(config)
     slope = report.fits["slope"]
     envelope_constant = (0.25 * (1.0 / 12.0) ** 0.125) ** 2
     margins = [row.exact_risk / (envelope_constant * row.n**-0.75) for row in report.rows]

@@ -242,19 +242,14 @@ def test_norm_matches_adaptive_panels_in_three_dimensions():
         assert value == pytest.approx(pyramid_norm_sq(3, k), rel=1e-8)
 
 
-def test_norm_large_dimension_uses_log_space_safely():
-    for d in (20, 60, 100):
-        direct = 1.0 / (2.0 * math.factorial(d + 2)) * 3.0 ** -(d + 2)
-        assert pyramid_norm_sq(d, 3) == pytest.approx(direct, rel=1e-12)
-
-
 def test_norm_keeps_the_float_factorial_bits_and_rounds_correctly_beyond():
     # through d = 15, 2 (d+2)! is exact in a float, so the float formula
-    # pins every bit; past it r_d = 1 / (2 (d+2)!) is the correctly rounded rational
+    # pins every bit; past it k^-(d+2) / (2 (d+2)!) is the correctly rounded
+    # rational, at k = 1 and at k = 3 for d = 20, 60, 100
     for d, k in itertools.product(range(1, 16), range(1, 9)):
         assert pyramid_norm_sq(d, k) == 1.0 / (2.0 * math.factorial(d + 2)) * float(k) ** -(d + 2)
-    for d in range(16, 200):
-        assert pyramid_norm_sq(d, 1) == float(Fraction(1, 2 * math.factorial(d + 2)))
+    for d, k in [(d, 1) for d in range(16, 200)] + [(20, 3), (60, 3), (100, 3)]:
+        assert pyramid_norm_sq(d, k) == float(Fraction(1, 2 * math.factorial(d + 2) * k ** (d + 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1003,7 +1003,7 @@ def traced_peak(run) -> int:
 @pytest.mark.parametrize(
     "d,level,n,K,stages",
     [(2, 7, 1e5, None, ("mc",)), (2, 6, 1e4, None, ("mc", "probes")), (3, 5, 1e4, None, ("mc",)),
-     (3, 4, 1e6, None, ("mc",)), (2, 7, 1e5, 1000, ("mc",))],
+     (3, 4, 1e6, None, ("mc",)), (2, 7, 1e5, 1000, ("mc",)), (3, 5, 1e4, None, ("mc", "probes"))],
 )
 def test_grid_point_peak_stays_within_its_refusal_budget(priced_budgets, d, level, n, K, stages):
     # the budget _checked_K prices a point at covers its traced peak, from

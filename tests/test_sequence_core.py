@@ -968,11 +968,13 @@ def test_chernoff_ladder_certifies_upper_tail_minima_below_half_the_pole():
         assert _ladder_settles(b_sq, v, np.array([x]), mean).tolist() == [True]
 
 
-def test_chernoff_ladder_over_column_blocks_holds_one_block_and_stays_sound():
-    # K = 16384 coordinates in standard-deviation units: one rung spans four
-    # column blocks; x = mean + z sd with z = -12, -3, 3, 60
+@pytest.mark.parametrize("K", [2**10, 2**14])
+def test_chernoff_ladder_holds_about_two_rungs_and_stays_sound(K):
+    # K coordinates in standard-deviation units, x = mean + z sd with
+    # z = -12, -3, 3, 60: a rung is formed over all K at once, so the ladder
+    # holds about two K-length arrays whatever the number of rungs
     rng = np.random.default_rng(68)
-    v, b_sq = rng.random(2**14), rng.random(2**14)
+    v, b_sq = rng.random(K), rng.random(K)
     sd = math.sqrt(float(np.sum(2.0 * v * v + 4.0 * b_sq * v)))
     b_sq, v = b_sq / sd, v / sd
     mean = float(np.sum(b_sq + v))
@@ -983,7 +985,7 @@ def test_chernoff_ladder_over_column_blocks_holds_one_block_and_stays_sound():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * sequence_core._LADDER_BLOCK + 4096
+    assert peak <= 2 * 8 * K + 4096
     minimised = [bounded_brent_log_bound(b_sq, v, float(xi), mean) <= math.log(1e-12) for xi in x]
     assert settled.tolist() == minimised == [True, False, False, True]
 
