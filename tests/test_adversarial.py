@@ -242,6 +242,14 @@ def test_norm_matches_adaptive_panels_in_three_dimensions():
         assert value == pytest.approx(pyramid_norm_sq(3, k), rel=1e-8)
 
 
+def test_norm_large_dimension_uses_log_space_safely():
+    # at large d, where (d+2)! is far beyond exact float range, the norm
+    # stays finite and agrees with the direct float formula
+    for d in (20, 60, 100):
+        direct = 1.0 / (2.0 * math.factorial(d + 2)) * 3.0 ** -(d + 2)
+        assert pyramid_norm_sq(d, 3) == pytest.approx(direct, rel=1e-12)
+
+
 def test_norm_keeps_the_float_factorial_bits_and_rounds_correctly_beyond():
     # through d = 15, 2 (d+2)! is exact in a float, so the float formula
     # pins every bit; past it k^-(d+2) / (2 (d+2)!) is the correctly rounded
