@@ -430,7 +430,7 @@ def mean_risk_floor(d: int, n: float) -> float:
     if not (n >= 1 and math.isfinite(n)):
         raise DomainError("sample size n must be at least 1")
     constants = lower_bound_constants(d)
-    return constants.mean_constant**2 * float(n) ** (-(2.0 + d) / (2.0 + 2.0 * d))
+    return constants.mean_constant**2 * float(n) ** (-2.0 * constants.rate_exponent)
 
 
 def concentration_bound(n: float, mu_sq: float) -> float:

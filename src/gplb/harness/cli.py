@@ -80,6 +80,9 @@ def main(argv: list[str] | None = None) -> int:
             for line in lines:
                 print(line)
             return 0 if passed else 1
+        if config.out is not None and os.path.isdir(config.out):
+            print(f"output error: {config.out} is a directory", file=sys.stderr)
+            return 2
         parent = os.path.dirname(os.path.abspath(config.out)) if config.out is not None else None
         if parent is not None and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
             print(f"output error: {config.out}: {parent} is not a writable directory", file=sys.stderr)

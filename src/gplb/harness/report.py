@@ -77,8 +77,6 @@ def format_cell(value) -> str:
     """A report cell or config value: floats with 17 significant digits, tuples comma-joined."""
     if value is None:
         return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
     if isinstance(value, tuple):

@@ -1,17 +1,18 @@
 """Experiment runners: rate studies, contraction probes, batteries.
 
 Every runner maps an ExperimentConfig to a RiskReport.  The risk, rates,
-contraction and wavelet studies share one grid-point pipeline: each point
-is built at its n as its worst candidate truth (the pyramid family's
-worst member at n, or the one sawtooth truth for every n) with its
-prior, and ``_grid_point`` reports that truth's exact risk with its
-basis-truncation tail and runs the study's stages, Monte Carlo risk
-("mc") and/or the two contraction probes ("probes").  The Monte Carlo
-risk of grid point i seeds its own generator from (master seed, i); the
-probes are exact and use no randomness.  The points run one at a time in
-grid order, so only one point's coefficients are alive at once and each
-point's size check prices the whole study.  Results are identical
-whichever stages run, and reruns of the same config are byte-identical.
+contraction and wavelet studies share one grid runner, ``_run_grid``: each
+point's builder returns its worst candidate truth (the pyramid family's
+worst member at n, or the one sawtooth truth for every n), its prior and
+its row, and the runner reports that truth's exact risk with its
+basis-truncation tail and runs the study's stages: Monte Carlo risk
+("mc"), the two contraction probes ("probes") and the slope fit
+("fit").  The Monte Carlo risk of grid point i seeds its own generator
+from (master seed, i); the probes are exact and use no randomness.  The
+points run one at a time in grid order, so only one point's
+coefficients are alive at once and each point's size check prices the
+whole study.  Results are identical whichever stages run, and reruns of
+the same config are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy loads it on first use; here it stays in start-up
@@ -241,32 +241,21 @@ def _checked_K(config: ExperimentConfig, level: int, m: int, where: str, work_by
     return K
 
 
-def _grid_tasks(config: ExperimentConfig) -> list:
-    """(grid index, n, point builder) for every family grid point, sized before any work."""
-    tasks = []
-    for index, n in enumerate(config.n_grid):
+def _family_points(config: ExperimentConfig) -> list:
+    """(n, point builder) for every family grid point, sized before any work."""
+    points = []
+    for n in config.n_grid:
         k, m = grid_count(config.d, n, config.grid_rule)
         level = _resolve_level(config, k)
         # the coefficient pass, and the point's passes over its store after it
         work_bytes = partial(coefficient_work_bytes, config.d, k, level)
         K = _checked_K(config, level, m, f"d = {config.d}, n = {n:g}: k = {k}, ", work_bytes)
-        tasks.append((index, n, partial(_family_point, config, k, level, K)))
-    return tasks
+        points.append((n, partial(_family_point, config, k, level, K)))
+    return points
 
 
-class _Point(NamedTuple):
-    """One grid point's worst candidate truth and its prior."""
-
-    truth: TruthCoefficients  # first K coefficients, with the full squared norm
-    m: int  # number of candidate truths it was picked from
-    spectrum: Spectrum
-    spectrum_id: str
-    k: int | None
-    lemma4_bound: float
-
-
-def _family_point(config: ExperimentConfig, k: int, level: int, K: int, n: float) -> _Point:
-    """The worst member of the k^d pyramid family at n."""
+def _family_point(config: ExperimentConfig, k: int, level: int, K: int, n: float):
+    """The worst member of the k^d pyramid family at n, its prior and its row."""
     family = build_pyramid_family(config.d, k)
     coeffs = compute_coefficients(family, haar_tensor_basis(config.d, level), K)
     spectrum, spectrum_id = _spectrum_for(config, coeffs)
@@ -275,50 +264,43 @@ def _family_point(config: ExperimentConfig, k: int, level: int, K: int, n: float
     # from its dense row, so it keeps its bits whatever family it came from
     j = worst_member(coeffs.risks(spectrum, n, norm_sq))
     truth = TruthCoefficients(coeffs.row(j), coeffs.basis_id, norm_sq)
-    return _Point(truth, coeffs.m, spectrum, spectrum_id, k, risk_lower_bound(coeffs, n))
+    row = RiskRow(k=k, m=coeffs.m, spectrum_id=spectrum_id, lemma4_bound=risk_lower_bound(coeffs, n))
+    return truth, spectrum, row
 
 
-def _grid_point(config: ExperimentConfig, stages, task) -> list[RiskRow]:
-    """The rows of one (grid index, n, point builder) task.
+def _run_grid(config: ExperimentConfig, points, stages, fits: dict | None = None) -> RiskReport:
+    """The report of the (n, point builder) pairs, run one at a time in grid order.
 
-    The worst candidate's exact risk, basis-truncation tail included, is
-    always reported.  Stage "mc" adds its Monte Carlo risk (stream
-    ``(index,)``); stage "probes" gives two rows with the exact expected
-    posterior mass outside mu/4 and gamma/5.
+    A builder maps n to (truth, spectrum, row): the point's worst candidate
+    truth (first K coefficients, with the full squared norm), its prior
+    and a RiskRow holding the columns the point fixes (k, m, spectrum_id,
+    lemma4_bound).  The truth's exact risk, basis-truncation tail
+    included, is always reported.  Stage "mc" adds its Monte Carlo risk
+    (stream ``(index,)``); stage "probes" gives two rows with the exact
+    expected posterior mass outside mu/4 and gamma/5; stage "fit" writes
+    the log-log slope of exact_risk across the grid to every row and
+    merges its band into ``fits``.
     """
-    index, n, build = task
-    point = build(n)
-    mu_sq = exact_risk(point.spectrum, point.truth, n)
-    row = RiskRow(
-        d=config.d,
-        n=n,
-        k=point.k,
-        m=point.m,
-        spectrum_id=point.spectrum_id,
-        K=point.spectrum.size,
-        exact_risk=mu_sq,
-        lemma4_bound=point.lemma4_bound,
-        thm2_floor=mean_risk_floor(config.d, n),
-        seed=config.seed,
-    )
-    if "mc" in stages:
-        rng = task_rng(config.seed, index)
-        estimate, stderr = mc_risk(point.spectrum, point.truth, n, config.replications, rng)
-        row = replace(row, mc_risk=estimate, mc_stderr=stderr)
-    if "probes" not in stages:
-        return [row]
-    radii = [math.sqrt(mu_sq) / divisor for divisor in (4.0, 5.0)]
-    masses = contraction_mass(point.spectrum, point.truth, n, radii)
-    return [replace(row, contraction_prob=float(mass), radius=r) for r, mass in zip(radii, masses)]
-
-
-def _report(config: ExperimentConfig, groups, *, fit: bool, fits: dict | None = None) -> RiskReport:
-    """One report from per-point row groups; ``fit`` adds the log-log slope of exact_risk."""
-    rows = [row for group in groups for row in group]
-    if fit:
-        slope = fit_loglog_slope(
-            [group[0].n for group in groups], [group[0].exact_risk for group in groups]
-        )
+    rows, heads = [], []
+    for index, (n, build) in enumerate(points):
+        truth, spectrum, row = build(n)
+        mu_sq = exact_risk(spectrum, truth, n)
+        row = replace(row, d=config.d, n=n, K=spectrum.size, exact_risk=mu_sq,
+                      thm2_floor=mean_risk_floor(config.d, n), seed=config.seed)
+        if "mc" in stages:
+            rng = task_rng(config.seed, index)
+            estimate, stderr = mc_risk(spectrum, truth, n, config.replications, rng)
+            row = replace(row, mc_risk=estimate, mc_stderr=stderr)
+        heads.append(row)
+        if "probes" in stages:
+            radii = [math.sqrt(mu_sq) / divisor for divisor in (4.0, 5.0)]
+            masses = contraction_mass(spectrum, truth, n, radii)
+            rows += [replace(row, contraction_prob=float(mass), radius=r) for r, mass in zip(radii, masses)]
+        else:
+            rows.append(row)
+        del truth, spectrum  # so the next point builds with only its own arrays alive
+    if "fit" in stages:
+        slope = fit_loglog_slope([row.n for row in heads], [row.exact_risk for row in heads])
         if slope is not None:
             rows = [replace(row, slope=slope["slope"]) for row in rows]
         fits = slope if fits is None else dict(slope or {}, **fits)
@@ -338,14 +320,12 @@ def run_rate_study(config: ExperimentConfig) -> RiskReport:
     written to the slope column of every row (the band is reported in the
     JSON fits).
     """
-    groups = [_grid_point(config, ("mc", "probes"), task) for task in _grid_tasks(config)]
-    return _report(config, groups, fit=True)
+    return _run_grid(config, _family_points(config), ("mc", "probes", "fit"))
 
 
 def run_risk_study(config: ExperimentConfig) -> RiskReport:
     """Rate-study rows without the slope fit or contraction estimates."""
-    groups = [_grid_point(config, ("mc",), task) for task in _grid_tasks(config)]
-    return _report(config, groups, fit=False)
+    return _run_grid(config, _family_points(config), ("mc",))
 
 
 def run_contraction_study(config: ExperimentConfig) -> RiskReport:
@@ -358,13 +338,13 @@ def run_contraction_study(config: ExperimentConfig) -> RiskReport:
     delta-threshold so consumers can see which rows the mass floor
     1/4 - delta applies to.
     """
-    groups = [_grid_point(config, ("probes",), task) for task in _grid_tasks(config)]
-    fits = {
-        "n_gamma_sq": [group[0].n * group[0].exact_risk for group in groups],
+    report = _run_grid(config, _family_points(config), ("probes",))
+    report.fits = {
+        "n_gamma_sq": [row.n * row.exact_risk for row in report.rows[::2]],  # two rows per point
         "threshold": transfer_threshold(config.delta),
         "mass_target": 0.25 - config.delta,
     }
-    return _report(config, groups, fit=False, fits=fits)
+    return report
 
 
 def run_minimax_battery(config: ExperimentConfig) -> RiskReport:
@@ -432,8 +412,8 @@ def run_wavelet_study(config: ExperimentConfig) -> RiskReport:
     spectrum_id = f"wavelet:tau={config.tau:g}:alpha={config.alpha:g}"
 
     def point(n):
-        return _Point(truth, 1, spectrum, spectrum_id, None, single_function_risk_bound(truth, n))
+        return truth, spectrum, RiskRow(m=1, spectrum_id=spectrum_id,
+                                        lemma4_bound=single_function_risk_bound(truth, n))
 
-    groups = [_grid_point(config, ("mc",), (index, n, point)) for index, n in enumerate(config.n_grid)]
     fits = {"sawtooth_level": sawtooth_level, "sawtooth_norm_sq": norm_sq}
-    return _report(config, groups, fit=True, fits=fits)
+    return _run_grid(config, [(n, point) for n in config.n_grid], ("mc", "fit"), fits)

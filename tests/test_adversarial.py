@@ -816,6 +816,8 @@ def test_threshold_monotone_in_delta_and_above_calibration():
         r = 1.0 / (2.0 * math.factorial(d + 2))
         assert all(v >= 1.0 / r for v in values if math.isfinite(v))
     assert math.isfinite(n_threshold(1, 0.2499))
+    # the log-space value overflows a float between d = 105 and d = 110
+    assert n_threshold(105, 0.1) == pytest.approx(1.89e303, rel=0.01) and n_threshold(110, 0.1) == math.inf
     with pytest.raises(DomainError):
         n_threshold(1, 0.0)
     with pytest.raises(DomainError):

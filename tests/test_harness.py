@@ -49,6 +49,7 @@ from gplb.adversarial import (
     pyramid_norm_sq,
     tk_matched_spectrum,
     transfer_threshold,
+    worst_member,
 )
 from gplb.errors import ConfigError, ContractError, SchemaVersionError
 from gplb.harness.cli import main
@@ -86,7 +87,9 @@ from gplb.harness.study import (
 from gplb.sequence_core import (
     Spectrum,
     TruthCoefficients,
+    contraction_mass,
     exact_risk,
+    polynomial_spectrum,
     posterior_update,
     sample_observation,
 )
@@ -259,7 +262,7 @@ def test_n_grid_accepts_comma_lists_and_single_point_logspace(tmp_path):
     assert load_config(path, env={}).n_grid == (1e3, 3.16e3, 1e4)
     single = write_ini(tmp_path, "[experiment]\nn_grid = logspace:4:9:1\n", name="one.ini")
     assert load_config(single, env={}).n_grid == (1e4,)
-    for bad in ("logspace:3:6", "logspace:a:b:3", "1e3, pear"):
+    for bad in ("logspace:3:6", "logspace:a:b:3", "logspace:3:5:0", "1e3, pear"):
         broken = write_ini(tmp_path, f"[experiment]\nn_grid = {bad}\n", name="bad.ini")
         with pytest.raises(ConfigError):
             load_config(broken, env={})
@@ -276,6 +279,12 @@ def test_unknown_sections_keys_and_files_raise(tmp_path):
         load_config(unknown_key, env={})
     with pytest.raises(ConfigError, match="unknown configuration keys"):
         load_config(None, {"bogus": 3}, env={})
+    unparsable = write_ini(tmp_path, "[experiment]\nd = two\n", name="d.ini")
+    with pytest.raises(ConfigError, match=re.escape("could not parse [experiment] d = 'two'")):
+        load_config(unparsable, env={})
+    bad_list = write_ini(tmp_path, "[minimax]\nm_values = 1, x\n", name="m.ini")
+    with pytest.raises(ConfigError, match="could not parse list"):
+        load_config(bad_list, env={})
     # the probes are exact, so there are no Monte Carlo sample counts to set
     for key in ("outer", "inner"):
         retired = write_ini(tmp_path, f"[mc]\n{key} = 200\n", name="mc.ini")
@@ -822,6 +831,36 @@ def test_default_rate_probes_are_settled_by_the_chernoff_ladder(monkeypatch):
     assert calls == []
 
 
+def test_polynomial_rate_rows_equal_the_worst_member_built_directly(monkeypatch):
+    # at n = 10 and 100 the polynomial prior's probes are open, so they reach Imhof
+    calls = []
+    real_imhof = sequence_core._imhof_tail
+
+    def counted(*args):
+        calls.append(args)
+        return real_imhof(*args)
+
+    monkeypatch.setattr(sequence_core, "_imhof_tail", counted)
+    config = ExperimentConfig(mode="rates", spectrum="polynomial", n_grid=(10.0, 100.0))
+    rows = run_rate_study(config).rows
+    assert calls and len(rows) == 4
+    for n, (near, far) in zip(config.n_grid, zip(rows[::2], rows[1::2])):
+        k, _ = grid_count(1, n, "ceil")
+        basis = haar_tensor_basis(1, minimal_basis_level(k) + 3)
+        coeffs = compute_coefficients(build_pyramid_family(1, k), basis, basis.size)
+        spectrum = polynomial_spectrum(basis.size, basis_id=coeffs.basis_id, tau=1.0, alpha=1.0, d=1)
+        truths = [TruthCoefficients(coeffs.row(j), coeffs.basis_id, pyramid_norm_sq(1, k))
+                  for j in range(coeffs.m)]
+        risks = [exact_risk(spectrum, truth, n) for truth in truths]
+        j = worst_member(risks)
+        truth, mu_sq = truths[j], risks[j]
+        radii = [math.sqrt(mu_sq) / 4.0, math.sqrt(mu_sq) / 5.0]
+        assert near.exact_risk == far.exact_risk == mu_sq
+        assert [near.radius, far.radius] == radii
+        masses = contraction_mass(spectrum, truth, n, radii).tolist()
+        assert [near.contraction_prob, far.contraction_prob] == masses
+
+
 def test_worst_member_pick_ignores_rounding_ties(monkeypatch):
     # d = 1, n = 1e3, ceil rule: members 0-3 tie up to rounding; member 0 is picked.
     picked = []
@@ -1009,8 +1048,8 @@ def test_grid_point_peak_stays_within_its_refusal_budget(priced_budgets, d, leve
     # the budget _checked_K prices a point at covers its traced peak, from
     # the coefficient pass (with a fresh basis) to the last stage
     config = ExperimentConfig(mode="risk", d=d, level=level, n_grid=(n,), replications=10, K=K)
-    (task,) = study._grid_tasks(config)
-    assert traced_peak(lambda: study._grid_point(config, stages, task)) <= priced_budgets[0]
+    points = study._family_points(config)
+    assert traced_peak(lambda: study._run_grid(config, points, stages)) <= priced_budgets[0]
 
 
 @pytest.mark.parametrize(
@@ -1073,12 +1112,14 @@ def test_verify_lines_equal_the_golden_output(seed):
 @pytest.mark.parametrize(
     "mode,name",
     [("risk", "risk-d2"), ("risk", "risk-d3"), ("wavelet", "wavelet-d3"), ("rates", None),
-     ("contraction", None)],
+     ("contraction", None), ("risk", "risk-polynomial"), ("risk", "risk-exponential"),
+     ("rates", "rates-flat")],
 )
 def test_study_reports_equal_the_golden_output(capsys, mode, name):
     # the golden files are `gplb <mode> [--config <name>.ini] --seed 1` stdout
     # before the coefficient engine became one stacked pass (contraction's:
-    # before the Chernoff ladder and the stacked probes)
+    # before the Chernoff ladder and the stacked probes; the polynomial,
+    # exponential and flat presets': before the one grid runner)
     config = [] if name is None else ["--config", str(GOLDEN / f"{name}.ini")]
     assert main([mode, *config, "--seed", "1"]) == 0
     expected = (GOLDEN / f"{name or mode}-seed-1.csv").read_bytes()
@@ -1466,6 +1507,17 @@ def test_cli_exit_code_two_on_an_unwritable_out(tmp_path, capsys, monkeypatch):
         assert captured.out == "" and not target.exists()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("output error: ") and str(target) in lines[0]
+
+
+def test_cli_refuses_an_out_that_is_a_directory_before_any_work(tmp_path, capsys, monkeypatch):
+    def runner(config):
+        raise AssertionError("the study ran although --out is a directory")
+
+    monkeypatch.setitem(cli._RUNNERS, "minimax", runner)
+    assert main(["minimax", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and lines == [f"output error: {tmp_path} is a directory"]
 
 
 def test_cli_minimax_reports_risk_one_when_m_sigma_sq_overflows(tmp_path):

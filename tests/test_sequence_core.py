@@ -404,6 +404,8 @@ def test_sample_observation_rejects_bad_n():
         sample_observation(truth_of(0.0), 0.0, np.random.default_rng(0))
     with pytest.raises(DomainError):
         sample_observation(truth_of(0.0), -2.0, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="sample size n"):
+        SequenceObservation([1.0], 0.0, "b")
 
 
 @pytest.mark.parametrize("seed", [0, 1, 707])
