@@ -38,7 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, _check_count, _check_delta, _check_dimension
+from .errors import _check_positive, _check_sample_size, _unit_cube_points
 # adaptive_box_integral and pyramid_box_integral are no longer called here;
 # they stay bound in this module because the benchmark's tracer rebinds
 # them here (bench/layers.py).
@@ -47,7 +48,7 @@ from .integrate import (  # noqa: F401
     pyramid_box_integral,
     pyramid_grid_integrals,
 )
-from .sequence_core import SparseRows, Spectrum
+from .sequence_core import SparseRows, Spectrum, _check_same_basis
 
 __all__ = [
     "MAX_FAMILY_SIZE",
@@ -88,8 +89,8 @@ class PyramidFamily:
     centers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.d < 1 or self.k < 1:
-            raise DomainError("pyramid family needs d >= 1 and k >= 1")
+        _check_dimension(self.d)
+        _check_count(self.k, "grid count k", 1)
         m = self.k**self.d
         if m > MAX_FAMILY_SIZE:
             raise DomainError(
@@ -124,11 +125,7 @@ def evaluate_pyramid(family: PyramidFamily, j, x) -> np.ndarray | float:
     members = np.asarray(j)
     if np.any((members < 0) | (members >= family.m)):
         raise DomainError(f"member index {j} out of range for family of size {family.m}")
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    if pts.shape[-1] != family.d:
-        raise DomainError(f"points must have {family.d} columns, got {pts.shape[-1]}")
-    if np.any(pts < 0.0) or np.any(pts > 1.0):
-        raise DomainError("evaluation points must lie in the unit cube")
+    pts = _unit_cube_points(x, family.d)
     centers = family.centers[members][..., None, :] if members.ndim else family.centers[members]
     # the l1 distance added up axis by axis, as NumPy sums an axis shorter than 8
     distance = sum(np.abs(pts[..., i] - centers[..., i]) for i in range(family.d))
@@ -138,8 +135,8 @@ def evaluate_pyramid(family: PyramidFamily, j, x) -> np.ndarray | float:
 
 def pyramid_norm_sq(d: int, k: int) -> float:
     """Common squared L^2 norm of every family member: k^{-(d+2)}/(2(d+2)!)."""
-    if d < 1 or k < 1:
-        raise DomainError("pyramid_norm_sq needs d >= 1 and k >= 1")
+    _check_dimension(d)
+    _check_count(k, "grid count k", 1)
     return 1 / (2 * math.factorial(d + 2)) * float(k) ** -(d + 2)
 
 
@@ -182,10 +179,7 @@ class CoefficientMatrix(SparseRows):
 
     def risks(self, spectrum: Spectrum, n: float, norm_sq: float | None = None) -> np.ndarray:
         """:meth:`SparseRows.risks`, for a spectrum on this matrix's basis."""
-        if spectrum.basis_id != self.basis_id:
-            raise ContractError(
-                f"risks: spectrum basis {spectrum.basis_id!r} does not match basis {self.basis_id!r}"
-            )
+        _check_same_basis(spectrum.basis_id, self.basis_id, "CoefficientMatrix.risks")
         return super().risks(spectrum, n, norm_sq)
 
 
@@ -330,8 +324,7 @@ def tk_matched_spectrum(coeffs: CoefficientMatrix, *, scale: float = 1.0) -> Spe
     natural favorable tuning: coordinates the family never excites get
     zero prior mass, so none of the posterior variance budget is wasted.
     """
-    if not (scale > 0 and math.isfinite(scale)):
-        raise DomainError("scale must be positive and finite")
+    _check_positive(scale, "scale")
     return Spectrum(scale * coeffs.tk, coeffs.basis_id)
 
 
@@ -347,8 +340,7 @@ def risk_lower_bound(coeffs: CoefficientMatrix, n: float) -> float:
     spectra sit above it because any coordinate shrunk too much or too
     little contributes its excess in full.
     """
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
+    _check_positive(n, "sample size n")
     return float(np.minimum(coeffs.tk, 1.0 / n).sum())
 
 
@@ -364,10 +356,8 @@ def worst_member(risks) -> int:
 
 def grid_target(d: int, n: float) -> float:
     """The continuous risk-balancing grid count (r_d n)^{1/(2d+2)}."""
-    if d < 1:
-        raise DomainError("dimension d must be at least 1")
-    if not (n >= 1 and math.isfinite(n)):
-        raise DomainError("sample size n must be at least 1")
+    _check_dimension(d)
+    _check_sample_size(n)
     exponent = 1.0 / (2.0 * d + 2.0)
     return math.exp((_log_half_inverse_factorial(d) + math.log(n)) * exponent)
 
@@ -392,8 +382,7 @@ def lower_bound_constants(d: int) -> LowerBoundConstants:
     C_d = r_d^{d/(4+4d)} / (10 2^d) and C_d' = r_d^{d/(4+4d)} / 2^{d+1}
     with r_d = 1/(2(d+2)!); their ratio is 1/5 for every d.
     """
-    if d < 1:
-        raise DomainError("dimension d must be at least 1")
+    _check_dimension(d)
     power = d / (4.0 + 4.0 * d)
     core = math.exp(power * _log_half_inverse_factorial(d))
     probability_constant = core / (10.0 * 2.0**d)
@@ -408,8 +397,7 @@ def n_threshold(d: int, delta: float) -> float:
     Evaluates 2 (d+2)! 2^{(2d+2)^2 / d} [:func:`transfer_threshold` (delta)]^{(d+2)/d}
     in log space; returns inf when the value overflows a float.
     """
-    if d < 1:
-        raise DomainError("dimension d must be at least 1")
+    _check_dimension(d)
     log_value = (
         -_log_half_inverse_factorial(d)
         + (2.0 * d + 2.0) ** 2 / d * math.log(2.0)
@@ -427,18 +415,15 @@ def mean_risk_floor(d: int, n: float) -> float:
     Valid once n clears :func:`n_threshold` for some admissible delta;
     this helper just evaluates the envelope.
     """
-    if not (n >= 1 and math.isfinite(n)):
-        raise DomainError("sample size n must be at least 1")
+    _check_sample_size(n)
     constants = lower_bound_constants(d)
     return constants.mean_constant**2 * float(n) ** (-2.0 * constants.rate_exponent)
 
 
 def concentration_bound(n: float, mu_sq: float) -> float:
     """4 exp(-n mu_sq / 32): cap on P(squared error <= quarter of its mean)."""
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
-    if not (mu_sq > 0 and math.isfinite(mu_sq)):
-        raise DomainError("mean squared error mu_sq must be positive and finite")
+    _check_positive(n, "sample size n")
+    _check_positive(mu_sq, "mean squared error mu_sq")
     return 4.0 * math.exp(-n * mu_sq / 32.0)
 
 
@@ -451,8 +436,7 @@ def anderson_transfer(v: float) -> float:
 
 def transfer_threshold(delta: float) -> float:
     """Smallest n gamma^2 at which mass outside gamma/5 must reach 1/4 - delta."""
-    if not 0.0 < delta < 0.25:
-        raise DomainError("delta must lie strictly between 0 and 1/4")
+    _check_delta(delta)
     # 1 - sqrt(1 - 4 delta) as 4 delta / (1 + sqrt(1 - 4 delta)): no cancellation as delta -> 0
     return 32.0 * math.log(5.0 / (4.0 * delta / (1.0 + math.sqrt(1.0 - 4.0 * delta))))
 

@@ -12,9 +12,9 @@ Subcommands select the experiment mode::
 Every subcommand takes --config and a flag for each setting whose
 ``ExperimentConfig`` field declares one (``config.FLAGGED``).  The GPLB_*
 variables of the same settings override the file; flags override both.
-Without --out the report is written to stdout.  Exit codes: 0 success,
-1 verify-battery failure, 2 configuration error or a report that cannot
-be written to --out.
+Without --out the report, or verify's PASS/FAIL lines, is written to
+stdout.  Exit codes: 0 success, 1 verify-battery failure, 2 configuration
+error or a report that cannot be written to --out.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import sys
 from ..errors import ConfigError
 from .config import FLAGGED, MODES, load_config
 from .properties import run_verify
-from .report import emit_report, render
+from .report import _write_text, render
 from .study import (
     run_contraction_study,
     run_minimax_battery,
@@ -75,11 +75,6 @@ def main(argv: list[str] | None = None) -> int:
     overrides = vars(build_parser().parse_args(argv))
     try:
         config = load_config(overrides.pop("config"), overrides)
-        if config.mode == "verify":
-            passed, lines = run_verify(config)
-            for line in lines:
-                print(line)
-            return 0 if passed else 1
         if config.out is not None and os.path.isdir(config.out):
             print(f"output error: {config.out} is a directory", file=sys.stderr)
             return 2
@@ -87,16 +82,20 @@ def main(argv: list[str] | None = None) -> int:
         if parent is not None and not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
             print(f"output error: {config.out}: {parent} is not a writable directory", file=sys.stderr)
             return 2
-        report = _RUNNERS[config.mode](config)
+        if config.mode == "verify":
+            passed, lines = run_verify(config)
+            text, status = "".join(line + "\n" for line in lines), 0 if passed else 1
+        else:
+            text, status = render(_RUNNERS[config.mode](config), config.format), 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    if config.out is not None:
-        try:
-            emit_report(report, config.out, config.format)
-        except OSError as exc:
-            print(f"output error: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(render(report, config.format))
-    return 0
+    if config.out is None:
+        sys.stdout.write(text)
+        return status
+    try:
+        _write_text(text, config.out)
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
+    return status

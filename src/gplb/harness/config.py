@@ -17,12 +17,14 @@ so outputs are self-describing.
 from __future__ import annotations
 
 import configparser
-import math
 import os
 from dataclasses import dataclass, field, fields
 from functools import partial
 
-from ..errors import ConfigError
+from ..errors import ConfigError, DomainError, _check_count, _check_delta, _check_dimension
+from ..errors import _check_positive, _check_sample_size
+from ..sequence_core import _check_replications
+from ..sparse_linear import _check_grid_size
 from .report import format_cell
 
 __all__ = ["ExperimentConfig", "load_config", "resolved_items", "MODES", "FLAGGED", "ENV_VARIABLES"]
@@ -105,58 +107,40 @@ class ExperimentConfig:
         "csv", "output", str, flag={"choices": FORMATS, "help": "report format"}, reported=False)
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.d < 1:
-            raise ConfigError("d must be at least 1")
-        grid = tuple(float(v) for v in self.n_grid)
-        if not grid:
-            raise ConfigError("n_grid must contain at least one sample size")
-        if any(not (v >= 1 and math.isfinite(v)) for v in grid):
-            raise ConfigError("every n in n_grid must be finite and at least 1")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        # settings no science function takes; the rest by the library's own rules below
+        for name, choices in (
+            ("mode", MODES), ("grid_rule", GRID_RULES), ("spectrum", SPECTRUM_PRESETS), ("format", FORMATS)
+        ):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"{name} must be one of {choices}, got {getattr(self, name)!r}")
+        for name, cast in (("n_grid", float), ("m_values", int), ("sigma_values", float)):
+            values = tuple(cast(v) for v in getattr(self, name))
+            if not values:
+                raise ConfigError(f"{name} must hold at least one value")
+            object.__setattr__(self, name, values)
+        if any(b <= a for a, b in zip(self.n_grid, self.n_grid[1:])):
             raise ConfigError("n_grid must be strictly increasing")
-        object.__setattr__(self, "n_grid", grid)
         if self.seed < 0:
             raise ConfigError("seed must be a nonnegative integer")
         if self.threads != 1:
             raise ConfigError(f"threads must be 1, got {self.threads}; grid points run one at a time")
-        if not 0.0 < self.delta < 0.25:
-            raise ConfigError("delta must lie strictly between 0 and 1/4")
-        if self.grid_rule not in GRID_RULES:
-            raise ConfigError(f"grid_rule must be one of {GRID_RULES}, got {self.grid_rule!r}")
-        if self.spectrum not in SPECTRUM_PRESETS:
-            raise ConfigError(
-                f"spectrum preset must be one of {SPECTRUM_PRESETS}, got {self.spectrum!r}"
-            )
-        for name in ("tau", "alpha", "beta"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ConfigError(f"{name} must be positive and finite")
-        if self.K is not None and self.K < 1:
-            raise ConfigError("K must be at least 1 when given")
-        if self.level is not None and self.level < 0:
-            raise ConfigError("level must be at least 0 when given")
-        if self.replications < 2:
-            raise ConfigError("replications must be at least 2")
-        if self.replications > 2**53:
-            # mc_risk forms the count in float64, which holds every integer up to 2**53
-            raise ConfigError(
-                f"replications = {self.replications} exceeds 2**53 = {2**53}, "
-                "beyond which the Monte Carlo gamma shape is no longer exact"
-            )
-        m_values = tuple(int(v) for v in self.m_values)
-        if not m_values or any(m < 1 for m in m_values):
-            raise ConfigError("m_values must be a nonempty list of positive integers")
-        object.__setattr__(self, "m_values", m_values)
-        sigma_values = tuple(float(v) for v in self.sigma_values)
-        if not sigma_values or any(not (s > 0 and math.isfinite(s)) for s in sigma_values):
-            raise ConfigError("sigma_values must be a nonempty list of positive reals")
-        object.__setattr__(self, "sigma_values", sigma_values)
-        if self.grid_size < 2:
-            raise ConfigError("grid_size must be at least 2")
-        if self.format not in FORMATS:
-            raise ConfigError(f"format must be one of {FORMATS}, got {self.format!r}")
+        try:
+            _check_dimension(self.d)
+            _check_sample_size(self.n_grid)
+            _check_delta(self.delta)
+            _check_positive(self.tau, "scale tau")
+            _check_positive(self.alpha, "smoothness alpha")
+            _check_positive(self.beta, "decay rate beta")
+            if self.K is not None:
+                _check_count(self.K, "spectrum length K", 1)
+            if self.level is not None:
+                _check_count(self.level, "basis level", 0)
+            _check_replications(self.replications)
+            _check_count(self.m_values, "one-sparse size m", 1)
+            _check_positive(self.sigma_values, "noise level sigma")
+            _check_grid_size(self.grid_size)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
 
 
 # the settings that a --<name> flag and a GPLB_<NAME> variable also set

@@ -117,7 +117,11 @@ def render(report: RiskReport, format: str) -> str:
 
 def emit_report(report: RiskReport, path: str, format: str = "csv") -> None:
     """Write the report to ``path`` in the requested format."""
-    text = render(report, format)
+    _write_text(render(report, format), path)
+
+
+def _write_text(text: str, path: str) -> None:
+    """Write a report's text, or verify's lines, to ``path``."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(text)

@@ -48,7 +48,7 @@ from ..sequence_core import (
     mc_risk,
     polynomial_spectrum,
 )
-from ..sparse_linear import MAX_GRID_SIZE, brute_force_minimax, linear_minimax_risk
+from ..sparse_linear import brute_force_minimax, linear_minimax_risk
 from ..wavelet import (
     HaarTensorBasis,
     SawtoothSurrogate,
@@ -352,15 +352,9 @@ def run_minimax_battery(config: ExperimentConfig) -> RiskReport:
 
     exact_risk holds the closed form m sigma^2/(1+m sigma^2) and mc_risk
     the scalar grid-search value; their largest gap lands in the fits.
-    One ``brute_force_minimax`` call searches the grid for every pair.  A
-    grid over MAX_GRID_SIZE (2^27) points, the sizes the search's
-    exactness proof covers, is refused before any search.
+    One ``brute_force_minimax`` call searches the grid for every pair, at most
+    the 2^27 points its exactness proof covers (the config refuses more).
     """
-    if config.grid_size > MAX_GRID_SIZE:
-        raise ConfigError(
-            f"grid_size = {config.grid_size} is over the {MAX_GRID_SIZE} = 2^27 points that "
-            "the exactness proof of the grid search covers; lower grid_size"
-        )
     pairs = [(m, sigma) for m in config.m_values for sigma in config.sigma_values]
     ms, sigmas = zip(*pairs)
     searched = brute_force_minimax(ms, sigmas, config.grid_size)

@@ -46,7 +46,7 @@ from typing import Callable, Sequence
 import numpy as np
 import numpy.polynomial  # noqa: F401  numpy loads it on first use; here it stays in start-up
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, _check_count, _check_positive
 
 __all__ = [
     "affine_plus_power_integral",
@@ -79,8 +79,7 @@ def affine_plus_power_integral(
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     d = beta.size
-    if power < 1:
-        raise DomainError("power must be a positive integer")
+    _check_count(power, "power", 1)
     if np.any(beta == 0.0):
         raise DomainError("vertex formula requires all beta components nonzero")
     if np.any(hi <= lo):
@@ -115,8 +114,7 @@ def pyramid_box_integral(
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     d = center.size
-    if halfwidth <= 0.0:
-        raise DomainError("halfwidth must be positive")
+    _check_positive(halfwidth, "halfwidth")
 
     # Clip to the support box; outside it the integrand vanishes.
     lo = np.maximum(lo, center - halfwidth)
@@ -180,8 +178,7 @@ def pyramid_grid_integrals(
     on a breakpoint.
     """
     d = len(center)
-    if halfwidth <= 0.0:
-        raise DomainError("halfwidth must be positive")
+    _check_positive(halfwidth, "halfwidth")
     if len(edges) != d:
         raise DomainError(f"need one edge array per axis ({d}), got {len(edges)}")
     stacked = any(np.ndim(axis_edges) == 2 for axis_edges in edges)

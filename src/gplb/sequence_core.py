@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, DomainError, QuadratureError
+from .errors import _check_count, _check_dimension, _check_positive
 
 __all__ = [
     "Spectrum",
@@ -226,8 +227,7 @@ class SparseRows:
         product per stored value of each spectrum; row s of a stack has the
         bits of spectrum s alone.
         """
-        if not (n > 0 and math.isfinite(n)):
-            raise DomainError("sample size n must be positive and finite")
+        _check_positive(n, "sample size n")
         _check_same_shape(spectrum.eigenvalues.shape[-1:], (self.K,), "SparseRows.risks")
         weights, one_minus = _shrinkage(spectrum.eigenvalues, n)[:2]  # the variances go before the products
         terms = one_minus[..., self.columns]  # np.take along the last axis holds a second copy
@@ -254,8 +254,7 @@ class SequenceObservation:
     def __post_init__(self):
         arr = _frozen_array(self.coefficients, "coefficients", allow_negative=True, stacked=True)
         object.__setattr__(self, "coefficients", arr)
-        if not (self.n > 0 and math.isfinite(self.n)):
-            raise DomainError("sample size n must be positive and finite")
+        _check_positive(self.n, "sample size n")
 
 
 @dataclass(frozen=True)
@@ -315,10 +314,9 @@ def sample_observation(
     as ``draws`` calls of size K: row i equals the i-th of those draws,
     bit for bit.
     """
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
-    if draws is not None and draws < 1:
-        raise DomainError("draws must be at least 1")
+    _check_positive(n, "sample size n")  # before the draw: the noise scale is 1 / sqrt(n)
+    if draws is not None:
+        _check_count(draws, "draws", 1)
     shape = theta.size if draws is None else (draws, theta.size)
     noise = rng.standard_normal(shape) / math.sqrt(n)
     return SequenceObservation(theta.theta + noise, float(n), theta.basis_id)
@@ -350,8 +348,7 @@ def _error_law(spectrum: Spectrum, theta: TruthCoefficients, n: float, what: str
     that checks a (spectrum, truth, n) and forms its shrinkage, for the exact
     and Monte Carlo risks and the contraction probes alike.
     """
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
+    _check_positive(n, "sample size n")
     _check_same_basis(spectrum.basis_id, theta.basis_id, what)
     _check_same_shape(spectrum.eigenvalues.shape, theta.theta.shape, what)  # one spectrum, not a stack
     weights, base, variances = _shrinkage(spectrum.eigenvalues, n)
@@ -372,6 +369,15 @@ def exact_risk(spectrum: Spectrum, theta: TruthCoefficients, n: float) -> float:
 
 
 _MC_CHUNK_BUDGET = 4_000_000  # scalars per Monte Carlo chunk
+
+
+def _check_replications(replications) -> None:
+    _check_count(replications, "replications", 2)
+    if replications > 2**53:  # mc_risk forms R in float64, which holds every integer up to 2**53
+        raise DomainError(
+            f"replications = {replications} exceeds 2**53 = {2**53}, "
+            "beyond which the Monte Carlo gamma shape is no longer exact"
+        )
 
 
 def mc_risk(
@@ -397,12 +403,11 @@ def mc_risk(
     estimate has the law of the replication mean, at the cost of one normal
     and one gamma per distinct scale whatever R is, and the standard error
     is its exact standard deviation, sqrt(sum_G (2 s^4 |G| + 4 s^2 ||b_G||^2) / R).  R enters as a
-    float64, so a huge integer R cannot overflow; it is exact up to 2^53.
+    float64, so a huge integer R cannot overflow; it is exact up to 2^53, beyond which R is refused.
     The normals and the gammas come from two generators spawned from
     ``rng``, so the caller's generator does not advance.
     """
-    if replications < 2:
-        raise DomainError("mc_risk needs at least 2 replications")
+    _check_replications(replications)
     base, weights, _ = _error_law(spectrum, theta, n, "mc_risk")
     scale = weights / math.sqrt(n)
     live = scale > 0.0
@@ -441,10 +446,9 @@ def contraction_probability(
     the squared distance to the truth reaches radius^2 less its ``tail``.
     Returns (estimate, standard error across outer draws).
     """
-    if not (radius > 0 and math.isfinite(radius)):
-        raise DomainError("radius must be positive and finite")
-    if outer < 1 or inner < 1:
-        raise DomainError("outer and inner sample counts must be at least 1")
+    _check_positive(radius, "radius")
+    _check_count(outer, "outer", 1)
+    _check_count(inner, "inner", 1)
     base, weights, variances = _error_law(spectrum, theta, n, "contraction_probability")
     scale = weights / math.sqrt(n)
     sd = np.sqrt(variances)
@@ -503,8 +507,9 @@ def contraction_mass(
     QuadratureError when the inversion cannot certify MASS_TOLERANCE.
     """
     radii = np.asarray(radius, dtype=float)
-    if radii.ndim > 1 or not np.all((radii > 0.0) & np.isfinite(radii)):
-        raise DomainError("radius must be positive and finite, one radius or a 1-d stack of them")
+    if radii.ndim > 1:
+        raise DomainError("radius must be one radius or a 1-d stack of them")
+    _check_positive(radii, "radius")
     base, weights, variances = _error_law(spectrum, theta, n, "contraction_mass")
     spread = (weights / math.sqrt(n)) ** 2 + variances  # s_k^2 + v_k
     masses = _quadratic_form_tail(base**2, spread, np.atleast_1d(radii * radii) - theta.tail)
@@ -681,18 +686,12 @@ def _imhof_tail(b_sq: np.ndarray, v: np.ndarray, excess: float) -> float:
 # Spectrum presets
 # ---------------------------------------------------------------------------
 
-def _check_preset_args(K: int, tau: float) -> None:
-    if K < 1:
-        raise DomainError("spectrum length K must be at least 1")
-    if not (tau > 0 and math.isfinite(tau)):
-        raise DomainError("scale tau must be positive and finite")
-
-
 def polynomial_spectrum(K: int, *, basis_id: str, tau: float = 1.0, alpha: float = 1.0, d: int = 1) -> Spectrum:
     """lambda_k = tau * k^{-(1 + 2 alpha / d)}, the classical smoothness scale."""
-    _check_preset_args(K, tau)
-    if alpha <= 0 or d < 1:
-        raise DomainError("polynomial spectrum needs alpha > 0 and d >= 1")
+    _check_count(K, "spectrum length K", 1)
+    _check_positive(tau, "scale tau")
+    _check_positive(alpha, "smoothness alpha")
+    _check_dimension(d)
     p = 1.0 + 2.0 * alpha / d
     k = np.arange(1, K + 1, dtype=float)
     return Spectrum(tau * k**-p, basis_id)
@@ -700,14 +699,15 @@ def polynomial_spectrum(K: int, *, basis_id: str, tau: float = 1.0, alpha: float
 
 def exponential_spectrum(K: int, *, basis_id: str, tau: float = 1.0, beta: float = 1.0) -> Spectrum:
     """lambda_k = tau * exp(-beta k)."""
-    _check_preset_args(K, tau)
-    if beta <= 0:
-        raise DomainError("exponential spectrum needs beta > 0")
+    _check_count(K, "spectrum length K", 1)
+    _check_positive(tau, "scale tau")
+    _check_positive(beta, "decay rate beta")
     k = np.arange(1, K + 1, dtype=float)
     return Spectrum(tau * np.exp(-beta * k), basis_id)
 
 
 def flat_spectrum(K: int, *, basis_id: str, tau: float = 1.0) -> Spectrum:
     """lambda_k = tau for every retained coordinate."""
-    _check_preset_args(K, tau)
+    _check_count(K, "spectrum length K", 1)
+    _check_positive(tau, "scale tau")
     return Spectrum(np.full(K, tau), basis_id)

@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .adversarial import CoefficientMatrix, PyramidFamily, pyramid_norm_sq
-from .errors import DomainError
+from .errors import DomainError, _check_count, _check_positive
 from .sequence_core import Spectrum
 
 __all__ = [
@@ -56,12 +56,9 @@ class OneSparseModel:
     c_n_sq: float
 
     def __post_init__(self):
-        if self.m < 1:
-            raise DomainError("one-sparse model needs m >= 1")
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise DomainError("noise level sigma must be positive and finite")
-        if not (self.c_n_sq > 0 and math.isfinite(self.c_n_sq)):
-            raise DomainError("common squared norm c_n_sq must be positive and finite")
+        _check_count(self.m, "one-sparse size m", 1)
+        _check_positive(self.sigma, "noise level sigma")
+        _check_positive(self.c_n_sq, "common squared norm c_n_sq")
 
 
 @dataclass(frozen=True)
@@ -99,8 +96,7 @@ def reduce_to_sequence(
     """
     if not 0 <= j_star < family.m:
         raise DomainError(f"truth index {j_star} out of range for family of size {family.m}")
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
+    _check_positive(n, "sample size n")
     c_n_sq = pyramid_norm_sq(family.d, family.k)
     sigma = 1.0 / math.sqrt(c_n_sq * n)
     model = OneSparseModel(family.m, sigma, c_n_sq)
@@ -111,8 +107,9 @@ def reduce_to_sequence(
 
 def _check_sigma(sigma, shape: tuple = ()) -> np.ndarray:
     sigmas = np.asarray(sigma, dtype=float)  # one per item of a stack of that shape
-    if sigmas.shape != shape or not np.all((sigmas > 0) & np.isfinite(sigmas)):
-        raise DomainError(f"noise level sigma must be positive and finite, of shape {shape}")
+    if sigmas.shape != shape:
+        raise DomainError(f"noise level sigma must have shape {shape}, got {sigmas.shape}")
+    _check_positive(sigmas, "noise level sigma")
     return sigmas
 
 
@@ -193,8 +190,7 @@ def linear_minimax_risk(m: int, sigma: float) -> MinimaxSolution:
     m sigma^2 / (1 + m sigma^2), attained at a* = 1 / (1 + m sigma^2).
     When m sigma^2 overflows, the limit is returned: risk 1 at a* = 0.
     """
-    if m < 1:
-        raise DomainError("one-sparse model needs m >= 1")
+    _check_count(m, "one-sparse size m", 1)
     _check_sigma(sigma)
     t = _noise_load(m, sigma)
     if math.isinf(t):
@@ -206,6 +202,15 @@ def linear_minimax_risk(m: int, sigma: float) -> MinimaxSolution:
 # its bisected index (10 suffice), and the largest grid its argument covers.
 SEARCH_WINDOW = 64
 MAX_GRID_SIZE = 2**27
+
+
+def _check_grid_size(grid_size) -> None:
+    _check_count(grid_size, "grid_size", 2)  # the endpoints 0 and 1
+    if grid_size > MAX_GRID_SIZE:
+        raise DomainError(
+            f"grid_size = {grid_size} is over the {MAX_GRID_SIZE} = 2^27 points that "
+            "the exactness proof of the grid search covers; lower grid_size"
+        )
 
 
 def _grid_points(index, grid_size: int):
@@ -264,13 +269,11 @@ def brute_force_minimax(m, sigma, grid_size: int):
     within 10 steps of a*, well inside the window.
     """
     ms = np.atleast_1d(m)
-    if ms.ndim != 1 or np.any(ms < 1):
-        raise DomainError("one-sparse model needs m >= 1, as a scalar or a sequence")
+    if ms.ndim != 1:
+        raise DomainError("one-sparse size m must be a scalar or a sequence")
+    _check_count(ms, "one-sparse size m", 1)
     sigmas = _check_sigma(np.atleast_1d(sigma), ms.shape)
-    if grid_size < 2:
-        raise DomainError("grid must contain at least the endpoints 0 and 1")
-    if grid_size > MAX_GRID_SIZE:
-        raise DomainError(f"the exact grid search covers at most {MAX_GRID_SIZE} points")
+    _check_grid_size(grid_size)
     t = np.array([_noise_load(mi, si) for mi, si in zip(ms.tolist(), sigmas.tolist())])
     finite = np.isfinite(t)
     load = t[finite]
@@ -301,8 +304,7 @@ def gp_mean_dominates_linear(
     reduction guarantees for every spectrum.  A spectrum on another basis
     raises ContractError from ``coeffs.risks``.
     """
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
+    _check_positive(n, "sample size n")
     family = coeffs.family
     c_n_sq = pyramid_norm_sq(family.d, family.k)
     sigma = 1.0 / math.sqrt(c_n_sq * n)

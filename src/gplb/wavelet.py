@@ -32,9 +32,10 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .errors import ContractError, DomainError
+from .errors import ContractError, DomainError, _check_count, _check_dimension, _check_positive
+from .errors import _check_sample_size, _unit_cube_points
 from .integrate import ridge_box_integral  # noqa: F401  rebound here by the benchmark's tracer (bench/layers.py)
-from .sequence_core import Spectrum, TruthCoefficients
+from .sequence_core import Spectrum, TruthCoefficients, _check_same_basis
 
 __all__ = [
     "HaarTensorBasis",
@@ -126,10 +127,8 @@ class HaarTensorBasis:
     level: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError("dimension d must be at least 1")
-        if self.level < 0:
-            raise DomainError("max level J must be at least 0")
+        _check_dimension(self.d)
+        _check_count(self.level, "basis level", 0)
 
     @property
     def size(self) -> int:
@@ -297,11 +296,7 @@ class HaarTensorBasis:
     def evaluate(self, position: int, x) -> np.ndarray:
         """Evaluate the member at a basis position at points x of shape (npts, d) or (d,)."""
         axes = self._member_axes(position)
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        if pts.shape[1] != self.d:
-            raise DomainError(f"points must have {self.d} columns, got {pts.shape[1]}")
-        if np.any(pts < 0.0) or np.any(pts > 1.0):
-            raise DomainError("evaluation points must lie in the unit cube")
+        pts = _unit_cube_points(x, self.d)
         values = np.ones(pts.shape[0])
         for axis, (level, translate) in enumerate(axes):
             values *= _axis_values(level, translate, pts[:, axis])
@@ -357,10 +352,8 @@ def wavelet_prior_preset(
 
     l is the index's resolution group, with the all-scaling index placed at l = 0.
     """
-    if not (tau > 0 and math.isfinite(tau)):
-        raise DomainError("scale tau must be positive and finite")
-    if alpha <= 0:
-        raise DomainError("smoothness alpha must be positive")
+    _check_positive(tau, "scale tau")
+    _check_positive(alpha, "smoothness alpha")
     return WaveletPrior(basis, tau * 2.0 ** (-basis.groups * (2.0 * alpha + basis.d)))
 
 
@@ -377,8 +370,7 @@ def single_function_risk_bound(coefficients, n: float) -> float:
     interpolating (a ~ 1) a function whose coefficients all satisfy
     c^2 >= 1/n.  Accepts a TruthCoefficients or a raw vector.
     """
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
+    _check_positive(n, "sample size n")
     theta = coefficients.theta if isinstance(coefficients, TruthCoefficients) else np.asarray(coefficients, dtype=float)
     return float(np.sum(np.minimum(theta**2, 1.0 / n)))
 
@@ -402,13 +394,9 @@ def level_profile_risk_infimum(coefficients, basis: HaarTensorBasis, n: float) -
     always can.  Accepts a TruthCoefficients or a raw vector in basis
     order.
     """
-    if not (n > 0 and math.isfinite(n)):
-        raise DomainError("sample size n must be positive and finite")
+    _check_positive(n, "sample size n")
     if isinstance(coefficients, TruthCoefficients):
-        if coefficients.basis_id != basis.basis_id:
-            raise ContractError(
-                f"coefficients carry basis {coefficients.basis_id!r}, expected {basis.basis_id!r}"
-            )
+        _check_same_basis(coefficients.basis_id, basis.basis_id, "level_profile_risk_infimum")
         theta = coefficients.theta
     else:
         theta = np.asarray(coefficients, dtype=float)
@@ -422,10 +410,8 @@ def level_profile_risk_infimum(coefficients, basis: HaarTensorBasis, n: float) -
 
 def wavelet_prior_rate(d: int, n: float) -> float:
     """The n^{-1/(2+d)} risk scale forced on smoothness-matched series priors."""
-    if d < 1:
-        raise DomainError("dimension d must be at least 1")
-    if not (n >= 1 and math.isfinite(n)):
-        raise DomainError("sample size n must be at least 1")
+    _check_dimension(d)
+    _check_sample_size(n)
     return float(n) ** (-1.0 / (2.0 + d))
 
 
@@ -444,10 +430,8 @@ class SawtoothSurrogate:
     level: int
 
     def __post_init__(self):
-        if self.d < 1:
-            raise DomainError("dimension d must be at least 1")
-        if self.level < 0:
-            raise DomainError("sawtooth level must be at least 0")
+        _check_dimension(self.d)
+        _check_count(self.level, "sawtooth level", 0)
 
     @property
     def period(self) -> float:

@@ -84,6 +84,11 @@ def test_family_size_cap_and_bad_arguments():
         build_pyramid_family(0, 1)
     with pytest.raises(DomainError):
         build_pyramid_family(1, 0)
+    # a fractional dimension once failed with a TypeError from the center grid
+    with pytest.raises(DomainError, match="dimension d must be an integer, got 1.5"):
+        build_pyramid_family(1.5, 2)
+    with pytest.raises(DomainError, match="grid count k must be an integer, got 2.0"):
+        pyramid_norm_sq(1, 2.0)
 
 
 def test_pointwise_values_at_peak_boundary_and_quarter():

@@ -44,6 +44,7 @@ from gplb.adversarial import (
     concentration_bound,
     contraction_mass_floor,
     grid_target,
+    lower_bound_constants,
     mean_risk_floor,
     n_threshold,
     pyramid_norm_sq,
@@ -51,7 +52,7 @@ from gplb.adversarial import (
     transfer_threshold,
     worst_member,
 )
-from gplb.errors import ConfigError, ContractError, SchemaVersionError
+from gplb.errors import ConfigError, ContractError, DomainError, SchemaVersionError
 from gplb.harness.cli import main
 from gplb.harness.config import (
     ENV_VARIABLES,
@@ -89,6 +90,9 @@ from gplb.sequence_core import (
     TruthCoefficients,
     contraction_mass,
     exact_risk,
+    exponential_spectrum,
+    flat_spectrum,
+    mc_risk,
     polynomial_spectrum,
     posterior_update,
     sample_observation,
@@ -337,41 +341,94 @@ def test_environment_values_are_cast_and_checked():
         load_config(None, env={"GPLB_FORMAT": "xml"})
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"mode": "banana"},
-        {"d": 0},
-        {"n_grid": ()},
-        {"n_grid": (100.0, 100.0)},
-        {"n_grid": (1000.0, 10.0)},
-        {"n_grid": (0.5,)},
-        {"n_grid": (math.inf,)},
-        {"seed": -1},
-        {"threads": 0},
-        {"delta": 0.0},
-        {"delta": 0.25},
-        {"grid_rule": "nearest"},
-        {"spectrum": "cosine"},
-        {"tau": 0.0},
-        {"alpha": -1.0},
-        {"beta": math.inf},
-        {"K": 0},
-        {"level": -1},
-        {"replications": 1},
-        {"replications": 0},
-        {"n_grid": (math.nan,)},
-        {"m_values": ()},
-        {"m_values": (0,)},
-        {"sigma_values": ()},
-        {"sigma_values": (-1.0,)},
-        {"grid_size": 1},
-        {"format": "xml"},
-    ],
-)
+REFUSED_SETTINGS = [
+    {"mode": "banana"},
+    {"d": 0},
+    {"n_grid": ()},
+    {"n_grid": (100.0, 100.0)},
+    {"n_grid": (1000.0, 10.0)},
+    {"n_grid": (0.5,)},
+    {"n_grid": (math.inf,)},
+    {"seed": -1},
+    {"threads": 0},
+    {"delta": 0.0},
+    {"delta": 0.25},
+    {"grid_rule": "nearest"},
+    {"spectrum": "cosine"},
+    {"tau": 0.0},
+    {"alpha": -1.0},
+    {"beta": math.inf},
+    {"K": 0},
+    {"level": -1},
+    {"replications": 1},
+    {"replications": 0},
+    {"n_grid": (math.nan,)},
+    {"m_values": ()},
+    {"m_values": (0,)},
+    {"sigma_values": ()},
+    {"sigma_values": (-1.0,)},
+    {"grid_size": 1},
+    {"format": "xml"},
+]
+
+
+@pytest.mark.parametrize("kwargs", REFUSED_SETTINGS)
 def test_config_validation_rejects(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
+
+
+# The refusals above that only the config makes: settings no science
+# function takes, an empty list and an n_grid out of order.
+CONFIG_ONLY_REFUSALS = [
+    {"mode": "banana"}, {"n_grid": ()}, {"n_grid": (100.0, 100.0)}, {"n_grid": (1000.0, 10.0)},
+    {"seed": -1}, {"threads": 0}, {"grid_rule": "nearest"}, {"spectrum": "cosine"},
+    {"m_values": ()}, {"sigma_values": ()}, {"format": "xml"},
+]
+
+# A science call that takes each setting's value.
+SCIENCE_CALLS = {
+    "d": lower_bound_constants,
+    "n_grid": lambda grid: [grid_target(1, n) for n in grid],
+    "delta": transfer_threshold,
+    "tau": lambda tau: flat_spectrum(4, basis_id="b", tau=tau),
+    "alpha": lambda alpha: polynomial_spectrum(4, basis_id="b", alpha=alpha),
+    "beta": lambda beta: exponential_spectrum(4, basis_id="b", beta=beta),
+    "K": lambda K: flat_spectrum(K, basis_id="b"),
+    "level": lambda level: HaarTensorBasis(1, level),
+    "replications": lambda replications: mc_risk(
+        Spectrum(np.ones(2), "b"), TruthCoefficients(np.ones(2), "b"), 10.0, replications,
+        np.random.default_rng(0)),
+    "m_values": lambda ms: sparse_linear.brute_force_minimax(ms, [1.0] * len(ms), 11),
+    "sigma_values": lambda sigmas: sparse_linear.brute_force_minimax([1] * len(sigmas), sigmas, 11),
+    "grid_size": lambda grid_size: sparse_linear.brute_force_minimax(1, 1.0, grid_size),
+}
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [kwargs for kwargs in REFUSED_SETTINGS if kwargs not in CONFIG_ONLY_REFUSALS]
+    + [{"d": 1.5}, {"alpha": math.inf}, {"beta": math.nan}, {"tau": math.inf},
+       {"replications": 2**53 + 1}, {"grid_size": 2**27 + 1}],
+)
+def test_config_refuses_a_science_value_with_the_science_functions_message(kwargs):
+    # the config's range of a setting is the library's own check, word for word
+    [(name, value)] = kwargs.items()
+    with pytest.raises(ConfigError) as refused:
+        ExperimentConfig(**kwargs)
+    with pytest.raises(DomainError) as science:
+        SCIENCE_CALLS[name](value)
+    assert str(refused.value) == str(science.value)
+    assert isinstance(refused.value.__cause__, DomainError)
+
+
+def test_every_config_refusal_is_a_science_or_a_config_only_one():
+    # each refused value above is checked by exactly one of the two tests
+    assert all(kwargs in REFUSED_SETTINGS for kwargs in CONFIG_ONLY_REFUSALS)
+    for kwargs in CONFIG_ONLY_REFUSALS:
+        [(name, value)] = kwargs.items()
+        if name in SCIENCE_CALLS:
+            SCIENCE_CALLS[name](value)  # the science function takes the value
 
 
 def test_threads_accepts_only_one_and_has_no_flag_or_variable(tmp_path):
@@ -949,7 +1006,7 @@ def test_minimax_grid_over_the_byte_limit_fails_before_allocating(monkeypatch):
         raise Searched
 
     monkeypatch.setattr(study, "brute_force_minimax", refuse)
-    largest = study.MAX_GRID_SIZE
+    largest = sparse_linear.MAX_GRID_SIZE
     assert largest == study.MAX_COEFFICIENT_BYTES // 8 == 2**27  # the boundary of the coefficient byte cap
     with pytest.raises(Searched):  # the largest allowed grid passes the check
         run_minimax_battery(ExperimentConfig(mode="minimax", grid_size=largest))
@@ -1132,6 +1189,25 @@ def test_contraction_json_report_equals_the_golden_output(capsys):
     assert main(["contraction", "--seed", "1", "--format", "json"]) == 0
     expected = (GOLDEN / "contraction-seed-1.json").read_bytes()
     assert capsys.readouterr().out.encode() == expected
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["rates", "contraction", "risk-d2", "risk-d3", "risk-d3-level6", "risk-polynomial",
+     "risk-exponential", "rates-flat"],
+)
+def test_every_family_golden_row_clears_its_linear_minimax_floor(name):
+    # Donoho, Liu & MacGibbon (1990): the k^d members share the squared norm
+    # c_k^2, so every linear estimator, each GP posterior mean among them, has
+    # worst-case risk over them of at least c_k^2 times the one-sparse linear
+    # minimax risk at noise 1 / sqrt(n c_k^2).  The closest rows reach 0.984
+    # of their exact risk (risk-d3) and 0.940 (risk-d3-level6).
+    rows = read_report(str(GOLDEN / f"{name}-seed-1.csv")).rows
+    assert rows
+    for row in rows:
+        c_k_sq = pyramid_norm_sq(row.d, row.k)
+        floor = c_k_sq * sparse_linear.linear_minimax_risk(row.m, 1.0 / math.sqrt(row.n * c_k_sq)).risk
+        assert 0.0 < floor <= row.exact_risk, (row.n, floor, row.exact_risk)
 
 
 def test_verify_passes_at_every_seed():
@@ -1518,6 +1594,26 @@ def test_cli_refuses_an_out_that_is_a_directory_before_any_work(tmp_path, capsys
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
     assert captured.out == "" and lines == [f"output error: {tmp_path} is a directory"]
+
+
+def test_cli_verify_writes_its_lines_to_out_after_the_same_checks(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("gplb.harness.cli.run_verify", lambda config: (False, ["PASS a: ok", "FAIL b: no"]))
+    target = tmp_path / "verify.txt"
+    assert main(["verify", "--out", str(target)]) == 1
+    assert capsys.readouterr().out == ""
+    assert target.read_bytes() == b"PASS a: ok\nFAIL b: no\n"
+
+    def battery(config):
+        raise AssertionError("the battery ran although --out cannot be written")
+
+    monkeypatch.setattr("gplb.harness.cli.run_verify", battery)
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    # a directory, a missing parent directory and a parent that is a file
+    for out in (tmp_path, tmp_path / "missing" / "x.txt", tmp_path / "file" / "x.txt"):
+        assert main(["verify", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert captured.out == "" and len(lines) == 1 and lines[0].startswith(f"output error: {out}")
 
 
 def test_cli_minimax_reports_risk_one_when_m_sigma_sq_overflows(tmp_path):

@@ -1137,6 +1137,26 @@ def test_preset_validation():
         exponential_spectrum(3, basis_id=BASIS, beta=0.0)
 
 
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_presets_refuse_an_infinite_or_nan_decay(value):
+    # alpha = inf once gave [tau, 0, 0, 0] and beta = inf an all-zero prior
+    with pytest.raises(DomainError, match="smoothness alpha must be positive and finite"):
+        polynomial_spectrum(4, basis_id=BASIS, alpha=value)
+    with pytest.raises(DomainError, match="decay rate beta must be positive and finite"):
+        exponential_spectrum(4, basis_id=BASIS, beta=value)
+
+
+def test_mc_risk_refuses_replications_beyond_two_to_the_53():
+    # R enters the gamma shape as a float64, exact up to 2**53
+    args = spectrum_of(0.5, 0.0), truth_of(0.1, 0.2), 10.0
+    estimate, stderr = mc_risk(*args, 2**53, np.random.default_rng(0))
+    assert estimate > 0.0 and stderr > 0.0
+    with pytest.raises(DomainError, match=f"replications = {2**53 + 1} exceeds 2\\*\\*53"):
+        mc_risk(*args, 2**53 + 1, np.random.default_rng(0))
+    with pytest.raises(DomainError, match="replications must be an integer"):
+        mc_risk(*args, 1000.0, np.random.default_rng(0))
+
+
 def test_spectrum_rejects_negative_eigenvalues():
     with pytest.raises(DomainError):
         Spectrum(np.array([0.5, -0.1]), BASIS)

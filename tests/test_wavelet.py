@@ -8,6 +8,7 @@ midpoints integrates products of such functions exactly.
 import itertools
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -271,6 +272,17 @@ def test_preset_prior_variances_decay_dyadically():
         assert variance == pytest.approx(expected, rel=1e-15)
     # scaling and level-0 indices share the same variance
     assert prior.variances[0] == prior.variances[1]
+
+
+@pytest.mark.parametrize("name", ["tau", "alpha"])
+def test_preset_refuses_an_infinite_scale_or_smoothness_before_any_variance(name):
+    # alpha = inf once gave 0 * inf = nan variances, with a RuntimeWarning,
+    # and then "prior variances must be finite"
+    message = {"tau": "scale tau", "alpha": "smoothness alpha"}[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=f"{message} must be positive and finite"):
+            wavelet_prior_preset(haar_tensor_basis(1, 2), **{name: math.inf})
 
 
 def test_prior_spectrum_places_zeros_off_the_retained_set():
