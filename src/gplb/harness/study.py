@@ -114,9 +114,13 @@ def t_quantile_975(df: int) -> float:
 def fit_loglog_slope(ns, values) -> dict | None:
     """Least-squares slope of log(values) against log(ns), with a 95% band.
 
-    Returns None when fewer than two points are available or any value is
-    nonpositive.  The band comes from the residual variance; with exactly
-    two points it degenerates to the slope itself.
+    Returns None when fewer than two points are available, any value is
+    nonpositive or every log(n) is the same.  Each log is an integer over
+    a power of two, so the normal equations are solved in Python integers
+    and the slope and intercept are each the correctly rounded exact
+    least-squares value of the log floats, rounded once by an integer
+    true division.  The band comes from the residual variance; with
+    exactly two points it degenerates to the slope itself.
     """
     ns = np.asarray(ns, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -124,7 +128,14 @@ def fit_loglog_slope(ns, values) -> dict | None:
         return None
     x = np.log(ns)
     y = np.log(values)
-    slope, intercept = np.polyfit(x, y, 1)
+    (xs, x_scale), (ys, y_scale) = (_common_denominator(v.tolist()) for v in (x, y))
+    sum_x, sum_y = sum(xs), sum(ys)
+    sum_xx, sum_xy = sum(a * a for a in xs), sum(a * b for a, b in zip(xs, ys))
+    det = ns.size * sum_xx - sum_x * sum_x  # N^2 times the variance of the x integers
+    if det == 0:
+        return None
+    slope = (ns.size * sum_xy - sum_x * sum_y) * x_scale / (det * y_scale)
+    intercept = (sum_xx * sum_y - sum_x * sum_xy) / (det * y_scale)
     residuals = y - (slope * x + intercept)
     df = ns.size - 2
     sxx = float(np.sum((x - x.mean()) ** 2))
@@ -135,12 +146,19 @@ def fit_loglog_slope(ns, values) -> dict | None:
         stderr = 0.0
         half_width = 0.0
     return {
-        "slope": float(slope),
-        "intercept": float(intercept),
+        "slope": slope,
+        "intercept": intercept,
         "stderr": stderr,
-        "low": float(slope - half_width),
-        "high": float(slope + half_width),
+        "low": slope - half_width,
+        "high": slope + half_width,
     }
+
+
+def _common_denominator(values: list[float]) -> tuple[list[int], int]:
+    """Integers a_i and one power of two D with values[i] == a_i / D exactly."""
+    ratios = [v.as_integer_ratio() for v in values]
+    scale = max(den for _, den in ratios)
+    return [num * (scale // den) for num, den in ratios], scale
 
 
 def minimal_basis_level(k: int) -> int:

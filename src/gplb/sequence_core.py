@@ -414,13 +414,9 @@ def mc_risk(
     # in index order, first term plus the pairwise rest: the bits np.add.reduceat gives a segment
     noiseless = np.square(base[~live])
     exact = float(noiseless[0] + np.sum(noiseless[1:])) if noiseless.size else 0.0
-    base, scale = base[live], scale[live]
-    order = np.argsort(scale, kind="stable")
-    scale = scale[order]
-    starts = np.flatnonzero(np.diff(scale, prepend=-1.0))
-    sizes = np.diff(starts, append=scale.size)
-    scale = scale[starts]
-    norm_sq = np.add.reduceat(base[order] ** 2, starts)
+    base, scale = base[live], scale[live]  # rebinding frees the K-long arrays before the sort
+    scale, sizes, order = _scale_groups(scale)
+    norm_sq = np.add.reduceat(base[order] ** 2, np.cumsum(sizes) - sizes)
     var, reps = scale**2, float(replications)
     normal_rng, gamma_rng = rng.spawn(2)
     center = scale * normal_rng.standard_normal(scale.size) + math.sqrt(reps) * np.sqrt(norm_sq)
@@ -428,6 +424,17 @@ def mc_risk(
     estimate = exact + float(np.sum(center**2 + 2.0 * var * spread)) / reps + theta.tail
     stderr = math.sqrt(float(np.sum(2.0 * var**2 * sizes + 4.0 * var * norm_sq)) / reps)
     return estimate, stderr
+
+
+def _scale_groups(scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct scales in increasing order, their counts, and ``np.argsort(scale, kind="stable")``.
+
+    The order is a stable sort of the group ids cast to the least integer
+    type that holds them, which NumPy does by radix sort up to 65,536
+    groups, in place of a stable sort of the floats.
+    """
+    values, ids, sizes = np.unique(scale, return_inverse=True, return_counts=True)
+    return values, sizes, np.argsort(ids.astype(np.min_scalar_type(values.size - 1)), kind="stable")
 
 
 def contraction_probability(

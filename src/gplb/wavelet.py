@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ContractError, DomainError, _check_count, _check_dimension, _check_positive
 from .errors import _check_sample_size, _unit_cube_points
 from .integrate import ridge_box_integral  # noqa: F401  rebound here by the benchmark's tracer (bench/layers.py)
-from .sequence_core import Spectrum, TruthCoefficients, _check_same_basis
+from .sequence_core import Spectrum, TruthCoefficients, _check_same_basis, _frozen_array
 
 __all__ = [
     "HaarTensorBasis",
@@ -327,17 +327,14 @@ class WaveletPrior:
     variances: np.ndarray
 
     def __post_init__(self):
-        variances = np.array(self.variances, dtype=float)
-        if variances.shape != (self.basis.size,):
+        shape = np.shape(self.variances)
+        if shape != (self.basis.size,):
             raise ContractError(
-                f"expected {self.basis.size} prior variances for {self.basis.basis_id}, "
-                f"got shape {variances.shape}"
+                f"expected {self.basis.size} prior variances for {self.basis.basis_id}, got shape {shape}"
             )
-        if not np.all(np.isfinite(variances)) or np.any(variances < 0.0):
-            raise DomainError("prior variances must be finite and nonnegative")
+        variances = _frozen_array(self.variances, "prior variances", allow_negative=False)
         if not np.any(variances > 0.0):
             raise DomainError("a wavelet prior needs at least one retained index")
-        variances.setflags(write=False)
         object.__setattr__(self, "variances", variances)
 
     def to_spectrum(self) -> Spectrum:

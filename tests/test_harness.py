@@ -21,6 +21,7 @@ import textwrap
 import time
 import tracemalloc
 from dataclasses import asdict, fields, replace
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -687,6 +688,58 @@ def test_fit_loglog_slope_degenerate_inputs():
     assert two["stderr"] == 0.0
 
 
+def test_fit_loglog_slope_of_coinciding_log_n_is_none():
+    assert fit_loglog_slope([10.0, 10.0], [1.0, 0.5]) is None
+    assert fit_loglog_slope([3.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0]) is None
+    # a repeated n among distinct ones still fits: the line through the two means
+    three = fit_loglog_slope([10.0, 10.0, 100.0], [2.0, 0.5, 0.1])
+    assert three["slope"] == pytest.approx(-1.0, abs=1e-12)
+
+
+def exact_line(x, y):
+    """The exact least-squares slope and intercept of the float points (x, y), as Fractions."""
+    x, y = [Fraction(v) for v in x], [Fraction(v) for v in y]
+    count, sum_x, sum_y = len(x), sum(x), sum(y)
+    sum_xx, sum_xy = sum(a * a for a in x), sum(a * b for a, b in zip(x, y))
+    det = count * sum_xx - sum_x * sum_x
+    return (count * sum_xy - sum_x * sum_y) / det, (sum_xx * sum_y - sum_x * sum_xy) / det
+
+
+def test_fit_loglog_slope_is_the_correctly_rounded_least_squares_line():
+    # float(Fraction) rounds once, correctly; a quarter of the sets repeat some n
+    rng = np.random.default_rng(32)
+    fitted = 0
+    for _ in range(2000):
+        size = int(rng.integers(2, 31))
+        ns = 10.0 ** rng.uniform(-9.0, 9.0, size)
+        if rng.random() < 0.25:
+            ns = rng.choice(ns[: max(2, size // 3)], size)
+        values = 10.0 ** rng.uniform(-9.0, 9.0, size)
+        fit = fit_loglog_slope(ns, values)
+        x, y = np.log(ns).tolist(), np.log(values).tolist()
+        if len(set(x)) == 1:
+            assert fit is None
+            continue
+        slope, intercept = exact_line(x, y)
+        assert (fit["slope"], fit["intercept"]) == (float(slope), float(intercept)), (ns, values)
+        fitted += 1
+    assert fitted > 1900
+
+
+def test_no_study_path_calls_lapack_least_squares(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a study called LAPACK least squares")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    grid = (200.0, 2000.0, 20000.0)
+    rates = run_rate_study(replace(RATE_CONFIG, n_grid=grid))
+    wavelet = run_wavelet_study(ExperimentConfig(mode="wavelet", d=1, level=4, n_grid=grid, replications=10))
+    for report in (rates, wavelet):
+        assert report.fits["low"] <= report.fits["slope"] <= report.fits["high"]
+        assert report.fits["slope"] < 0.0
+
+
 def test_minimal_basis_level_tracks_bandwidth():
     assert [minimal_basis_level(k) for k in (1, 2, 3, 4, 5, 8, 9)] == [1, 2, 3, 3, 4, 4, 5]
     for k in (1, 2, 3, 4, 5, 8, 9):
@@ -1176,7 +1229,10 @@ def test_study_reports_equal_the_golden_output(capsys, mode, name):
     # the golden files are `gplb <mode> [--config <name>.ini] --seed 1` stdout
     # before the coefficient engine became one stacked pass (contraction's:
     # before the Chernoff ladder and the stacked probes; the polynomial,
-    # exponential and flat presets': before the one grid runner)
+    # exponential and flat presets': before the one grid runner), except
+    # the slope cells of rates, rates-flat and wavelet-d3, which moved by
+    # 3-5 ulp to the exact least-squares slope when the fit stopped using
+    # np.polyfit
     config = [] if name is None else ["--config", str(GOLDEN / f"{name}.ini")]
     assert main([mode, *config, "--seed", "1"]) == 0
     expected = (GOLDEN / f"{name or mode}-seed-1.csv").read_bytes()
@@ -1208,6 +1264,14 @@ def test_every_family_golden_row_clears_its_linear_minimax_floor(name):
         c_k_sq = pyramid_norm_sq(row.d, row.k)
         floor = c_k_sq * sparse_linear.linear_minimax_risk(row.m, 1.0 / math.sqrt(row.n * c_k_sq)).risk
         assert 0.0 < floor <= row.exact_risk, (row.n, floor, row.exact_risk)
+
+
+@pytest.mark.parametrize("name", ["rates", "rates-flat", "wavelet-d3"])
+def test_golden_slope_is_the_correctly_rounded_least_squares_slope(name):
+    rows = read_report(str(GOLDEN / f"{name}-seed-1.csv")).rows
+    ns, risks = np.array(list(dict.fromkeys((row.n, row.exact_risk) for row in rows))).T  # one per grid point
+    slope, _ = exact_line(np.log(ns).tolist(), np.log(risks).tolist())
+    assert {row.slope for row in rows} == {float(slope)}
 
 
 def test_verify_passes_at_every_seed():

@@ -671,6 +671,22 @@ def test_mc_risk_equals_the_all_coordinate_grouping_bit_for_bit(name, replicatio
             assert np.any(tiny) and np.all(where_shrinkage(lams, n)[0][tiny] == 0.0)
 
 
+@pytest.mark.parametrize("groups", [0, 1, 3, 255, 256, 257, 65535, 65536, 65537])
+def test_scale_groups_order_is_the_stable_argsort_of_the_scales(groups):
+    # the group ids sort as uint8 up to 256 groups and uint16 up to 65,536;
+    # each group has one scale plus repeats, a third of which are the largest
+    rng = np.random.default_rng(groups)
+    levels = np.sort(rng.uniform(0.5, 2.0, groups))
+    repeats = levels[rng.integers(0, groups, 2 * groups)]
+    repeats[rng.random(repeats.size) < 1 / 3] = levels[-1] if groups else 0.0
+    scale = np.concatenate([levels, repeats])
+    rng.shuffle(scale)
+    values, sizes, order = sequence_core._scale_groups(scale)
+    assert np.array_equal(order, np.argsort(scale, kind="stable"))
+    assert np.array_equal(values, levels) and values.size == sizes.size == groups
+    assert np.array_equal(np.repeat(values, sizes), scale[order])
+
+
 def test_mc_risk_rejects_fewer_than_two_replications():
     with pytest.raises(DomainError):
         mc_risk(spectrum_of(1.0), truth_of(0.0), 10.0, 1, np.random.default_rng(0))

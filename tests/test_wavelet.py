@@ -300,9 +300,9 @@ def test_prior_validates_membership_and_positivity():
         WaveletPrior(basis, [1.0, 1.0, 1.0])
     with pytest.raises(ContractError):
         WaveletPrior(basis, [[1.0, 1.0]])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="prior variances must be nonnegative"):
         WaveletPrior(basis, [1.0, -0.5])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="prior variances must be finite"):
         WaveletPrior(basis, [1.0, math.inf])
 
 
