@@ -48,7 +48,7 @@ from .integrate import (  # noqa: F401
     pyramid_box_integral,
     pyramid_grid_integrals,
 )
-from .sequence_core import SparseRows, Spectrum, _check_same_basis
+from .sequence_core import SparseRows, Spectrum
 
 __all__ = [
     "MAX_FAMILY_SIZE",
@@ -157,7 +157,6 @@ class CoefficientMatrix(SparseRows):
     (m, 1) column.
     """
 
-    basis_id: str
     family: PyramidFamily
     tk: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -176,11 +175,6 @@ class CoefficientMatrix(SparseRows):
             tk = np.bincount(self.columns, np.square(self.values), minlength=self.K) / self.m
         tk.setflags(write=False)
         object.__setattr__(self, "tk", tk)
-
-    def risks(self, spectrum: Spectrum, n: float, norm_sq: float | None = None) -> np.ndarray:
-        """:meth:`SparseRows.risks`, for a spectrum on this matrix's basis."""
-        _check_same_basis(spectrum.basis_id, self.basis_id, "CoefficientMatrix.risks")
-        return super().risks(spectrum, n, norm_sq)
 
 
 def _blocks(k: int, N: int) -> tuple[np.ndarray, np.ndarray]:

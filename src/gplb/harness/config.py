@@ -35,6 +35,13 @@ SPECTRUM_PRESETS = ("matched", "polynomial", "exponential", "flat")
 FORMATS = ("csv", "json")
 
 
+def _parse_list(text: str, cast):
+    try:
+        return tuple(cast(tok) for tok in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise ConfigError(f"could not parse list {text!r}") from exc
+
+
 def _parse_n_grid(text: str) -> tuple[float, ...]:
     text = text.strip()
     if text.startswith("logspace:"):
@@ -51,17 +58,7 @@ def _parse_n_grid(text: str) -> tuple[float, ...]:
             return (10.0**lo,)
         step = (hi - lo) / (count - 1)
         return tuple(10.0 ** (lo + i * step) for i in range(count))
-    try:
-        return tuple(float(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"could not parse n_grid {text!r}") from exc
-
-
-def _parse_list(text: str, cast):
-    try:
-        return tuple(cast(tok) for tok in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise ConfigError(f"could not parse list {text!r}") from exc
+    return _parse_list(text, float)
 
 
 def _setting(default, section: str, parse, *, key: str | None = None, flag: dict | None = None,

@@ -32,9 +32,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_INT_COLUMNS = {"d", "k", "m", "K", "seed"}
-_STR_COLUMNS = {"spectrum_id"}
-
 
 @dataclass(frozen=True)
 class RiskRow:
@@ -62,6 +59,8 @@ class RiskRow:
 
 
 COLUMNS = tuple(f.name for f in fields(RiskRow))
+# each column's cell type, read from its annotation string ("int | None" gives int)
+_CELL_TYPES = {f.name: {"int": int, "float": float, "str": str}[f.type.split()[0]] for f in fields(RiskRow)}
 
 
 @dataclass
@@ -130,13 +129,10 @@ def _write_text(text: str, path: str) -> None:
 
 
 def _parse_cell(column: str, text: str):
-    if column in _STR_COLUMNS:
+    cast = _CELL_TYPES[column]
+    if cast is str:
         return text
-    if text == "":
-        return None
-    if column in _INT_COLUMNS:
-        return int(text)
-    return float(text)
+    return None if text == "" else cast(text)
 
 
 def _read_csv(text: str) -> RiskReport:

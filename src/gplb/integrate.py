@@ -282,25 +282,9 @@ class PiecewisePolynomial:
             out[sel] = np.polynomial.polynomial.polyval(s[sel], self.coeffs[i])
         return out
 
-    def integrate_between(self, a: float, b: float) -> float:
-        """Exact integral of the piecewise polynomial over [a, b]."""
-        a = max(a, self.breaks[0])
-        b = min(b, self.breaks[-1])
-        if b <= a:
-            return 0.0
-        total = 0.0
-        for i in range(len(self.coeffs)):
-            left = max(a, self.breaks[i])
-            right = min(b, self.breaks[i + 1])
-            if right <= left:
-                continue
-            anti = np.polynomial.Polynomial(self.coeffs[i]).integ()
-            total += anti(right) - anti(left)
-        return float(total)
-
     def integrate_against_shifted_power(self, c: float, q: int, lo: float, hi: float) -> float:
         """Exact value of int_{max(lo, c)}^{hi} h(s) (s - c)^q ds for q >= 0."""
-        a = max(lo, self.breaks[0], c if q >= 0 else lo)
+        a = max(lo, self.breaks[0], c)
         b = min(hi, self.breaks[-1])
         if b <= a:
             return 0.0
@@ -336,8 +320,6 @@ def ridge_box_integral(h: PiecewisePolynomial, lo: Sequence[float], hi: Sequence
     if np.any(hi <= lo):
         return 0.0
     s_min, s_max = float(lo.sum()), float(hi.sum())
-    if d == 1:
-        return h.integrate_between(s_min, s_max)
     widths = hi - lo
     scale = 1.0 / math.factorial(d - 1)
     total = 0.0

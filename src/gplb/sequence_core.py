@@ -135,7 +135,7 @@ def _read_only(arr, dtype) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SparseRows:
-    """The first K coefficients of m truths, kept as their nonzeros (compressed sparse rows).
+    """The first K coefficients of m truths in a named basis, kept as their nonzeros (compressed sparse rows).
 
     Row j holds ``values[row_starts[j]:row_starts[j + 1]]`` at the
     coordinates ``columns[row_starts[j]:row_starts[j + 1]]``; its other
@@ -154,6 +154,7 @@ class SparseRows:
     columns: np.ndarray
     row_starts: np.ndarray
     K: int
+    basis_id: str
     row_mass: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -214,7 +215,7 @@ class SparseRows:
         return dense
 
     def risks(self, spectrum: Spectrum, n: float, norm_sq: float | None = None) -> np.ndarray:
-        """:func:`exact_risk` at every row; a stack of S spectra gives (S, m) risks.
+        """:func:`exact_risk` at every row, for a spectrum on their basis; S stacked spectra give (S, m).
 
         Row j gets the bias sum_k ((1 - a_k) theta_jk)^2 over its stored
         coefficients (:meth:`row_sums`), plus the variance sum_k a_k^2 / n,
@@ -228,6 +229,7 @@ class SparseRows:
         bits of spectrum s alone.
         """
         _check_positive(n, "sample size n")
+        _check_same_basis(spectrum.basis_id, self.basis_id, "SparseRows.risks")
         _check_same_shape(spectrum.eigenvalues.shape[-1:], (self.K,), "SparseRows.risks")
         weights, one_minus = _shrinkage(spectrum.eigenvalues, n)[:2]  # the variances go before the products
         terms = one_minus[..., self.columns]  # np.take along the last axis holds a second copy

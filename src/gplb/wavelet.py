@@ -354,7 +354,7 @@ def wavelet_prior_preset(
     return WaveletPrior(basis, tau * 2.0 ** (-basis.groups * (2.0 * alpha + basis.d)))
 
 
-def single_function_risk_bound(coefficients, n: float) -> float:
+def single_function_risk_bound(coefficients: TruthCoefficients, n: float) -> float:
     """sum_gamma <f, psi_gamma>^2 AND 1/n: the single-function risk floor.
 
     Whatever variances a Gaussian series prior puts on this basis, the
@@ -365,14 +365,13 @@ def single_function_risk_bound(coefficients, n: float) -> float:
     above the full unhalved sum; a prior can dip below it only by pushing
     every weight toward its coordinatewise adversarial value, e.g. nearly
     interpolating (a ~ 1) a function whose coefficients all satisfy
-    c^2 >= 1/n.  Accepts a TruthCoefficients or a raw vector.
+    c^2 >= 1/n.
     """
     _check_positive(n, "sample size n")
-    theta = coefficients.theta if isinstance(coefficients, TruthCoefficients) else np.asarray(coefficients, dtype=float)
-    return float(np.sum(np.minimum(theta**2, 1.0 / n)))
+    return float(np.sum(np.minimum(coefficients.theta**2, 1.0 / n)))
 
 
-def level_profile_risk_infimum(coefficients, basis: HaarTensorBasis, n: float) -> float:
+def level_profile_risk_infimum(coefficients: TruthCoefficients, basis: HaarTensorBasis, n: float) -> float:
     """Exact risk infimum over priors constant on each resolution group.
 
     A level-profile prior gives every index of resolution group
@@ -388,15 +387,11 @@ def level_profile_risk_infimum(coefficients, basis: HaarTensorBasis, n: float) -
     the unhalved floor of :func:`single_function_risk_bound`; whenever
     that holds, no level-profile prior can dip below the floor, even
     though per-index priors matched to the truth coordinate by coordinate
-    always can.  Accepts a TruthCoefficients or a raw vector in basis
-    order.
+    always can.  The truth must be on ``basis``, in basis order.
     """
     _check_positive(n, "sample size n")
-    if isinstance(coefficients, TruthCoefficients):
-        _check_same_basis(coefficients.basis_id, basis.basis_id, "level_profile_risk_infimum")
-        theta = coefficients.theta
-    else:
-        theta = np.asarray(coefficients, dtype=float)
+    _check_same_basis(coefficients.basis_id, basis.basis_id, "level_profile_risk_infimum")
+    theta = coefficients.theta
     if theta.shape != (basis.size,):
         raise ContractError(f"expected {basis.size} coefficients, got {theta.shape}")
     energy = np.bincount(basis.groups, weights=theta**2)

@@ -35,7 +35,7 @@ def _clean_gplb_env(monkeypatch):
 
 
 def from_dense(cls, rows, *args):
-    """The nonzeros of the m x K array ``rows`` as a ``SparseRows`` ``cls``; ``args`` go on to a subclass."""
+    """The nonzeros of the m x K array ``rows`` as a ``SparseRows`` ``cls``; ``args`` (the basis id first) follow K."""
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ContractError("dense rows must form a 2-d array, one truth per row")

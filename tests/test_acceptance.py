@@ -196,7 +196,7 @@ def test_criterion_09_single_function_floor_and_exponent_ordering():
     for theta in functions.values():
         truth = TruthCoefficients(theta, basis.basis_id)
         bound = single_function_risk_bound(truth, n)
-        certified += level_profile_risk_infimum(theta, basis, n) >= bound
+        certified += level_profile_risk_infimum(truth, basis, n) >= bound
         for i in range(50):
             if i % 2 == 0:
                 prior = wavelet_prior_preset(

@@ -543,7 +543,7 @@ def test_tk_pass_stays_within_the_block_budget():
     rng = np.random.default_rng(4)
     entries = rng.standard_normal((16, 16384)) * math.sqrt(pyramid_norm_sq(2, 4) / 2.0 / 16384)
     entries[:, np.arange(16384) % 10 != 0] = 0.0
-    store = from_dense(SparseRows, entries)
+    store = from_dense(SparseRows, entries, "b")
     tk, peak = traced_peak(
         lambda: CoefficientMatrix(store.values, store.columns, store.row_starts, 16384, "b", family).tk
     )
@@ -581,12 +581,13 @@ def test_sparse_rows_contract_errors():
         ([0, 0], [0, 1, 2], 0),  # K = 0
     ]:
         with pytest.raises(ContractError):
-            SparseRows(values, columns, starts, K)
+            SparseRows(values, columns, starts, K, "b")
     # one coordinate in two rows is two truths' coefficients
-    assert SparseRows(values, [2, 2], [0, 1, 2], 3).entries.tolist() == [[0, 0, 0.1], [0, 0, 0.2]]
+    assert SparseRows(values, [2, 2], [0, 1, 2], 3, "b").entries.tolist() == [[0, 0, 0.1], [0, 0, 0.2]]
     coeffs = CoefficientMatrix(values / 10.0, [0, 1], [0, 1, 2], 3, "b", family)
-    with pytest.raises(ContractError, match="does not match basis"):
-        coeffs.risks(Spectrum([1.0, 1.0, 1.0], "other"), 10.0)
+    for store in (SparseRows(values, [0, 1], [0, 1, 2], 3, "b"), coeffs):
+        with pytest.raises(ContractError, match="does not match basis"):
+            store.risks(Spectrum([1.0, 1.0, 1.0], "other"), 10.0)
     with pytest.raises(ContractError, match="do not match family size"):
         CoefficientMatrix(values, [0, 1], [0, 2], 3, "b", family)
     with pytest.raises(ContractError):
@@ -864,7 +865,7 @@ def test_member_risks_add_each_rows_truncation_tail():
     norm_sq = float(np.max(np.einsum("ij,ij->i", rows, rows))) * 1.5
     rows[2] *= math.sqrt(norm_sq / float(rows[2] @ rows[2]))  # no tail
     spectrum = Spectrum(10.0 ** rng.uniform(-4.0, 0.0, K), "b")
-    risks = from_dense(SparseRows, rows).risks(spectrum, 300.0, norm_sq)
+    risks = from_dense(SparseRows, rows, "b").risks(spectrum, 300.0, norm_sq)
     tails = [TruthCoefficients(row, "b", norm_sq).tail for row in rows]
     for j, row in enumerate(rows):
         tail = max(norm_sq - float(row @ row), 0.0)
@@ -876,7 +877,7 @@ def test_member_risks_add_each_rows_truncation_tail():
 def test_sparse_risks_of_a_stack_of_spectra_equal_each_spectrum_alone():
     rng = np.random.default_rng(8)
     rows = rng.standard_normal((7, 300)) * (rng.random((7, 300)) < 0.3)
-    store = from_dense(SparseRows, rows)
+    store = from_dense(SparseRows, rows, "b")
     # about 630 stored values: blocks of 10 spectra, the last one short
     lams = 10.0 ** rng.uniform(-4.0, 1.0, (37, 300))
     stacked = store.risks(Spectrum(lams, "b"), 200.0)
@@ -894,7 +895,7 @@ def test_member_risks_of_rows_that_keep_no_coefficient():
     # empty rows first, inside and last: np.add.reduceat would give each the
     # next row's first term; an empty row has no bias and its whole norm as tail
     rows = np.array([[0.0, 0.0, 0.0], [0.1, 0.0, -0.2], [0.0, 0.0, 0.0], [0.0, 0.3, 0.0], [0.0] * 3])
-    store = from_dense(SparseRows, rows)
+    store = from_dense(SparseRows, rows, "b")
     assert store.row_starts.tolist() == [0, 0, 2, 2, 3, 3]
     spectrum = Spectrum([1.0, 0.5, 0.0], "b")
     n, norm_sq = 50.0, 0.25
@@ -905,7 +906,7 @@ def test_member_risks_of_rows_that_keep_no_coefficient():
         truth = TruthCoefficients(rows[j], "b")
         assert within_ulps(risks[j], exact_risk(spectrum, truth, n) + norm_sq - rows[j] @ rows[j])
     # no stored value at all
-    empty = from_dense(SparseRows, np.zeros((2, 3)))
+    empty = from_dense(SparseRows, np.zeros((2, 3)), "b")
     assert empty.risks(spectrum, n, norm_sq).tolist() == [variance + norm_sq] * 2
     # K = 1: one coefficient per member, the constant function's
     family = build_pyramid_family(2, 3)
@@ -923,7 +924,7 @@ def test_member_risks_sum_long_rows_in_pieces():
     rows = rng.standard_normal((2, 20000))
     norm_sq = 1e5
     spectrum = Spectrum(np.ones(20000), "b")
-    store = from_dense(SparseRows, rows)
+    store = from_dense(SparseRows, rows, "b")
     tails = store.risks(spectrum, 10.0, norm_sq) - store.risks(spectrum, 10.0)
     expected = norm_sq - np.sum(rows**2, axis=1)
     assert np.allclose(tails, expected, rtol=1e-14, atol=0.0)
@@ -941,6 +942,6 @@ def test_truth_risk_is_one_rows_member_risk_from_its_dense_sums():
         chunks = [theta[i : i + 8192] for i in range(0, K, 8192)]
         assert tail == max(norm_sq - sum(c @ c for c in chunks), 0.0)
         assert risk == exact_risk(spectrum, TruthCoefficients(theta, "b"), 50.0) + tail
-        store = from_dense(SparseRows, theta[None, :])
+        store = from_dense(SparseRows, theta[None, :], "b")
         assert within_ulps(store.risks(spectrum, 50.0, norm_sq)[0], risk)
         assert abs(max(norm_sq - store.row_mass[0], 0.0) - tail) <= 4 * np.spacing(norm_sq)

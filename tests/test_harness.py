@@ -267,9 +267,12 @@ def test_n_grid_accepts_comma_lists_and_single_point_logspace(tmp_path):
     assert load_config(path, env={}).n_grid == (1e3, 3.16e3, 1e4)
     single = write_ini(tmp_path, "[experiment]\nn_grid = logspace:4:9:1\n", name="one.ini")
     assert load_config(single, env={}).n_grid == (1e4,)
-    for bad in ("logspace:3:6", "logspace:a:b:3", "logspace:3:5:0", "1e3, pear"):
+    for bad, message in (
+        ("logspace:3:6", "logspace grid"), ("logspace:a:b:3", "logspace grid"),
+        ("logspace:3:5:0", "logspace grid"), ("1e3, pear", "could not parse list"),
+    ):
         broken = write_ini(tmp_path, f"[experiment]\nn_grid = {bad}\n", name="bad.ini")
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=message):
             load_config(broken, env={})
 
 
@@ -1731,6 +1734,34 @@ def test_default_cli_calls_run_without_scipy_and_import_nothing_mid_study():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["ok"]
+
+
+def test_every_mode_runs_without_scipy_and_an_open_probe_needs_it(capsys, monkeypatch):
+    # SciPy is an optional dependency: every mode runs at its defaults
+    # without it, and only a contraction probe the Chernoff ladder leaves
+    # open, which Imhof's inversion settles, imports it
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    for mode in ("rates", "contraction", "risk", "wavelet", "minimax", "verify"):
+        assert main([mode]) == 0, mode
+        out = capsys.readouterr().out
+    assert out.encode() == (GOLDEN / "verify-seed-1.txt").read_bytes()
+    open_probes = load_config(None, {"spectrum": "polynomial", "n_grid": (10.0, 100.0)}, env={})
+    with pytest.raises(ModuleNotFoundError):
+        run_rate_study(open_probes)
+
+
+def test_every_name_and_workload_of_the_benchmark_resolves(monkeypatch):
+    # bench/layers.py rebinds these names and bench/calls.py passes these
+    # overrides; the files are read here, not changed, so a change to src
+    # that drops a traced name or a setting a workload sets fails this test
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    layers, calls = importlib.import_module("layers"), importlib.import_module("calls")
+    missing = [(owner, name) for owner, name, _ in layers.BINDINGS if not hasattr(layers._owner(owner), name)]
+    assert layers.BINDINGS and not missing, missing
+    for workload in calls.WORKLOADS:
+        for call in calls.call_overrides(workload, 1):
+            assert load_config(None, call, env={}).mode == call["mode"], workload
 
 
 def test_science_modules_import_no_harness_module():

@@ -181,7 +181,7 @@ def test_piecewise_linear_interpolant_matches_np_interp():
 
 def test_piecewise_square_integral_matches_quad():
     h = PiecewisePolynomial.from_linear_breakpoints([0.0, 0.5, 1.0], [0.0, 1.0, 0.0])
-    value = h.squared().integrate_between(0.0, 1.0)
+    value = ridge_box_integral(h.squared(), [0.0], [1.0])
     oracle, _ = integrate.quad(lambda s: np.interp(s, [0, 0.5, 1], [0, 1, 0]) ** 2, 0, 1)
     assert value == pytest.approx(1.0 / 3.0, rel=1e-14)
     assert value == pytest.approx(oracle, rel=1e-9)

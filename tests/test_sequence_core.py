@@ -159,7 +159,7 @@ def test_exact_risks_equal_the_looped_exact_risk(seed):
     thetas[rng.random((m, K)) < 0.5] = 0.0
     n = 10.0 ** rng.uniform(0.0, 7.0)
     looped = np.array([exact_risk(spectrum, truth_of(*row), n) for row in thetas])
-    risks = from_dense(SparseRows, thetas).risks(spectrum, n)
+    risks = from_dense(SparseRows, thetas, BASIS).risks(spectrum, n)
     assert np.allclose(risks, looped, rtol=1e-14, atol=0.0)
 
 
@@ -168,7 +168,7 @@ def test_stacked_spectra_give_the_one_spectrum_risks_bit_for_bit():
     lams = 10.0 ** rng.uniform(-8.0, 4.0, (6, 50))
     lams[rng.random((6, 50)) < 0.3] = 0.0
     thetas = rng.standard_normal((7, 50))
-    store = from_dense(SparseRows, thetas)
+    store = from_dense(SparseRows, thetas, BASIS)
     # an F-ordered stack, as fancy indexing a stack of profiles gives, sums as C rows do
     stacked = store.risks(Spectrum(np.asfortranarray(lams), BASIS), 300.0)
     assert stacked.shape == (6, 7)
@@ -259,7 +259,7 @@ def test_blocked_exact_risks_equal_the_one_expression_bit_for_bit(S, m, K):
         lam = lams if S is None else lams[s]
         got = exact_risk(Spectrum(lam, BASIS), truth_of(*thetas[j]), n)
         assert got == (expected[j] if S is None else expected[s, j])
-    store = from_dense(SparseRows, thetas)
+    store = from_dense(SparseRows, thetas, BASIS)
     risks = store.risks(Spectrum(lams, BASIS), n)
     assert risks.shape == shape[:-1] + (m,)
     for s in range(S or 0):
@@ -314,18 +314,20 @@ def test_exact_risks_validates_inputs():
         exact_risk(spectrum, truth_of(0.0, 0.0, 0.0), 10.0)
     with pytest.raises(DomainError):
         exact_risk(spectrum, truth_of(0.0, 0.0), 0.0)
-    store = from_dense(SparseRows, np.zeros((2, 3)))
+    store = from_dense(SparseRows, np.zeros((2, 3)), BASIS)
     with pytest.raises(ContractError):
         store.risks(spectrum, 10.0)
+    with pytest.raises(ContractError, match="does not match basis"):
+        from_dense(SparseRows, np.zeros((2, 2)), "other").risks(spectrum, 10.0)
     with pytest.raises(DomainError):
-        from_dense(SparseRows, np.zeros((1, 2))).risks(spectrum, 0.0)
+        from_dense(SparseRows, np.zeros((1, 2)), BASIS).risks(spectrum, 0.0)
 
 
 def test_sparse_row_refuses_an_index_outside_the_store():
     # A negative index would read another row's slice (or an all-zero one
     # at j = -1), and j = m would fail inside NumPy
     dense = np.arange(1.0, 13.0).reshape(4, 3)
-    store = from_dense(SparseRows, dense)
+    store = from_dense(SparseRows, dense, BASIS)
     assert [store.row(j).tolist() for j in range(4)] == dense.tolist()
     for j in (-1, -4, 4, 5):
         with pytest.raises(DomainError, match=rf"row index {j} out of range for 4 rows"):
@@ -1102,7 +1104,7 @@ def test_contraction_probability_takes_the_truth_tail_off_the_radius():
 def test_a_bad_truth_norm_is_refused(norm_sq):
     with pytest.raises(DomainError):
         TruthCoefficients(np.ones(3), BASIS, norm_sq)
-    rows = from_dense(SparseRows, np.eye(3))
+    rows = from_dense(SparseRows, np.eye(3), BASIS)
     with pytest.raises(DomainError):
         rows.risks(spectrum_of(1.0, 1.0, 1.0), 10.0, norm_sq)
 

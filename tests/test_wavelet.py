@@ -315,11 +315,9 @@ def test_risk_floor_for_single_and_saturated_coefficients():
     t = 0.01  # t^2 = 1e-4 < 1/n? no: 1e-4 = 1/10^4 < 1e-3, so min is t^2
     single = np.zeros(8)
     single[3] = t
-    assert single_function_risk_bound(single, n) == pytest.approx(t * t)
+    assert single_function_risk_bound(TruthCoefficients(single, "haar1d_J2"), n) == pytest.approx(t * t)
     saturated = np.full(5, 1.0)  # all squared sizes >= 1/n
-    assert single_function_risk_bound(saturated, n) == pytest.approx(5.0 / n)
-    typed = TruthCoefficients(single, "haar1d_J2")
-    assert single_function_risk_bound(typed, n) == pytest.approx(t * t)
+    assert single_function_risk_bound(TruthCoefficients(saturated, "b"), n) == pytest.approx(5.0 / n)
 
 
 def test_half_risk_floor_holds_for_every_prior_and_truth():
@@ -364,8 +362,11 @@ def test_level_profile_infimum_formula_against_numerical_minimum():
                 np.ones(len(sizes)) - 1e-9,
             )
         )
-        closed = level_profile_risk_infimum(theta, basis, n)
+        closed = level_profile_risk_infimum(TruthCoefficients(theta, basis.basis_id), basis, n)
         assert closed == pytest.approx(best, rel=1e-9, abs=1e-12)
+    # the truth must be on the basis whose groups it is summed over
+    with pytest.raises(ContractError, match="does not match basis"):
+        level_profile_risk_infimum(TruthCoefficients(theta, "other"), basis, n)
 
 
 def test_level_profile_infimum_is_attained_by_group_average_prior():
