@@ -14,7 +14,8 @@ Every subcommand takes --config and a flag for each setting whose
 variables of the same settings override the file; flags override both.
 Without --out the report, or verify's PASS/FAIL lines, is written to
 stdout.  Exit codes: 0 success, 1 verify-battery failure, 2 configuration
-error or a report that cannot be written to --out.
+error, dependency error (a run that reaches Imhof's inversion without
+SciPy) or a report that cannot be written to --out.
 """
 
 from __future__ import annotations
@@ -89,6 +90,11 @@ def main(argv: list[str] | None = None) -> int:
             text, status = render(_RUNNERS[config.mode](config), config.format), 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return 2
+    except ModuleNotFoundError as exc:
+        if (exc.name or "").partition(".")[0] != "scipy":
+            raise
+        print(f"dependency error: this run needs SciPy, which cannot be imported ({exc})", file=sys.stderr)
         return 2
     if config.out is None:
         sys.stdout.write(text)

@@ -8,9 +8,9 @@ another's.  Criteria 1-4, 7 and 9 of the acceptance battery
 (``tests/test_acceptance.py``) run the same functions at the full size,
 with more configurations and draws.  A check's tolerances are the same
 at both sizes, or derived from the size.  Checks read their generator one
-draw at a time; disjoint-supports, diagonal-domination, risk-floors and
-risk-concentration then pass the draws to the library in stacks, whose
-every item gets the bits of a call on that item alone.
+draw at a time; diagonal-domination, risk-floors and risk-concentration
+then pass the draws to the library in stacks, whose every item gets the
+bits of a call on that item alone.
 """
 
 from __future__ import annotations
@@ -84,21 +84,28 @@ def pyramid_norms(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
     return worst < 1e-6, f"max relative deviation {worst:.2e} (< 1e-06) over {len(cases)} (d, k) pairs"
 
 
-def _pair_overlaps(family, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per pair a < b in row-major order: max of f_a f_b at ``points`` (a against
-    all later members at once, so temporaries stay at m rows), and the l1
-    distance of the two centers minus twice the bandwidth, in grid units.
+def _worst_overlap(family, points: np.ndarray) -> tuple[float, float]:
+    """The largest product f_a f_b, a != b, at ``points``, and the least l1
+    distance of two centers minus twice the bandwidth, in grid units.
+
+    Members are evaluated one at a time, and each point keeps its two
+    largest values; they are nonnegative and a rounded product is monotone
+    in each factor, so the largest top-two product is the largest pair
+    product, bit for bit.
 
     A member's support is the l1 ball of radius ``bandwidth`` about its
     center, so two interiors share a point exactly when that margin is
     negative (the centers' midpoint lies in the cube, at distance under
     the bandwidth from both).
     """
+    top = np.zeros((2, len(points)))
+    for j in range(family.m):
+        value = evaluate_pyramid(family, j, points)
+        np.maximum(top[1], np.minimum(top[0], value), out=top[1])
+        np.maximum(top[0], value, out=top[0])
     a, b = np.triu_indices(family.m, 1)
-    values = evaluate_pyramid(family, np.arange(family.m), points)
-    products = np.concatenate([np.max(values[i] * values[i + 1:], axis=1) for i in range(family.m)])
     distance = np.abs(family.centers[a] - family.centers[b]).sum(axis=1)
-    return products, family.k * (distance - 2.0 * family.bandwidth)
+    return float(np.max(top[0] * top[1])), float(np.min(family.k * (distance - 2.0 * family.bandwidth)))
 
 
 def disjoint_supports(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
@@ -112,9 +119,8 @@ def disjoint_supports(rng: np.random.Generator, full: bool) -> tuple[bool, str]:
     worst_product, least_margin = 0.0, math.inf
     for d, k in cases:
         family = build_pyramid_family(d, k)
-        products, margins = _pair_overlaps(family, rng.random((4000, d)))
-        worst_product = max(worst_product, float(products.max()))
-        least_margin = min(least_margin, float(margins.min()))
+        product, margin = _worst_overlap(family, rng.random((4000, d)))
+        worst_product, least_margin = max(worst_product, product), min(least_margin, margin)
     return worst_product == 0.0 and least_margin >= -1e-12, (
         f"max pairwise product {worst_product:.2e} at 4000 random points, least pairwise l1 "
         f"center distance minus twice the bandwidth {least_margin:.1e} grid units (>= -1e-12) "

@@ -32,19 +32,18 @@ Three engines live here.
    sawtooth truth of :mod:`gplb.wavelet` integrates in closed form, and
    the tests keep this formula as that closed form's independent oracle.
 
-3. Composite / adaptive tensor Gauss-Legendre quadrature for integrands
-   without exploitable structure.
+3. Tensor and adaptive Gauss-Legendre quadrature on one 8-point rule,
+   written out below so that no call runs LAPACK, for integrands without
+   exploitable structure.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-import numpy.polynomial  # noqa: F401  numpy loads it on first use; here it stays in start-up
 
 from .errors import DomainError, QuadratureError, _check_count, _check_positive
 
@@ -334,15 +333,18 @@ def ridge_box_integral(h: PiecewisePolynomial, lo: Sequence[float], hi: Sequence
 # Tensor Gauss-Legendre quadrature
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=32)
-def _gl_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights transplanted to [0, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return (nodes + 1.0) / 2.0, weights / 2.0
+# numpy.polynomial.legendre.leggauss(8) as the floats it returns, moved to [0, 1]
+_GL_NODES = (np.array([
+    -0.9602898564975362, -0.7966664774136267, -0.525532409916329, -0.18343464249564978,
+    0.18343464249564978, 0.525532409916329, 0.7966664774136267, 0.9602898564975362]) + 1.0) / 2.0
+_GL_WEIGHTS = np.array([
+    0.10122853629037706, 0.22238103445337443, 0.3137066458778869, 0.36268378337836166,
+    0.36268378337836166, 0.3137066458778869, 0.22238103445337443, 0.10122853629037706]) / 2.0
+_GL_NODES.flags.writeable = _GL_WEIGHTS.flags.writeable = False
 
 
-def _gl_nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor Gauss-Legendre points (boxes, order^d, d) and weights (boxes, order^d).
+def _gl_nodes(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor Gauss-Legendre points (boxes, 8^d, d) and weights (boxes, 8^d).
 
     ``lo`` and ``hi`` stack one box per row.  The points run over the
     tensor grid in C order (axis 0 slowest), and each weight is the product
@@ -350,10 +352,10 @@ def _gl_nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, n
     broadcasting the axis tables, so every box's row is contiguous.
     """
     boxes, d = lo.shape
-    nodes, weights = _gl_rule(order)
+    order = _GL_NODES.size
     width = (hi - lo)[:, :, None]
-    axes_pts = lo[:, :, None] + width * nodes
-    axes_wts = width * weights
+    axes_pts = lo[:, :, None] + width * _GL_NODES
+    axes_wts = width * _GL_WEIGHTS
 
     def along(table, i):  # axis i's (boxes, order) table, spread over the tensor grid
         return table[:, i].reshape((boxes,) + (1,) * i + (order,) + (1,) * (d - 1 - i))
@@ -367,8 +369,8 @@ def _gl_nodes(lo: np.ndarray, hi: np.ndarray, order: int) -> tuple[np.ndarray, n
     return pts.reshape(boxes, -1, d), wts.reshape(boxes, -1)
 
 
-def gl_box(fn: Callable[[np.ndarray], np.ndarray], lo, hi, order: int = 8):
-    """Tensor Gauss-Legendre quadrature of fn over the box [lo, hi], or over each of a stack.
+def gl_box(fn: Callable[[np.ndarray], np.ndarray], lo, hi):
+    """Tensor 8-point Gauss-Legendre quadrature of fn over the box [lo, hi], or over each of a stack.
 
     ``fn`` maps an (npts, d) array of points to npts values; for a stack
     (boxes, d), the (boxes, npts, d) points of the boxes with no empty side
@@ -380,7 +382,7 @@ def gl_box(fn: Callable[[np.ndarray], np.ndarray], lo, hi, order: int = 8):
     integrals = np.zeros(len(lo))
     live = np.all(hi > lo, axis=1)
     if live.any():
-        pts, wts = _gl_nodes(lo[live], hi[live], order)
+        pts, wts = _gl_nodes(lo[live], hi[live])
         # a strided row would take BLAS's strided dot, which sums in another
         # order; values computed from the C-order points are C order already
         values = np.ascontiguousarray(fn(pts if stack else pts[0]), dtype=float).reshape(wts.shape)
@@ -393,7 +395,6 @@ def adaptive_box_integral(
     lo,
     hi,
     tol: float,
-    order: int = 8,
     max_depth: int = 40,
 ) -> float:
     """Adaptive bisection tensor Gauss-Legendre quadrature.
@@ -404,7 +405,7 @@ def adaptive_box_integral(
     count) keeps the budget meaningful for integrands whose roughness is
     concentrated on lower-dimensional kink sets, where only a thin layer
     of boxes ever needs refinement; smooth regions terminate immediately
-    because tensor Gauss-Legendre of this order is exact for them.
+    because the 8-point rule is exact for them.
     Non-convergent boxes raise QuadratureError with diagnostics.
 
     Each box integrates all 2^d children in one stacked :func:`gl_box`
@@ -424,7 +425,7 @@ def adaptive_box_integral(
         mid = (box_lo + box_hi) / 2.0
         c_lo = np.where(upper, mid, box_lo)
         c_hi = np.where(upper, box_hi, mid)
-        estimates = gl_box(stacked, c_lo, c_hi, order).tolist()
+        estimates = gl_box(stacked, c_lo, c_hi).tolist()
         refined = sum(estimates)
         # Accept on the tolerance share, with a floor at rounding level.
         accept = max(box_tol, 4e-16 * (abs(coarse) + abs(refined)))
@@ -448,4 +449,4 @@ def adaptive_box_integral(
             for child_lo, child_hi, estimate in zip(c_lo, c_hi, estimates)
         )
 
-    return recurse(lo, hi, gl_box(fn, lo, hi, order), tol, 0)
+    return recurse(lo, hi, gl_box(fn, lo, hi), tol, 0)

@@ -188,9 +188,7 @@ def test_pairwise_product_quadrature_vanishes():
         for b in range(a + 1, family.m):
             fa = pyramid_fn(family.centers[a], family.bandwidth)
             fb = pyramid_fn(family.centers[b], family.bandwidth)
-            value = gl_box(
-                lambda pts: fa(pts) * fb(pts), np.zeros(2), np.ones(2), order=8
-            )
+            value = gl_box(lambda pts: fa(pts) * fb(pts), np.zeros(2), np.ones(2))
             assert abs(value) < 1e-12
 
 

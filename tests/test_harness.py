@@ -1342,7 +1342,7 @@ def test_risk_concentration_hits_equal_the_per_draw_loop(monkeypatch, full, seed
 
 
 def per_pair_overlaps(family, points):
-    """The per-pair loop that ``properties._pair_overlaps`` stacks.
+    """The per-pair loop whose extremes ``properties._worst_overlap`` returns.
 
     Members are evaluated one at a time, and each pair's product and
     center margin are formed alone.
@@ -1362,16 +1362,19 @@ def per_pair_overlaps(family, points):
 
 @stacked_cases(202)
 def test_disjoint_supports_stacks_equal_the_per_pair_loop(monkeypatch, full, seeds):
+    # the top two values of each point give the largest pair product bit for bit
+    def per_pair_worst(family, points):
+        products, margins = per_pair_overlaps(family, points)
+        return float(products.max()), float(margins.min())
+
     for seed in seeds:
-        (stacked, result), (looped, expected) = [
-            recorded(monkeypatch, properties, "_pair_overlaps", properties.disjoint_supports,
-                     check_rng(full, seed, "disjoint-supports"), full, overlaps)
-            for overlaps in (properties._pair_overlaps, per_pair_overlaps)
+        (worst, result), (looped, expected) = [
+            recorded(monkeypatch, properties, "_worst_overlap", properties.disjoint_supports,
+                     check_rng(full, seed, "disjoint-supports"), full, overlap)
+            for overlap in (properties._worst_overlap, per_pair_worst)
         ]
-        assert len(stacked) == len(looped) == (5 if full else 1)
-        for (products, margins), (loop_products, loop_margins) in zip(stacked, looped):
-            assert np.array_equal(products, loop_products), seed
-            assert np.array_equal(margins, loop_margins), seed
+        assert len(worst) == len(looped) == (5 if full else 1)
+        assert worst == looped, seed
         assert result == expected, seed
 
 
@@ -1496,7 +1499,7 @@ def test_risk_floors_stacks_equal_the_per_draw_loop(monkeypatch, full, seeds):
 BREAKS = {
     "pyramid-norms": [(properties, "pyramid_norm_sq", lambda f: lambda d, k: 1.01 * f(d, k))],
     "disjoint-supports": [
-        # every member evaluated as member 0, in each stacked evaluation
+        # every member evaluated as member 0
         (properties, "evaluate_pyramid",
          lambda f: lambda family, j, x: f(family, np.zeros_like(j), x)),
         # neighbours overlap in a sliver that no sampled point hits
@@ -1720,6 +1723,7 @@ for mode in ("risk", "rates", "contraction", "wavelet", "verify", "minimax"):
     else:
         render_csv(_RUNNERS[mode](config))
     assert set(sys.modules) == before, (mode, sorted(set(sys.modules) - before))
+assert "numpy.polynomial" not in sys.modules
 print("ok")
 """
 
@@ -1727,7 +1731,8 @@ print("ok")
 def test_default_cli_calls_run_without_scipy_and_import_nothing_mid_study():
     # SciPy is loaded only by Imhof's inversion, which no default call
     # reaches; every module a study uses is loaded with the CLI, so
-    # start-up holds all of the import time.
+    # start-up holds all of the import time, and numpy.polynomial is not
+    # among them.
     src = str(Path(gplb.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-c", SCIPY_FREE_CALLS, src], capture_output=True, text=True, timeout=300
@@ -1749,6 +1754,55 @@ def test_every_mode_runs_without_scipy_and_an_open_probe_needs_it(capsys, monkey
     open_probes = load_config(None, {"spectrum": "polynomial", "n_grid": (10.0, 100.0)}, env={})
     with pytest.raises(ModuleNotFoundError):
         run_rate_study(open_probes)
+
+
+def test_cli_refuses_a_run_that_needs_a_missing_scipy_in_one_line(tmp_path, capsys, monkeypatch):
+    # the open probes above, through the CLI: one line and status 2, no traceback
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.integrate", None)
+    path = write_ini(tmp_path, """\
+        [experiment]
+        n_grid = 10, 100
+
+        [spectrum]
+        preset = polynomial
+        """)
+    assert main(["rates", "--config", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith("dependency error: this run needs SciPy")
+
+    def missing(config):
+        raise ModuleNotFoundError("No module named 'scipyx'", name="scipyx")
+
+    # any other missing module is re-raised
+    monkeypatch.setitem(cli._RUNNERS, "rates", missing)
+    with pytest.raises(ModuleNotFoundError, match="scipyx"):
+        main(["rates"])
+
+
+SMALL_CALLS = {
+    "risk": "[experiment]\nn_grid = 200, 2000\n\n[mc]\nreplications = 60\n",
+    "rates": "[experiment]\nn_grid = 200, 2000, 20000\n\n[mc]\nreplications = 50\n",
+    "contraction": "[experiment]\nn_grid = 500\n\n[spectrum]\nK = 16\n",
+    "wavelet": "[experiment]\nn_grid = 200, 2000, 20000\n\n[spectrum]\nlevel = 4\n\n[mc]\nreplications = 10\n",
+    "minimax": "[minimax]\nm_values = 1, 4\nsigma_values = 0.5, 1.0\ngrid_size = 4001\n",
+}
+
+
+def test_no_cli_mode_calls_lapack(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a CLI mode called numpy.linalg")
+
+    for name in dir(np.linalg):
+        value = getattr(np.linalg, name)
+        if not name.startswith("_") and callable(value) and not isinstance(value, type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    for mode, text in SMALL_CALLS.items():
+        assert main([mode, "--config", write_ini(tmp_path, text, f"{mode}.ini")]) == 0, mode
+    assert main(["verify"]) == 0
+    assert capsys.readouterr().out.endswith((GOLDEN / "verify-seed-1.txt").read_text(encoding="utf-8"))
 
 
 def test_every_name_and_workload_of_the_benchmark_resolves(monkeypatch):
