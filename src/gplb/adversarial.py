@@ -219,7 +219,7 @@ _STACK_COPIES = 6
 _TABLE_COPIES = 4
 _FIXED_BYTES = 2**16  # array headers and other small objects
 # arrays of K beside the store: T_k and its bincount, then the spectrum,
-# the shrinkage, the worst row and its error law and scale groups of the
+# the shrinkage, the worst row and its error law and Monte Carlo draws of the
 # passes a grid point makes over the store
 _K_VECTORS = 10
 

@@ -146,7 +146,11 @@ def _read_csv(text: str) -> RiskReport:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("schema_version="):
-                version = int(body.split("=", 1)[1])
+                found = body.split("=", 1)[1]
+                try:
+                    version = int(found)
+                except ValueError:
+                    raise SchemaVersionError(found=found, supported=SCHEMA_VERSION) from None
             elif body.startswith("config "):
                 key, _, value = body[len("config "):].partition("=")
                 config_items.append((key, value))

@@ -16,10 +16,10 @@ frequentist squared risk
 which this module evaluates in closed form and by Monte Carlo, from one error
 law per truth (``_error_law``).  The Monte Carlo risk draws the mean over R
 replications directly: the noiseless coordinates add sum b_k^2 exactly, and
-for each group G of coordinates sharing a scale s = a_k / sqrt(n) > 0 the sum
-over the replications is the scaled noncentral chi-square
-s^2 chi'^2_{R|G|}(R sum_G b_k^2 / s^2) with b_k = -(1 - a_k) theta_k, drawn as
-one normal and one gamma whatever R is.  All randomness flows through numpy
+for each coordinate with scale s_k = a_k / sqrt(n) > 0 the sum over the
+replications is the scaled noncentral chi-square
+s_k^2 chi'^2_R(R b_k^2 / s_k^2) with b_k = -(1 - a_k) theta_k, drawn as one
+normal and one gamma whatever R is.  All randomness flows through numpy
 Generators supplied by the caller (the Monte Carlo risk spawns one child for
 its normals and one for its gammas), so every randomized operation is a pure
 function of (inputs, seed).
@@ -170,8 +170,9 @@ class SparseRows:
                 "sparse rows need 1-d values and columns of one length, and row starts "
                 "rising from 0 to that length"
             )
-        if self.K < 1 or (columns.size and not 0 <= columns.min() <= columns.max() < self.K):
-            raise ContractError(f"sparse rows need K >= 1 and columns in 0..K - 1, got K = {self.K}")
+        _check_count(self.K, "K", 1)
+        if columns.size and not 0 <= columns.min() <= columns.max() < self.K:
+            raise ContractError(f"sparse rows need columns in 0..K - 1, got K = {self.K}")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "row_starts", starts)
@@ -395,48 +396,32 @@ def mc_risk(
     ||posterior mean - theta||^2 over R = ``replications`` fresh
     observations; the exact counterpart is :func:`exact_risk`.  The error is
     fbar - theta = b + s w with w ~ N(0, I) (see ``_error_law``), and the R
-    replications of a group G of coordinates with equal scale s > 0 are
-    drawn at once: sum_r sum_{k in G} (b_k + s w_rk)^2 is
-    s^2 chi'^2_{R|G|}(R ||b_G||^2 / s^2), which has the law of
-    (s Z + sqrt(R) ||b_G||)^2 + 2 s^2 Gamma((R |G| - 1) / 2).  Coordinates
-    with s = 0 (no prior mass, or a scale that underflows) add sum b_k^2
-    exactly, summed in index order before the grouping, so only the s > 0
-    coordinates are sorted into groups; the ``tail`` comes last.  So the
-    estimate has the law of the replication mean, at the cost of one normal
-    and one gamma per distinct scale whatever R is, and the standard error
-    is its exact standard deviation, sqrt(sum_G (2 s^4 |G| + 4 s^2 ||b_G||^2) / R).  R enters as a
-    float64, so a huge integer R cannot overflow; it is exact up to 2^53, beyond which R is refused.
-    The normals and the gammas come from two generators spawned from
-    ``rng``, so the caller's generator does not advance.
+    replications of each coordinate with scale s_k > 0 are drawn at once:
+    sum_r (b_k + s_k w_rk)^2 is s_k^2 chi'^2_R(R b_k^2 / s_k^2), which has
+    the law of (s_k Z_k + sqrt(R) |b_k|)^2 + 2 s_k^2 Gamma_k((R - 1) / 2).
+    Coordinates with s_k = 0 (no prior mass, or a scale that underflows)
+    add sum b_k^2 exactly; the ``tail`` comes last.  So the estimate has the
+    law of the replication mean, at the cost of one normal and one gamma per
+    coordinate with s_k > 0 whatever R is, and the standard error is its
+    exact standard deviation, sqrt(sum_k (2 s_k^4 + 4 s_k^2 b_k^2) / R).  R
+    enters as a float64, so a huge integer R cannot overflow; it is exact up
+    to 2^53, beyond which R is refused.  The normals and the gammas come,
+    in index order, from two generators spawned from ``rng``, so the
+    caller's generator does not advance.
     """
     _check_replications(replications)
     base, weights, _ = _error_law(spectrum, theta, n, "mc_risk")
     scale = weights / math.sqrt(n)
     live = scale > 0.0
-    # in index order, first term plus the pairwise rest: the bits np.add.reduceat gives a segment
-    noiseless = np.square(base[~live])
-    exact = float(noiseless[0] + np.sum(noiseless[1:])) if noiseless.size else 0.0
-    base, scale = base[live], scale[live]  # rebinding frees the K-long arrays before the sort
-    scale, sizes, order = _scale_groups(scale)
-    norm_sq = np.add.reduceat(base[order] ** 2, np.cumsum(sizes) - sizes)
+    exact = float(np.sum(np.square(base[~live])))
+    base, scale = base[live], scale[live]
     var, reps = scale**2, float(replications)
     normal_rng, gamma_rng = rng.spawn(2)
-    center = scale * normal_rng.standard_normal(scale.size) + math.sqrt(reps) * np.sqrt(norm_sq)
-    spread = gamma_rng.standard_gamma(0.5 * (reps * sizes - 1.0))
+    center = scale * normal_rng.standard_normal(scale.size) + math.sqrt(reps) * np.abs(base)
+    spread = gamma_rng.standard_gamma(0.5 * (reps - 1.0), scale.size)
     estimate = exact + float(np.sum(center**2 + 2.0 * var * spread)) / reps + theta.tail
-    stderr = math.sqrt(float(np.sum(2.0 * var**2 * sizes + 4.0 * var * norm_sq)) / reps)
+    stderr = math.sqrt(float(np.sum(2.0 * var**2 + 4.0 * var * base**2)) / reps)
     return estimate, stderr
-
-
-def _scale_groups(scale: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct scales in increasing order, their counts, and ``np.argsort(scale, kind="stable")``.
-
-    The order is a stable sort of the group ids cast to the least integer
-    type that holds them, which NumPy does by radix sort up to 65,536
-    groups, in place of a stable sort of the floats.
-    """
-    values, ids, sizes = np.unique(scale, return_inverse=True, return_counts=True)
-    return values, sizes, np.argsort(ids.astype(np.min_scalar_type(values.size - 1)), kind="stable")
 
 
 def contraction_probability(

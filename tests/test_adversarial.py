@@ -576,10 +576,13 @@ def test_sparse_rows_contract_errors():
         ([0, 1], [1, 1, 2], 3),  # not starting at 0
         ([0, 1], [0, 1, 3], 3),  # not ending at the number of values
         ([0], [0, 1, 2], 3),  # fewer columns than values
-        ([0, 0], [0, 1, 2], 0),  # K = 0
     ]:
         with pytest.raises(ContractError):
             SparseRows(values, columns, starts, K, "b")
+    # K is a count: an integer of at least 1
+    for K in (0, 2.5, 3.0):
+        with pytest.raises(DomainError, match="K must be"):
+            SparseRows(values, [0, 1], [0, 1, 2], K, "b")
     # one coordinate in two rows is two truths' coefficients
     assert SparseRows(values, [2, 2], [0, 1, 2], 3, "b").entries.tolist() == [[0, 0, 0.1], [0, 0, 0.2]]
     coeffs = CoefficientMatrix(values / 10.0, [0, 1], [0, 1, 2], 3, "b", family)

@@ -588,6 +588,9 @@ def test_schema_version_and_header_are_enforced(tmp_path):
         read_text(good.replace("# schema_version=1", "# schema_version=99"), "v99.csv")
     assert err.value.found == 99 and err.value.supported == SCHEMA_VERSION
     with pytest.raises(SchemaVersionError) as err:
+        read_text(good.replace("# schema_version=1", "# schema_version=one"), "vone.csv")
+    assert err.value.found == "one"
+    with pytest.raises(SchemaVersionError) as err:
         read_text("\n".join(good.splitlines()[1:]) + "\n", "noversion.csv")
     assert err.value.found is None
     with pytest.raises(SchemaVersionError):
@@ -1235,7 +1238,8 @@ def test_study_reports_equal_the_golden_output(capsys, mode, name):
     # exponential and flat presets': before the one grid runner), except
     # the slope cells of rates, rates-flat and wavelet-d3, which moved by
     # 3-5 ulp to the exact least-squares slope when the fit stopped using
-    # np.polyfit
+    # np.polyfit, and the mc_risk and mc_stderr cells, which moved when
+    # mc_risk began to draw one normal and one gamma per coordinate
     config = [] if name is None else ["--config", str(GOLDEN / f"{name}.ini")]
     assert main([mode, *config, "--seed", "1"]) == 0
     expected = (GOLDEN / f"{name or mode}-seed-1.csv").read_bytes()
@@ -1275,6 +1279,15 @@ def test_golden_slope_is_the_correctly_rounded_least_squares_slope(name):
     ns, risks = np.array(list(dict.fromkeys((row.n, row.exact_risk) for row in rows))).T  # one per grid point
     slope, _ = exact_line(np.log(ns).tolist(), np.log(risks).tolist())
     assert {row.slope for row in rows} == {float(slope)}
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.glob("*.csv")), ids=lambda path: path.stem)
+def test_every_golden_monte_carlo_risk_lies_within_five_stderr_of_the_exact_risk(path):
+    # the contraction study reports no Monte Carlo risk; every other study does
+    rows = [row for row in read_report(str(path)).rows if row.mc_risk is not None]
+    assert rows or path.stem.startswith("contraction")
+    for row in rows:
+        assert abs(row.mc_risk - row.exact_risk) <= 5.0 * row.mc_stderr, (row.n, row.k, row.mc_risk)
 
 
 def test_verify_passes_at_every_seed():

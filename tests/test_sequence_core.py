@@ -484,32 +484,19 @@ def test_mc_risk_stderr_shrinks_like_root_replications():
     assert 0.6 < float(np.mean(ratios)) < 0.85
 
 
-def _permuted(spectrum, theta, seed):
-    perm = np.random.default_rng(seed).permutation(spectrum.size)
-    return Spectrum(spectrum.eigenvalues[perm], BASIS), TruthCoefficients(theta.theta[perm], BASIS)
-
-
-def test_mc_risk_estimate_independent_of_coordinate_order():
-    # mc_risk draws the replication mean per group, so the layout of the
-    # coordinates may not change the estimate for a fixed seed
+def test_mc_risk_moves_by_ulps_when_a_tie_between_scales_breaks():
+    # one eigenvalue of a flat prior times (1 + 1e-13) no longer equals the
+    # other 63; each coordinate keeps its own normal and gamma, so at a fixed
+    # seed the estimate moves about as far as its inputs, not by a re-draw
     spectrum = flat_spectrum(64, basis_id=BASIS, tau=0.3)
     theta = TruthCoefficients(np.linspace(-1, 1, 64), BASIS)
+    lams = spectrum.eigenvalues.copy()
+    lams[17] *= 1.0 + 1e-13
+    assert lams[17] != spectrum.eigenvalues[17]
     whole = mc_risk(spectrum, theta, 77.0, 500, np.random.default_rng(3))
-    shuffled = mc_risk(*_permuted(spectrum, theta, 5), 77.0, 500, np.random.default_rng(3))
-    assert whole[0] == pytest.approx(shuffled[0], rel=1e-12)
-    assert whole[1] == pytest.approx(shuffled[1], rel=1e-9)
-
-
-def test_mc_risk_with_mixed_groups_is_independent_of_coordinate_order():
-    # singletons, groups of 2, 5 and 9 and zero eigenvalues: a reshuffle of
-    # the coordinates leaves every group, and so the normal and gamma drawn
-    # for it, unchanged
-    spectrum = mixed_group_spectrum()
-    theta = TruthCoefficients(np.cos(np.arange(spectrum.size)), BASIS)
-    whole = mc_risk(spectrum, theta, 40.0, 500, np.random.default_rng(8))
-    shuffled = mc_risk(*_permuted(spectrum, theta, 6), 40.0, 500, np.random.default_rng(8))
-    assert whole[0] == pytest.approx(shuffled[0], rel=1e-12)
-    assert whole[1] == pytest.approx(shuffled[1], rel=1e-9)
+    split = mc_risk(Spectrum(lams, BASIS), theta, 77.0, 500, np.random.default_rng(3))
+    assert split[0] == pytest.approx(whole[0], rel=1e-12)
+    assert split[1] == pytest.approx(whole[1], rel=1e-12)
 
 
 def mixed_group_spectrum():
@@ -616,24 +603,20 @@ def test_mc_risk_at_a_trillion_replications_stays_within_five_stderr():
 
 
 def all_coordinate_mc_risk(spectrum, theta, n, replications, rng):
-    """mc_risk as it grouped every coordinate, the s_k = 0 ones as a group of their own."""
+    """mc_risk written out coordinate by coordinate: one normal and one gamma per s_k > 0, in index order."""
     weights, one_minus, _ = where_shrinkage(spectrum.eigenvalues, n)
     base, scale = -one_minus * theta.theta, weights / math.sqrt(n)
-    order = np.argsort(scale, kind="stable")
-    scale = scale[order]
-    starts = np.flatnonzero(np.diff(scale, prepend=-1.0))
-    sizes = np.diff(starts, append=scale.size)
-    scale = scale[starts]
-    norm_sq = np.add.reduceat(base[order] ** 2, starts)
-    exact = float(np.sum(norm_sq[scale == 0.0]))
     live = scale > 0.0
-    scale, norm_sq, sizes = scale[live], norm_sq[live], sizes[live]
-    var, reps = scale**2, float(replications)
+    exact = float(np.sum(base[~live] ** 2))
+    reps = float(replications)
     normal_rng, gamma_rng = rng.spawn(2)
-    center = scale * normal_rng.standard_normal(scale.size) + math.sqrt(reps) * np.sqrt(norm_sq)
-    spread = gamma_rng.standard_gamma(0.5 * (reps * sizes - 1.0))
+    center, spread = [], []
+    for b, s in zip(base[live], scale[live]):
+        center.append(s * normal_rng.standard_normal() + math.sqrt(reps) * abs(b))
+        spread.append(gamma_rng.standard_gamma(0.5 * (reps - 1.0)))
+    b, var, center, spread = base[live], scale[live] ** 2, np.array(center), np.array(spread)
     estimate = exact + float(np.sum(center**2 + 2.0 * var * spread)) / reps + theta.tail
-    stderr = math.sqrt(float(np.sum(2.0 * var**2 * sizes + 4.0 * var * norm_sq)) / reps)
+    stderr = math.sqrt(float(np.sum(2.0 * var**2 + 4.0 * var * b**2)) / reps)
     return estimate, stderr
 
 
@@ -653,9 +636,9 @@ def _noiseless_case(name, rng):
 @pytest.mark.parametrize("name", ["30% zero eigenvalues", "underflowing scale", "all zero", "none zero"])
 @pytest.mark.parametrize("replications", [2, 1000, 2**53])
 def test_mc_risk_equals_the_all_coordinate_grouping_bit_for_bit(name, replications):
-    # the noiseless coordinates sum in index order before the grouping, as
-    # their one group summed them, so the estimate, the stderr and the
-    # stream of normals and gammas keep every bit
+    # the noiseless coordinates add their exact sum, and the normals and
+    # gammas are drawn one per live coordinate in index order, so the
+    # estimate and the stderr keep every bit of the written-out oracle
     rng = np.random.default_rng([replications % 997, len(name)])
     for trial in range(4):
         lams = _noiseless_case(name, rng)
@@ -671,22 +654,6 @@ def test_mc_risk_equals_the_all_coordinate_grouping_bit_for_bit(name, replicatio
         if name == "underflowing scale":
             tiny = lams == 5e-324
             assert np.any(tiny) and np.all(where_shrinkage(lams, n)[0][tiny] == 0.0)
-
-
-@pytest.mark.parametrize("groups", [0, 1, 3, 255, 256, 257, 65535, 65536, 65537])
-def test_scale_groups_order_is_the_stable_argsort_of_the_scales(groups):
-    # the group ids sort as uint8 up to 256 groups and uint16 up to 65,536;
-    # each group has one scale plus repeats, a third of which are the largest
-    rng = np.random.default_rng(groups)
-    levels = np.sort(rng.uniform(0.5, 2.0, groups))
-    repeats = levels[rng.integers(0, groups, 2 * groups)]
-    repeats[rng.random(repeats.size) < 1 / 3] = levels[-1] if groups else 0.0
-    scale = np.concatenate([levels, repeats])
-    rng.shuffle(scale)
-    values, sizes, order = sequence_core._scale_groups(scale)
-    assert np.array_equal(order, np.argsort(scale, kind="stable"))
-    assert np.array_equal(values, levels) and values.size == sizes.size == groups
-    assert np.array_equal(np.repeat(values, sizes), scale[order])
 
 
 def test_mc_risk_rejects_fewer_than_two_replications():
